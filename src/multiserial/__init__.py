@@ -54,12 +54,10 @@ from .symmetrize import (
     STAR_PREFIX,
     CertifiedGenerator,
     Justification,
-    ProjectionMap,
     QuiverStar,
     QuotientCertificate,
     build_star_quiver,
     dimension_comparison,
-    projection,
     symmetrize,
     verify_quotient,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "Path",
     "Presentation",
     "PrimeField",
-    "ProjectionMap",
     "QuiverStar",
     "Quiver",
     "QuotientCertificate",
@@ -114,7 +111,6 @@ __all__ = [
     "nilpotency_bound",
     "oracle_dimension",
     "orbit_data",
-    "projection",
     "rotations",
     "simple_cycles",
     "symmetrize",

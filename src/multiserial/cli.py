@@ -17,7 +17,8 @@ one of ``[presentation]`` or ``[definingpair]``.  Comments start with
     cycle = a b | mult = 2
 
 Exit status: 0 when every verdict passes, 1 when some verdict fails, 2 on
-faults (bad input, unsatisfied preconditions, exceeded budgets).
+faults (bad input, unsatisfied preconditions, exceeded budgets, running out
+of memory).
 """
 
 from __future__ import annotations
@@ -373,18 +374,14 @@ def _cmd_validate(document: InputDocument, options: Options) -> CommandResult:
     return CommandResult("validate", validate_pair(pair))
 
 
-def _stop_json(value: str | None):
-    return value
-
-
 def _cmd_sigma_tau(document: InputDocument, options: Options) -> CommandResult:
     presentation = _need_presentation(document, "sigma-tau")
     tables = derive_successors(presentation)
     report = check_orbit_structure(tables)
     orbits = orbit_data(tables)
     data = {
-        "sigma": {a: _stop_json(tables.sigma[a]) for a in sorted(tables.sigma)},
-        "tau": {a: _stop_json(tables.tau[a]) for a in sorted(tables.tau)},
+        "sigma": {a: tables.sigma[a] for a in sorted(tables.sigma)},
+        "tau": {a: tables.tau[a] for a in sorted(tables.tau)},
         "orbits": {
             a: {
                 "forward_stop": orbits[a].forward_stop,
@@ -627,6 +624,9 @@ def main(argv: list[str] | None = None) -> int:
         result = run_command(args.command, document, options)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the instance is too large", file=sys.stderr)
         return 2
 
     if args.json:

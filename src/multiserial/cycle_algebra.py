@@ -122,14 +122,7 @@ class CycleAlgebra:
             raise ValueError(f"cycle system fails validation: {failed}")
         self.pair = pair
         self.field = field
-        self._next_arrow: dict[str, str] = {}
-        self._prev_arrow: dict[str, str] = {}
         self._full_length: dict[str, int] = {}
-        for cycle in pair.cycles:
-            for i, name in enumerate(cycle.arrows):
-                succ = cycle.arrows[(i + 1) % len(cycle.arrows)]
-                self._next_arrow[name] = succ
-                self._prev_arrow[succ] = name
         for cycle in pair.cycles:
             length = pair.mu(cycle) * len(cycle)
             for name in cycle.arrows:
@@ -183,11 +176,12 @@ class CycleAlgebra:
             raise ValueError(f"arrow {first!r} lies on no cycle of the system")
         if len(path) > self._full_length[first]:
             return {}
+        following = self.pair.next_arrow
         expected = first
         for name in path.arrows:
             if name != expected:
                 return {}
-            expected = self._next_arrow[name]
+            expected = following[name]
         if len(path) == self._full_length[first]:
             return {Socle(path.source): self.field.one}
         return {OnCyclePath(path): self.field.one}
@@ -329,6 +323,8 @@ class CycleAlgebra:
         side, and it must be the neighbouring arrow on the arrow's cycle.
         """
         q = self.pair.quiver
+        following = self.pair.next_arrow
+        preceding = {b: a for a, b in following.items()}
         report = Report("multiserial-quotient")
         problems = []
         for arrow in sorted(q.arrows.values(), key=lambda a: a.name):
@@ -337,20 +333,20 @@ class CycleAlgebra:
                 for b in q.arrows_from(arrow.target)
                 if self.normal_form(q.path([arrow.name, b.name]))
             ]
-            if succ != [self._next_arrow[arrow.name]]:
+            if succ != [following[arrow.name]]:
                 problems.append(
                     f"{arrow.name} has surviving successors {succ}, "
-                    f"expected [{self._next_arrow[arrow.name]}]"
+                    f"expected [{following[arrow.name]}]"
                 )
             pred = [
                 c.name
                 for c in q.arrows_into(arrow.source)
                 if self.normal_form(q.path([c.name, arrow.name]))
             ]
-            if pred != [self._prev_arrow[arrow.name]]:
+            if pred != [preceding[arrow.name]]:
                 problems.append(
                     f"{arrow.name} has surviving predecessors {pred}, "
-                    f"expected [{self._prev_arrow[arrow.name]}]"
+                    f"expected [{preceding[arrow.name]}]"
                 )
         report.add("multiserial-quotient", not problems, "; ".join(problems))
         return report

@@ -13,6 +13,7 @@ vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .quiver import (
@@ -22,7 +23,6 @@ from .quiver import (
     compose,
     cycle_power,
     is_simple_cycle,
-    lies_in,
     rotations,
 )
 from .report import Report
@@ -67,6 +67,15 @@ class DefiningPair:
 
     def mu(self, cycle: Path) -> int:
         return self._mult[cycle.arrows]
+
+    @cached_property
+    def next_arrow(self) -> dict[str, str]:
+        """The arrow that follows each arrow on its cycle.
+
+        Read from the first two arrows of every stored rotation, so it is
+        complete and single-valued for a system passing :func:`validate`.
+        """
+        return {c.arrows[0]: c.arrows[1 % len(c)] for c in self.cycles}
 
     def cycles_at(self, vertex: str) -> tuple[Path, ...]:
         return tuple(c for c in self.cycles if c.source == vertex)
@@ -227,10 +236,13 @@ def generate_relations(pair: DefiningPair) -> RelationSet:
         assert extended is not None
         type2.append(extended)
 
+    # Every arrow lies on exactly one rotation class, so ab travels a cycle
+    # exactly when b follows a there.
+    following = pair.next_arrow
     type3 = [
         p
         for p in pair.quiver.length_two_paths()
-        if not any(lies_in(p, c) for c in pair.cycles)
+        if following[p.arrows[0]] != p.arrows[1]
     ]
 
     return RelationSet(tuple(type1), tuple(type2), tuple(type3))

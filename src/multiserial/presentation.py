@@ -119,13 +119,11 @@ class OrbitData:
     period: Optional[int] = None
 
 
-def check_multiserial_condition(presentation: Presentation) -> Report:
-    """Each arrow must admit at most one composable successor and at most
-    one composable predecessor outside the ideal.
-
-    Violations are report content, not faults; every offending arrow is
-    listed with its surviving compositions.
-    """
+def _surviving_compositions(
+    presentation: Presentation,
+) -> tuple[Report, dict[str, list[str]], dict[str, list[str]]]:
+    """The multiserial-condition report, with each arrow's surviving
+    successors and predecessors in the quiver's adjacency order."""
     q = presentation.quiver
     report = Report("multiserial-condition")
     if not q.is_connected():
@@ -133,38 +131,50 @@ def check_multiserial_condition(presentation: Presentation) -> Report:
             "quiver is disconnected; constructions proceed blockwise but the "
             "algebra is decomposable"
         )
+    successors: dict[str, list[str]] = {}
+    predecessors: dict[str, list[str]] = {}
     violations = 0
     for arrow in sorted(q.arrows.values(), key=lambda a: a.name):
-        successors = [
+        after = successors[arrow.name] = [
             b.name
             for b in q.arrows_from(arrow.target)
             if not presentation.quadratic_in_ideal(arrow.name, b.name)
         ]
-        if len(successors) > 1:
+        if len(after) > 1:
             violations += 1
             report.add(
                 f"unique-successor({arrow.name})",
                 False,
-                "surviving compositions with " + ", ".join(successors),
+                "surviving compositions with " + ", ".join(after),
             )
-        predecessors = [
+        before = predecessors[arrow.name] = [
             c.name
             for c in q.arrows_into(arrow.source)
             if not presentation.quadratic_in_ideal(c.name, arrow.name)
         ]
-        if len(predecessors) > 1:
+        if len(before) > 1:
             violations += 1
             report.add(
                 f"unique-predecessor({arrow.name})",
                 False,
-                "surviving compositions with " + ", ".join(predecessors),
+                "surviving compositions with " + ", ".join(before),
             )
     report.add(
         "multiserial-condition",
         violations == 0,
         "" if violations == 0 else f"{violations} arrow(s) violate the condition",
     )
-    return report
+    return report, successors, predecessors
+
+
+def check_multiserial_condition(presentation: Presentation) -> Report:
+    """Each arrow must admit at most one composable successor and at most
+    one composable predecessor outside the ideal.
+
+    Violations are report content, not faults; every offending arrow is
+    listed with its surviving compositions.
+    """
+    return _surviving_compositions(presentation)[0]
 
 
 def derive_successors(presentation: Presentation) -> SuccessorTables:
@@ -173,29 +183,15 @@ def derive_successors(presentation: Presentation) -> SuccessorTables:
     Faults when the multiserial condition fails, since the tables would not
     be single-valued.
     """
-    condition = check_multiserial_condition(presentation)
+    condition, successors, predecessors = _surviving_compositions(presentation)
     if not condition.passed:
         failed = ", ".join(c.name for c in condition.failures())
         raise MultiserialConditionError(
             f"presentation violates the multiserial condition: {failed}"
         )
-    q = presentation.quiver
-    sigma: dict[str, Optional[str]] = {}
-    tau: dict[str, Optional[str]] = {}
-    for arrow in q.arrows.values():
-        successors = [
-            b.name
-            for b in q.arrows_from(arrow.target)
-            if not presentation.quadratic_in_ideal(arrow.name, b.name)
-        ]
-        sigma[arrow.name] = successors[0] if successors else None
-        predecessors = [
-            c.name
-            for c in q.arrows_into(arrow.source)
-            if not presentation.quadratic_in_ideal(c.name, arrow.name)
-        ]
-        tau[arrow.name] = predecessors[0] if predecessors else None
-    return SuccessorTables(q, sigma, tau)
+    sigma = {a: after[0] if after else None for a, after in successors.items()}
+    tau = {b: before[0] if before else None for b, before in predecessors.items()}
+    return SuccessorTables(presentation.quiver, sigma, tau)
 
 
 def _orbit(table: dict[str, Optional[str]], start: str, limit: int) -> tuple[Optional[int], Optional[int]]:
@@ -268,10 +264,10 @@ def simple_cycles(tables: SuccessorTables) -> tuple[Path, ...]:
     successor is the rotation of the cycle based at the arrow itself.
     """
     q = tables.quiver
-    data = orbit_data(tables)
+    limit = len(q.arrows) + 1
     out = []
     for name in sorted(q.arrows):
-        period = data[name].period
+        _, period = _orbit(tables.sigma, name, limit)
         if period is None:
             continue
         chain = [name]

@@ -3,11 +3,13 @@
 The enlarged quiver adds one return arrow per maximal path, turning every
 maximal path into a simple cycle.  Together with the cycles already traced
 by the successor tables, and with the presentation's nilpotency bound as
-the uniform multiplicity, these form a valid cycle system.  The collapse
-map sends return arrows to zero and everything else to itself; applying it
-to each generated relation yields a path certified to lie in the original
-ideal, which exhibits the presented algebra as a quotient of the symmetric
-one.
+the uniform multiplicity, these form a valid cycle system.  Collapsing the
+enlarged quiver onto the base sends return arrows to zero and fixes
+everything else; :func:`verify_quotient` justifies, generator by
+generator, that each generated relation collapses into the original ideal,
+which exhibits the presented algebra as a quotient of the symmetric one.
+The successor tables are derived once, by :func:`build_star_quiver`, and
+travel with the enlarged quiver.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .defining_pair import (
 from .fields import RATIONALS
 from .presentation import (
     Presentation,
+    SuccessorTables,
     derive_successors,
     maximal_paths,
     simple_cycles,
@@ -43,12 +46,14 @@ UNCERTIFIED = "Uncertified"
 
 @dataclass(eq=False)
 class QuiverStar:
-    """The base quiver enlarged by one return arrow per maximal path."""
+    """The base quiver enlarged by one return arrow per maximal path,
+    together with the successor tables it was built from."""
 
     base: Quiver
     star: Quiver
     maximal: tuple[Path, ...]
     return_arrows: dict[tuple[str, ...], str]
+    tables: SuccessorTables
 
     def __post_init__(self) -> None:
         self._names = frozenset(self.return_arrows.values())
@@ -90,7 +95,7 @@ def build_star_quiver(presentation: Presentation) -> QuiverStar:
         (return_arrows[m.arrows], m.target, m.source) for m in maximal
     )
     star = Quiver(base.vertices, arrow_triples)
-    return QuiverStar(base, star, maximal, return_arrows)
+    return QuiverStar(base, star, maximal, return_arrows, tables)
 
 
 def symmetrize(
@@ -104,10 +109,9 @@ def symmetrize(
     """
     if star is None:
         star = build_star_quiver(presentation)
-    tables = derive_successors(presentation)
     representatives: list[tuple[Path, int]] = []
     seen: set[tuple[str, ...]] = set()
-    for cycle in simple_cycles(tables):
+    for cycle in simple_cycles(star.tables):
         canon = canonical_rotation(cycle)
         if canon.arrows not in seen:
             seen.add(canon.arrows)
@@ -116,30 +120,6 @@ def symmetrize(
         closed = star.star.path(m.arrows + (star.return_arrows[m.arrows],))
         representatives.append((closed, presentation.nilpotency))
     return close_under_rotation(star.star, representatives)
-
-
-@dataclass(eq=False)
-class ProjectionMap:
-    """Collapse of the enlarged quiver onto the base: identity on vertices
-    and base arrows, zero on return arrows."""
-
-    star: QuiverStar
-
-    def path_image(self, path: Path) -> Path | None:
-        """The image of a path, or None when it crosses a return arrow."""
-        names = self.star.star_names
-        if any(a in names for a in path.arrows):
-            return None
-        return path
-
-    def vertex_image(self, vertex: str) -> str:
-        return vertex
-
-
-def projection(presentation: Presentation, star: QuiverStar) -> ProjectionMap:
-    if star.base != presentation.quiver:
-        raise ValueError("the enlarged quiver was not built from this presentation")
-    return ProjectionMap(star)
 
 
 @dataclass(frozen=True)
@@ -249,7 +229,6 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
             "this is an engine bug"
         )
     relations = generate_relations(pair)
-    tables = derive_successors(presentation)
     certificate = QuotientCertificate(presentation, star, pair)
     N = presentation.nilpotency
 
@@ -278,7 +257,7 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
             which = a if star.is_star_arrow(a) else b
             j = Justification(KILLED_BY_STAR_ARROW, f"contains return arrow {which}")
         elif presentation.quadratic_in_ideal(a, b):
-            successor = tables.sigma[a]
+            successor = star.tables.sigma[a]
             j = Justification(
                 FORBIDDEN_QUADRATIC,
                 f"successor of {a} is "

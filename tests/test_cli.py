@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path as FilePath
 
 import pytest
@@ -13,6 +16,7 @@ from multiserial.cli import (
 from multiserial import symmetrize
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
+SRC = FilePath(__file__).resolve().parent.parent / "src"
 
 A3_TEXT = (FIXTURES / "a3_gentle.alg").read_text()
 LOOP_TEXT = (FIXTURES / "loop_mu2.alg").read_text()
@@ -214,6 +218,32 @@ class TestMainExitCodes:
         )
         assert code == 2
         assert "shrink the instance" in err
+
+    def test_out_of_memory_exits_two(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        doc = tmp_path / "huge.alg"
+        doc.write_text(
+            "[quiver]\nvertices = v\narrow a = v -> v\n\n"
+            "[definingpair]\ncycle = a | mult = 99999999999\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        # The cap is set in the child only, so the test cannot strain the host.
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiserial.cli", "basis", str(doc)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_wrong_document_kind_exits_two(self, capsys):
         code, _, err = self.run(

@@ -12,9 +12,10 @@ from multiserial import (
     lies_in,
     nilpotency_bound,
     rotations,
+    symmetrize,
     validate,
 )
-from multiserial.random_instances import random_defining_pair
+from multiserial.random_instances import random_defining_pair, random_presentation
 
 
 def kronecker_pair():
@@ -184,19 +185,22 @@ def test_every_arrow_starts_exactly_one_type2_relation(seed):
 @given(st.integers(0, 10**9))
 @settings(max_examples=80, deadline=None)
 def test_quadratics_split_into_on_cycle_and_type3(seed):
-    pair = random_defining_pair(random.Random(seed))
-    if not validate(pair).passed:
-        return
-    relations = generate_relations(pair)
-    type3 = {p.arrows for p in relations.type3}
-    on_cycle = {
-        p.arrows
-        for p in pair.quiver.length_two_paths()
-        if any(lies_in(p, c) for c in pair.cycles)
-    }
-    everything = {p.arrows for p in pair.quiver.length_two_paths()}
-    assert type3 | on_cycle == everything
-    assert not (type3 & on_cycle)
+    # Symmetrized presentations add covers that share vertices and carry
+    # return arrows, which random_defining_pair never draws.
+    rng = random.Random(seed)
+    for pair in (random_defining_pair(rng), symmetrize(random_presentation(rng))):
+        if not validate(pair).passed:
+            continue
+        relations = generate_relations(pair)
+        type3 = {p.arrows for p in relations.type3}
+        on_cycle = {
+            p.arrows
+            for p in pair.quiver.length_two_paths()
+            if any(lies_in(p, c) for c in pair.cycles)
+        }
+        everything = {p.arrows for p in pair.quiver.length_two_paths()}
+        assert type3 | on_cycle == everything
+        assert not (type3 & on_cycle)
 
 
 @given(st.integers(0, 10**9))

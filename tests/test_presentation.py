@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from multiserial import (
     orbit_data,
     simple_cycles,
 )
+from multiserial import presentation as presentation_module
 from multiserial.random_instances import random_presentation, random_successor_tables
 
 
@@ -184,6 +186,14 @@ class TestOrbitStructure:
         report = check_orbit_structure(tables)
         assert report.check("cycle-length-is-period").passed
         assert report.passed
+
+    def test_orbit_data_is_computed_once(self, linear_quiver):
+        tables = derive_successors(Presentation(linear_quiver, (), (), 3))
+        with mock.patch.object(
+            presentation_module, "orbit_data", wraps=orbit_data
+        ) as spy:
+            assert check_orbit_structure(tables).passed
+        assert spy.call_count == 1
 
 
 @given(st.integers(0, 10**9))

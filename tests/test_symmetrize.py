@@ -1,4 +1,6 @@
+import importlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from multiserial import (
     build_star_quiver,
     derive_successors,
     dimension_comparison,
-    projection,
     rotations,
     simple_cycles,
     symmetrize,
@@ -29,6 +30,9 @@ from multiserial.symmetrize import (
     KILLED_BY_STAR_ARROW,
     LONG_PATH,
 )
+
+# The package exports the function ``symmetrize`` under the module's name.
+symmetrize_module = importlib.import_module("multiserial.symmetrize")
 
 
 class TestBuildStarQuiver:
@@ -58,6 +62,13 @@ class TestBuildStarQuiver:
         )
         with pytest.raises(MultiserialConditionError):
             build_star_quiver(Presentation(q, (), (), 3))
+
+    def test_only_return_arrows_are_star_arrows(self, linear_presentation):
+        star = build_star_quiver(linear_presentation)
+        assert star.star_names == {"star_a", "star_b"}
+        assert star.is_star_arrow("star_a")
+        assert not star.is_star_arrow("a")
+        assert not star.is_star_arrow("missing")
 
     def test_reserved_name_collision_faults(self):
         q = Quiver(["1", "2"], [("a", "1", "2"), ("star_a", "2", "1")])
@@ -104,22 +115,6 @@ class TestSymmetrize:
                     assert set(c.arrows) - set(star.base.arrows) == {name}
 
 
-class TestProjection:
-    def test_base_arrows_fixed_return_arrows_killed(self, linear_presentation):
-        star = build_star_quiver(linear_presentation)
-        collapse = projection(linear_presentation, star)
-        q = star.star
-        assert collapse.path_image(q.path(["a"])) == q.path(["a"])
-        assert collapse.path_image(q.path(["a", "star_a"])) is None
-        assert collapse.path_image(q.trivial_path("1")) == q.trivial_path("1")
-        assert collapse.vertex_image("1") == "1"
-
-    def test_rejects_mismatched_star(self, linear_presentation, two_cycle_presentation):
-        star = build_star_quiver(two_cycle_presentation)
-        with pytest.raises(ValueError, match="not built from"):
-            projection(linear_presentation, star)
-
-
 class TestVerifyQuotient:
     def test_linear_presentation_certificate(self, linear_presentation):
         certificate = verify_quotient(linear_presentation)
@@ -150,6 +145,23 @@ class TestVerifyQuotient:
         }
         assert quadratics["a a"] == FORBIDDEN_QUADRATIC
         assert quadratics["star_a star_a"] == KILLED_BY_STAR_ARROW
+
+    def test_return_arrows_kill_exactly_their_generators(self, linear_presentation):
+        star = build_star_quiver(linear_presentation)
+        certificate = verify_quotient(linear_presentation)
+        for entry in certificate.entries:
+            terms = entry.justification.parts or (entry.justification,)
+            words = entry.relation.split(" - ")
+            for word, term in zip(words, terms):
+                crosses = any(star.is_star_arrow(a) for a in word.split())
+                assert (term.kind == KILLED_BY_STAR_ARROW) == crosses, entry
+
+    def test_successor_tables_are_derived_once(self, linear_presentation):
+        with mock.patch.object(
+            symmetrize_module, "derive_successors", wraps=derive_successors
+        ) as spy:
+            assert verify_quotient(linear_presentation).complete
+        assert spy.call_count == 1
 
     def test_arrowless_quiver_has_empty_certificate(self):
         p = Presentation(Quiver(["v"]), (), (), 2)
