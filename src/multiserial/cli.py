@@ -53,7 +53,6 @@ from .presentation import (
     derive_successors,
     maximal_paths,
     minimal_monomial_bound,
-    orbit_data,
     simple_cycles,
 )
 from .quiver import Path, Quiver
@@ -378,7 +377,7 @@ def _cmd_sigma_tau(document: InputDocument, options: Options) -> CommandResult:
     presentation = _need_presentation(document, "sigma-tau")
     tables = derive_successors(presentation)
     report = check_orbit_structure(tables)
-    orbits = orbit_data(tables)
+    orbits = tables.orbits
     data = {
         "sigma": {a: tables.sigma[a] for a in sorted(tables.sigma)},
         "tau": {a: tables.tau[a] for a in sorted(tables.tau)},
@@ -488,7 +487,6 @@ def _cmd_verify_quotient(document: InputDocument, options: Options) -> CommandRe
             presentation.quiver,
             presentation.linear_relations(),
             presentation.nilpotency,
-            field=options.field,
             max_paths=options.max_paths,
         )
         dim_star = CycleAlgebra(certificate.pair, options.field).dimension
@@ -511,7 +509,6 @@ def _cmd_oracle(document: InputDocument, options: Options) -> CommandResult:
             presentation.quiver,
             presentation.linear_relations(),
             bound,
-            field=options.field,
             max_paths=options.max_paths,
         )
         data = {"bound": bound, "oracle_dimension": dim, "closed_form_dimension": None}
@@ -523,7 +520,6 @@ def _cmd_oracle(document: InputDocument, options: Options) -> CommandResult:
         pair.quiver,
         generate_relations(pair).linear_relations(),
         bound,
-        field=options.field,
         max_paths=options.max_paths,
     )
     closed = CycleAlgebra(pair, options.field).dimension
@@ -583,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--field",
         default="rational",
-        help="coefficient field: 'rational' or 'fp:P' for a prime P",
+        help="coefficient field of the Gram elimination: 'rational' or 'fp:P' for a prime P",
     )
     common.add_argument(
         "--max-paths",
@@ -628,6 +624,14 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; the instance is too large", file=sys.stderr)
         return 2
+    written = bool(args.out) and result.artifact is not None
+    if written:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(result.artifact)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.json:
         payload = {
@@ -642,26 +646,20 @@ def main(argv: list[str] | None = None) -> int:
             "warnings": list(result.report.warnings),
             "data": dict(result.data),
         }
-        if result.artifact is not None:
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(result.artifact)
-                payload["data"]["output_file"] = args.out
-            else:
-                payload["data"][result.artifact_key] = result.artifact
+        if written:
+            payload["data"]["output_file"] = args.out
+        elif result.artifact is not None:
+            payload["data"][result.artifact_key] = result.artifact
         if not args.quiet:
             print(json.dumps(payload))
     else:
         lines = [f"command: {result.command} ({args.input})"]
         lines.extend(result.report.lines())
         lines.extend(_render_data(result.data))
-        if result.artifact is not None:
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(result.artifact)
-                lines.append(f"wrote {args.out}")
-            else:
-                lines.append(result.artifact.rstrip("\n"))
+        if written:
+            lines.append(f"wrote {args.out}")
+        elif result.artifact is not None:
+            lines.append(result.artifact.rstrip("\n"))
         if not args.quiet:
             print("\n".join(lines))
 

@@ -3,10 +3,11 @@
 Two independent routes to the same algebra live here.  The closed form
 (:class:`CycleAlgebra`) enumerates an explicit basis directly from the
 cycle structure and multiplies via normal forms.  The oracle
-(:func:`oracle_dimension`) knows nothing of that structure: it performs
-exact linear algebra in a truncated path algebra, closing the relation
-span under arrow multiplication.  Tests and the acceptance suite hold the
-two routes against each other.
+(:func:`oracle_dimension`) knows nothing of that structure: it closes the
+relations, each a path or a difference of two paths, under multiplication
+by arrows in a truncated path algebra, and counts the path classes that do
+not vanish.  Tests and the acceptance suite hold the two routes against
+each other.
 """
 
 from __future__ import annotations
@@ -391,99 +392,221 @@ class _RowReducer:
         return len(self.pivots)
 
 
+def count_paths(
+    quiver: Quiver, max_length: int, stop_above: int | None = None
+) -> int:
+    """Number of paths of length 0..max_length, counted by dynamic
+    programming over path ends without listing them.
+
+    With ``stop_above`` the count stops as soon as it passes that cap and
+    returns the partial total, which is then above the cap; so a huge
+    ``max_length`` costs at most ``stop_above`` rounds.
+    """
+    arrows = list(quiver.arrows.values())
+    ending = dict.fromkeys(quiver.vertices, 1)
+    total = len(quiver.vertices)
+    for _ in range(max_length):
+        if stop_above is not None and total > stop_above:
+            break
+        grown = dict.fromkeys(quiver.vertices, 0)
+        for arrow in arrows:
+            grown[arrow.target] += ending[arrow.source]
+        added = sum(grown.values())
+        if not added:
+            break
+        total += added
+        ending = grown
+    return total
+
+
+def _check_budget(quiver: Quiver, max_length: int, max_paths: int) -> None:
+    if count_paths(quiver, max_length, max_paths) > max_paths:
+        raise OracleBudgetError(
+            f"more than {max_paths} paths below the truncation bound; "
+            "shrink the instance or raise the budget"
+        )
+
+
 def enumerate_paths(
     quiver: Quiver, max_length: int, max_paths: int = DEFAULT_MAX_PATHS
 ) -> list[Path]:
     """All paths of length 0..max_length, shortest first, arrows in name
     order; faults when the count passes ``max_paths``."""
+    _check_budget(quiver, max_length, max_paths)
     paths: list[Path] = [quiver.trivial_path(v) for v in quiver.vertices]
-    budget_message = (
-        f"more than {max_paths} paths below the truncation bound; "
-        "shrink the instance or raise the budget"
-    )
-    if len(paths) > max_paths:
-        raise OracleBudgetError(budget_message)
     frontier = list(paths)
     for _ in range(max_length):
-        grown = []
-        total = len(paths)
-        for p in frontier:
-            for arrow in quiver.arrows_from(p.target):
-                grown.append(
-                    Path(p.arrows + (arrow.name,), p.vertices + (arrow.target,))
-                )
-                total += 1
-                if total > max_paths:
-                    raise OracleBudgetError(budget_message)
-        paths.extend(grown)
-        if not grown:
+        frontier = [
+            Path(p.arrows + (arrow.name,), p.vertices + (arrow.target,))
+            for p in frontier
+            for arrow in quiver.arrows_from(p.target)
+        ]
+        if not frontier:
             break
-        frontier = grown
+        paths.extend(frontier)
     return paths
+
+
+class _PathTable:
+    """The paths shorter than a bound as integer ids, with one-arrow
+    extension tables.
+
+    Ids run shortest first, as :func:`enumerate_paths` lists the paths: the
+    vertices' trivial paths, then each path's one-arrow extensions in arrow
+    name order, so the right extensions of a path are the consecutive ids
+    from ``first[p]``.  ``lefts[left_at[p] + i]`` is the path with the
+    ``i``-th arrow into its source (in name order) put in front.  Both are
+    -1 for paths of length ``bound - 1``, whose extensions all reach the
+    bound.  The id ``zero``, one past the last path, stands for every
+    product that vanishes; it has no extensions.
+    """
+
+    def __init__(self, quiver: Quiver, bound: int) -> None:
+        vertices = quiver.vertices
+        self.vertex = {v: i for i, v in enumerate(vertices)}
+        outgoing = [quiver.arrows_from(v) for v in vertices]
+        incoming = [quiver.arrows_into(v) for v in vertices]
+        self.out_degree = [len(arrows) for arrows in outgoing]
+        self.in_degree = [len(arrows) for arrows in incoming]
+        self.slot = {a.name: i for arrows in outgoing for i, a in enumerate(arrows)}
+        self.quiver = quiver
+
+        source = list(range(len(vertices)))
+        target = list(range(len(vertices)))
+        first: list[int] = []
+        level_start, level_end = 0, len(vertices)
+        for _ in range(bound - 1):
+            for p in range(level_start, level_end):
+                first.append(len(target))
+                s = source[p]
+                for arrow in outgoing[target[p]]:
+                    source.append(s)
+                    target.append(self.vertex[arrow.target])
+            level_start, level_end = level_end, len(target)
+        count = len(target)
+        first.extend([-1] * (count - len(first)))
+
+        # Left extensions follow from the parent's: a(pb) = (ap)b, and ap
+        # is a path one shorter than a(pb), so its right extensions exist.
+        lefts: list[int] = []
+        left_at: list[int] = []
+        for arrows in incoming:
+            left_at.append(len(lefts))
+            lefts.extend(first[self.vertex[a.source]] + self.slot[a.name] for a in arrows)
+        for p in range(count):
+            if first[p] < 0:
+                break
+            parent = left_at[p]
+            degree = self.in_degree[source[p]]
+            for j in range(self.out_degree[target[p]]):
+                child = first[p] + j
+                if first[child] < 0:
+                    left_at.append(-1)
+                    continue
+                left_at.append(len(lefts))
+                lefts.extend(first[x] + j for x in lefts[parent : parent + degree])
+        left_at.extend([-1] * (count - len(left_at)))
+
+        first.append(-1)
+        left_at.append(-1)
+        self.count = self.zero = count
+        self.source, self.target = source, target
+        self.first, self.left_at, self.lefts = first, left_at, lefts
+
+    def id_of(self, path: Path) -> int:
+        """The id of a path, or ``zero`` when it reaches the bound."""
+        if not self.quiver.contains_path(path):
+            raise ValueError(f"{path} is not a path of the quiver")
+        p = self.vertex[path.source]
+        for name in path.arrows:
+            if self.first[p] < 0:
+                return self.zero
+            p = self.first[p] + self.slot[name]
+        return p
+
+
+def _unit_relation(relation: Sequence[tuple[int, Path]]) -> tuple[Path, Path | None]:
+    """(p, None) for a relation ±p, (p, q) for ±(p - q); anything else
+    faults, since only these two shapes have a field-free answer."""
+    terms = list(relation)
+    if len(terms) == 1 and terms[0][0] in (1, -1):
+        return terms[0][1], None
+    if len(terms) == 2 and terms[0][0] in (1, -1) and terms[0][0] == -terms[1][0]:
+        return terms[0][1], terms[1][1]
+    shown = " + ".join(f"({c})*{p}" for c, p in terms) or "the empty sum"
+    raise ValueError(
+        f"relation {shown} is neither a path nor a difference of two paths; "
+        "the oracle takes only relations p and p - q"
+    )
 
 
 def oracle_dimension(
     quiver: Quiver,
     relations: Iterable[Sequence[tuple[int, Path]]],
     bound: int,
-    field=RATIONALS,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> int:
-    """Dimension of the quotient by brute force in a truncated path algebra.
+    """Dimension of the quotient by closing relations in a truncated path
+    algebra.
 
     ``bound`` must satisfy: every path of length >= bound lies in the
-    ideal.  The paths shorter than the bound form a linear basis of the
-    truncation; the relation images are closed under multiplication by
-    arrows on both sides (products overflowing the bound vanish) and the
-    dimension is the basis count minus the rank of that span.
+    ideal.  Each relation must be a path p or a difference p - q of two
+    paths (up to sign); :class:`ValueError` is raised for any other.  The
+    quotient is then spanned by classes of paths shorter than the bound:
+    two paths are equal in it when a chain of relations, multiplied by
+    arrows on both sides, joins them, and zero when the chain reaches a
+    path relation or a product that vanishes.  The dimension is the number
+    of classes other than zero, the same over every field.  The classes
+    are found by congruence closure: a union-find over path ids in which
+    every merge of two classes queues its pair once, and a queued pair
+    merges its one-arrow extensions on both sides.
     """
     if bound < 2:
         raise ValueError("truncation bound must be at least 2")
-    paths = enumerate_paths(quiver, bound - 1, max_paths)
-    index = {p: i for i, p in enumerate(paths)}
-    F = field
-    reducer = _RowReducer(F)
-    pending: list[dict] = []
+    _check_budget(quiver, bound - 1, max_paths)
+    table = _PathTable(quiver, bound)
+    zero = table.zero
+    first, left_at, lefts = table.first, table.left_at, table.lefts
+    source, target = table.source, table.target
+    out_degree, in_degree = table.out_degree, table.in_degree
+    leader = list(range(zero + 1))
+    pending: list[tuple[int, int]] = []
+
+    def union(x: int, y: int) -> None:
+        # x and y are parallel paths, or one of them is zero; their class
+        # leaders need not be, so the pair itself is queued.
+        rx, ry = x, y
+        while leader[rx] != rx:
+            leader[rx] = rx = leader[leader[rx]]
+        while leader[ry] != ry:
+            leader[ry] = ry = leader[leader[ry]]
+        if rx != ry:
+            leader[ry] = rx
+            pending.append((x, y))
 
     for relation in relations:
-        vec: dict = {}
-        for coeff, path in relation:
-            if len(path) >= bound:
-                continue
-            j = index[path]
-            total = F.add(vec.get(j, F.zero), F.coerce(coeff))
-            if total == F.zero:
-                vec.pop(j, None)
-            else:
-                vec[j] = total
-        if vec:
-            inserted = reducer.insert(vec)
-            if inserted is not None:
-                pending.append(inserted)
+        p, q = _unit_relation(relation)
+        if q is not None and (p.source, p.target) != (q.source, q.target):
+            # p - q with other end points: multiplying by the idempotents
+            # at p's ends leaves p alone, so both are relations.
+            union(table.id_of(q), zero)
+            q = None
+        union(table.id_of(p), zero if q is None else table.id_of(q))
 
-    arrows = sorted(quiver.arrows.values(), key=lambda a: a.name)
+    merges = 0
     while pending:
-        vec = pending.pop()
-        for arrow in arrows:
-            left: dict = {}
-            right: dict = {}
-            for j, c in vec.items():
-                p = paths[j]
-                if len(p) + 1 < bound:
-                    if arrow.target == p.source:
-                        grown = Path(
-                            (arrow.name,) + p.arrows, (arrow.source,) + p.vertices
-                        )
-                        left[index[grown]] = c
-                    if p.target == arrow.source:
-                        grown = Path(
-                            p.arrows + (arrow.name,), p.vertices + (arrow.target,)
-                        )
-                        right[index[grown]] = c
-            for vec2 in (left, right):
-                if vec2:
-                    inserted = reducer.insert(vec2)
-                    if inserted is not None:
-                        pending.append(inserted)
-
-    return len(paths) - reducer.rank
+        x, y = pending.pop()
+        merges += 1
+        live = y if x == zero else x
+        fx, fy = first[x], first[y]
+        if fx >= 0 or fy >= 0:
+            for i in range(out_degree[target[live]]):
+                union(fx + i if fx >= 0 else zero, fy + i if fy >= 0 else zero)
+        lx, ly = left_at[x], left_at[y]
+        if lx >= 0 or ly >= 0:
+            for i in range(in_degree[source[live]]):
+                union(
+                    lefts[lx + i] if lx >= 0 else zero,
+                    lefts[ly + i] if ly >= 0 else zero,
+                )
+    return table.count - merges

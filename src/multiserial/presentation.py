@@ -13,6 +13,7 @@ expected to list all vanishing quadratics explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .quiver import Path, Quiver, rotations
@@ -103,6 +104,11 @@ class SuccessorTables:
                 raise ValueError(f"predecessor of {b} is not composable: {a}")
             if self.sigma.get(a) != b:
                 raise ValueError(f"tables are not mutually inverse at {a} <- {b}")
+
+    @cached_property
+    def orbits(self) -> dict[str, OrbitData]:
+        """The :func:`orbit_data` of these tables, computed on first use."""
+        return orbit_data(self)
 
 
 @dataclass(frozen=True)
@@ -286,7 +292,7 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
     an engine bug rather than bad input.
     """
     q = tables.quiver
-    data = orbit_data(tables)
+    data = tables.orbits
     maxima = maximal_paths(tables)
     cycles = simple_cycles(tables)
     report = Report("orbit-structure")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .cycle_algebra import OracleBudgetError, enumerate_paths
+from .cycle_algebra import count_paths
 from .defining_pair import (
     DefiningPair,
     close_under_rotation,
@@ -69,9 +69,7 @@ def tractable_defining_pair(
         pair = random_defining_pair(rng, max_vertices, max_arrows, max_mult)
         if not validate(pair).passed:
             continue
-        try:
-            enumerate_paths(pair.quiver, nilpotency_bound(pair) - 1, max_paths)
-        except OracleBudgetError:
+        if count_paths(pair.quiver, nilpotency_bound(pair) - 1, max_paths) > max_paths:
             continue
         return pair
 

@@ -24,7 +24,6 @@ from .defining_pair import (
     nilpotency_bound,
     validate,
 )
-from .fields import RATIONALS
 from .presentation import (
     Presentation,
     SuccessorTables,
@@ -274,7 +273,6 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
 
 def dimension_comparison(
     presentation: Presentation,
-    field=RATIONALS,
     max_paths: int = DEFAULT_MAX_PATHS,
     cross_check: bool = False,
 ) -> tuple[int, int]:
@@ -289,18 +287,15 @@ def dimension_comparison(
         presentation.quiver,
         presentation.linear_relations(),
         presentation.nilpotency,
-        field=field,
         max_paths=max_paths,
     )
     pair = symmetrize(presentation)
-    algebra = CycleAlgebra(pair, field)
-    dim_star = algebra.dimension
+    dim_star = CycleAlgebra(pair).dimension
     if cross_check:
         oracle_star = oracle_dimension(
             pair.quiver,
             generate_relations(pair).linear_relations(),
             nilpotency_bound(pair),
-            field=field,
             max_paths=max_paths,
         )
         if oracle_star != dim_star:

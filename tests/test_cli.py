@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path as FilePath
+from unittest import mock
 
 import pytest
 
+from multiserial import cli
+from multiserial import presentation as presentation_module
 from multiserial.cli import (
     ParseError,
     export_dot,
@@ -13,7 +16,7 @@ from multiserial.cli import (
     parse_document,
     render_pair_document,
 )
-from multiserial import symmetrize
+from multiserial import orbit_data, symmetrize
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
 SRC = FilePath(__file__).resolve().parent.parent / "src"
@@ -245,6 +248,16 @@ class TestMainExitCodes:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_unwritable_out_file_exits_two(self, capsys, tmp_path, as_json):
+        target = tmp_path / "missing-dir" / "cover.alg"
+        argv = ["symmetrize", str(FIXTURES / "a3_gentle.alg"), "--out", str(target)]
+        code, out, err = self.run(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2
+        assert err.startswith("error:") and "missing-dir" in err
+        assert out == ""
+        assert not target.exists()
+
     def test_wrong_document_kind_exits_two(self, capsys):
         code, _, err = self.run(
             capsys, "sigma-tau", str(FIXTURES / "loop_mu2.alg")
@@ -289,6 +302,17 @@ class TestMainOutputs:
         payload = json.loads(out)
         assert payload["data"]["sigma"] == {"a": None, "b": None}
         assert payload["data"]["maximal_paths"] == [["a"], ["b"]]
+
+    def test_sigma_tau_computes_orbit_data_once(self, capsys):
+        spy = mock.Mock(wraps=orbit_data)
+        # The CLI module is patched too, in case it calls the name itself.
+        with mock.patch.object(presentation_module, "orbit_data", spy), mock.patch.object(
+            cli, "orbit_data", spy, create=True
+        ):
+            code = main(["sigma-tau", str(FIXTURES / "a3_gentle.alg"), "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["data"]["orbits"]
+        assert spy.call_count == 1
 
     def test_oracle_matches_closed_form_on_pair(self, capsys):
         code = main(["oracle", str(FIXTURES / "loop_mu2.alg"), "--json"])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +13,26 @@ from multiserial import (
     Idempotent,
     OnCyclePath,
     OracleBudgetError,
+    RATIONALS,
     PrimeField,
     Quiver,
     Socle,
     close_under_rotation,
+    compose,
+    count_paths,
     enumerate_paths,
     generate_relations,
     nilpotency_bound,
     oracle_dimension,
+    validate,
 )
-from multiserial.random_instances import tractable_defining_pair
+from multiserial import cycle_algebra
+from multiserial.cycle_algebra import _RowReducer
+from multiserial.random_instances import (
+    random_defining_pair,
+    random_presentation,
+    tractable_defining_pair,
+)
 
 ONE = Fraction(1)
 
@@ -38,6 +49,46 @@ def kronecker_pair():
 
 def valid_random_pair(seed):
     return tractable_defining_pair(random.Random(seed))
+
+
+ELIMINATION_FIELDS = (RATIONALS, PrimeField(2))
+
+
+def elimination_dimension(quiver, relations, bound, field):
+    """The oracle's answer by exact linear algebra over ``field``: the
+    relation span closed under arrow multiplication on both sides in the
+    truncated path algebra, its rank taken from the path count."""
+    paths = enumerate_paths(quiver, bound - 1)
+    index = {p: i for i, p in enumerate(paths)}
+    reducer = _RowReducer(field)
+    pending = []
+
+    def insert(terms):
+        vec = {}
+        for coeff, path in terms:
+            if len(path) < bound:
+                j = index[path]
+                vec[j] = field.add(vec.get(j, field.zero), field.coerce(coeff))
+        vec = {j: c for j, c in vec.items() if c != field.zero}
+        if vec:
+            row = reducer.insert(vec)
+            if row is not None:
+                pending.append(row)
+
+    for relation in relations:
+        insert(relation)
+    arrows = list(quiver.arrows.values())
+    while pending:
+        row = pending.pop()
+        for arrow in arrows:
+            step = quiver.path([arrow.name])
+            for joined in (lambda p: compose(step, p), lambda p: compose(p, step)):
+                insert(
+                    (c, grown)
+                    for j, c in row.items()
+                    if (grown := joined(paths[j])) is not None
+                )
+    return len(paths) - reducer.rank
 
 
 class TestNormalForm:
@@ -267,12 +318,105 @@ class TestOracle:
             (), (), ("a",), ("b",), ("a", "b"), ("b", "a")
         ]
 
-    def test_prime_field_agrees(self, two_cycle_mu3_pair):
-        relations = generate_relations(two_cycle_mu3_pair).linear_relations()
-        dim = oracle_dimension(
-            two_cycle_mu3_pair.quiver, relations, 7, field=PrimeField(3)
-        )
-        assert dim == 14
+    def test_non_parallel_binomial_kills_both_paths(self, linear_quiver):
+        # (a - ab) e(2) = a, so a and ab both lie in the ideal
+        q = linear_quiver
+        a, ab = q.path(["a"]), q.path(["a", "b"])
+        binomial = [[(1, a), (-1, ab)]]
+        monomials = [[(1, a)], [(1, ab)]]
+        assert oracle_dimension(q, binomial, 3) == oracle_dimension(q, monomials, 3) == 4
+
+    def test_signs_and_long_terms(self, loop_quiver):
+        q = loop_quiver
+        aa, aaa = q.path(["a", "a"]), q.path(["a", "a", "a"])
+        assert oracle_dimension(q, [[(-1, aa)]], 4) == 2
+        assert oracle_dimension(q, [[(-1, aa), (1, aa)]], 4) == 4
+        # a term at the bound is already zero, so -a + a^3 kills a
+        assert oracle_dimension(q, [[(-1, q.path(["a"])), (1, aaa)]], 3) == 1
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(2,), (1, 1), (1, -1, 1), (2, -2), (1, -2), (0,), ()],
+        ids=["2p", "p+q", "three-terms", "2p-2q", "p-2q", "0p", "empty"],
+    )
+    def test_rejects_relations_other_than_p_and_p_minus_q(
+        self, two_cycle_quiver, coefficients
+    ):
+        q = two_cycle_quiver
+        paths = [q.path(["a", "b"]), q.trivial_path("1"), q.path(["a", "b", "a", "b"])]
+        relation = list(zip(coefficients, paths))
+        with pytest.raises(ValueError, match="difference of two paths"):
+            oracle_dimension(q, [relation], 5)
+
+    def test_rejects_foreign_paths(self, loop_quiver, linear_quiver):
+        with pytest.raises(ValueError, match="not a path of the quiver"):
+            oracle_dimension(loop_quiver, [[(1, linear_quiver.path(["a"]))]], 3)
+
+    def test_budget_is_checked_before_tables_are_built(self, loop_quiver):
+        relations = [[(1, loop_quiver.path(["a", "a"]))]]
+        with mock.patch.object(
+            cycle_algebra, "_PathTable", side_effect=AssertionError
+        ) as table:
+            with pytest.raises(OracleBudgetError, match="shrink the instance"):
+                oracle_dimension(loop_quiver, relations, 10**12, max_paths=1000)
+        assert table.call_count == 0
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_elimination_on_cycle_systems(self, seed):
+        pair = tractable_defining_pair(random.Random(seed), max_paths=2_000)
+        relations = generate_relations(pair).linear_relations()
+        bound = nilpotency_bound(pair)
+        dim = oracle_dimension(pair.quiver, relations, bound)
+        for field in ELIMINATION_FIELDS:
+            assert dim == elimination_dimension(pair.quiver, relations, bound, field)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_elimination_on_presentations(self, seed):
+        rng = random.Random(seed)
+        presentation = random_presentation(rng)
+        q, bound = presentation.quiver, presentation.nilpotency
+        relations = presentation.linear_relations()
+        # random_presentation rarely draws equal pairs, so add parallel ones
+        paths = enumerate_paths(q, bound)
+        for _ in range(rng.randint(0, 3)):
+            p = rng.choice(paths)
+            parallel = [r for r in paths if (r.source, r.target) == (p.source, p.target)]
+            relations.append([(1, p), (-1, rng.choice(parallel))])
+        dim = oracle_dimension(q, relations, bound)
+        for field in ELIMINATION_FIELDS:
+            assert dim == elimination_dimension(q, relations, bound, field)
+
+
+class TestCountPaths:
+    # at most 8 arrows, so at most 8**4 paths of the longest length
+    @given(st.integers(0, 10**9), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_enumerated_count(self, seed, max_length):
+        quiver = random_defining_pair(random.Random(seed)).quiver
+        assert count_paths(quiver, max_length) == len(enumerate_paths(quiver, max_length))
+
+    def test_stops_above_the_cap(self, loop_quiver):
+        assert count_paths(loop_quiver, 10**12, stop_above=50) == 51
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=10, deadline=None)
+    def test_tractable_draws_keep_their_decisions(self, seed):
+        # the draws the former enumerate-to-test budget loop accepted
+        rng = random.Random(seed)
+        expected = []
+        while len(expected) < 3:
+            pair = random_defining_pair(rng)
+            if not validate(pair).passed:
+                continue
+            try:
+                enumerate_paths(pair.quiver, nilpotency_bound(pair) - 1, 20_000)
+            except OracleBudgetError:
+                continue
+            expected.append(pair)
+        rng = random.Random(seed)
+        assert [tractable_defining_pair(rng) for _ in range(3)] == expected
 
 
 @given(st.integers(0, 10**9))
