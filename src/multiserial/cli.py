@@ -45,7 +45,6 @@ from .defining_pair import (
     nilpotency_bound,
 )
 from .defining_pair import validate as validate_pair
-from .fields import field_by_name
 from .presentation import (
     Presentation,
     check_multiserial_condition,
@@ -312,7 +311,6 @@ def export_dot(document: InputDocument) -> str:
 
 @dataclass
 class Options:
-    field: object
     max_paths: int = DEFAULT_MAX_PATHS
 
 
@@ -335,13 +333,6 @@ def _need_pair(document: InputDocument, command: str) -> DefiningPair:
     if document.pair is None:
         raise ValueError(f"command {command!r} needs a definingpair document")
     return document.pair
-
-
-def _coeff_json(value):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return str(value)
 
 
 def _path_json(p: Path) -> list[str]:
@@ -434,7 +425,7 @@ def _cmd_relations(document: InputDocument, options: Options) -> CommandResult:
 
 def _cmd_basis(document: InputDocument, options: Options) -> CommandResult:
     pair = _need_pair(document, "basis")
-    algebra = CycleAlgebra(pair, options.field)
+    algebra = CycleAlgebra(pair)
     data = {
         "dimension": algebra.dimension,
         "basis": [_basis_json(e) for e in algebra.basis],
@@ -444,7 +435,7 @@ def _cmd_basis(document: InputDocument, options: Options) -> CommandResult:
 
 def _cmd_gram(document: InputDocument, options: Options) -> CommandResult:
     pair = _need_pair(document, "gram")
-    algebra = CycleAlgebra(pair, options.field)
+    algebra = CycleAlgebra(pair)
     gram = algebra.gram_matrix()
     report = Report("gram")
     for warning in gram.warnings:
@@ -461,14 +452,14 @@ def _cmd_gram(document: InputDocument, options: Options) -> CommandResult:
         "rank": gram.rank,
         "nondegenerate": gram.nondegenerate,
         "permutation": gram.is_permutation,
-        "matrix": [[_coeff_json(c) for c in row] for row in gram.entries],
+        "matrix": gram.entries,
     }
     return CommandResult("gram", report, data)
 
 
 def _cmd_cartan(document: InputDocument, options: Options) -> CommandResult:
     pair = _need_pair(document, "cartan")
-    algebra = CycleAlgebra(pair, options.field)
+    algebra = CycleAlgebra(pair)
     cartan = algebra.cartan_matrix()
     data = {"vertices": list(cartan.vertices), "matrix": cartan.entries}
     return CommandResult("cartan", Report("cartan"), data)
@@ -489,7 +480,7 @@ def _cmd_verify_quotient(document: InputDocument, options: Options) -> CommandRe
             presentation.nilpotency,
             max_paths=options.max_paths,
         )
-        dim_star = CycleAlgebra(certificate.pair, options.field).dimension
+        dim_star = CycleAlgebra(certificate.pair).dimension
         report.add(
             "dimension-dominates", dim <= dim_star, f"{dim} <= {dim_star}"
         )
@@ -522,7 +513,7 @@ def _cmd_oracle(document: InputDocument, options: Options) -> CommandResult:
         bound,
         max_paths=options.max_paths,
     )
-    closed = CycleAlgebra(pair, options.field).dimension
+    closed = CycleAlgebra(pair).dimension
     report.add("dimension-match", dim == closed, f"oracle {dim}, closed form {closed}")
     data = {"bound": bound, "oracle_dimension": dim, "closed_form_dimension": closed}
     return CommandResult("oracle", report, data)
@@ -577,11 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--out", metavar="FILE", help="write the primary output to FILE")
     common.add_argument(
-        "--field",
-        default="rational",
-        help="coefficient field of the Gram elimination: 'rational' or 'fp:P' for a prime P",
-    )
-    common.add_argument(
         "--max-paths",
         type=int,
         default=DEFAULT_MAX_PATHS,
@@ -616,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.input, encoding="utf-8") as handle:
             text = handle.read()
         document = parse_document(text)
-        options = Options(field=field_by_name(args.field), max_paths=args.max_paths)
+        options = Options(max_paths=args.max_paths)
         result = run_command(args.command, document, options)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,11 @@
 
 Two independent routes to the same algebra live here.  The closed form
 (:class:`CycleAlgebra`) enumerates an explicit basis directly from the
-cycle structure and multiplies via normal forms.  The oracle
+cycle structure and multiplies via normal forms.  A product of two basis
+elements is one basis element or zero, so no coefficient field is needed:
+the trace form takes the values 0 and 1 on basis pairs, and each basis
+element has at most one dual (exactly one unless its vertex carries no
+arrow).  The oracle
 (:func:`oracle_dimension`) knows nothing of that structure: it closes the
 relations, each a path or a difference of two paths, under multiplication
 by arrows in a truncated path algebra, and counts the path classes that do
@@ -15,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .defining_pair import DefiningPair, validate
-from .fields import RATIONALS
+from .defining_pair import DefiningPair
 from .quiver import Path, Quiver, compose
 from .report import Report
 
@@ -82,15 +85,16 @@ class Socle:
 
 BasisElement = Union[Idempotent, OnCyclePath, Socle]
 
-# A linear combination is a dict from basis elements to nonzero field
-# coefficients; the empty dict is zero.
+# A linear combination is a dict from basis elements to nonzero
+# coefficients of the caller's number type (int, Fraction, ...); the empty
+# dict is zero.
 LinearCombination = dict
 
 
 @dataclass
 class GramMatrix:
     basis: list[BasisElement]
-    entries: list[list]
+    entries: list[list[int]]
     rank: int
     nondegenerate: bool
     is_permutation: bool
@@ -116,13 +120,9 @@ class CycleAlgebra:
     on a system passing validation.
     """
 
-    def __init__(self, pair: DefiningPair, field=RATIONALS) -> None:
-        verdict = validate(pair)
-        if not verdict.passed:
-            failed = ", ".join(c.name for c in verdict.failures())
-            raise ValueError(f"cycle system fails validation: {failed}")
+    def __init__(self, pair: DefiningPair) -> None:
+        pair.require_valid()
         self.pair = pair
-        self.field = field
         self._full_length: dict[str, int] = {}
         for cycle in pair.cycles:
             length = pair.mu(cycle) * len(cycle)
@@ -133,9 +133,7 @@ class CycleAlgebra:
             v for v in pair.quiver.vertices if v in socle_vertices
         )
         self._basis = self._build_basis()
-        self._index = {e: i for i, e in enumerate(self._basis)}
-        self._products: dict[tuple[BasisElement, BasisElement], dict] = {}
-        self._gram_entries: list[list] | None = None
+        self._gram_entries: list[list[int]] | None = None
 
     def _build_basis(self) -> list[BasisElement]:
         elements: list[BasisElement] = [
@@ -162,113 +160,107 @@ class CycleAlgebra:
         return len(self._basis)
 
     def normal_form(self, path: Path) -> dict:
-        """The class of a path: a singleton combination or zero.
+        """The class of a path: ``{element: 1}`` for the basis element it
+        equals, or ``{}`` when it vanishes."""
+        if not self.pair.quiver.contains_path(path):
+            raise ValueError(f"{path} is not a path of the system's quiver")
+        element = self._class_of(path)
+        return {} if element is None else {element: 1}
+
+    def _class_of(self, path: Path) -> BasisElement | None:
+        """The basis element a path of the quiver equals, or None.
 
         A nontrivial path survives exactly when it travels some cycle of
         the system for at most the full power length; at exactly that
         length it is the socle class of its base vertex.
         """
-        if not self.pair.quiver.contains_path(path):
-            raise ValueError(f"{path} is not a path of the system's quiver")
         if path.is_trivial:
-            return {Idempotent(path.source): self.field.one}
+            return Idempotent(path.source)
         first = path.arrows[0]
         if first not in self._full_length:
             raise ValueError(f"arrow {first!r} lies on no cycle of the system")
         if len(path) > self._full_length[first]:
-            return {}
+            return None
         following = self.pair.next_arrow
         expected = first
         for name in path.arrows:
             if name != expected:
-                return {}
+                return None
             expected = following[name]
         if len(path) == self._full_length[first]:
-            return {Socle(path.source): self.field.one}
-        return {OnCyclePath(path): self.field.one}
+            return Socle(path.source)
+        return OnCyclePath(path)
 
-    def _basis_product(self, x: BasisElement, y: BasisElement) -> dict:
-        key = (x, y)
-        cached = self._products.get(key)
-        if cached is not None:
-            return cached
+    def _basis_product(self, x: BasisElement, y: BasisElement) -> BasisElement | None:
+        """The basis element x * y equals, or None when it vanishes."""
         if x.target != y.source:
-            result: dict = {}
-        elif isinstance(x, Idempotent):
-            result = {y: self.field.one}
-        elif isinstance(y, Idempotent):
-            result = {x: self.field.one}
-        elif isinstance(x, Socle) or isinstance(y, Socle):
+            return None
+        if isinstance(x, Idempotent):
+            return y
+        if isinstance(y, Idempotent):
+            return x
+        if isinstance(x, Socle) or isinstance(y, Socle):
             # full powers already have maximal surviving length
-            result = {}
-        else:
-            joined = compose(x.path, y.path)
-            assert joined is not None
-            result = self.normal_form(joined)
-        self._products[key] = result
-        return result
+            return None
+        joined = compose(x.path, y.path)
+        assert joined is not None
+        return self._class_of(joined)
 
     def multiply(self, x: Mapping, y: Mapping) -> dict:
-        """Bilinear extension of basis concatenation followed by reduction."""
-        F = self.field
+        """Bilinear extension of basis concatenation followed by reduction,
+        in the arithmetic of the coefficients given."""
         out: dict = {}
         for ex, cx in x.items():
             for ey, cy in y.items():
-                scale = F.mul(cx, cy)
-                for ez, cz in self._basis_product(ex, ey).items():
-                    total = F.add(out.get(ez, F.zero), F.mul(scale, cz))
-                    if total == F.zero:
-                        out.pop(ez, None)
-                    else:
-                        out[ez] = total
+                ez = self._basis_product(ex, ey)
+                if ez is None:
+                    continue
+                total = out.get(ez, 0) + cx * cy
+                if total:
+                    out[ez] = total
+                else:
+                    out.pop(ez, None)
         return out
 
     def frobenius_form(self, x: Mapping):
         """Sum of the socle coefficients; one on every full cycle power."""
-        F = self.field
-        total = F.zero
-        for element, coeff in x.items():
-            if isinstance(element, Socle):
-                total = F.add(total, coeff)
-        return total
+        return sum(c for element, c in x.items() if isinstance(element, Socle))
 
-    def _all_gram_entries(self) -> list[list]:
+    def _all_gram_entries(self) -> list[list[int]]:
+        """form(x * y) over every ordered basis pair: 1 when the product is
+        a socle element, else 0.
+
+        Every basis element has at most one dual, so a row with two
+        nonzero entries is an engine bug and is raised.
+        """
         if self._gram_entries is None:
-            self._gram_entries = [
-                [
-                    self.frobenius_form(self._basis_product(x, y))
+            entries = []
+            for x in self._basis:
+                row = [
+                    int(isinstance(self._basis_product(x, y), Socle))
                     for y in self._basis
                 ]
-                for x in self._basis
-            ]
+                if sum(row) > 1:
+                    raise RuntimeError(
+                        f"{x} pairs with {sum(row)} basis elements, not at most "
+                        "one; this is an engine bug"
+                    )
+                entries.append(row)
+            self._gram_entries = entries
         return self._gram_entries
 
     def gram_matrix(self) -> GramMatrix:
         """The pairing (x, y) -> form(x * y) over the canonical basis.
 
-        Rank is computed by exact elimination; nondegeneracy means full
-        rank.  Vertices carrying no arrow make their block degenerate and
-        are reported as warnings.
+        Each row holds at most one 1 (checked while the entries are
+        filled), so the rank is the number of distinct columns hit, over
+        every field; nondegeneracy means full rank.  Vertices carrying no
+        arrow make their block degenerate and are reported as warnings.
         """
-        F = self.field
         entries = self._all_gram_entries()
-        reducer = _RowReducer(F)
-        for row in entries:
-            vec = {j: c for j, c in enumerate(row) if c != F.zero}
-            reducer.insert(vec)
-        rank = reducer.rank
+        dual = [row.index(1) if 1 in row else None for row in entries]
+        rank = len({j for j in dual if j is not None})
         dimension = self.dimension
-
-        is_permutation = True
-        column_hits = [0] * dimension
-        for row in entries:
-            hits = [j for j, c in enumerate(row) if c != F.zero]
-            if len(hits) != 1 or row[hits[0]] != F.one:
-                is_permutation = False
-            for j in hits:
-                column_hits[j] += 1
-        if any(h != 1 for h in column_hits):
-            is_permutation = False
 
         warnings = []
         touched = {a.source for a in self.pair.quiver.arrows.values()}
@@ -284,7 +276,8 @@ class CycleAlgebra:
             entries=[list(row) for row in entries],
             rank=rank,
             nondegenerate=rank == dimension,
-            is_permutation=is_permutation,
+            # every row hit once, and the n rows hit n distinct columns
+            is_permutation=None not in dual and rank == dimension,
             warnings=warnings,
         )
 
@@ -351,45 +344,6 @@ class CycleAlgebra:
                 )
         report.add("multiserial-quotient", not problems, "; ".join(problems))
         return report
-
-
-class _RowReducer:
-    """Incremental sparse Gaussian elimination over an exact field.
-
-    Rows are dicts from column index to coefficient; pivots are normalized
-    to leading coefficient one and never modified afterwards, so inserted
-    rows can be safely reused as span generators.
-    """
-
-    def __init__(self, field) -> None:
-        self.field = field
-        self.pivots: dict[int, dict] = {}
-
-    def insert(self, vec: dict) -> dict | None:
-        """Reduce against current pivots; install and return the new pivot
-        row, or None when the vector was already in the span."""
-        F = self.field
-        vec = dict(vec)
-        while vec:
-            lead = max(vec)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                inv = F.div(F.one, vec[lead])
-                normalized = {j: F.mul(inv, c) for j, c in vec.items()}
-                self.pivots[lead] = normalized
-                return normalized
-            factor = vec[lead]
-            for j, c in pivot.items():
-                updated = F.sub(vec.get(j, F.zero), F.mul(factor, c))
-                if updated == F.zero:
-                    vec.pop(j, None)
-                else:
-                    vec[j] = updated
-        return None
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 def count_paths(

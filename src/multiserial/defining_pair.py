@@ -77,6 +77,18 @@ class DefiningPair:
         """
         return {c.arrows[0]: c.arrows[1 % len(c)] for c in self.cycles}
 
+    @cached_property
+    def axioms(self) -> Report:
+        """The :func:`validate` report of this system, computed on first
+        use and shared by every reader; :func:`validate` makes a fresh one."""
+        return validate(self)
+
+    def require_valid(self) -> None:
+        """Raise :class:`ValueError` naming the failed axioms, if any."""
+        if not self.axioms.passed:
+            failed = ", ".join(c.name for c in self.axioms.failures())
+            raise ValueError(f"cycle system fails validation: {failed}")
+
     def cycles_at(self, vertex: str) -> tuple[Path, ...]:
         return tuple(c for c in self.cycles if c.source == vertex)
 
@@ -211,10 +223,7 @@ def generate_relations(pair: DefiningPair) -> RelationSet:
     on-cycle when they travel a cycle cyclically, so the square of a loop
     with multiplicity above one is not a relation.
     """
-    verdict = validate(pair)
-    if not verdict.passed:
-        failed = ", ".join(c.name for c in verdict.failures())
-        raise ValueError(f"cycle system fails validation: {failed}")
+    pair.require_valid()
 
     type1 = []
     for v in pair.quiver.vertices:

@@ -22,7 +22,6 @@ from .defining_pair import (
     close_under_rotation,
     generate_relations,
     nilpotency_bound,
-    validate,
 )
 from .presentation import (
     Presentation,
@@ -220,9 +219,8 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     """
     star = build_star_quiver(presentation)
     pair = symmetrize(presentation, star)
-    verdict = validate(pair)
-    if not verdict.passed:
-        failed = ", ".join(c.name for c in verdict.failures())
+    if not pair.axioms.passed:
+        failed = ", ".join(c.name for c in pair.axioms.failures())
         raise RuntimeError(
             f"symmetrized cycle system fails validation ({failed}); "
             "this is an engine bug"

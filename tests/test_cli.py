@@ -201,19 +201,14 @@ class TestMainExitCodes:
         code, _, err = self.run(capsys, "validate", "/nonexistent.alg")
         assert code == 2
 
-    def test_bad_field_exits_two(self, capsys):
-        code, _, err = self.run(
-            capsys, "gram", str(FIXTURES / "loop_mu2.alg"), "--field", "fp:4"
-        )
-        assert code == 2
-        assert "not prime" in err
-
-    def test_prime_field_flag_works(self, capsys):
-        code, out, _ = self.run(
-            capsys, "gram", str(FIXTURES / "loop_mu2.alg"), "--field", "fp:5"
-        )
+    def test_field_option_is_unknown(self, capsys):
+        code, out, _ = self.run(capsys, "gram", str(FIXTURES / "loop_mu2.alg"))
         assert code == 0
-        assert "rank 3" in out
+        assert "rank 3 of dimension 3" in out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gram", str(FIXTURES / "loop_mu2.alg"), "--field", "rational"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --field" in capsys.readouterr().err
 
     def test_budget_fault_exits_two(self, capsys):
         code, _, err = self.run(

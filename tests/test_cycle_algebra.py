@@ -13,8 +13,6 @@ from multiserial import (
     Idempotent,
     OnCyclePath,
     OracleBudgetError,
-    RATIONALS,
-    PrimeField,
     Quiver,
     Socle,
     close_under_rotation,
@@ -24,10 +22,10 @@ from multiserial import (
     generate_relations,
     nilpotency_bound,
     oracle_dimension,
+    symmetrize,
     validate,
 )
 from multiserial import cycle_algebra
-from multiserial.cycle_algebra import _RowReducer
 from multiserial.random_instances import (
     random_defining_pair,
     random_presentation,
@@ -51,7 +49,61 @@ def valid_random_pair(seed):
     return tractable_defining_pair(random.Random(seed))
 
 
-ELIMINATION_FIELDS = (RATIONALS, PrimeField(2))
+class ExactField:
+    """Exact arithmetic over Q (``prime`` None) or over F_p; every value
+    passes through :meth:`coerce`."""
+
+    def __init__(self, prime=None):
+        self.prime = prime
+
+    def coerce(self, n):
+        return Fraction(n) if self.prime is None else n % self.prime
+
+    def inverse(self, a):
+        return 1 / a if self.prime is None else pow(a, -1, self.prime)
+
+
+ELIMINATION_FIELDS = (ExactField(), ExactField(2))
+
+
+class RowReducer:
+    """Incremental sparse Gaussian elimination over an exact field: the
+    reference the field-free oracle and Gram rank are held against.
+
+    Rows are dicts from column index to coefficient; pivots are normalized
+    to leading coefficient one and never modified afterwards, so inserted
+    rows can be safely reused as span generators.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
+
+    def insert(self, vec):
+        """Reduce against current pivots; install and return the new pivot
+        row, or None when the vector was already in the span."""
+        F = self.field
+        vec = dict(vec)
+        while vec:
+            lead = max(vec)
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                inv = F.inverse(vec[lead])
+                normalized = {j: F.coerce(inv * c) for j, c in vec.items()}
+                self.pivots[lead] = normalized
+                return normalized
+            factor = vec[lead]
+            for j, c in pivot.items():
+                updated = F.coerce(vec.get(j, 0) - factor * c)
+                if updated:
+                    vec[j] = updated
+                else:
+                    vec.pop(j, None)
+        return None
+
+    @property
+    def rank(self):
+        return len(self.pivots)
 
 
 def elimination_dimension(quiver, relations, bound, field):
@@ -60,7 +112,7 @@ def elimination_dimension(quiver, relations, bound, field):
     truncated path algebra, its rank taken from the path count."""
     paths = enumerate_paths(quiver, bound - 1)
     index = {p: i for i, p in enumerate(paths)}
-    reducer = _RowReducer(field)
+    reducer = RowReducer(field)
     pending = []
 
     def insert(terms):
@@ -68,8 +120,8 @@ def elimination_dimension(quiver, relations, bound, field):
         for coeff, path in terms:
             if len(path) < bound:
                 j = index[path]
-                vec[j] = field.add(vec.get(j, field.zero), field.coerce(coeff))
-        vec = {j: c for j, c in vec.items() if c != field.zero}
+                vec[j] = field.coerce(vec.get(j, 0) + coeff)
+        vec = {j: c for j, c in vec.items() if c}
         if vec:
             row = reducer.insert(vec)
             if row is not None:
@@ -237,9 +289,36 @@ class TestGramMatrix:
         assert not gram.nondegenerate
         assert any("no incident arrows" in w for w in gram.warnings)
 
-    def test_prime_field_agrees_on_rank(self, two_cycle_mu3_pair):
-        gram = CycleAlgebra(two_cycle_mu3_pair, PrimeField(5)).gram_matrix()
-        assert gram.rank == 14 and gram.is_permutation
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_and_permutation_agree_with_elimination(self, seed, from_presentation):
+        rng = random.Random(seed)
+        if from_presentation:
+            pair = symmetrize(random_presentation(rng))
+        else:
+            pair = tractable_defining_pair(rng, max_paths=2_000)
+        gram = CycleAlgebra(pair).gram_matrix()
+        for field in ELIMINATION_FIELDS:
+            reducer = RowReducer(field)
+            for row in gram.entries:
+                reducer.insert({j: field.coerce(c) for j, c in enumerate(row) if c})
+            assert gram.rank == reducer.rank
+        # a permutation matrix: a single one in every row and every column
+        def single_one(line):
+            return sorted(line) == [0] * (len(line) - 1) + [1]
+
+        assert gram.is_permutation == (
+            all(map(single_one, gram.entries))
+            and all(map(single_one, zip(*gram.entries)))
+        )
+
+    def test_row_with_two_duals_is_an_engine_bug(self, loop_mu2_pair):
+        alg = CycleAlgebra(loop_mu2_pair)
+        with mock.patch.object(
+            CycleAlgebra, "_basis_product", lambda self, x, y: Socle("v")
+        ):
+            with pytest.raises(RuntimeError, match=r"e\(v\) pairs with 3 basis"):
+                alg.gram_matrix()
 
 
 class TestTraceSymmetry:

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path as FilePath
 from unittest import mock
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from multiserial import (
     MultiserialConditionError,
+    OrbitData,
     Presentation,
     Quiver,
     SuccessorTables,
@@ -19,7 +21,19 @@ from multiserial import (
     simple_cycles,
 )
 from multiserial import presentation as presentation_module
+from multiserial.cli import parse_document
 from multiserial.random_instances import random_presentation, random_successor_tables
+
+FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
+ORBIT_CHECKS = [
+    "arrow-partition",
+    "unique-maximal-path",
+    "cycle-rotation-coherence",
+    "cycle-length-is-period",
+    "maximal-path-no-repeated-arrows",
+    "maximal-path-determined-by-arrow",
+    "maximal-path-length-formula",
+]
 
 
 class TestPresentationConstruction:
@@ -194,6 +208,31 @@ class TestOrbitStructure:
         ) as spy:
             assert check_orbit_structure(tables).passed
         assert spy.call_count == 1
+
+    @pytest.mark.parametrize(
+        "fixture", ["a3_gentle.alg", "two_cycle.alg", "radical_square_zero.alg"]
+    )
+    def test_seven_checks_pass_on_fixtures(self, fixture):
+        document = parse_document((FIXTURES / fixture).read_text())
+        report = check_orbit_structure(derive_successors(document.presentation))
+        assert [c.name for c in report.checks] == ORBIT_CHECKS
+        assert report.passed
+
+    def test_maximal_path_is_determined_by_the_orbits(self, linear_quiver):
+        tables = derive_successors(Presentation(linear_quiver, (), (), 3))
+        # a b is the one maximal path; claim b stops one step too late
+        tables.orbits["b"] = OrbitData(forward_stop=2, backward_stop=2)
+        check = check_orbit_structure(tables).check("maximal-path-determined-by-arrow")
+        assert not check.passed and check.witness == "b does not recover a b"
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_orbit_structure_on_presentations(seed):
+    tables = derive_successors(random_presentation(random.Random(seed)))
+    report = check_orbit_structure(tables)
+    assert [c.name for c in report.checks] == ORBIT_CHECKS
+    assert report.passed
 
 
 @given(st.integers(0, 10**9))

@@ -9,17 +9,22 @@ from hypothesis import strategies as st
 from multiserial import (
     CycleAlgebra,
     MultiserialConditionError,
+    OracleBudgetError,
     Presentation,
     Quiver,
     build_star_quiver,
     derive_successors,
     dimension_comparison,
+    enumerate_paths,
+    generate_relations,
     rotations,
     simple_cycles,
     symmetrize,
     validate,
     verify_quotient,
 )
+from multiserial import cycle_algebra as cycle_algebra_module
+from multiserial import defining_pair as defining_pair_module
 from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
@@ -163,6 +168,21 @@ class TestVerifyQuotient:
             assert verify_quotient(linear_presentation).complete
         assert spy.call_count == 1
 
+    def test_cycle_system_is_validated_once(self, linear_presentation):
+        # as the CLI's verify-quotient and oracle commands use the cover
+        spy = mock.Mock(wraps=validate)
+        with mock.patch.object(
+            defining_pair_module, "validate", spy
+        ), mock.patch.object(
+            symmetrize_module, "validate", spy, create=True
+        ), mock.patch.object(
+            cycle_algebra_module, "validate", spy, create=True
+        ):
+            pair = verify_quotient(linear_presentation).pair
+            CycleAlgebra(pair)
+            generate_relations(pair)
+        assert spy.call_count == 1
+
     def test_arrowless_quiver_has_empty_certificate(self):
         p = Presentation(Quiver(["v"]), (), (), 2)
         certificate = verify_quotient(p)
@@ -228,3 +248,39 @@ def test_radical_square_zero_pipeline(seed):
     dim, dim_star = dimension_comparison(presentation)
     assert dim <= dim_star
     assert CycleAlgebra(pair).check_trace_symmetry().passed
+
+
+def with_long_binomials(rng, presentation):
+    """The presentation with up to three more parallel equal pairs whose
+    sides have length at least 3, so no two-arrow path joins the ideal and
+    the quadratic contract still holds."""
+    q, bound = presentation.quiver, presentation.nilpotency
+    long_paths = [p for p in enumerate_paths(q, bound) if len(p) >= 3]
+    pairs = list(presentation.equal_pairs)
+    for _ in range(rng.randint(1, 3)):
+        if not long_paths:
+            break
+        p = rng.choice(long_paths)
+        parallel = [
+            r
+            for r in long_paths
+            if (r.source, r.target) == (p.source, p.target) and r.arrows != p.arrows
+        ]
+        if parallel:
+            pairs.append((p, rng.choice(parallel)))
+    return Presentation(q, presentation.zero_paths, tuple(pairs), bound)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_binomial_presentations_through_the_cover(seed):
+    # random_presentation rarely draws an equal pair, so add some
+    rng = random.Random(seed)
+    presentation = with_long_binomials(rng, random_presentation(rng))
+    assert verify_quotient(presentation).complete
+    try:
+        dim, dim_star = dimension_comparison(presentation, cross_check=True)
+    except OracleBudgetError:
+        # about a third of the covers exceed the oracle's path budget
+        dim, dim_star = dimension_comparison(presentation)
+    assert dim <= dim_star
