@@ -425,7 +425,7 @@ def _cmd_relations(document: InputDocument, options: Options) -> CommandResult:
 
 def _cmd_basis(document: InputDocument, options: Options) -> CommandResult:
     pair = _need_pair(document, "basis")
-    algebra = CycleAlgebra(pair)
+    algebra = CycleAlgebra(pair, options.max_paths)
     data = {
         "dimension": algebra.dimension,
         "basis": [_basis_json(e) for e in algebra.basis],
@@ -435,7 +435,7 @@ def _cmd_basis(document: InputDocument, options: Options) -> CommandResult:
 
 def _cmd_gram(document: InputDocument, options: Options) -> CommandResult:
     pair = _need_pair(document, "gram")
-    algebra = CycleAlgebra(pair)
+    algebra = CycleAlgebra(pair, options.max_paths)
     gram = algebra.gram_matrix()
     report = Report("gram")
     for warning in gram.warnings:
@@ -459,7 +459,7 @@ def _cmd_gram(document: InputDocument, options: Options) -> CommandResult:
 
 def _cmd_cartan(document: InputDocument, options: Options) -> CommandResult:
     pair = _need_pair(document, "cartan")
-    algebra = CycleAlgebra(pair)
+    algebra = CycleAlgebra(pair, options.max_paths)
     cartan = algebra.cartan_matrix()
     data = {"vertices": list(cartan.vertices), "matrix": cartan.entries}
     return CommandResult("cartan", Report("cartan"), data)
@@ -480,7 +480,7 @@ def _cmd_verify_quotient(document: InputDocument, options: Options) -> CommandRe
             presentation.nilpotency,
             max_paths=options.max_paths,
         )
-        dim_star = CycleAlgebra(certificate.pair).dimension
+        dim_star = CycleAlgebra(certificate.pair, options.max_paths).dimension
         report.add(
             "dimension-dominates", dim <= dim_star, f"{dim} <= {dim_star}"
         )
@@ -513,7 +513,7 @@ def _cmd_oracle(document: InputDocument, options: Options) -> CommandResult:
         bound,
         max_paths=options.max_paths,
     )
-    closed = CycleAlgebra(pair).dimension
+    closed = CycleAlgebra(pair, options.max_paths).dimension
     report.add("dimension-match", dim == closed, f"oracle {dim}, closed form {closed}")
     data = {"bound": bound, "oracle_dimension": dim, "closed_form_dimension": closed}
     return CommandResult("oracle", report, data)
@@ -571,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-paths",
         type=int,
         default=DEFAULT_MAX_PATHS,
-        help="truncated path enumeration budget for the oracle",
+        help="budget on paths: those below the oracle's truncation bound, "
+        "and the closed-form basis",
     )
     common.add_argument("--quiet", action="store_true", help="suppress the report")
     parser = argparse.ArgumentParser(

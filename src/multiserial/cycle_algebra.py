@@ -1,12 +1,14 @@
 """The finite-dimensional algebra presented by a cycle system.
 
 Two independent routes to the same algebra live here.  The closed form
-(:class:`CycleAlgebra`) enumerates an explicit basis directly from the
-cycle structure and multiplies via normal forms.  A product of two basis
-elements is one basis element or zero, so no coefficient field is needed:
-the trace form takes the values 0 and 1 on basis pairs, and each basis
-element has at most one dual (exactly one unless its vertex carries no
-arrow).  The oracle
+(:class:`CycleAlgebra`) counts the basis from the rotation classes, then
+enumerates it from the cycle structure and multiplies via normal forms.  A
+product of two basis elements is one basis element or zero, so no
+coefficient field is needed: the trace form takes the values 0 and 1 on
+basis pairs, and it pairs x with y exactly when x y is a full cycle power.
+The pairing is therefore read off the factorizations of the full powers,
+each checked by the product itself, as one dual index per basis element
+(none only when its vertex carries no arrow).  The oracle
 (:func:`oracle_dimension`) knows nothing of that structure: it closes the
 relations, each a path or a difference of two paths, under multiplication
 by arrows in a truncated path algebra, and counts the path classes that do
@@ -17,18 +19,20 @@ each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .defining_pair import DefiningPair
 from .quiver import Path, Quiver, compose
 from .report import Report
 
 DEFAULT_MAX_PATHS = 200_000
+_BELOW_BOUND = "paths below the truncation bound"
 
 
 class OracleBudgetError(RuntimeError):
-    """Truncated path enumeration exceeded its cap; shrink the instance or
-    raise the budget."""
+    """A path count (truncated paths, or the closed-form basis) exceeded its
+    cap; shrink the instance or raise the budget."""
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,11 @@ LinearCombination = dict
 
 @dataclass
 class GramMatrix:
+    """The trace form on the canonical basis: entry (i, j) is 1 exactly
+    when ``dual[i] == j``."""
+
     basis: list[BasisElement]
-    entries: list[list[int]]
+    dual: list[int | None]
     rank: int
     nondegenerate: bool
     is_permutation: bool
@@ -104,11 +111,32 @@ class GramMatrix:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def entries(self) -> list[list[int]]:
+        """The dense 0/1 matrix, built from ``dual`` when first read."""
+        n = len(self.dual)
+        rows = [[0] * n for _ in self.dual]
+        for row, j in zip(rows, self.dual):
+            if j is not None:
+                row[j] = 1
+        return rows
+
 
 @dataclass
 class CartanMatrix:
     vertices: tuple[str, ...]
     entries: list[list[int]]
+
+
+def closed_form_dimension(pair: DefiningPair) -> int:
+    """Dimension of the algebra of a valid cycle system, from its rotation
+    classes alone: |V| + |V on a cycle| + the sum over classes of
+    l(mu l - 1), for a class of length l and multiplicity mu."""
+    # in a valid system the rotations of a cycle, and only they, share its arrows
+    classes = {frozenset(c.arrows): c for c in pair.cycles}.values()
+    carrying = {v for cycle in classes for v in cycle.vertices}
+    on_cycles = sum(len(c) * (pair.mu(c) * len(c) - 1) for c in classes)
+    return len(pair.quiver.vertices) + len(carrying) + on_cycles
 
 
 class CycleAlgebra:
@@ -117,39 +145,37 @@ class CycleAlgebra:
     The basis consists of one idempotent per vertex, every proper path
     along a cycle (shorter than the full power of its class), and one
     socle element per vertex that carries a cycle.  Construction insists
-    on a system passing validation.
+    on a system passing validation and on a :func:`closed_form_dimension`
+    within ``max_paths``, else :class:`OracleBudgetError`.
     """
 
-    def __init__(self, pair: DefiningPair) -> None:
+    def __init__(self, pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> None:
         pair.require_valid()
+        dimension = closed_form_dimension(pair)
+        _check_budget(dimension, max_paths, f"basis elements (dimension {dimension})")
         self.pair = pair
+        carrying = {c.source for c in pair.cycles}
+        self._socle_vertices = [v for v in pair.quiver.vertices if v in carrying]
+        # by a cycle's first arrow: full power length, index of its 1-arrow prefix
         self._full_length: dict[str, int] = {}
+        self._start: dict[str, int] = {}
+        self._basis: list[BasisElement] = [Idempotent(v) for v in pair.quiver.vertices]
         for cycle in pair.cycles:
-            length = pair.mu(cycle) * len(cycle)
-            for name in cycle.arrows:
-                self._full_length[name] = length
-        socle_vertices = {c.source for c in pair.cycles}
-        self._socle_vertices = tuple(
-            v for v in pair.quiver.vertices if v in socle_vertices
-        )
-        self._basis = self._build_basis()
-        self._gram_entries: list[list[int]] | None = None
-
-    def _build_basis(self) -> list[BasisElement]:
-        elements: list[BasisElement] = [
-            Idempotent(v) for v in self.pair.quiver.vertices
-        ]
-        for cycle in self.pair.cycles:
-            length = self.pair.mu(cycle) * len(cycle)
-            walk_arrows = cycle.arrows * self.pair.mu(cycle)
-            walk_vertices = cycle.vertices[:-1] * self.pair.mu(cycle) + (cycle.source,)
-            full = Path(walk_arrows, walk_vertices)
-            for cut in range(1, length):
-                elements.append(
-                    OnCyclePath(Path(full.arrows[:cut], full.vertices[: cut + 1]))
-                )
-        elements.extend(Socle(v) for v in self._socle_vertices)
-        return elements
+            mu = pair.mu(cycle)
+            length = mu * len(cycle)
+            self._full_length[cycle.arrows[0]] = length
+            self._start[cycle.arrows[0]] = len(self._basis)
+            full = Path(cycle.arrows * mu, cycle.vertices[:-1] * mu + (cycle.source,))
+            self._basis.extend(
+                OnCyclePath(Path(full.arrows[:cut], full.vertices[: cut + 1]))
+                for cut in range(1, length)
+            )
+        self._basis.extend(Socle(v) for v in self._socle_vertices)
+        if len(self._basis) != dimension:
+            raise RuntimeError(
+                f"the basis has {len(self._basis)} elements but the closed form "
+                f"counts {dimension}; this is an engine bug"
+            )
 
     @property
     def basis(self) -> list[BasisElement]:
@@ -226,39 +252,60 @@ class CycleAlgebra:
         """Sum of the socle coefficients; one on every full cycle power."""
         return sum(c for element, c in x.items() if isinstance(element, Socle))
 
-    def _all_gram_entries(self) -> list[list[int]]:
-        """form(x * y) over every ordered basis pair: 1 when the product is
-        a socle element, else 0.
+    def _factorizations(self) -> Iterator[tuple[int, int]]:
+        """Basis index pairs (i, j) with x_i x_j a full power: e(v) with
+        socle(v) both ways round, and F[:k] with F[k:] for the full power F
+        of each cycle, 0 < k < len(F); F[k:] is a prefix of a rotation."""
+        position = {v: i for i, v in enumerate(self.pair.quiver.vertices)}
+        first_socle = self.dimension - len(self._socle_vertices)
+        for s, v in enumerate(self._socle_vertices, first_socle):
+            yield position[v], s
+            yield s, position[v]
+        for cycle in self.pair.cycles:
+            length = self._full_length[cycle.arrows[0]]
+            start = self._start[cycle.arrows[0]]
+            for k in range(1, length):
+                rest = self._start[cycle.arrows[k % len(cycle)]]
+                yield start + k - 1, rest + length - k - 1
 
-        Every basis element has at most one dual, so a row with two
-        nonzero entries is an engine bug and is raised.
+    @cached_property
+    def _dual(self) -> list[int | None]:
+        """For each basis index i, the j with form(x_i * x_j) = 1, or None.
+
+        No pair outside :meth:`_factorizations` has a socle product.  An
+        idempotent factor leaves the other factor, a socle only for e(v)
+        with socle(v); a socle times anything but an idempotent vanishes;
+        two proper paths x, y give the class of the path x y, which by
+        :meth:`_class_of` is a socle exactly when x y is a full power F of
+        some cycle, so x = F[:k] and y = F[k:] with k = len(x).  Each listed
+        pair is checked by :meth:`_basis_product`, and a row hit twice is
+        raised: a basis element has one dual at most.
         """
-        if self._gram_entries is None:
-            entries = []
-            for x in self._basis:
-                row = [
-                    int(isinstance(self._basis_product(x, y), Socle))
-                    for y in self._basis
-                ]
-                if sum(row) > 1:
-                    raise RuntimeError(
-                        f"{x} pairs with {sum(row)} basis elements, not at most "
-                        "one; this is an engine bug"
-                    )
-                entries.append(row)
-            self._gram_entries = entries
-        return self._gram_entries
+        dual: list[int | None] = [None] * self.dimension
+        for i, j in self._factorizations():
+            x, y = self._basis[i], self._basis[j]
+            if not isinstance(self._basis_product(x, y), Socle):
+                raise RuntimeError(
+                    f"{x} * {y} factors a full power but is not a socle element; "
+                    "this is an engine bug"
+                )
+            if dual[i] is not None:
+                raise RuntimeError(
+                    f"{x} pairs with 2 basis elements, {self._basis[dual[i]]} and "
+                    f"{y}, not at most one; this is an engine bug"
+                )
+            dual[i] = j
+        return dual
 
     def gram_matrix(self) -> GramMatrix:
         """The pairing (x, y) -> form(x * y) over the canonical basis.
 
-        Each row holds at most one 1 (checked while the entries are
-        filled), so the rank is the number of distinct columns hit, over
-        every field; nondegeneracy means full rank.  Vertices carrying no
-        arrow make their block degenerate and are reported as warnings.
+        Each row holds at most one 1, so the rank is the number of distinct
+        columns hit, over every field; nondegeneracy means full rank.
+        Vertices carrying no arrow make their block degenerate and are
+        reported as warnings.
         """
-        entries = self._all_gram_entries()
-        dual = [row.index(1) if 1 in row else None for row in entries]
+        dual = self._dual
         rank = len({j for j in dual if j is not None})
         dimension = self.dimension
 
@@ -273,7 +320,7 @@ class CycleAlgebra:
                 )
         return GramMatrix(
             basis=self.basis,
-            entries=[list(row) for row in entries],
+            dual=list(dual),
             rank=rank,
             nondegenerate=rank == dimension,
             # every row hit once, and the n rows hit n distinct columns
@@ -282,23 +329,20 @@ class CycleAlgebra:
         )
 
     def check_trace_symmetry(self) -> Report:
-        """Exhaustively verify form(x * y) = form(y * x) over basis pairs."""
-        entries = self._all_gram_entries()
+        """Verify form(x * y) = form(y * x) over all ordered basis pairs:
+        the Gram matrix is symmetric exactly when dual[dual[i]] == i on
+        every row hit.  A failure names the first asymmetric entry."""
+        dual = self._dual
+        broken = [(i, j) for i, j in enumerate(dual) if j is not None and dual[j] != i]
+        witness = f"{self.dimension ** 2} ordered pairs checked"
+        if broken:
+            i, j = min(broken + [(j, i) for i, j in broken])
+            witness = (
+                f"form({self._basis[i]} * {self._basis[j]}) = {int(dual[i] == j)} "
+                f"but reversed gives {int(dual[j] == i)}"
+            )
         report = Report("trace-symmetry")
-        mismatches = []
-        n = self.dimension
-        for i in range(n):
-            for j in range(n):
-                if entries[i][j] != entries[j][i]:
-                    mismatches.append(
-                        f"form({self._basis[i]} * {self._basis[j]}) = "
-                        f"{entries[i][j]} but reversed gives {entries[j][i]}"
-                    )
-        report.add(
-            "trace-symmetry",
-            not mismatches,
-            mismatches[0] if mismatches else f"{n * n} ordered pairs checked",
-        )
+        report.add("trace-symmetry", not broken, witness)
         return report
 
     def cartan_matrix(self) -> CartanMatrix:
@@ -373,11 +417,10 @@ def count_paths(
     return total
 
 
-def _check_budget(quiver: Quiver, max_length: int, max_paths: int) -> None:
-    if count_paths(quiver, max_length, max_paths) > max_paths:
+def _check_budget(count: int, max_paths: int, counted: str) -> None:
+    if count > max_paths:
         raise OracleBudgetError(
-            f"more than {max_paths} paths below the truncation bound; "
-            "shrink the instance or raise the budget"
+            f"more than {max_paths} {counted}; shrink the instance or raise the budget"
         )
 
 
@@ -386,7 +429,7 @@ def enumerate_paths(
 ) -> list[Path]:
     """All paths of length 0..max_length, shortest first, arrows in name
     order; faults when the count passes ``max_paths``."""
-    _check_budget(quiver, max_length, max_paths)
+    _check_budget(count_paths(quiver, max_length, max_paths), max_paths, _BELOW_BOUND)
     paths: list[Path] = [quiver.trivial_path(v) for v in quiver.vertices]
     frontier = list(paths)
     for _ in range(max_length):
@@ -517,7 +560,7 @@ def oracle_dimension(
     """
     if bound < 2:
         raise ValueError("truncation bound must be at least 2")
-    _check_budget(quiver, bound - 1, max_paths)
+    _check_budget(count_paths(quiver, bound - 1, max_paths), max_paths, _BELOW_BOUND)
     table = _PathTable(quiver, bound)
     zero = table.zero
     first, left_at, lefts = table.first, table.left_at, table.lefts

@@ -288,7 +288,7 @@ def dimension_comparison(
         max_paths=max_paths,
     )
     pair = symmetrize(presentation)
-    dim_star = CycleAlgebra(pair).dimension
+    dim_star = CycleAlgebra(pair, max_paths).dimension
     if cross_check:
         oracle_star = oracle_dimension(
             pair.quiver,

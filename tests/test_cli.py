@@ -23,6 +23,11 @@ SRC = FilePath(__file__).resolve().parent.parent / "src"
 
 A3_TEXT = (FIXTURES / "a3_gentle.alg").read_text()
 LOOP_TEXT = (FIXTURES / "loop_mu2.alg").read_text()
+# a loop whose algebra has dimension 10**11: past any basis budget in memory
+HUGE_LOOP = (
+    "[quiver]\nvertices = v\narrow a = v -> v\n\n"
+    "[definingpair]\ncycle = a | mult = 99999999999\n"
+)
 
 
 class TestParse:
@@ -217,6 +222,14 @@ class TestMainExitCodes:
         assert code == 2
         assert "shrink the instance" in err
 
+    def test_oversized_basis_exits_two(self, capsys, tmp_path):
+        doc = tmp_path / "huge.alg"
+        doc.write_text(HUGE_LOOP)
+        code, _, err = self.run(capsys, "basis", str(doc))
+        assert code == 2
+        assert err.startswith("error: more than 200000 basis elements")
+        assert "(dimension 100000000000); shrink the instance" in err
+
     def test_out_of_memory_exits_two(self, tmp_path):
         resource = pytest.importorskip("resource")
         cap = 1 << 30
@@ -225,14 +238,13 @@ class TestMainExitCodes:
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
         doc = tmp_path / "huge.alg"
-        doc.write_text(
-            "[quiver]\nvertices = v\narrow a = v -> v\n\n"
-            "[definingpair]\ncycle = a | mult = 99999999999\n"
-        )
+        doc.write_text(HUGE_LOOP)
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         # The cap is set in the child only, so the test cannot strain the host.
         proc = subprocess.run(
-            [sys.executable, "-m", "multiserial.cli", "basis", str(doc)],
+            # a budget above the dimension lets the basis be allocated
+            [sys.executable, "-m", "multiserial.cli", "basis", str(doc)]
+            + ["--max-paths", str(10**12)],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=path),
@@ -240,7 +252,7 @@ class TestMainExitCodes:
             timeout=120,
         )
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error:")
+        assert proc.stderr.startswith("error: out of memory")
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -16,6 +17,7 @@ from multiserial import (
     Quiver,
     Socle,
     close_under_rotation,
+    closed_form_dimension,
     compose,
     count_paths,
     enumerate_paths,
@@ -47,6 +49,23 @@ def kronecker_pair():
 
 def valid_random_pair(seed):
     return tractable_defining_pair(random.Random(seed))
+
+
+def four_cycle_pair(mu):
+    q = Quiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "1")],
+    )
+    return close_under_rotation(q, [(q.path(["a", "b", "c", "d"]), mu)])
+
+
+def reference_gram(alg):
+    """form(x * y) over every ordered basis pair by the product itself: the
+    dense scan the sparse pairing is held against."""
+    return [
+        [int(isinstance(alg._basis_product(x, y), Socle)) for y in alg.basis]
+        for x in alg.basis
+    ]
 
 
 class ExactField:
@@ -312,13 +331,49 @@ class TestGramMatrix:
             and all(map(single_one, zip(*gram.entries)))
         )
 
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_entries_equal_the_reference_scan(self, seed, from_presentation):
+        rng = random.Random(seed)
+        if from_presentation:
+            pair = symmetrize(random_presentation(rng))
+        else:
+            pair = tractable_defining_pair(rng, max_paths=2_000)
+        alg = CycleAlgebra(pair)
+        scan = reference_gram(alg)
+        assert alg.gram_matrix().entries == scan
+        assert scan == [list(column) for column in zip(*scan)]
+        assert alg.check_trace_symmetry().passed
+
     def test_row_with_two_duals_is_an_engine_bug(self, loop_mu2_pair):
         alg = CycleAlgebra(loop_mu2_pair)
+        listed = CycleAlgebra._factorizations
+        # a second hit on the row of e(v), whose product is taken for a socle
         with mock.patch.object(
+            CycleAlgebra, "_factorizations", lambda self: [*listed(self), (0, 1)]
+        ), mock.patch.object(
             CycleAlgebra, "_basis_product", lambda self, x, y: Socle("v")
         ):
-            with pytest.raises(RuntimeError, match=r"e\(v\) pairs with 3 basis"):
+            with pytest.raises(RuntimeError, match=r"e\(v\) pairs with 2 basis"):
                 alg.gram_matrix()
+
+    def test_factorization_off_the_socle_is_an_engine_bug(self, loop_mu2_pair):
+        alg = CycleAlgebra(loop_mu2_pair)
+        with mock.patch.object(CycleAlgebra, "_basis_product", lambda self, x, y: None):
+            with pytest.raises(RuntimeError, match=r"e\(v\) \* socle\(v\) factors"):
+                alg.gram_matrix()
+
+    def test_dimension_3204_in_linear_work(self):
+        start = time.perf_counter()
+        alg = CycleAlgebra(four_cycle_pair(200))
+        gram = alg.gram_matrix()
+        symmetry = alg.check_trace_symmetry()
+        elapsed = time.perf_counter() - start
+        assert alg.dimension == gram.rank == 3204
+        assert gram.is_permutation
+        assert symmetry.passed
+        assert f"{3204 * 3204} ordered pairs" in symmetry.check("trace-symmetry").witness
+        assert elapsed < 20.0
 
 
 class TestTraceSymmetry:
@@ -329,6 +384,57 @@ class TestTraceSymmetry:
 
     def test_kronecker_star(self):
         assert CycleAlgebra(kronecker_pair()).check_trace_symmetry().passed
+
+    # dual [2, 1, 1]: socle(v) also pairs with the arrow; dual [None, None, 0]:
+    # the first asymmetric entry, (0, 2), lies in a row that hits nothing
+    @pytest.mark.parametrize(
+        "hits", [[(0, 2), (1, 1), (2, 1)], [(2, 0)]], ids=["row-hit", "row-missed"]
+    )
+    def test_witness_is_the_first_asymmetric_entry(self, loop_mu2_pair, hits):
+        alg = CycleAlgebra(loop_mu2_pair)
+        with mock.patch.object(
+            CycleAlgebra, "_factorizations", lambda self: hits
+        ), mock.patch.object(
+            CycleAlgebra, "_basis_product", lambda self, x, y: Socle("v")
+        ):
+            report = alg.check_trace_symmetry()
+            entries = alg.gram_matrix().entries
+        assert not report.passed
+        i, j = next(
+            (i, j) for i in range(3) for j in range(3) if entries[i][j] != entries[j][i]
+        )
+        basis = alg.basis
+        assert report.check("trace-symmetry").witness == (
+            f"form({basis[i]} * {basis[j]}) = {entries[i][j]} "
+            f"but reversed gives {entries[j][i]}"
+        )
+
+
+class TestClosedFormDimension:
+    @pytest.mark.parametrize(
+        "make, expected",
+        [(kronecker_pair, 18), (lambda: four_cycle_pair(200), 3204)],
+        ids=["kronecker", "four-cycle"],
+    )
+    def test_known_dimensions(self, make, expected):
+        assert closed_form_dimension(make()) == expected
+
+    def test_is_counted_before_the_basis_is_built(self, loop_quiver):
+        pair = close_under_rotation(loop_quiver, [(loop_quiver.path(["a"]), 10**11)])
+        assert closed_form_dimension(pair) == 10**11 + 1
+        with pytest.raises(OracleBudgetError, match=r"\(dimension 100000000001\)"):
+            CycleAlgebra(pair)
+
+    def test_budget_is_the_basis_size(self, two_cycle_mu3_pair):
+        assert CycleAlgebra(two_cycle_mu3_pair, max_paths=14).dimension == 14
+        budget = r"more than 13 basis elements \(dimension 14\)"
+        with pytest.raises(OracleBudgetError, match=budget):
+            CycleAlgebra(two_cycle_mu3_pair, max_paths=13)
+
+    def test_mismatched_basis_is_an_engine_bug(self, two_cycle_mu3_pair):
+        with mock.patch.object(cycle_algebra, "closed_form_dimension", return_value=15):
+            with pytest.raises(RuntimeError, match="counts 15; this is an engine bug"):
+                CycleAlgebra(two_cycle_mu3_pair)
 
 
 class TestCartanMatrix:
@@ -504,7 +610,7 @@ def test_closed_form_dimension_matches_oracle(seed):
     pair = valid_random_pair(seed)
     alg = CycleAlgebra(pair)
     relations = generate_relations(pair).linear_relations()
-    assert alg.dimension == oracle_dimension(
+    assert alg.dimension == closed_form_dimension(pair) == oracle_dimension(
         pair.quiver, relations, nilpotency_bound(pair)
     )
 
