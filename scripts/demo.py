@@ -9,7 +9,6 @@ from multiserial import (
     CycleAlgebra,
     build_star_quiver,
     derive_successors,
-    dimension_comparison,
     maximal_paths,
     simple_cycles,
     symmetrize,
@@ -38,10 +37,10 @@ def show_presentation(name: str) -> None:
     for cycle, mult in pair.rotation_class_representatives():
         print(f"  ({cycle}) with multiplicity {mult}")
 
-    dim, dim_star = dimension_comparison(presentation, cross_check=True)
+    certificate = verify_quotient(presentation)
+    dim, dim_star = certificate.dimensions(cross_check=True)
     print(f"dimensions: presented algebra {dim}, symmetric cover {dim_star}")
 
-    certificate = verify_quotient(presentation)
     counts = certificate.counts()
     print(
         f"certificate: complete={certificate.complete} "

@@ -37,6 +37,7 @@ from .cycle_algebra import (
     OracleBudgetError,
     Socle,
     oracle_dimension,
+    pair_oracle_dimension,
 )
 from .defining_pair import (
     DefiningPair,
@@ -61,19 +62,6 @@ from .symmetrize import (
     build_star_quiver,
     symmetrize,
     verify_quotient,
-)
-
-COMMANDS = (
-    "validate",
-    "sigma-tau",
-    "symmetrize",
-    "relations",
-    "basis",
-    "gram",
-    "cartan",
-    "verify-quotient",
-    "oracle",
-    "dot",
 )
 
 SCHEMA_VERSION = 1
@@ -310,29 +298,12 @@ def export_dot(document: InputDocument) -> str:
 
 
 @dataclass
-class Options:
-    max_paths: int = DEFAULT_MAX_PATHS
-
-
-@dataclass
 class CommandResult:
     command: str
     report: Report
     data: dict = field(default_factory=dict)
     artifact: str | None = None
     artifact_key: str | None = None
-
-
-def _need_presentation(document: InputDocument, command: str) -> Presentation:
-    if document.presentation is None:
-        raise ValueError(f"command {command!r} needs a presentation document")
-    return document.presentation
-
-
-def _need_pair(document: InputDocument, command: str) -> DefiningPair:
-    if document.pair is None:
-        raise ValueError(f"command {command!r} needs a definingpair document")
-    return document.pair
 
 
 def _path_json(p: Path) -> list[str]:
@@ -348,24 +319,22 @@ def _basis_json(element) -> dict:
     return {"kind": "socle", "vertex": element.vertex}
 
 
-def _cmd_validate(document: InputDocument, options: Options) -> CommandResult:
+def _cmd_validate(document: InputDocument, max_paths: int) -> CommandResult:
     if document.presentation is not None:
         presentation = document.presentation
         report = check_multiserial_condition(presentation)
-        minimal = minimal_monomial_bound(presentation)
+        minimal = minimal_monomial_bound(presentation, max_paths)
         if minimal is not None and minimal < presentation.nilpotency:
             report.warn(
                 f"declared nilpotency {presentation.nilpotency} is not minimal; "
                 f"the monomial generators already force bound {minimal}"
             )
         return CommandResult("validate", report)
-    pair = document.pair
-    assert pair is not None
-    return CommandResult("validate", validate_pair(pair))
+    return CommandResult("validate", validate_pair(document.pair))
 
 
-def _cmd_sigma_tau(document: InputDocument, options: Options) -> CommandResult:
-    presentation = _need_presentation(document, "sigma-tau")
+def _cmd_sigma_tau(document: InputDocument, max_paths: int) -> CommandResult:
+    presentation = document.presentation
     tables = derive_successors(presentation)
     report = check_orbit_structure(tables)
     orbits = tables.orbits
@@ -386,8 +355,8 @@ def _cmd_sigma_tau(document: InputDocument, options: Options) -> CommandResult:
     return CommandResult("sigma-tau", report, data)
 
 
-def _cmd_symmetrize(document: InputDocument, options: Options) -> CommandResult:
-    presentation = _need_presentation(document, "symmetrize")
+def _cmd_symmetrize(document: InputDocument, max_paths: int) -> CommandResult:
+    presentation = document.presentation
     star = build_star_quiver(presentation)
     pair = symmetrize(presentation, star)
     report = validate_pair(pair)
@@ -410,8 +379,8 @@ def _cmd_symmetrize(document: InputDocument, options: Options) -> CommandResult:
     )
 
 
-def _cmd_relations(document: InputDocument, options: Options) -> CommandResult:
-    pair = _need_pair(document, "relations")
+def _cmd_relations(document: InputDocument, max_paths: int) -> CommandResult:
+    pair = document.pair
     relations = generate_relations(pair)
     data = {
         "type1": [[_path_json(p), _path_json(q)] for p, q in relations.type1],
@@ -423,9 +392,9 @@ def _cmd_relations(document: InputDocument, options: Options) -> CommandResult:
     return CommandResult("relations", Report("relations"), data)
 
 
-def _cmd_basis(document: InputDocument, options: Options) -> CommandResult:
-    pair = _need_pair(document, "basis")
-    algebra = CycleAlgebra(pair, options.max_paths)
+def _cmd_basis(document: InputDocument, max_paths: int) -> CommandResult:
+    pair = document.pair
+    algebra = CycleAlgebra(pair, max_paths)
     data = {
         "dimension": algebra.dimension,
         "basis": [_basis_json(e) for e in algebra.basis],
@@ -433,9 +402,9 @@ def _cmd_basis(document: InputDocument, options: Options) -> CommandResult:
     return CommandResult("basis", Report("basis"), data)
 
 
-def _cmd_gram(document: InputDocument, options: Options) -> CommandResult:
-    pair = _need_pair(document, "gram")
-    algebra = CycleAlgebra(pair, options.max_paths)
+def _cmd_gram(document: InputDocument, max_paths: int) -> CommandResult:
+    pair = document.pair
+    algebra = CycleAlgebra(pair, max_paths)
     gram = algebra.gram_matrix()
     report = Report("gram")
     for warning in gram.warnings:
@@ -457,16 +426,16 @@ def _cmd_gram(document: InputDocument, options: Options) -> CommandResult:
     return CommandResult("gram", report, data)
 
 
-def _cmd_cartan(document: InputDocument, options: Options) -> CommandResult:
-    pair = _need_pair(document, "cartan")
-    algebra = CycleAlgebra(pair, options.max_paths)
+def _cmd_cartan(document: InputDocument, max_paths: int) -> CommandResult:
+    pair = document.pair
+    algebra = CycleAlgebra(pair, max_paths)
     cartan = algebra.cartan_matrix()
     data = {"vertices": list(cartan.vertices), "matrix": cartan.entries}
     return CommandResult("cartan", Report("cartan"), data)
 
 
-def _cmd_verify_quotient(document: InputDocument, options: Options) -> CommandResult:
-    presentation = _need_presentation(document, "verify-quotient")
+def _cmd_verify_quotient(document: InputDocument, max_paths: int) -> CommandResult:
+    presentation = document.presentation
     certificate = verify_quotient(presentation)
     report = certificate.to_report()
     data = {
@@ -474,13 +443,7 @@ def _cmd_verify_quotient(document: InputDocument, options: Options) -> CommandRe
         "generators": [e.to_json() for e in certificate.entries],
     }
     try:
-        dim = oracle_dimension(
-            presentation.quiver,
-            presentation.linear_relations(),
-            presentation.nilpotency,
-            max_paths=options.max_paths,
-        )
-        dim_star = CycleAlgebra(certificate.pair, options.max_paths).dimension
+        dim, dim_star = certificate.dimensions(max_paths)
         report.add(
             "dimension-dominates", dim <= dim_star, f"{dim} <= {dim_star}"
         )
@@ -491,7 +454,7 @@ def _cmd_verify_quotient(document: InputDocument, options: Options) -> CommandRe
     return CommandResult("verify-quotient", report, data)
 
 
-def _cmd_oracle(document: InputDocument, options: Options) -> CommandResult:
+def _cmd_oracle(document: InputDocument, max_paths: int) -> CommandResult:
     report = Report("oracle")
     if document.presentation is not None:
         presentation = document.presentation
@@ -500,51 +463,53 @@ def _cmd_oracle(document: InputDocument, options: Options) -> CommandResult:
             presentation.quiver,
             presentation.linear_relations(),
             bound,
-            max_paths=options.max_paths,
+            max_paths=max_paths,
         )
         data = {"bound": bound, "oracle_dimension": dim, "closed_form_dimension": None}
         return CommandResult("oracle", report, data)
     pair = document.pair
-    assert pair is not None
-    bound = nilpotency_bound(pair)
-    dim = oracle_dimension(
-        pair.quiver,
-        generate_relations(pair).linear_relations(),
-        bound,
-        max_paths=options.max_paths,
-    )
-    closed = CycleAlgebra(pair, options.max_paths).dimension
+    dim = pair_oracle_dimension(pair, max_paths)
+    closed = CycleAlgebra(pair, max_paths).dimension
     report.add("dimension-match", dim == closed, f"oracle {dim}, closed form {closed}")
-    data = {"bound": bound, "oracle_dimension": dim, "closed_form_dimension": closed}
+    data = {
+        "bound": nilpotency_bound(pair),
+        "oracle_dimension": dim,
+        "closed_form_dimension": closed,
+    }
     return CommandResult("oracle", report, data)
 
 
-def _cmd_dot(document: InputDocument, options: Options) -> CommandResult:
+def _cmd_dot(document: InputDocument, max_paths: int) -> CommandResult:
     return CommandResult(
         "dot", Report("dot"), {}, export_dot(document), "dot"
     )
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "sigma-tau": _cmd_sigma_tau,
-    "symmetrize": _cmd_symmetrize,
-    "relations": _cmd_relations,
-    "basis": _cmd_basis,
-    "gram": _cmd_gram,
-    "cartan": _cmd_cartan,
-    "verify-quotient": _cmd_verify_quotient,
-    "oracle": _cmd_oracle,
-    "dot": _cmd_dot,
+# name -> (handler, the document kind it needs or None for either, help)
+COMMAND_TABLE = {
+    "validate": (_cmd_validate, None, "check the multiserial condition or the cycle-system axioms"),
+    "sigma-tau": (_cmd_sigma_tau, "presentation", "successor tables, orbits, maximal paths and cycles"),
+    "symmetrize": (_cmd_symmetrize, "presentation", "build the symmetric cycle system on the enlarged quiver"),
+    "relations": (_cmd_relations, "definingpair", "emit the generated relation families of a cycle system"),
+    "basis": (_cmd_basis, "definingpair", "closed-form basis and dimension of a cycle system's algebra"),
+    "gram": (_cmd_gram, "definingpair", "trace-form Gram matrix, rank and nondegeneracy"),
+    "cartan": (_cmd_cartan, "definingpair", "basis counts by vertex pair"),
+    "verify-quotient": (_cmd_verify_quotient, "presentation", "certify that the collapse of the cover's ideal descends"),
+    "oracle": (_cmd_oracle, None, "dimension by brute force in a truncated path algebra"),
+    "dot": (_cmd_dot, None, "Graphviz export of the document's quiver"),
 }
 
 
-def run_command(command: str, document: InputDocument, options: Options) -> CommandResult:
+def run_command(
+    command: str, document: InputDocument, max_paths: int = DEFAULT_MAX_PATHS
+) -> CommandResult:
     try:
-        handler = _HANDLERS[command]
+        handler, kind, _ = COMMAND_TABLE[command]
     except KeyError:
         raise ValueError(f"unknown command {command!r}") from None
-    return handler(document, options)
+    if kind is not None and document.kind != kind:
+        raise ValueError(f"command {command!r} needs a {kind} document")
+    return handler(document, max_paths)
 
 
 def _render_data(data: dict, indent: str = "") -> list[str]:
@@ -580,20 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="construct and verify symmetric multiserial quotients of path algebras",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "validate": "check the multiserial condition or the cycle-system axioms",
-        "sigma-tau": "successor tables, orbits, maximal paths and cycles",
-        "symmetrize": "build the symmetric cycle system on the enlarged quiver",
-        "relations": "emit the generated relation families of a cycle system",
-        "basis": "closed-form basis and dimension of a cycle system's algebra",
-        "gram": "trace-form Gram matrix, rank and nondegeneracy",
-        "cartan": "basis counts by vertex pair",
-        "verify-quotient": "certify that the collapse of the cover's ideal descends",
-        "oracle": "dimension by brute force in a truncated path algebra",
-        "dot": "Graphviz export of the document's quiver",
-    }
-    for name in COMMANDS:
-        subparsers.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, _, text) in COMMAND_TABLE.items():
+        subparsers.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -603,8 +556,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.input, encoding="utf-8") as handle:
             text = handle.read()
         document = parse_document(text)
-        options = Options(max_paths=args.max_paths)
-        result = run_command(args.command, document, options)
+        result = run_command(args.command, document, args.max_paths)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,9 @@ each checked by the product itself, as one dual index per basis element
 (:func:`oracle_dimension`) knows nothing of that structure: it closes the
 relations, each a path or a difference of two paths, under multiplication
 by arrows in a truncated path algebra, and counts the path classes that do
-not vanish.  Tests and the acceptance suite hold the two routes against
-each other.
+not vanish; :func:`pair_oracle_dimension` runs it on a cycle system's
+generated relations.  Tests and the acceptance suite hold the two routes
+against each other.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .defining_pair import DefiningPair
+from .defining_pair import DefiningPair, generate_relations, nilpotency_bound
 from .quiver import Path, Quiver, compose
 from .report import Report
 
@@ -607,3 +608,13 @@ def oracle_dimension(
                     lefts[ly + i] if ly >= 0 else zero,
                 )
     return table.count - merges
+
+
+def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> int:
+    """The oracle's dimension of a cycle system's algebra: its generated
+    relations closed below :func:`nilpotency_bound`, blind to the closed
+    form it is held against."""
+    bound = nilpotency_bound(pair)
+    return oracle_dimension(
+        pair.quiver, generate_relations(pair).linear_relations(), bound, max_paths
+    )

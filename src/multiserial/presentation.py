@@ -382,22 +382,26 @@ def minimal_monomial_bound(
     if presentation.equal_pairs:
         return None
     generators = [p.arrows for p in presentation.zero_paths]
+    # A zero path ending with the next arrow spans at most `keep` arrows
+    # before it, so an alive path is kept as its end vertex and its last
+    # `keep` arrows; the work per path no longer grows with its length.
+    keep = max(map(len, generators), default=1) - 1
     q = presentation.quiver
+    outgoing = {v: q.arrows_from(v) for v in q.vertices}
     longest = 0
-    alive: list[Path] = [q.trivial_path(v) for v in q.vertices]
+    alive: list[tuple[str, tuple[str, ...]]] = [(v, ()) for v in q.vertices]
     visited = len(alive)
     for length in range(1, presentation.nilpotency):
         grown = []
-        for p in alive:
-            for arrow in q.arrows_from(p.target):
-                candidate = Path(p.arrows + (arrow.name,), p.vertices + (arrow.target,))
-                word = candidate.arrows
+        for end, tail in alive:
+            for arrow in outgoing[end]:
+                word = tail + (arrow.name,)
                 if any(
                     len(g) <= len(word) and word[len(word) - len(g) :] == g
                     for g in generators
                 ):
                     continue
-                grown.append(candidate)
+                grown.append((arrow.target, word[1:] if len(word) > keep else word))
         visited += len(grown)
         if visited > budget:
             return None

@@ -93,9 +93,6 @@ class Quiver:
     def __repr__(self) -> str:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_set
-
     def arrow(self, name: str) -> Arrow:
         try:
             return self.arrows[name]
@@ -211,21 +208,6 @@ def rotations(cycle: Path) -> list[Path]:
 def canonical_rotation(cycle: Path) -> Path:
     """The lexicographically smallest rotation; canonical class representative."""
     return min(rotations(cycle), key=lambda c: c.arrows)
-
-
-def lies_in(p: Path, cycle: Path) -> bool:
-    """Whether ``p`` travels along ``cycle`` cyclically.
-
-    True exactly when p occurs as a consecutive subword of a power of the
-    cycle; enough powers are taken to cover every starting offset.
-    """
-    if p.is_trivial:
-        raise ValueError("cyclic membership is undefined for trivial paths")
-    if not is_simple_cycle(cycle):
-        raise ValueError(f"not a simple cycle: {cycle}")
-    reps = -(-len(p) // len(cycle)) + 1
-    word = cycle.arrows * reps
-    return any(word[i : i + len(p)] == p.arrows for i in range(len(cycle)))
 
 
 def cycle_power(cycle: Path, exponent: int) -> Path:

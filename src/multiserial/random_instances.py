@@ -74,6 +74,16 @@ def tractable_defining_pair(
         return pair
 
 
+def _random_quiver(rng: random.Random, max_vertices: int, max_arrows: int) -> Quiver:
+    """Vertices v1..vk and arrows a0, a1, ... with uniformly drawn ends."""
+    vertices = [f"v{i}" for i in range(1, rng.randint(1, max_vertices) + 1)]
+    arrow_triples = [
+        (f"a{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(rng.randint(1, max_arrows))
+    ]
+    return Quiver(vertices, arrow_triples)
+
+
 def _random_walk(rng: random.Random, quiver: Quiver, length: int) -> Path | None:
     arrows = list(quiver.arrows.values())
     if not arrows:
@@ -97,13 +107,7 @@ def random_presentation(
     max_arrows: int = 8,
     max_nilpotency: int = 4,
 ) -> Presentation:
-    vertices = [f"v{i}" for i in range(1, rng.randint(1, max_vertices) + 1)]
-    n_arrows = rng.randint(1, max_arrows)
-    arrow_triples = [
-        (f"a{i}", rng.choice(vertices), rng.choice(vertices))
-        for i in range(n_arrows)
-    ]
-    quiver = Quiver(vertices, arrow_triples)
+    quiver = _random_quiver(rng, max_vertices, max_arrows)
     nilpotency = rng.randint(2, max_nilpotency)
 
     matched = _random_matching(rng, quiver)
@@ -144,13 +148,7 @@ def radical_square_zero_presentation(
     rng: random.Random, max_vertices: int = 5, max_arrows: int = 8
 ) -> Presentation:
     """Every composition of two arrows vanishes, declared explicitly."""
-    vertices = [f"v{i}" for i in range(1, rng.randint(1, max_vertices) + 1)]
-    n_arrows = rng.randint(1, max_arrows)
-    arrow_triples = [
-        (f"a{i}", rng.choice(vertices), rng.choice(vertices))
-        for i in range(n_arrows)
-    ]
-    quiver = Quiver(vertices, arrow_triples)
+    quiver = _random_quiver(rng, max_vertices, max_arrows)
     return Presentation(quiver, tuple(quiver.length_two_paths()), (), 2)
 
 
@@ -177,13 +175,7 @@ def _random_matching(rng: random.Random, quiver: Quiver) -> dict[str, str]:
 def random_successor_tables(
     rng: random.Random, max_vertices: int = 5, max_arrows: int = 8
 ) -> SuccessorTables:
-    vertices = [f"v{i}" for i in range(1, rng.randint(1, max_vertices) + 1)]
-    n_arrows = rng.randint(1, max_arrows)
-    arrow_triples = [
-        (f"a{i}", rng.choice(vertices), rng.choice(vertices))
-        for i in range(n_arrows)
-    ]
-    quiver = Quiver(vertices, arrow_triples)
+    quiver = _random_quiver(rng, max_vertices, max_arrows)
     matched = _random_matching(rng, quiver)
     sigma = {name: matched.get(name) for name in quiver.arrows}
     tau: dict[str, str | None] = {name: None for name in quiver.arrows}

@@ -47,14 +47,3 @@ class Report:
         for w in self.warnings:
             out.append(f"warning: {w}")
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "title": self.title,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in self.checks
-            ],
-            "warnings": list(self.warnings),
-        }

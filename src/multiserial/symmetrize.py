@@ -7,22 +7,23 @@ the uniform multiplicity, these form a valid cycle system.  Collapsing the
 enlarged quiver onto the base sends return arrows to zero and fixes
 everything else; :func:`verify_quotient` justifies, generator by
 generator, that each generated relation collapses into the original ideal,
-which exhibits the presented algebra as a quotient of the symmetric one.
-The successor tables are derived once, by :func:`build_star_quiver`, and
-travel with the enlarged quiver.
+which exhibits the presented algebra as a quotient of the symmetric one,
+and :meth:`QuotientCertificate.dimensions` compares the two dimensions on
+the cover it built.  The successor tables are derived once, by
+:func:`build_star_quiver`, and travel with the enlarged quiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cycle_algebra import CycleAlgebra, oracle_dimension, DEFAULT_MAX_PATHS
-from .defining_pair import (
-    DefiningPair,
-    close_under_rotation,
-    generate_relations,
-    nilpotency_bound,
+from .cycle_algebra import (
+    DEFAULT_MAX_PATHS,
+    CycleAlgebra,
+    oracle_dimension,
+    pair_oracle_dimension,
 )
+from .defining_pair import DefiningPair, close_under_rotation, generate_relations
 from .presentation import (
     Presentation,
     SuccessorTables,
@@ -30,7 +31,7 @@ from .presentation import (
     maximal_paths,
     simple_cycles,
 )
-from .quiver import Path, Quiver, canonical_rotation
+from .quiver import Path, Quiver
 from .report import Report
 
 STAR_PREFIX = "star_"
@@ -107,17 +108,14 @@ def symmetrize(
     """
     if star is None:
         star = build_star_quiver(presentation)
-    representatives: list[tuple[Path, int]] = []
-    seen: set[tuple[str, ...]] = set()
-    for cycle in simple_cycles(star.tables):
-        canon = canonical_rotation(cycle)
-        if canon.arrows not in seen:
-            seen.add(canon.arrows)
-            representatives.append((canon, presentation.nilpotency))
-    for m in star.maximal:
-        closed = star.star.path(m.arrows + (star.return_arrows[m.arrows],))
-        representatives.append((closed, presentation.nilpotency))
-    return close_under_rotation(star.star, representatives)
+    # the tables trace every rotation of a cycle; the closure merges them
+    cycles = list(simple_cycles(star.tables))
+    cycles.extend(
+        star.star.path(m.arrows + (star.return_arrows[m.arrows],)) for m in star.maximal
+    )
+    return close_under_rotation(
+        star.star, [(c, presentation.nilpotency) for c in cycles]
+    )
 
 
 @dataclass(frozen=True)
@@ -171,6 +169,40 @@ class QuotientCertificate:
         for e in self.entries:
             out[e.relation_kind] += 1
         return out
+
+    def dimensions(
+        self, max_paths: int = DEFAULT_MAX_PATHS, cross_check: bool = False
+    ) -> tuple[int, int]:
+        """(dimension of the presented algebra, dimension of its cover).
+
+        The first is computed by the truncation oracle on the presentation's
+        generators, the second from the closed-form basis of the cover;
+        ``cross_check`` additionally runs the oracle on the cover and
+        insists the two routes agree.  The cover always dominates; a
+        disagreement, or a presented dimension above the cover's, raises
+        :class:`RuntimeError` as an engine bug.
+        """
+        presentation = self.presentation
+        dim = oracle_dimension(
+            presentation.quiver,
+            presentation.linear_relations(),
+            presentation.nilpotency,
+            max_paths=max_paths,
+        )
+        dim_star = CycleAlgebra(self.pair, max_paths).dimension
+        if cross_check:
+            oracle_star = pair_oracle_dimension(self.pair, max_paths)
+            if oracle_star != dim_star:
+                raise RuntimeError(
+                    f"closed-form dimension {dim_star} disagrees with the oracle "
+                    f"{oracle_star}; this is an engine bug"
+                )
+        if dim > dim_star:
+            raise RuntimeError(
+                f"presented dimension {dim} exceeds the cover's {dim_star}; "
+                "the collapse map cannot be surjective, this is an engine bug"
+            )
+        return dim, dim_star
 
     def to_report(self) -> Report:
         report = Report("quotient-certificate")
@@ -267,43 +299,3 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
         )
 
     return certificate
-
-
-def dimension_comparison(
-    presentation: Presentation,
-    max_paths: int = DEFAULT_MAX_PATHS,
-    cross_check: bool = False,
-) -> tuple[int, int]:
-    """(dimension of the presented algebra, dimension of its symmetric cover).
-
-    The first is computed by the truncation oracle on the presentation's
-    generators, the second from the closed-form basis of the symmetrized
-    system; ``cross_check`` additionally runs the oracle on the system and
-    insists the two routes agree.  The cover always dominates.
-    """
-    dim = oracle_dimension(
-        presentation.quiver,
-        presentation.linear_relations(),
-        presentation.nilpotency,
-        max_paths=max_paths,
-    )
-    pair = symmetrize(presentation)
-    dim_star = CycleAlgebra(pair, max_paths).dimension
-    if cross_check:
-        oracle_star = oracle_dimension(
-            pair.quiver,
-            generate_relations(pair).linear_relations(),
-            nilpotency_bound(pair),
-            max_paths=max_paths,
-        )
-        if oracle_star != dim_star:
-            raise RuntimeError(
-                f"closed-form dimension {dim_star} disagrees with the oracle "
-                f"{oracle_star}; this is an engine bug"
-            )
-    if dim > dim_star:
-        raise RuntimeError(
-            f"presented dimension {dim} exceeds the cover's {dim_star}; "
-            "the collapse map cannot be surjective, this is an engine bug"
-        )
-    return dim, dim_star

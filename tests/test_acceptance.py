@@ -15,7 +15,6 @@ from multiserial import (
     check_orbit_structure,
     close_under_rotation,
     derive_successors,
-    dimension_comparison,
     enumerate_paths,
     generate_relations,
     maximal_paths,
@@ -114,11 +113,11 @@ def test_criterion_3_two_cycle_presentation():
     ):
         failures.append("cycle system is not the rotations of (a b) with mult 3")
 
-    dim, dim_star = dimension_comparison(presentation, cross_check=True)
+    certificate = verify_quotient(presentation)
+    dim, dim_star = certificate.dimensions(cross_check=True)
     if (dim, dim_star) != (6, 14):
         failures.append(f"dimensions {(dim, dim_star)} != (6, 14)")
 
-    certificate = verify_quotient(presentation)
     type2 = [e for e in certificate.entries if e.relation_kind == "type2"]
     if not certificate.complete:
         failures.append("incomplete certificate")
@@ -177,14 +176,15 @@ def test_criterion_5_randomized_presentations():
         if not validate(pair).passed:
             failures.append(f"presentation {index}: symmetrization failed validation")
             break
-        if not verify_quotient(presentation).complete:
+        certificate = verify_quotient(presentation)
+        if not certificate.complete:
             failures.append(f"presentation {index}: incomplete certificate")
             break
         structure = check_orbit_structure(derive_successors(presentation))
         if not structure.passed:
             failures.append(f"presentation {index}: orbit structure check failed")
             break
-        dim, dim_star = dimension_comparison(presentation)
+        dim, dim_star = certificate.dimensions()
         if dim > dim_star:
             failures.append(f"presentation {index}: {dim} > {dim_star}")
             break
@@ -206,10 +206,11 @@ def test_criterion_6_radical_square_zero_coverage():
         if not validate(pair).passed:
             failures.append(f"instance {index}: symmetrization failed validation")
             break
-        if not verify_quotient(presentation).complete:
+        certificate = verify_quotient(presentation)
+        if not certificate.complete:
             failures.append(f"instance {index}: incomplete certificate")
             break
-        dim, dim_star = dimension_comparison(presentation)
+        dim, dim_star = certificate.dimensions()
         if dim > dim_star:
             failures.append(f"instance {index}: {dim} > {dim_star}")
             break

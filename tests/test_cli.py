@@ -1,28 +1,43 @@
+import contextlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path as FilePath
 from unittest import mock
 
 import pytest
 
 from multiserial import cli
+from multiserial import cycle_algebra as cycle_algebra_module
+from multiserial import defining_pair as defining_pair_module
 from multiserial import presentation as presentation_module
 from multiserial.cli import (
+    COMMAND_TABLE,
     ParseError,
     export_dot,
     main,
     parse_document,
     render_pair_document,
+    run_command,
 )
 from multiserial import orbit_data, symmetrize
+
+# The package exports the function ``symmetrize`` under the module's name.
+symmetrize_module = importlib.import_module("multiserial.symmetrize")
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
 SRC = FilePath(__file__).resolve().parent.parent / "src"
 
 A3_TEXT = (FIXTURES / "a3_gentle.alg").read_text()
 LOOP_TEXT = (FIXTURES / "loop_mu2.alg").read_text()
+# a 2-cycle with no generators and bound 10**11: every path below it is alive
+HUGE_BOUND = (
+    "[quiver]\nvertices = 1 2\narrow a = 1 -> 2\narrow b = 2 -> 1\n\n"
+    "[presentation]\nnilpotency = 100000000000\n"
+)
 # a loop whose algebra has dimension 10**11: past any basis budget in memory
 HUGE_LOOP = (
     "[quiver]\nvertices = v\narrow a = v -> v\n\n"
@@ -272,6 +287,64 @@ class TestMainExitCodes:
         assert code == 2
         assert "needs a presentation document" in err
 
+    def test_presented_dimension_above_the_cover_exits_two(self, capsys):
+        # only an engine bug can make the presented algebra the larger one
+        with mock.patch.object(symmetrize_module, "oracle_dimension", return_value=99):
+            code, out, err = self.run(
+                capsys, "verify-quotient", str(FIXTURES / "a3_gentle.alg")
+            )
+        assert code == 2
+        assert out == ""
+        assert "presented dimension 99 exceeds the cover's" in err
+
+    def test_validate_on_a_huge_bound_is_budgeted(self, capsys, tmp_path):
+        doc = tmp_path / "huge_bound.alg"
+        doc.write_text(HUGE_BOUND)
+        started = time.perf_counter()
+        code, out, _ = self.run(capsys, "validate", str(doc))
+        assert time.perf_counter() - started < 5.0
+        assert code == 0
+        assert "not minimal" not in out
+
+
+class TestRunCommand:
+    @pytest.mark.parametrize(
+        "command", [name for name, (_, kind, _) in COMMAND_TABLE.items() if kind]
+    )
+    def test_wrong_document_kind_is_refused(self, command):
+        kind = COMMAND_TABLE[command][1]
+        other = LOOP_TEXT if kind == "presentation" else A3_TEXT
+        with pytest.raises(
+            ValueError, match=f"^command '{command}' needs a {kind} document$"
+        ):
+            run_command(command, parse_document(other))
+
+    def test_unknown_command_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown command 'nope'$"):
+            run_command("nope", parse_document(A3_TEXT))
+
+    def test_verify_quotient_derives_each_stage_once(self):
+        # a name read in two modules gets one spy, patched into both
+        places = [
+            (symmetrize_module, "derive_successors"),
+            (symmetrize_module, "build_star_quiver"),
+            (symmetrize_module, "symmetrize"),
+            (symmetrize_module, "generate_relations"),
+            (cycle_algebra_module, "generate_relations"),
+            (symmetrize_module, "oracle_dimension"),
+            (cycle_algebra_module, "oracle_dimension"),
+            (cycle_algebra_module, "closed_form_dimension"),
+            (defining_pair_module, "validate"),
+        ]
+        spies: dict[str, mock.Mock] = {}
+        with contextlib.ExitStack() as stack:
+            for module, name in places:
+                spy = spies.setdefault(name, mock.Mock(wraps=getattr(module, name)))
+                stack.enter_context(mock.patch.object(module, name, spy))
+            result = run_command("verify-quotient", parse_document(A3_TEXT))
+        assert result.report.passed
+        assert {n: spy.call_count for n, spy in spies.items()} == dict.fromkeys(spies, 1)
+
 
 class TestMainOutputs:
     def test_symmetrize_writes_round_trippable_file(self, capsys, tmp_path):
@@ -359,6 +432,19 @@ class TestMainOutputs:
         code, out = main(["validate", str(doc)]), capsys.readouterr().out
         assert code == 0
         assert "not minimal" in out
+
+    def test_max_paths_bounds_the_minimal_bound_search(self, capsys, tmp_path):
+        # the search visits five paths: the three trivial ones, a and b
+        doc = tmp_path / "loose.alg"
+        doc.write_text(
+            "[quiver]\nvertices = 1 2 3\narrow a = 1 -> 2\narrow b = 2 -> 3\n\n"
+            "[presentation]\nnilpotency = 4\nzero = a b\n"
+        )
+        code = main(["validate", str(doc), "--max-paths", "4"])
+        assert code == 0
+        assert "not minimal" not in capsys.readouterr().out
+        main(["validate", str(doc), "--max-paths", "5"])
+        assert "not minimal" in capsys.readouterr().out
 
     def test_byte_determinism(self, capsys):
         main(["symmetrize", str(FIXTURES / "a3_gentle.alg"), "--json"])

@@ -9,13 +9,13 @@ from multiserial import (
     Quiver,
     close_under_rotation,
     generate_relations,
-    lies_in,
     nilpotency_bound,
     rotations,
     symmetrize,
     validate,
 )
 from multiserial.random_instances import random_defining_pair, random_presentation
+from test_quiver import lies_in
 
 
 def kronecker_pair():

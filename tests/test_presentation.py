@@ -15,6 +15,7 @@ from multiserial import (
     check_multiserial_condition,
     check_orbit_structure,
     derive_successors,
+    enumerate_paths,
     maximal_paths,
     minimal_monomial_bound,
     orbit_data,
@@ -273,9 +274,54 @@ class TestMinimalMonomialBound:
     def test_minimal_declaration_confirmed(self, two_cycle_presentation):
         assert minimal_monomial_bound(two_cycle_presentation) == 3
 
+    def test_generator_longer_than_three_on_a_loop(self, loop_quiver):
+        # the search must keep three arrows of each alive path to see a^4
+        a4 = loop_quiver.path(["a"] * 4)
+        p = Presentation(loop_quiver, (a4,), (), 6)
+        assert minimal_monomial_bound(p) == 4
+
     def test_binomials_disable_the_check(self, two_cycle_quiver):
         q = two_cycle_quiver
         p = Presentation(
             q, (), ((q.path(["a", "b", "a"]), q.path(["a", "b", "a"])),), 4
         )
         assert minimal_monomial_bound(p) is None
+
+
+def brute_force_bound(presentation: Presentation, budget: int):
+    """minimal_monomial_bound from the listed paths below the bound: a path
+    is alive when no zero path is a subword of it."""
+    words = [p.arrows for p in presentation.zero_paths]
+    q, bound = presentation.quiver, presentation.nilpotency
+    alive_by_length = [0] * bound
+    for path in enumerate_paths(q, bound - 1):
+        arrows = path.arrows
+        if not any(
+            arrows[i : i + len(w)] == w for w in words for i in range(len(arrows))
+        ):
+            alive_by_length[len(path)] += 1
+    visited, longest = alive_by_length[0], 0
+    for length in range(1, bound):
+        visited += alive_by_length[length]
+        if visited > budget:
+            return None
+        if not alive_by_length[length]:
+            break
+        longest = length
+    return max(longest + 1, 2)
+
+
+@given(st.integers(0, 10**9), st.sampled_from([5, 40, 200_000]))
+@settings(max_examples=80, deadline=None)
+def test_minimal_bound_agrees_with_brute_force(seed, budget):
+    # zero paths of mixed lengths, so that a search keeping too short a
+    # tail of each alive path misses some of them
+    rng = random.Random(seed)
+    drawn = random_presentation(rng, max_vertices=3, max_arrows=4, max_nilpotency=6)
+    q, bound = drawn.quiver, drawn.nilpotency
+    candidates = [p for p in enumerate_paths(q, bound) if len(p) >= 2]
+    zeros = tuple(rng.sample(candidates, min(len(candidates), rng.randint(0, 4))))
+    presentation = Presentation(q, zeros, (), bound)
+    assert minimal_monomial_bound(presentation, budget) == brute_force_bound(
+        presentation, budget
+    )

@@ -11,9 +11,25 @@ from multiserial import (
     compose,
     cycle_power,
     is_simple_cycle,
-    lies_in,
     rotations,
 )
+
+
+def lies_in(p: Path, cycle: Path) -> bool:
+    """Whether ``p`` travels along ``cycle`` cyclically: the reference for
+    the on-cycle two-arrow paths that ``generate_relations`` reads off the
+    next-arrow map.
+
+    True exactly when p occurs as a consecutive subword of a power of the
+    cycle; enough powers are taken to cover every starting offset.
+    """
+    if p.is_trivial:
+        raise ValueError("cyclic membership is undefined for trivial paths")
+    if not is_simple_cycle(cycle):
+        raise ValueError(f"not a simple cycle: {cycle}")
+    reps = -(-len(p) // len(cycle)) + 1
+    word = cycle.arrows * reps
+    return any(word[i : i + len(p)] == p.arrows for i in range(len(cycle)))
 
 
 def make_cycle(length: int, seed: int) -> Path:

@@ -14,7 +14,6 @@ from multiserial import (
     Quiver,
     build_star_quiver,
     derive_successors,
-    dimension_comparison,
     enumerate_paths,
     generate_relations,
     rotations,
@@ -191,14 +190,58 @@ class TestVerifyQuotient:
 
 class TestDimensionComparison:
     def test_linear_presentation(self, linear_presentation):
-        assert dimension_comparison(linear_presentation, cross_check=True) == (5, 18)
+        certificate = verify_quotient(linear_presentation)
+        assert certificate.dimensions(cross_check=True) == (5, 18)
 
     def test_two_cycle_presentation(self, two_cycle_presentation):
-        assert dimension_comparison(two_cycle_presentation, cross_check=True) == (6, 14)
+        certificate = verify_quotient(two_cycle_presentation)
+        assert certificate.dimensions(cross_check=True) == (6, 14)
 
     def test_dead_loop(self, loop_quiver):
         p = Presentation(loop_quiver, (loop_quiver.path(["a", "a"]),), (), 2)
-        assert dimension_comparison(p, cross_check=True) == (2, 8)
+        assert verify_quotient(p).dimensions(cross_check=True) == (2, 8)
+
+    def test_oracle_disagreeing_with_closed_form_is_an_engine_bug(
+        self, linear_presentation
+    ):
+        certificate = verify_quotient(linear_presentation)
+        with mock.patch.object(
+            symmetrize_module, "pair_oracle_dimension", return_value=19
+        ), pytest.raises(
+            RuntimeError,
+            match="closed-form dimension 18 disagrees with the oracle 19; "
+            "this is an engine bug",
+        ):
+            certificate.dimensions(cross_check=True)
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    def test_presented_dimension_above_the_cover_is_an_engine_bug(
+        self, linear_presentation, cross_check
+    ):
+        # pair_oracle_dimension calls the unpatched oracle_dimension of
+        # cycle_algebra, so the cross-check still passes
+        certificate = verify_quotient(linear_presentation)
+        with mock.patch.object(
+            symmetrize_module, "oracle_dimension", return_value=19
+        ), pytest.raises(
+            RuntimeError,
+            match="presented dimension 19 exceeds the cover's 18; "
+            "the collapse map cannot be surjective, this is an engine bug",
+        ):
+            certificate.dimensions(cross_check=cross_check)
+
+    def test_cover_is_built_and_validated_once(self, linear_presentation):
+        # one cover serves the certificate and both dimensions
+        build = mock.Mock(wraps=build_star_quiver)
+        check = mock.Mock(wraps=validate)
+        with mock.patch.object(
+            symmetrize_module, "build_star_quiver", build
+        ), mock.patch.object(defining_pair_module, "validate", check):
+            assert verify_quotient(linear_presentation).dimensions(
+                cross_check=True
+            ) == (5, 18)
+        assert build.call_count == 1
+        assert check.call_count == 1
 
 
 @given(st.integers(0, 10**9))
@@ -219,7 +262,7 @@ def test_certificates_are_complete(seed):
 @settings(max_examples=30, deadline=None)
 def test_cover_dimension_dominates(seed):
     presentation = random_presentation(random.Random(seed))
-    dim, dim_star = dimension_comparison(presentation)
+    dim, dim_star = verify_quotient(presentation).dimensions()
     assert dim <= dim_star
 
 
@@ -244,8 +287,9 @@ def test_radical_square_zero_pipeline(seed):
     presentation = radical_square_zero_presentation(random.Random(seed))
     pair = symmetrize(presentation)
     assert validate(pair).passed
-    assert verify_quotient(presentation).complete
-    dim, dim_star = dimension_comparison(presentation)
+    certificate = verify_quotient(presentation)
+    assert certificate.complete
+    dim, dim_star = certificate.dimensions()
     assert dim <= dim_star
     assert CycleAlgebra(pair).check_trace_symmetry().passed
 
@@ -277,10 +321,11 @@ def test_binomial_presentations_through_the_cover(seed):
     # random_presentation rarely draws an equal pair, so add some
     rng = random.Random(seed)
     presentation = with_long_binomials(rng, random_presentation(rng))
-    assert verify_quotient(presentation).complete
+    certificate = verify_quotient(presentation)
+    assert certificate.complete
     try:
-        dim, dim_star = dimension_comparison(presentation, cross_check=True)
+        dim, dim_star = certificate.dimensions(cross_check=True)
     except OracleBudgetError:
         # about a third of the covers exceed the oracle's path budget
-        dim, dim_star = dimension_comparison(presentation)
+        dim, dim_star = certificate.dimensions()
     assert dim <= dim_star
