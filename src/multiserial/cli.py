@@ -536,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-paths",
         type=int,
         default=DEFAULT_MAX_PATHS,
-        help="budget on paths: those below the oracle's truncation bound, "
-        "and the closed-form basis",
+        help="budget on paths: those below the oracle's truncation bound that "
+        "avoid every monomial relation, and the closed-form basis",
     )
     common.add_argument("--quiet", action="store_true", help="suppress the report")
     parser = argparse.ArgumentParser(

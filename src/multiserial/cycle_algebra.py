@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .defining_pair import DefiningPair, generate_relations, nilpotency_bound
-from .quiver import Path, Quiver, compose
+from .defining_pair import DefiningPair, nilpotency_bound
+from .quiver import MonomialAutomaton, Path, Quiver, compose
 from .report import Report
 
 DEFAULT_MAX_PATHS = 200_000
 _BELOW_BOUND = "paths below the truncation bound"
+_SURVIVING = f"{_BELOW_BOUND} that avoid every monomial relation"
 
 
 class OracleBudgetError(RuntimeError):
@@ -391,31 +392,10 @@ class CycleAlgebra:
         return report
 
 
-def count_paths(
-    quiver: Quiver, max_length: int, stop_above: int | None = None
-) -> int:
-    """Number of paths of length 0..max_length, counted by dynamic
-    programming over path ends without listing them.
-
-    With ``stop_above`` the count stops as soon as it passes that cap and
-    returns the partial total, which is then above the cap; so a huge
-    ``max_length`` costs at most ``stop_above`` rounds.
-    """
-    arrows = list(quiver.arrows.values())
-    ending = dict.fromkeys(quiver.vertices, 1)
-    total = len(quiver.vertices)
-    for _ in range(max_length):
-        if stop_above is not None and total > stop_above:
-            break
-        grown = dict.fromkeys(quiver.vertices, 0)
-        for arrow in arrows:
-            grown[arrow.target] += ending[arrow.source]
-        added = sum(grown.values())
-        if not added:
-            break
-        total += added
-        ending = grown
-    return total
+def count_paths(quiver: Quiver, max_length: int, stop_above: int | None = None) -> int:
+    """Number of paths of length 0..max_length, by
+    :meth:`MonomialAutomaton.count` with no monomials."""
+    return MonomialAutomaton(quiver, ()).count(max_length, stop_above)[0]
 
 
 def _check_budget(count: int, max_paths: int, counted: str) -> None:
@@ -446,96 +426,104 @@ def enumerate_paths(
 
 
 class _PathTable:
-    """The paths shorter than a bound as integer ids, with one-arrow
-    extension tables.
+    """The paths below a bound that avoid every monomial of an automaton,
+    as integer ids, with one-arrow extension tables.
 
-    Ids run shortest first, as :func:`enumerate_paths` lists the paths: the
-    vertices' trivial paths, then each path's one-arrow extensions in arrow
-    name order, so the right extensions of a path are the consecutive ids
-    from ``first[p]``.  ``lefts[left_at[p] + i]`` is the path with the
-    ``i``-th arrow into its source (in name order) put in front.  Both are
+    The id ``zero``, 0, stands for every product that vanishes or ends
+    with a monomial; it has no extensions.  The paths follow shortest
+    first, in the order :func:`enumerate_paths` lists them, survivors only.
+    ``right[first[p] + i]`` is the path with the ``i``-th arrow out of its
+    target (name order) put behind, and ``lefts[left_at[p] + i]`` the one
+    with the ``i``-th arrow into its source put in front; both offsets are
     -1 for paths of length ``bound - 1``, whose extensions all reach the
-    bound.  The id ``zero``, one past the last path, stands for every
-    product that vanishes; it has no extensions.
+    bound.
     """
 
-    def __init__(self, quiver: Quiver, bound: int) -> None:
-        vertices = quiver.vertices
-        self.vertex = {v: i for i, v in enumerate(vertices)}
-        outgoing = [quiver.arrows_from(v) for v in vertices]
-        incoming = [quiver.arrows_into(v) for v in vertices]
-        self.out_degree = [len(arrows) for arrows in outgoing]
+    def __init__(self, quiver: Quiver, automaton: MonomialAutomaton, bound: int) -> None:
+        self.vertex = automaton.vertex
+        incoming = [quiver.arrows_into(v) for v in quiver.vertices]
+        self.out_degree = [len(arrows) for arrows in automaton.outgoing]
         self.in_degree = [len(arrows) for arrows in incoming]
-        self.slot = {a.name: i for arrows in outgoing for i, a in enumerate(arrows)}
-        self.quiver = quiver
+        self.slot = {a.name: i for arrows in automaton.outgoing for i, a in enumerate(arrows)}
 
-        source = list(range(len(vertices)))
-        target = list(range(len(vertices)))
-        first: list[int] = []
-        level_start, level_end = 0, len(vertices)
+        # zero's entries in state, source and target are placeholders
+        step = automaton.step
+        state = [0, *range(len(incoming))]
+        source = list(state)
+        first = [-1]
+        right: list[int] = []
+        level_start, level_end = 1, len(state)
         for _ in range(bound - 1):
             for p in range(level_start, level_end):
-                first.append(len(target))
+                first.append(len(right))
                 s = source[p]
-                for arrow in outgoing[target[p]]:
-                    source.append(s)
-                    target.append(self.vertex[arrow.target])
-            level_start, level_end = level_end, len(target)
-        count = len(target)
-        first.extend([-1] * (count - len(first)))
+                for t in step[state[p]]:
+                    if t < 0:
+                        right.append(0)
+                    else:
+                        right.append(len(state))
+                        state.append(t)
+                        source.append(s)
+            if level_end == len(state):
+                break
+            level_start, level_end = level_end, len(state)
+        first.extend([-1] * (len(state) - len(first)))
+        target = [automaton.end[s] for s in state]
 
-        # Left extensions follow from the parent's: a(pb) = (ap)b, and ap
-        # is a path one shorter than a(pb), so its right extensions exist.
+        # Left extensions follow from the parent's: a(pb) = (ap)b, where ap
+        # is a path one shorter than a(pb), so its right extensions exist,
+        # and a(pb) is zero when ap is (``x and ...`` keeps the id 0).
         lefts: list[int] = []
-        left_at: list[int] = []
+        left_at = [-1]
         for arrows in incoming:
             left_at.append(len(lefts))
-            lefts.extend(first[self.vertex[a.source]] + self.slot[a.name] for a in arrows)
-        for p in range(count):
+            lefts.extend(right[first[self.vertex[a.source] + 1] + self.slot[a.name]] for a in arrows)
+        in_degree, out_degree = self.in_degree, self.out_degree
+        for p in range(1, len(state)):
             if first[p] < 0:
                 break
             parent = left_at[p]
-            degree = self.in_degree[source[p]]
-            for j in range(self.out_degree[target[p]]):
-                child = first[p] + j
+            degree = in_degree[source[p]]
+            for j, child in enumerate(right[first[p] : first[p] + out_degree[target[p]]]):
+                if not child:
+                    continue
                 if first[child] < 0:
                     left_at.append(-1)
                     continue
                 left_at.append(len(lefts))
-                lefts.extend(first[x] + j for x in lefts[parent : parent + degree])
-        left_at.extend([-1] * (count - len(left_at)))
-
-        first.append(-1)
-        left_at.append(-1)
-        self.count = self.zero = count
+                lefts += [x and right[first[x] + j] for x in lefts[parent : parent + degree]]
+        left_at.extend([-1] * (len(state) - len(left_at)))
+        self.count, self.zero = len(state) - 1, 0
         self.source, self.target = source, target
-        self.first, self.left_at, self.lefts = first, left_at, lefts
+        self.first, self.right, self.left_at, self.lefts = first, right, left_at, lefts
 
     def id_of(self, path: Path) -> int:
-        """The id of a path, or ``zero`` when it reaches the bound."""
-        if not self.quiver.contains_path(path):
-            raise ValueError(f"{path} is not a path of the quiver")
-        p = self.vertex[path.source]
+        """The id of a path of the quiver, or ``zero`` when it has a
+        monomial subword or reaches the bound."""
+        p = self.vertex[path.source] + 1
         for name in path.arrows:
             if self.first[p] < 0:
                 return self.zero
-            p = self.first[p] + self.slot[name]
+            p = self.right[self.first[p] + self.slot[name]]
         return p
 
 
-def _unit_relation(relation: Sequence[tuple[int, Path]]) -> tuple[Path, Path | None]:
+def _unit_relation(relation: Sequence[tuple[int, Path]], quiver: Quiver) -> tuple[Path, Path | None]:
     """(p, None) for a relation ±p, (p, q) for ±(p - q); anything else
-    faults, since only these two shapes have a field-free answer."""
+    faults, since only these two shapes have a field-free answer, and so
+    does a term that is not a path of the quiver."""
     terms = list(relation)
-    if len(terms) == 1 and terms[0][0] in (1, -1):
-        return terms[0][1], None
-    if len(terms) == 2 and terms[0][0] in (1, -1) and terms[0][0] == -terms[1][0]:
-        return terms[0][1], terms[1][1]
-    shown = " + ".join(f"({c})*{p}" for c, p in terms) or "the empty sum"
-    raise ValueError(
-        f"relation {shown} is neither a path nor a difference of two paths; "
-        "the oracle takes only relations p and p - q"
-    )
+    unit = terms and terms[0][0] in (1, -1)
+    if not (unit and (len(terms) == 1 or len(terms) == 2 and terms[0][0] == -terms[1][0])):
+        shown = " + ".join(f"({c})*{p}" for c, p in terms) or "the empty sum"
+        raise ValueError(
+            f"relation {shown} is neither a path nor a difference of two paths; "
+            "the oracle takes only relations p and p - q"
+        )
+    for _, path in terms:
+        if not quiver.contains_path(path):
+            raise ValueError(f"{path} is not a path of the quiver")
+    return terms[0][1], terms[1][1] if len(terms) == 2 else None
 
 
 def oracle_dimension(
@@ -554,20 +542,27 @@ def oracle_dimension(
     two paths are equal in it when a chain of relations, multiplied by
     arrows on both sides, joins them, and zero when the chain reaches a
     path relation or a product that vanishes.  The dimension is the number
-    of classes other than zero, the same over every field.  The classes
-    are found by congruence closure: a union-find over path ids in which
-    every merge of two classes queues its pair once, and a queued pair
-    merges its one-arrow extensions on both sides.
+    of classes other than zero, the same over every field.  A path with a
+    path relation as a subword is zero at once, so only the paths below
+    the bound that avoid every monomial relation get ids, and only they
+    count against ``max_paths``.  The classes are found by congruence
+    closure: a union-find over path ids in which every merge of two
+    classes queues its pair once, and a queued pair merges its one-arrow
+    extensions on both sides.
     """
     if bound < 2:
         raise ValueError("truncation bound must be at least 2")
-    _check_budget(count_paths(quiver, bound - 1, max_paths), max_paths, _BELOW_BOUND)
-    table = _PathTable(quiver, bound)
+    pairs = [_unit_relation(relation, quiver) for relation in relations]
+    # longer path relations are zero anyway, and would only add states
+    monomials = [p for p, q in pairs if q is None and 0 < len(p) < bound]
+    automaton = MonomialAutomaton(quiver, monomials)
+    _check_budget(automaton.count(bound - 1, max_paths)[0], max_paths, _SURVIVING)
+    table = _PathTable(quiver, automaton, bound)
     zero = table.zero
-    first, left_at, lefts = table.first, table.left_at, table.lefts
+    first, right, left_at, lefts = table.first, table.right, table.left_at, table.lefts
     source, target = table.source, table.target
     out_degree, in_degree = table.out_degree, table.in_degree
-    leader = list(range(zero + 1))
+    leader = list(range(table.count + 1))
     pending: list[tuple[int, int]] = []
 
     def union(x: int, y: int) -> None:
@@ -582,8 +577,7 @@ def oracle_dimension(
             leader[ry] = rx
             pending.append((x, y))
 
-    for relation in relations:
-        p, q = _unit_relation(relation)
+    for p, q in pairs:
         if q is not None and (p.source, p.target) != (q.source, q.target):
             # p - q with other end points: multiplying by the idempotents
             # at p's ends leaves p alone, so both are relations.
@@ -599,7 +593,10 @@ def oracle_dimension(
         fx, fy = first[x], first[y]
         if fx >= 0 or fy >= 0:
             for i in range(out_degree[target[live]]):
-                union(fx + i if fx >= 0 else zero, fy + i if fy >= 0 else zero)
+                union(
+                    right[fx + i] if fx >= 0 else zero,
+                    right[fy + i] if fy >= 0 else zero,
+                )
         lx, ly = left_at[x], left_at[y]
         if lx >= 0 or ly >= 0:
             for i in range(in_degree[source[live]]):
@@ -615,6 +612,4 @@ def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS
     relations closed below :func:`nilpotency_bound`, blind to the closed
     form it is held against."""
     bound = nilpotency_bound(pair)
-    return oracle_dimension(
-        pair.quiver, generate_relations(pair).linear_relations(), bound, max_paths
-    )
+    return oracle_dimension(pair.quiver, pair.relations.linear_relations(), bound, max_paths)

@@ -83,6 +83,11 @@ class DefiningPair:
         use and shared by every reader; :func:`validate` makes a fresh one."""
         return validate(self)
 
+    @cached_property
+    def relations(self) -> RelationSet:
+        """This system's :func:`generate_relations`, made once and shared."""
+        return generate_relations(self)
+
     def require_valid(self) -> None:
         """Raise :class:`ValueError` naming the failed axioms, if any."""
         if not self.axioms.passed:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .quiver import Path, Quiver, rotations
+from .quiver import MonomialAutomaton, Path, Quiver, rotations
 from .report import Report
 
 
@@ -374,39 +374,13 @@ def minimal_monomial_bound(
 ) -> Optional[int]:
     """Smallest valid nilpotency bound for a purely monomial presentation.
 
-    Computed as one more than the longest path avoiding every zero path as
-    a subword, capped below at 2.  Returns None when the presentation has
-    binomial generators (membership is no longer a subword test) or when
-    the search exceeds ``budget`` alive paths.
+    Computed as one more than the longest path below the declared bound
+    avoiding every zero path as a subword, capped below at 2.  Returns None
+    when the presentation has binomial generators (membership is no longer
+    a subword test) or when more than ``budget`` paths avoid them.
     """
     if presentation.equal_pairs:
         return None
-    generators = [p.arrows for p in presentation.zero_paths]
-    # A zero path ending with the next arrow spans at most `keep` arrows
-    # before it, so an alive path is kept as its end vertex and its last
-    # `keep` arrows; the work per path no longer grows with its length.
-    keep = max(map(len, generators), default=1) - 1
-    q = presentation.quiver
-    outgoing = {v: q.arrows_from(v) for v in q.vertices}
-    longest = 0
-    alive: list[tuple[str, tuple[str, ...]]] = [(v, ()) for v in q.vertices]
-    visited = len(alive)
-    for length in range(1, presentation.nilpotency):
-        grown = []
-        for end, tail in alive:
-            for arrow in outgoing[end]:
-                word = tail + (arrow.name,)
-                if any(
-                    len(g) <= len(word) and word[len(word) - len(g) :] == g
-                    for g in generators
-                ):
-                    continue
-                grown.append((arrow.target, word[1:] if len(word) > keep else word))
-        visited += len(grown)
-        if visited > budget:
-            return None
-        if not grown:
-            break
-        longest = length
-        alive = grown
-    return max(longest + 1, 2)
+    automaton = MonomialAutomaton(presentation.quiver, presentation.zero_paths)
+    alive, longest = automaton.count(presentation.nilpotency - 1, budget)
+    return None if alive > budget else max(longest + 1, 2)

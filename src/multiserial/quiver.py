@@ -1,4 +1,4 @@
-"""Quivers, paths, and simple cycles.
+"""Quivers, paths, simple cycles, and paths that avoid a set of monomials.
 
 Arrows are identified by name, so parallel arrows and loops are allowed.
 Paths record their full vertex itinerary alongside the arrow names, which
@@ -217,3 +217,69 @@ def cycle_power(cycle: Path, exponent: int) -> Path:
     if exponent < 1:
         raise ValueError("exponent must be positive")
     return Path(cycle.arrows * exponent, cycle.vertices[:-1] * exponent + (cycle.source,))
+
+
+class MonomialAutomaton:
+    """The Aho–Corasick automaton (CACM 1975) of nontrivial monomials, paths
+    of one quiver, over its arrow names.
+
+    State i < len(quiver.vertices) is the i-th vertex's trivial path, the
+    others are proper prefixes of monomials, ending at vertex ``end[s]``.
+    ``step[s][i]`` follows the i-th arrow out of that vertex (name order)
+    to the longest suffix of the extended path that is a state, or is -1
+    when that path ends with a monomial; the paths that never reach -1
+    are the normal words of the monomial algebra (Ufnarovski 1982).
+    """
+
+    def __init__(self, quiver: Quiver, monomials: Iterable[Path]) -> None:
+        self.vertex = vertex = {v: i for i, v in enumerate(quiver.vertices)}
+        self.outgoing = outgoing = [quiver.arrows_from(v) for v in quiver.vertices]
+        roots = len(outgoing)
+        children: list[dict[str, int]] = [{} for _ in range(roots)]
+        self.end = end = list(range(roots))
+        matched: set[int] = set()
+        for path in monomials:
+            s = vertex[path.source]
+            for name, v in zip(path.arrows, path.vertices[1:]):
+                if name not in children[s]:
+                    children[s][name] = len(end)
+                    children.append({})
+                    end.append(vertex[v])
+                s = children[s][name]
+            matched.add(s)
+        # Breadth first, so the suffix link of a state (its longest proper
+        # suffix that is a state, at the same end vertex) has its steps.
+        self.step = step = [[] for _ in end]
+        link = [0] * len(end)
+        queue = list(range(roots))
+        for s in queue:
+            for i, arrow in enumerate(outgoing[end[s]]):
+                down = step[link[s]][i] if s >= roots else vertex[arrow.target]
+                child = children[s].get(arrow.name)
+                if child is not None:
+                    if child in matched or down < 0:
+                        down = -1
+                    else:
+                        link[child], down = down, child
+                        queue.append(child)
+                step[s].append(down)
+
+    def count(self, max_length: int, stop_above: int | None = None) -> tuple[int, int]:
+        """How many paths of length 0..max_length avoid every monomial, and
+        the longest length among them, by dynamic programming over states.
+        Past ``stop_above`` it stops with a partial total above that cap,
+        so a huge ``max_length`` costs at most ``stop_above`` rounds."""
+        edges = [(s, t) for s, row in enumerate(self.step) for t in row if t >= 0]
+        ending = [1] * len(self.outgoing) + [0] * (len(self.step) - len(self.outgoing))
+        total, longest = len(self.outgoing), 0
+        while longest < max_length and (stop_above is None or total <= stop_above):
+            grown = [0] * len(ending)
+            for s, t in edges:
+                grown[t] += ending[s]
+            added = sum(grown)
+            if not added:
+                break
+            total += added
+            longest += 1
+            ending = grown
+        return total, longest

@@ -23,7 +23,7 @@ from .cycle_algebra import (
     oracle_dimension,
     pair_oracle_dimension,
 )
-from .defining_pair import DefiningPair, close_under_rotation, generate_relations
+from .defining_pair import DefiningPair, close_under_rotation
 from .presentation import (
     Presentation,
     SuccessorTables,
@@ -257,7 +257,7 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
             f"symmetrized cycle system fails validation ({failed}); "
             "this is an engine bug"
         )
-    relations = generate_relations(pair)
+    relations = pair.relations
     certificate = QuotientCertificate(presentation, star, pair)
     N = presentation.nilpotency
 

@@ -329,8 +329,7 @@ class TestRunCommand:
             (symmetrize_module, "derive_successors"),
             (symmetrize_module, "build_star_quiver"),
             (symmetrize_module, "symmetrize"),
-            (symmetrize_module, "generate_relations"),
-            (cycle_algebra_module, "generate_relations"),
+            (defining_pair_module, "generate_relations"),
             (symmetrize_module, "oracle_dimension"),
             (cycle_algebra_module, "oracle_dimension"),
             (cycle_algebra_module, "closed_form_dimension"),

@@ -14,6 +14,7 @@ from multiserial import (
     Idempotent,
     OnCyclePath,
     OracleBudgetError,
+    Path,
     Quiver,
     Socle,
     close_under_rotation,
@@ -28,6 +29,7 @@ from multiserial import (
     validate,
 )
 from multiserial import cycle_algebra
+from multiserial.quiver import MonomialAutomaton
 from multiserial.random_instances import (
     random_defining_pair,
     random_presentation,
@@ -538,13 +540,45 @@ class TestOracle:
             oracle_dimension(loop_quiver, [[(1, linear_quiver.path(["a"]))]], 3)
 
     def test_budget_is_checked_before_tables_are_built(self, loop_quiver):
-        relations = [[(1, loop_quiver.path(["a", "a"]))]]
+        # a binomial kills no path before the closure, so every power of a
+        # below the bound counts against the budget
+        q = loop_quiver
+        relations = [[(1, q.path(["a", "a"])), (-1, q.path(["a", "a", "a"]))]]
         with mock.patch.object(
             cycle_algebra, "_PathTable", side_effect=AssertionError
         ) as table:
             with pytest.raises(OracleBudgetError, match="shrink the instance"):
                 oracle_dimension(loop_quiver, relations, 10**12, max_paths=1000)
         assert table.call_count == 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_trivial_path_relation_kills_the_paths_through_its_vertex(
+        self, linear_quiver, sign
+    ):
+        relations = [[(sign, linear_quiver.trivial_path("2"))]]
+        assert oracle_dimension(linear_quiver, relations, 3) == 2
+
+    def test_rejects_monomials_on_missing_arrows(self, loop_quiver):
+        foreign = Path(("z",), ("v", "v"))
+        with pytest.raises(ValueError, match="not a path of the quiver"):
+            oracle_dimension(loop_quiver, [[(1, foreign)]], 3)
+        aa = loop_quiver.path(["a", "a"])
+        with pytest.raises(ValueError, match="not a path of the quiver"):
+            oracle_dimension(loop_quiver, [[(1, aa), (-1, foreign)]], 3)
+
+    def test_monomial_inside_a_binomial_term_kills_the_other_term(self):
+        q = Quiver(
+            ["1", "2", "3", "4"],
+            [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
+        )
+        b, ab, cd = q.path(["b"]), q.path(["a", "b"]), q.path(["c", "d"])
+        binomial = [[(1, b)], [(1, ab), (-1, cd)]]
+        monomials = [[(1, b)], [(1, cd)]]
+        assert oracle_dimension(q, binomial, 3) == oracle_dimension(q, monomials, 3) == 7
+
+    def test_huge_bound_on_an_acyclic_quiver(self, linear_quiver):
+        # the table stops at the last nonempty length, not at the bound
+        assert oracle_dimension(linear_quiver, [], 10**12) == 6
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
@@ -572,6 +606,62 @@ class TestOracle:
         dim = oracle_dimension(q, relations, bound)
         for field in ELIMINATION_FIELDS:
             assert dim == elimination_dimension(q, relations, bound, field)
+
+
+def avoids(path, monomials):
+    """Whether no monomial is a subword of the path, by slicing."""
+    word = path.arrows
+    return not any(
+        word[i : i + len(m)] == m.arrows for m in monomials for i in range(len(word))
+    )
+
+
+@st.composite
+def quivers_with_monomials(draw):
+    """A quiver of at most 3 vertices and 4 arrows, a bound, and up to four
+    monomials of length 1 to bound + 1."""
+    n = draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arrows = draw(st.lists(ends, max_size=4))
+    q = Quiver(
+        [str(v) for v in range(n)],
+        [(f"x{k}", str(s), str(t)) for k, (s, t) in enumerate(arrows)],
+    )
+    bound = draw(st.integers(2, 4))
+    candidates = [p for p in enumerate_paths(q, bound + 1) if p.arrows]
+    monomials = draw(st.lists(st.sampled_from(candidates), max_size=4)) if candidates else []
+    return q, bound, monomials
+
+
+class TestSurvivingPaths:
+    @given(quivers_with_monomials())
+    @settings(max_examples=150, deadline=None)
+    def test_count_equals_the_filtered_enumeration(self, drawn):
+        q, bound, monomials = drawn
+        survivors = [p for p in enumerate_paths(q, bound - 1) if avoids(p, monomials)]
+        total, longest = MonomialAutomaton(q, monomials).count(bound - 1)
+        assert total == len(survivors)
+        assert longest == max(len(p) for p in survivors)
+        # a monomial algebra's dimension is its number of surviving paths,
+        # and that number is exactly what the oracle's budget admits
+        relations = [[(1, m)] for m in monomials]
+        assert oracle_dimension(q, relations, bound, max_paths=total) == total
+        with pytest.raises(OracleBudgetError):
+            oracle_dimension(q, relations, bound, max_paths=total - 1)
+
+    def test_table_numbers_only_the_survivors(self, two_cycle_quiver):
+        q = two_cycle_quiver
+        relations = [[(1, q.path(["a", "b", "a"]))]]
+        original, tables = cycle_algebra._PathTable, []
+
+        def build(*args):
+            tables.append(original(*args))
+            return tables[-1]
+
+        with mock.patch.object(cycle_algebra, "_PathTable", side_effect=build):
+            assert oracle_dimension(q, relations, 10) == 7
+        # e(1), e(2), a, b, ab, ba and bab, of the 20 paths below the bound
+        assert [t.count for t in tables] == [7]
 
 
 class TestCountPaths:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from multiserial import (
     CycleAlgebra,
     MultiserialConditionError,
-    OracleBudgetError,
     Presentation,
     Quiver,
     build_star_quiver,
@@ -165,6 +164,15 @@ class TestVerifyQuotient:
             symmetrize_module, "derive_successors", wraps=derive_successors
         ) as spy:
             assert verify_quotient(linear_presentation).complete
+        assert spy.call_count == 1
+
+    def test_cover_relations_are_generated_once(self, linear_presentation):
+        # the certificate and the cover's oracle read one cached set
+        with mock.patch.object(
+            defining_pair_module, "generate_relations", wraps=generate_relations
+        ) as spy:
+            certificate = verify_quotient(linear_presentation)
+            assert certificate.dimensions(cross_check=True) == (5, 18)
         assert spy.call_count == 1
 
     def test_cycle_system_is_validated_once(self, linear_presentation):
@@ -323,9 +331,5 @@ def test_binomial_presentations_through_the_cover(seed):
     presentation = with_long_binomials(rng, random_presentation(rng))
     certificate = verify_quotient(presentation)
     assert certificate.complete
-    try:
-        dim, dim_star = certificate.dimensions(cross_check=True)
-    except OracleBudgetError:
-        # about a third of the covers exceed the oracle's path budget
-        dim, dim_star = certificate.dimensions()
+    dim, dim_star = certificate.dimensions(cross_check=True)
     assert dim <= dim_star
