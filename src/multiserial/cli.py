@@ -36,6 +36,7 @@ from .cycle_algebra import (
     OnCyclePath,
     OracleBudgetError,
     Socle,
+    _check_budget,
     oracle_dimension,
     pair_oracle_dimension,
 )
@@ -405,6 +406,7 @@ def _cmd_basis(document: InputDocument, max_paths: int) -> CommandResult:
 def _cmd_gram(document: InputDocument, max_paths: int) -> CommandResult:
     pair = document.pair
     algebra = CycleAlgebra(pair, max_paths)
+    _check_budget(algebra.dimension**2, max_paths, "Gram matrix entries")
     gram = algebra.gram_matrix()
     report = Report("gram")
     for warning in gram.warnings:
@@ -537,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_PATHS,
         help="budget on paths: those below the oracle's truncation bound that "
-        "avoid every monomial relation, and the closed-form basis",
+        "avoid every monomial relation, the closed-form basis, and gram's n*n entries",
     )
     common.add_argument("--quiet", action="store_true", help="suppress the report")
     parser = argparse.ArgumentParser(

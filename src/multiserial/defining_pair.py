@@ -12,15 +12,16 @@ vanishes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .quiver import (
     Path,
     Quiver,
     canonical_rotation,
-    compose,
     cycle_power,
     is_simple_cycle,
     rotations,
@@ -94,9 +95,6 @@ class DefiningPair:
             failed = ", ".join(c.name for c in self.axioms.failures())
             raise ValueError(f"cycle system fails validation: {failed}")
 
-    def cycles_at(self, vertex: str) -> tuple[Path, ...]:
-        return tuple(c for c in self.cycles if c.source == vertex)
-
     def rotation_class_representatives(self) -> list[tuple[Path, int]]:
         """One canonical (lexicographically least) cycle per rotation class."""
         reps: dict[tuple[str, ...], tuple[Path, int]] = {}
@@ -147,7 +145,12 @@ def close_under_rotation(
 
 
 def validate(pair: DefiningPair) -> Report:
-    """Check the five axioms of a cycle system, with witnesses on failure."""
+    """Check the five axioms of a cycle system, with witnesses on failure.
+
+    Keys each stored cycle's rotation class by :func:`canonical_rotation`,
+    numbered by integer ids, so the checks cost O(sum of cycle lengths);
+    only the cycles of a failing class enumerate rotations, for witnesses.
+    """
     report = Report("cycle-system-axioms")
 
     bad_loops = [
@@ -159,19 +162,26 @@ def validate(pair: DefiningPair) -> Report:
         "" if not bad_loops else "loops need multiplicity > 1: " + ", ".join(bad_loops),
     )
 
+    ids: dict[tuple[str, ...], int] = {}
+    class_of = [ids.setdefault(canonical_rotation(c).arrows, len(ids)) for c in pair.cycles]
+    members = Counter(class_of)
+    unclosed = {k for k, key in enumerate(ids) if members[k] != len(key)}
+    mult = {k: pair.mu(c) for k, c in zip(class_of, pair.cycles)}
+    uneven_classes = {k for k, c in zip(class_of, pair.cycles) if pair.mu(c) != mult[k]}
+
     present = {c.arrows for c in pair.cycles}
-    missing_rotations = []
-    for c in pair.cycles:
-        for r in rotations(c):
-            if r.arrows not in present:
-                missing_rotations.append(f"{r} (rotation of {c})")
+    missing_rotations = [
+        f"{r} (rotation of {c})"
+        for k, c in zip(class_of, pair.cycles) if k in unclosed
+        for r in rotations(c) if r.arrows not in present
+    ]
     report.add("rotation-closure", not missing_rotations, "; ".join(missing_rotations))
 
-    uneven = []
-    for c in pair.cycles:
-        for r in rotations(c):
-            if r.arrows in present and pair.mu(r) != pair.mu(c):
-                uneven.append(f"{c} has {pair.mu(c)}, rotation {r} has {pair.mu(r)}")
+    uneven = [
+        f"{c} has {pair.mu(c)}, rotation {r} has {pair.mu(r)}"
+        for k, c in zip(class_of, pair.cycles) if k in uneven_classes
+        for r in rotations(c) if r.arrows in present and pair.mu(r) != pair.mu(c)
+    ]
     report.add("class-multiplicity", not uneven, "; ".join(uneven))
 
     covered = {a for c in pair.cycles for a in c.arrows}
@@ -182,15 +192,13 @@ def validate(pair: DefiningPair) -> Report:
         "" if not uncovered else "arrows on no cycle: " + ", ".join(uncovered),
     )
 
-    conflicts = []
-    class_of: dict[str, frozenset[tuple[str, ...]]] = {}
-    for c in pair.cycles:
-        rotation_set = frozenset(r.arrows for r in rotations(c))
-        for a in c.arrows:
-            seen = class_of.setdefault(a, rotation_set)
-            if seen != rotation_set:
-                conflicts.append(a)
-    conflicts = sorted(set(conflicts))
+    first_class: dict[str, int] = {}
+    conflicts = sorted({
+        a
+        for k, c in zip(class_of, pair.cycles)
+        for a in c.arrows
+        if first_class.setdefault(a, k) != k
+    })
     report.add(
         "unique-class-per-arrow",
         not conflicts,
@@ -230,25 +238,15 @@ def generate_relations(pair: DefiningPair) -> RelationSet:
     """
     pair.require_valid()
 
-    type1 = []
-    for v in pair.quiver.vertices:
-        at_v = pair.cycles_at(v)
-        for i in range(len(at_v)):
-            for j in range(i + 1, len(at_v)):
-                type1.append(
-                    (
-                        cycle_power(at_v[i], pair.mu(at_v[i])),
-                        cycle_power(at_v[j], pair.mu(at_v[j])),
-                    )
-                )
-
-    type2 = []
-    for c in pair.cycles:
-        full = cycle_power(c, pair.mu(c))
-        first = pair.quiver.arrow(c.arrows[0])
-        extended = compose(full, Path((first.name,), (first.source, first.target)))
-        assert extended is not None
-        type2.append(extended)
+    full = [cycle_power(c, pair.mu(c)) for c in pair.cycles]
+    at: dict[str, list[Path]] = {v: [] for v in pair.quiver.vertices}
+    for power in full:
+        at[power.source].append(power)
+    type1 = [both for at_v in at.values() for both in combinations(at_v, 2)]
+    type2 = [
+        Path(power.arrows + power.arrows[:1], power.vertices + power.vertices[1:2])
+        for power in full
+    ]
 
     # Every arrow lies on exactly one rotation class, so ab travels a cycle
     # exactly when b follows a there.

@@ -59,7 +59,11 @@ class Path:
 
 
 class Quiver:
-    """A finite directed multigraph with uniquely named vertices and arrows."""
+    """A finite directed multigraph with uniquely named vertices and arrows.
+
+    Construction indexes the arrows out of and into each vertex in name
+    order, in O(A log A); its readers return copies, linear in their length.
+    """
 
     def __init__(
         self,
@@ -82,6 +86,12 @@ class Quiver:
             if target not in self._vertex_set:
                 raise ValueError(f"arrow {name!r} ends at undeclared vertex {target!r}")
             self.arrows[name] = Arrow(name, source, target)
+        self._by_name = sorted(self.arrows.values(), key=lambda a: a.name)
+        self._out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        self._in: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        for arrow in self._by_name:
+            self._out[arrow.source].append(arrow)
+            self._in[arrow.target].append(arrow)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -135,24 +145,19 @@ class Quiver:
         return True
 
     def arrows_from(self, vertex: str) -> list[Arrow]:
-        return sorted(
-            (a for a in self.arrows.values() if a.source == vertex),
-            key=lambda a: a.name,
-        )
+        return list(self._out.get(vertex, ()))
 
     def arrows_into(self, vertex: str) -> list[Arrow]:
-        return sorted(
-            (a for a in self.arrows.values() if a.target == vertex),
-            key=lambda a: a.name,
-        )
+        return list(self._in.get(vertex, ()))
 
     def length_two_paths(self) -> list[Path]:
-        """All composable two-arrow paths, ordered by their arrow names."""
-        out = []
-        for a in sorted(self.arrows.values(), key=lambda x: x.name):
-            for b in self.arrows_from(a.target):
-                out.append(Path((a.name, b.name), (a.source, a.target, b.target)))
-        return out
+        """All composable two-arrow paths, ordered by their arrow names, in
+        time linear in their number."""
+        return [
+            Path((a.name, b.name), (a.source, a.target, b.target))
+            for a in self._by_name
+            for b in self._out[a.target]
+        ]
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph."""
@@ -192,22 +197,28 @@ def is_simple_cycle(p: Path) -> bool:
     )
 
 
+def _rotation(cycle: Path, i: int) -> Path:
+    """The rebasing of a cycle that starts with its i-th arrow."""
+    starts = cycle.vertices[:-1]
+    return Path(cycle.arrows[i:] + cycle.arrows[:i], starts[i:] + starts[:i] + (starts[i],))
+
+
 def rotations(cycle: Path) -> list[Path]:
     """All cyclic rebasings of a simple cycle, one per arrow, in place order."""
     if not is_simple_cycle(cycle):
         raise ValueError(f"not a simple cycle: {cycle}")
-    starts = cycle.vertices[:-1]
-    out = []
-    for i in range(len(cycle.arrows)):
-        arrows = cycle.arrows[i:] + cycle.arrows[:i]
-        vertices = starts[i:] + starts[:i] + (starts[i],)
-        out.append(Path(arrows, vertices))
-    return out
+    return [_rotation(cycle, i) for i in range(len(cycle))]
 
 
 def canonical_rotation(cycle: Path) -> Path:
-    """The lexicographically smallest rotation; canonical class representative."""
-    return min(rotations(cycle), key=lambda c: c.arrows)
+    """The lexicographically smallest rotation; canonical class representative.
+
+    The arrows of a simple cycle are distinct, so this is the rotation that
+    starts with the least arrow name, found in O(L) for a cycle of length L.
+    """
+    if not is_simple_cycle(cycle):
+        raise ValueError(f"not a simple cycle: {cycle}")
+    return _rotation(cycle, cycle.arrows.index(min(cycle.arrows)))
 
 
 def cycle_power(cycle: Path, exponent: int) -> Path:

@@ -245,6 +245,26 @@ class TestMainExitCodes:
         assert err.startswith("error: more than 200000 basis elements")
         assert "(dimension 100000000000); shrink the instance" in err
 
+    def test_dense_gram_print_is_budgeted(self, capsys, tmp_path):
+        # dimension 4 + 4 + 4 * (200 * 4 - 1) = 3,204: 10,265,616 entries
+        doc = tmp_path / "c4.alg"
+        doc.write_text(
+            "[quiver]\nvertices = 1 2 3 4\narrow a = 1 -> 2\narrow b = 2 -> 3\n"
+            "arrow c = 3 -> 4\narrow d = 4 -> 1\n\n"
+            "[definingpair]\ncycle = a b c d | mult = 200\n"
+        )
+        code, out, err = self.run(capsys, "gram", str(doc))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: more than 200000 Gram matrix entries; "
+            "shrink the instance or raise the budget\n"
+        )
+        code, out, _ = self.run(capsys, "gram", str(doc), "--max-paths", "20000000")
+        assert code == 0
+        assert "rank 3204 of dimension 3204" in out
+        rows = out.split("matrix:\n", 1)[1].splitlines()
+        assert len(rows) == 3204 and all(row.count("1") == 1 for row in rows)
+
     def test_out_of_memory_exits_two(self, tmp_path):
         resource = pytest.importorskip("resource")
         cap = 1 << 30

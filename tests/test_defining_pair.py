@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from multiserial import (
     DefiningPair,
+    Path,
     Quiver,
+    Report,
     close_under_rotation,
     generate_relations,
     nilpotency_bound,
@@ -14,8 +17,102 @@ from multiserial import (
     symmetrize,
     validate,
 )
+from multiserial import defining_pair as defining_pair_module
 from multiserial.random_instances import random_defining_pair, random_presentation
 from test_quiver import lies_in
+
+
+def reference_validate(pair: DefiningPair) -> Report:
+    """The rotation-enumerating form of :func:`validate`, kept as the
+    reference its class-keyed report must equal, witnesses and order
+    included; it costs O(L^4) on one rotation class of length L."""
+    report = Report("cycle-system-axioms")
+
+    bad_loops = [
+        str(c) for c in pair.cycles if len(c) == 1 and pair.mu(c) == 1
+    ]
+    report.add(
+        "loop-multiplicity",
+        not bad_loops,
+        "" if not bad_loops else "loops need multiplicity > 1: " + ", ".join(bad_loops),
+    )
+
+    present = {c.arrows for c in pair.cycles}
+    missing_rotations = []
+    for c in pair.cycles:
+        for r in rotations(c):
+            if r.arrows not in present:
+                missing_rotations.append(f"{r} (rotation of {c})")
+    report.add("rotation-closure", not missing_rotations, "; ".join(missing_rotations))
+
+    uneven = []
+    for c in pair.cycles:
+        for r in rotations(c):
+            if r.arrows in present and pair.mu(r) != pair.mu(c):
+                uneven.append(f"{c} has {pair.mu(c)}, rotation {r} has {pair.mu(r)}")
+    report.add("class-multiplicity", not uneven, "; ".join(uneven))
+
+    covered = {a for c in pair.cycles for a in c.arrows}
+    uncovered = sorted(set(pair.quiver.arrows) - covered)
+    report.add(
+        "arrow-coverage",
+        not uncovered,
+        "" if not uncovered else "arrows on no cycle: " + ", ".join(uncovered),
+    )
+
+    conflicts = []
+    class_of: dict[str, frozenset[tuple[str, ...]]] = {}
+    for c in pair.cycles:
+        rotation_set = frozenset(r.arrows for r in rotations(c))
+        for a in c.arrows:
+            seen = class_of.setdefault(a, rotation_set)
+            if seen != rotation_set:
+                conflicts.append(a)
+    conflicts = sorted(set(conflicts))
+    report.add(
+        "unique-class-per-arrow",
+        not conflicts,
+        "" if not conflicts else "arrows on two distinct classes: " + ", ".join(conflicts),
+    )
+
+    return report
+
+
+CORRUPTIONS = ("drop-rotation", "change-multiplicity", "second-class", "loop-multiplicity-one")
+
+
+def corrupt(pair: DefiningPair, rng: random.Random, kinds) -> DefiningPair:
+    """``pair`` with the named corruptions applied in ``CORRUPTIONS`` order."""
+    vertices = list(pair.quiver.vertices)
+    arrows = [(a.name, a.source, a.target) for a in pair.quiver.arrows.values()]
+    cycles = {c.arrows: c for c in pair.cycles}
+    mult = {k: pair.mu(c) for k, c in cycles.items()}
+    if "drop-rotation" in kinds:
+        dropped = rng.choice(sorted(cycles))
+        del cycles[dropped], mult[dropped]
+    if "change-multiplicity" in kinds and cycles:
+        mult[rng.choice(sorted(cycles))] += rng.randint(1, 2)
+    if "second-class" in kinds:
+        # fresh arrows z0, z1 close a cycle through one or two existing
+        # arrows; some of its rotations are stored
+        picked = rng.sample(arrows, rng.randint(1, min(2, len(arrows))))
+        names, stops = [], []
+        for i, (name, source, target) in enumerate(picked):
+            arrows.append((f"z{i}", target, picked[(i + 1) % len(picked)][1]))
+            names += [name, f"z{i}"]
+            stops += [source, target]
+        cycle = Path(tuple(names), tuple(stops) + (stops[0],))
+        for c in rotations(cycle)[: rng.randint(1, len(names))]:
+            cycles[c.arrows], mult[c.arrows] = c, 2
+    if "loop-multiplicity-one" in kinds:
+        loops = sorted(k for k in cycles if len(k) == 1)
+        if loops:
+            mult[rng.choice(loops)] = 1
+        else:
+            v = rng.choice(vertices)
+            arrows.append(("y", v, v))
+            cycles[("y",)], mult[("y",)] = Path(("y",), (v, v)), 1
+    return DefiningPair(Quiver(vertices, arrows), cycles.values(), mult)
 
 
 def kronecker_pair():
@@ -201,6 +298,35 @@ def test_quadratics_split_into_on_cycle_and_type3(seed):
         everything = {p.arrows for p in pair.quiver.length_two_paths()}
         assert type3 | on_cycle == everything
         assert not (type3 & on_cycle)
+
+
+@given(st.integers(0, 10**9), st.sets(st.sampled_from(CORRUPTIONS)))
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_the_rotation_enumerating_reference(seed, kinds):
+    rng = random.Random(seed)
+    pair = corrupt(random_defining_pair(rng), rng, kinds)
+    report = validate(pair)
+    assert report == reference_validate(pair)
+    if "second-class" in kinds and "drop-rotation" not in kinds:
+        assert not report.check("unique-class-per-arrow").passed
+    if "loop-multiplicity-one" in kinds:
+        assert not report.check("loop-multiplicity").passed
+
+
+def test_validate_enumerates_rotations_of_failing_classes_only():
+    valid = kronecker_pair()
+    q = valid.quiver
+    pair = DefiningPair(
+        q,
+        [q.path(["a", "abar"]), q.path(["abar", "a"]), q.path(["b", "bbar"])],
+        {("a", "abar"): 2, ("abar", "a"): 2, ("b", "bbar"): 2},
+    )
+    with mock.patch.object(defining_pair_module, "rotations", wraps=rotations) as spy:
+        assert validate(valid).passed
+        assert spy.call_count == 0
+        report = validate(pair)
+    assert report.check("rotation-closure").witness == "bbar b (rotation of b bbar)"
+    assert [call.args[0].arrows for call in spy.call_args_list] == [("b", "bbar")]
 
 
 @given(st.integers(0, 10**9))

@@ -47,6 +47,25 @@ def make_cycle(length: int, seed: int) -> Path:
     return quiver.path([name for name, _, _ in arrows])
 
 
+def random_quiver(seed: int) -> Quiver:
+    """Arrows declared out of name order, with loops, parallel arrows and
+    isolated vertices all likely."""
+    rng = random.Random(seed)
+    vertices = [f"v{i}" for i in range(rng.randint(1, 6))]
+    names = rng.sample([f"{letter}{i}" for letter in "abc" for i in range(5)], rng.randint(0, 12))
+    return Quiver(vertices, [(n, rng.choice(vertices), rng.choice(vertices)) for n in names])
+
+
+def random_simple_cycle(seed: int) -> Path:
+    """A simple cycle with randomly drawn, distinct arrow names."""
+    rng = random.Random(seed)
+    length = rng.randint(1, 7)
+    stops = [f"v{rng.randint(1, 3)}" for _ in range(length)]
+    names = rng.sample([f"x{i}" for i in range(20)], length)
+    arrows = [(names[i], stops[i], stops[(i + 1) % length]) for i in range(length)]
+    return Quiver(sorted(set(stops)), arrows).path(names)
+
+
 class TestQuiverConstruction:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ValueError, match="duplicate vertex"):
@@ -201,6 +220,47 @@ def test_compose_associative_and_additive(length, seed):
             r = Path(cycle.arrows[j:], cycle.vertices[j:])
             assert compose(compose(p, q), r) == compose(p, compose(q, r)) == cycle
             assert len(compose(p, q)) == len(p) + len(q)
+
+
+@given(st.integers(0, 10**9))
+def test_adjacency_index_matches_brute_force(seed):
+    q = random_quiver(seed)
+    by_name = sorted(q.arrows.values(), key=lambda a: a.name)
+    for v in q.vertices:
+        assert q.arrows_from(v) == [a for a in by_name if a.source == v]
+        assert q.arrows_into(v) == [a for a in by_name if a.target == v]
+    assert q.length_two_paths() == [
+        Path((a.name, b.name), (a.source, a.target, b.target))
+        for a in by_name
+        for b in by_name
+        if b.source == a.target
+    ]
+
+
+def test_adjacency_readers_return_fresh_lists():
+    q = Quiver(["1", "2", "3"], [("b", "1", "2"), ("a", "1", "2"), ("c", "2", "2")])
+    assert q.arrows_from("9") == [] and q.arrows_into("9") == []
+    assert q.arrows_from("3") == [] and q.arrows_into("1") == []
+    outgoing = q.arrows_from("1")
+    assert [a.name for a in outgoing] == ["a", "b"]
+    outgoing.clear()
+    q.arrows_into("2").append(q.arrow("a"))
+    assert [a.name for a in q.arrows_from("1")] == ["a", "b"]
+    assert [a.name for a in q.arrows_into("2")] == ["a", "b", "c"]
+
+
+@given(st.integers(0, 10**9))
+def test_canonical_rotation_is_the_least_rotation(seed):
+    cycle = random_simple_cycle(seed)
+    for r in rotations(cycle):
+        assert canonical_rotation(r) == min(rotations(cycle), key=lambda c: c.arrows)
+
+
+def test_canonical_rotation_rejects_non_cycles():
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    for p in (q.path(["a"]), q.path(["a", "b", "a", "b"]), q.trivial_path("1")):
+        with pytest.raises(ValueError, match="not a simple cycle"):
+            canonical_rotation(p)
 
 
 def test_canonical_rotation_is_least():
