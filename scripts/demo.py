@@ -32,7 +32,7 @@ def show_presentation(name: str) -> None:
     added = sorted(set(star.star.arrows) - set(star.base.arrows))
     print("return arrows:", added or "none")
 
-    pair = symmetrize(presentation, star)
+    pair = symmetrize(presentation)
     print("cycle system classes:")
     for cycle, mult in pair.rotation_class_representatives():
         print(f"  ({cycle}) with multiplicity {mult}")

@@ -359,7 +359,7 @@ def _cmd_sigma_tau(document: InputDocument, max_paths: int) -> CommandResult:
 def _cmd_symmetrize(document: InputDocument, max_paths: int) -> CommandResult:
     presentation = document.presentation
     star = build_star_quiver(presentation)
-    pair = symmetrize(presentation, star)
+    pair = symmetrize(presentation)
     report = validate_pair(pair)
     data = {
         "return_arrows": {

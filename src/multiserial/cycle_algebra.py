@@ -146,9 +146,10 @@ class CycleAlgebra:
 
     The basis consists of one idempotent per vertex, every proper path
     along a cycle (shorter than the full power of its class), and one
-    socle element per vertex that carries a cycle.  Construction insists
-    on a system passing validation and on a :func:`closed_form_dimension`
-    within ``max_paths``, else :class:`OracleBudgetError`.
+    socle element per vertex that carries a cycle; it is built on first
+    read.  Construction insists on a system passing validation and on a
+    :attr:`dimension`, the :func:`closed_form_dimension`, within
+    ``max_paths``, else :class:`OracleBudgetError`.
     """
 
     def __init__(self, pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> None:
@@ -156,36 +157,42 @@ class CycleAlgebra:
         dimension = closed_form_dimension(pair)
         _check_budget(dimension, max_paths, f"basis elements (dimension {dimension})")
         self.pair = pair
+        self.dimension = dimension
         carrying = {c.source for c in pair.cycles}
         self._socle_vertices = [v for v in pair.quiver.vertices if v in carrying]
         # by a cycle's first arrow: full power length, index of its 1-arrow prefix
         self._full_length: dict[str, int] = {}
         self._start: dict[str, int] = {}
-        self._basis: list[BasisElement] = [Idempotent(v) for v in pair.quiver.vertices]
+        size = len(pair.quiver.vertices)
         for cycle in pair.cycles:
-            mu = pair.mu(cycle)
-            length = mu * len(cycle)
+            length = pair.mu(cycle) * len(cycle)
             self._full_length[cycle.arrows[0]] = length
-            self._start[cycle.arrows[0]] = len(self._basis)
-            full = Path(cycle.arrows * mu, cycle.vertices[:-1] * mu + (cycle.source,))
-            self._basis.extend(
-                OnCyclePath(Path(full.arrows[:cut], full.vertices[: cut + 1]))
-                for cut in range(1, length)
-            )
-        self._basis.extend(Socle(v) for v in self._socle_vertices)
-        if len(self._basis) != dimension:
+            self._start[cycle.arrows[0]] = size
+            size += length - 1
+        size += len(self._socle_vertices)
+        if size != dimension:
             raise RuntimeError(
-                f"the basis has {len(self._basis)} elements but the closed form "
+                f"the basis has {size} elements but the closed form "
                 f"counts {dimension}; this is an engine bug"
             )
+
+    @cached_property
+    def _basis(self) -> list[BasisElement]:
+        basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
+        for cycle in self.pair.cycles:
+            mu = self.pair.mu(cycle)
+            full = Path(cycle.arrows * mu, cycle.vertices[:-1] * mu + (cycle.source,))
+            basis.extend(
+                OnCyclePath(Path(full.arrows[:cut], full.vertices[: cut + 1]))
+                for cut in range(1, len(full))
+            )
+        basis.extend(Socle(v) for v in self._socle_vertices)
+        assert len(basis) == self.dimension
+        return basis
 
     @property
     def basis(self) -> list[BasisElement]:
         return list(self._basis)
-
-    @property
-    def dimension(self) -> int:
-        return len(self._basis)
 
     def normal_form(self, path: Path) -> dict:
         """The class of a path: ``{element: 1}`` for the basis element it

@@ -72,14 +72,27 @@ class Presentation:
         rels.extend([(1, p), (-1, q)] for p, q in self.equal_pairs)
         return rels
 
+    @cached_property
+    def tables(self) -> SuccessorTables:
+        """The :func:`derive_successors` tables, kept once derived; a fault is not."""
+        condition, successors, predecessors = _surviving_compositions(self)
+        if not condition.passed:
+            failed = ", ".join(c.name for c in condition.failures())
+            raise MultiserialConditionError(
+                f"presentation violates the multiserial condition: {failed}"
+            )
+        sigma = {a: after[0] if after else None for a, after in successors.items()}
+        tau = {b: before[0] if before else None for b, before in predecessors.items()}
+        return SuccessorTables(self.quiver, sigma, tau)
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class SuccessorTables:
     """Successor (sigma) and predecessor (tau) maps on arrow names.
 
     ``None`` is the stop marker: no composition with that arrow survives in
     the quotient.  The two maps are mutually inverse wherever defined, and
-    a successor is always composable with its arrow.
+    a successor is always composable with its arrow; both maps are read-only.
     """
 
     quiver: Quiver
@@ -187,17 +200,9 @@ def derive_successors(presentation: Presentation) -> SuccessorTables:
     """Read the successor and predecessor tables off the quadratic generators.
 
     Faults when the multiserial condition fails, since the tables would not
-    be single-valued.
+    be single-valued.  Returns the cached :attr:`Presentation.tables`.
     """
-    condition, successors, predecessors = _surviving_compositions(presentation)
-    if not condition.passed:
-        failed = ", ".join(c.name for c in condition.failures())
-        raise MultiserialConditionError(
-            f"presentation violates the multiserial condition: {failed}"
-        )
-    sigma = {a: after[0] if after else None for a, after in successors.items()}
-    tau = {b: before[0] if before else None for b, before in predecessors.items()}
-    return SuccessorTables(presentation.quiver, sigma, tau)
+    return presentation.tables
 
 
 def _orbit(table: dict[str, Optional[str]], start: str, limit: int) -> tuple[Optional[int], Optional[int]]:

@@ -9,13 +9,14 @@ everything else; :func:`verify_quotient` justifies, generator by
 generator, that each generated relation collapses into the original ideal,
 which exhibits the presented algebra as a quotient of the symmetric one,
 and :meth:`QuotientCertificate.dimensions` compares the two dimensions on
-the cover it built.  The successor tables are derived once, by
-:func:`build_star_quiver`, and travel with the enlarged quiver.
+the cover it built.  The successor tables, the enlarged quiver and the
+cover are each derived once per presentation and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cycle_algebra import (
     DEFAULT_MAX_PATHS,
@@ -43,7 +44,7 @@ BINOMIAL_BOTH_TERMS = "BinomialBothTerms"
 UNCERTIFIED = "Uncertified"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuiverStar:
     """The base quiver enlarged by one return arrow per maximal path,
     together with the successor tables it was built from."""
@@ -54,15 +55,12 @@ class QuiverStar:
     return_arrows: dict[tuple[str, ...], str]
     tables: SuccessorTables
 
-    def __post_init__(self) -> None:
-        self._names = frozenset(self.return_arrows.values())
-
-    @property
+    @cached_property
     def star_names(self) -> frozenset[str]:
-        return self._names
+        return frozenset(self.return_arrows.values())
 
     def is_star_arrow(self, name: str) -> bool:
-        return name in self._names
+        return name in self.star_names
 
 
 def build_star_quiver(presentation: Presentation) -> QuiverStar:
@@ -70,8 +68,11 @@ def build_star_quiver(presentation: Presentation) -> QuiverStar:
 
     Names are the reserved prefix followed by the path's concatenated
     arrow names; a clash with an existing arrow (or between two generated
-    names) is a fault, since output files must be reproducible.
+    names) is a fault, since output files must be reproducible.  The star
+    is built once per presentation and kept on it.
     """
+    if hasattr(presentation, "_star"):
+        return presentation._star
     tables = derive_successors(presentation)
     maximal = maximal_paths(tables)
     return_arrows: dict[tuple[str, ...], str] = {}
@@ -93,29 +94,30 @@ def build_star_quiver(presentation: Presentation) -> QuiverStar:
     arrow_triples.extend(
         (return_arrows[m.arrows], m.target, m.source) for m in maximal
     )
-    star = Quiver(base.vertices, arrow_triples)
-    return QuiverStar(base, star, maximal, return_arrows, tables)
+    star = QuiverStar(base, Quiver(base.vertices, arrow_triples), maximal, return_arrows, tables)
+    object.__setattr__(presentation, "_star", star)
+    return star
 
 
-def symmetrize(
-    presentation: Presentation, star: QuiverStar | None = None
-) -> DefiningPair:
+def symmetrize(presentation: Presentation) -> DefiningPair:
     """The cycle system on the enlarged quiver induced by a presentation.
 
     Its cycles are those traced by the successor tables plus, for each
     maximal path, the closure of the path by its return arrow; every class
-    carries the presentation's nilpotency bound as multiplicity.
+    carries the presentation's nilpotency bound as multiplicity.  Closed
+    once per presentation and kept on it, as the star quiver is.
     """
-    if star is None:
-        star = build_star_quiver(presentation)
+    if hasattr(presentation, "_cover"):
+        return presentation._cover
+    star = build_star_quiver(presentation)
     # the tables trace every rotation of a cycle; the closure merges them
     cycles = list(simple_cycles(star.tables))
     cycles.extend(
         star.star.path(m.arrows + (star.return_arrows[m.arrows],)) for m in star.maximal
     )
-    return close_under_rotation(
-        star.star, [(c, presentation.nilpotency) for c in cycles]
-    )
+    cover = close_under_rotation(star.star, [(c, presentation.nilpotency) for c in cycles])
+    object.__setattr__(presentation, "_cover", cover)
+    return cover
 
 
 @dataclass(frozen=True)
@@ -249,8 +251,8 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     bound.  An uncertifiable generator is reported, not raised, but would
     indicate an engine or input-contract bug.
     """
+    pair = symmetrize(presentation)
     star = build_star_quiver(presentation)
-    pair = symmetrize(presentation, star)
     if not pair.axioms.passed:
         failed = ", ".join(c.name for c in pair.axioms.failures())
         raise RuntimeError(

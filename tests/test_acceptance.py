@@ -69,7 +69,7 @@ def test_criterion_2_gentle_linear_quiver():
     star = build_star_quiver(presentation)
     if len(star.star.arrows) - len(star.base.arrows) != 2:
         failures.append("enlarged quiver did not gain exactly 2 arrows")
-    pair = symmetrize(presentation, star)
+    pair = symmetrize(presentation)
     if len(pair.cycles) != 4:
         failures.append(f"cycle count {len(pair.cycles)} != 4")
 
@@ -107,7 +107,7 @@ def test_criterion_3_two_cycle_presentation():
     star = build_star_quiver(presentation)
     if star.star != quiver:
         failures.append("enlarged quiver should equal the base")
-    pair = symmetrize(presentation, star)
+    pair = symmetrize(presentation)
     if {c.arrows for c in pair.cycles} != {("a", "b"), ("b", "a")} or any(
         pair.mu(c) != 3 for c in pair.cycles
     ):

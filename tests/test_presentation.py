@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from pathlib import Path as FilePath
 from unittest import mock
 
@@ -117,6 +118,34 @@ class TestDeriveSuccessors:
         )
         with pytest.raises(MultiserialConditionError):
             derive_successors(Presentation(q, (), (), 3))
+
+    def test_tables_are_derived_once_and_shared(self, two_cycle_quiver):
+        p = Presentation(two_cycle_quiver, (), (), 3)
+        with mock.patch.object(
+            presentation_module,
+            "_surviving_compositions",
+            wraps=presentation_module._surviving_compositions,
+        ) as spy:
+            assert derive_successors(p) is derive_successors(p) is p.tables
+        assert spy.call_count == 1
+        with pytest.raises(FrozenInstanceError):
+            p.tables.sigma = {}
+
+    def test_condition_violation_is_raised_on_every_call(self):
+        q = Quiver(
+            ["1", "2", "3", "4"],
+            [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")],
+        )
+        p = Presentation(q, (), (), 3)
+        with mock.patch.object(
+            presentation_module,
+            "_surviving_compositions",
+            wraps=presentation_module._surviving_compositions,
+        ) as spy:
+            for _ in range(2):
+                with pytest.raises(MultiserialConditionError, match="unique-successor"):
+                    derive_successors(p)
+        assert spy.call_count == 2
 
 
 class TestSuccessorTables:

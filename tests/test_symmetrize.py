@@ -1,5 +1,7 @@
+import contextlib
 import importlib
 import random
+from dataclasses import FrozenInstanceError
 import time
 from unittest import mock
 
@@ -24,6 +26,7 @@ from multiserial import (
 )
 from multiserial import cycle_algebra as cycle_algebra_module
 from multiserial import defining_pair as defining_pair_module
+from multiserial import presentation as presentation_module
 from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
@@ -73,6 +76,12 @@ class TestBuildStarQuiver:
         assert star.is_star_arrow("star_a")
         assert not star.is_star_arrow("a")
         assert not star.is_star_arrow("missing")
+
+    def test_star_is_shared_and_frozen(self, linear_presentation):
+        star = build_star_quiver(linear_presentation)
+        assert build_star_quiver(linear_presentation) is star
+        with pytest.raises(FrozenInstanceError):
+            star.maximal = ()
 
     def test_reserved_name_collision_faults(self):
         q = Quiver(["1", "2"], [("a", "1", "2"), ("star_a", "2", "1")])
@@ -256,12 +265,55 @@ class TestDimensionComparison:
         ):
             certificate.dimensions(cross_check=cross_check)
 
+    def test_cover_dimension_builds_no_basis(self):
+        # 200 arrows in a line, no zero paths: the cover's one rotation class
+        # has length 201 and multiplicity 3, so its basis would hold 121,002
+        # on-cycle paths of up to 602 arrows each
+        n = 200
+        quiver = Quiver(
+            [str(i) for i in range(n + 1)],
+            [(f"a{i}", str(i), str(i + 1)) for i in range(n)],
+        )
+        certificate = verify_quotient(Presentation(quiver, (), (), 3))
+        spy = mock.Mock(wraps=cycle_algebra_module.OnCyclePath)
+        with mock.patch.object(cycle_algebra_module, "OnCyclePath", spy):
+            assert certificate.dimensions(cross_check=True) == (600, 121404)
+        assert spy.call_count == 0
+
+    def test_benchmark_sequence_derives_each_fact_once(self, linear_presentation):
+        # sigma-tau then verify-quotient on one presentation, in the order the
+        # wide-presentations benchmark calls them
+        p = linear_presentation
+        spies = {
+            (presentation_module, "_surviving_compositions"): 1,
+            (symmetrize_module, "QuiverStar"): 1,
+            (symmetrize_module, "close_under_rotation"): 1,
+            # the explicit call below, and the cover's cached axioms
+            (defining_pair_module, "validate"): 2,
+        }
+        with contextlib.ExitStack() as stack:
+            mocks = {
+                (module, name): stack.enter_context(
+                    mock.patch.object(module, name, wraps=getattr(module, name))
+                )
+                for module, name in spies
+            }
+            tables = derive_successors(p)
+            cover = symmetrize(p)
+            assert defining_pair_module.validate(cover).passed
+            certificate = verify_quotient(p)
+            assert CycleAlgebra(cover).dimension == 18
+        assert {key: spy.call_count for key, spy in mocks.items()} == spies
+        assert symmetrize(p) is certificate.pair is cover
+        assert certificate.star.tables is tables
+
     def test_cover_is_built_and_validated_once(self, linear_presentation):
-        # one cover serves the certificate and both dimensions
-        build = mock.Mock(wraps=build_star_quiver)
+        # one cover serves the certificate and both dimensions; the star's
+        # constructor counts builds, past build_star_quiver's cached reads
+        build = mock.Mock(wraps=symmetrize_module.QuiverStar)
         check = mock.Mock(wraps=validate)
         with mock.patch.object(
-            symmetrize_module, "build_star_quiver", build
+            symmetrize_module, "QuiverStar", build
         ), mock.patch.object(defining_pair_module, "validate", check):
             assert verify_quotient(linear_presentation).dimensions(
                 cross_check=True
@@ -299,7 +351,7 @@ def test_cycle_complete_presentations_stay_put(seed):
     star = build_star_quiver(presentation)
     if star.maximal:
         return
-    pair = symmetrize(presentation, star)
+    pair = symmetrize(presentation)
     assert pair.quiver == presentation.quiver
     tables = derive_successors(presentation)
     assert {c.arrows for c in pair.cycles} == {
