@@ -7,7 +7,6 @@ from pathlib import Path
 
 from multiserial import (
     CycleAlgebra,
-    build_star_quiver,
     derive_successors,
     maximal_paths,
     simple_cycles,
@@ -28,17 +27,17 @@ def show_presentation(name: str) -> None:
     print("maximal paths:", [str(m) for m in maximal_paths(tables)] or "none")
     print("cycles:", [str(c) for c in simple_cycles(tables)] or "none")
 
-    star = build_star_quiver(presentation)
-    added = sorted(set(star.star.arrows) - set(star.base.arrows))
+    pair = symmetrize(presentation)
+    # the return arrows are the cover's arrows that the base lacks
+    added = [a for a in pair.quiver.arrows if a not in presentation.quiver.arrows]
     print("return arrows:", added or "none")
 
-    pair = symmetrize(presentation)
     print("cycle system classes:")
     for cycle, mult in pair.rotation_class_representatives():
         print(f"  ({cycle}) with multiplicity {mult}")
 
     certificate = verify_quotient(presentation)
-    dim, dim_star = certificate.dimensions(cross_check=True)
+    dim, dim_star = certificate.dimensions()
     print(f"dimensions: presented algebra {dim}, symmetric cover {dim_star}")
 
     counts = certificate.counts()

@@ -55,9 +55,7 @@ from .symmetrize import (
     STAR_PREFIX,
     CertifiedGenerator,
     Justification,
-    QuiverStar,
     QuotientCertificate,
-    build_star_quiver,
     symmetrize,
     verify_quotient,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "OrbitData",
     "Path",
     "Presentation",
-    "QuiverStar",
     "Quiver",
     "QuotientCertificate",
     "RelationSet",
@@ -89,7 +86,6 @@ __all__ = [
     "STAR_PREFIX",
     "Socle",
     "SuccessorTables",
-    "build_star_quiver",
     "canonical_rotation",
     "check_multiserial_condition",
     "check_orbit_structure",

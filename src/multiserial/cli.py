@@ -60,7 +60,6 @@ from .quiver import Path, Quiver
 from .report import Report
 from .symmetrize import (
     STAR_PREFIX,
-    build_star_quiver,
     symmetrize,
     verify_quotient,
 )
@@ -356,19 +355,28 @@ def _cmd_sigma_tau(document: InputDocument, max_paths: int) -> CommandResult:
     return CommandResult("sigma-tau", report, data)
 
 
+def _closed_by(pair: DefiningPair, arrow: str) -> Path:
+    """The path that ``arrow`` closes to a cycle of ``pair``: the rest of
+    its cycle, read forwards from the arrow after it."""
+    chain = [pair.next_arrow[arrow]]
+    while chain[-1] != arrow:
+        chain.append(pair.next_arrow[chain[-1]])
+    return pair.quiver.path(chain[:-1])
+
+
 def _cmd_symmetrize(document: InputDocument, max_paths: int) -> CommandResult:
     presentation = document.presentation
-    star = build_star_quiver(presentation)
     pair = symmetrize(presentation)
     report = validate_pair(pair)
     data = {
         "return_arrows": {
-            star.return_arrows[m.arrows]: {
-                "source": m.target,
-                "target": m.source,
-                "closes": _path_json(m),
+            r.name: {
+                "source": r.source,
+                "target": r.target,
+                "closes": _path_json(_closed_by(pair, r.name)),
             }
-            for m in star.maximal
+            for r in pair.quiver.arrows.values()
+            if r.name not in presentation.quiver.arrows
         },
         "classes": [
             {"cycle": _path_json(c), "mult": mult}

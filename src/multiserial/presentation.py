@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
-from .quiver import MonomialAutomaton, Path, Quiver, rotations
+from .cycle_algebra import DEFAULT_MAX_PATHS
+from .quiver import MonomialAutomaton, Path, Quiver, canonical_rotation
 from .report import Report
 
 
@@ -92,14 +94,18 @@ class SuccessorTables:
 
     ``None`` is the stop marker: no composition with that arrow survives in
     the quotient.  The two maps are mutually inverse wherever defined, and
-    a successor is always composable with its arrow; both maps are read-only.
+    a successor is always composable with its arrow.  Both maps, and the
+    orbits read off them, are kept as read-only copies, since every reader
+    of a presentation shares its tables.
     """
 
     quiver: Quiver
-    sigma: dict[str, Optional[str]]
-    tau: dict[str, Optional[str]]
+    sigma: Mapping[str, Optional[str]]
+    tau: Mapping[str, Optional[str]]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma", MappingProxyType(dict(self.sigma)))
+        object.__setattr__(self, "tau", MappingProxyType(dict(self.tau)))
         names = set(self.quiver.arrows)
         if set(self.sigma) != names or set(self.tau) != names:
             raise ValueError("tables must be defined on exactly the quiver's arrows")
@@ -119,9 +125,9 @@ class SuccessorTables:
                 raise ValueError(f"tables are not mutually inverse at {a} <- {b}")
 
     @cached_property
-    def orbits(self) -> dict[str, OrbitData]:
+    def orbits(self) -> Mapping[str, OrbitData]:
         """The :func:`orbit_data` of these tables, computed on first use."""
-        return orbit_data(self)
+        return MappingProxyType(orbit_data(self))
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,7 @@ def derive_successors(presentation: Presentation) -> SuccessorTables:
     return presentation.tables
 
 
-def _orbit(table: dict[str, Optional[str]], start: str, limit: int) -> tuple[Optional[int], Optional[int]]:
+def _orbit(table: Mapping[str, Optional[str]], start: str, limit: int) -> tuple[Optional[int], Optional[int]]:
     """Follow a table from ``start``: (steps to stop, None) or (None, period)."""
     current: Optional[str] = start
     for step in range(1, limit + 1):
@@ -306,7 +312,12 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
     for m in maxima:
         for a in m.arrows:
             on_maximal[a].append(m)
-    cycle_at: dict[str, Path] = {c.arrows[0]: c for c in cycles}
+    # each cycle's rotation class, numbered once from its canonical rotation
+    class_ids: dict[tuple[str, ...], int] = {}
+    class_at = {
+        c.arrows[0]: class_ids.setdefault(canonical_rotation(c).arrows, len(class_ids))
+        for c in cycles
+    }
     on_cycle: dict[str, list[Path]] = {a: [] for a in q.arrows}
     for c in cycles:
         for a in c.arrows:
@@ -330,13 +341,12 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
         "" if not multi else "arrows on several maximal paths: " + ", ".join(multi),
     )
 
-    incoherent = []
-    for c in cycles:
-        rotation_set = {r.arrows for r in rotations(c)}
-        for a in c.arrows:
-            based = cycle_at.get(a)
-            if based is None or based.arrows not in rotation_set:
-                incoherent.append(f"{a} on {c}")
+    incoherent = [
+        f"{a} on {c}"
+        for c in cycles
+        for a in c.arrows
+        if class_at.get(a) != class_at[c.arrows[0]]
+    ]
     report.add(
         "cycle-rotation-coherence",
         not incoherent,
@@ -375,7 +385,7 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
 
 
 def minimal_monomial_bound(
-    presentation: Presentation, budget: int = 200_000
+    presentation: Presentation, budget: int = DEFAULT_MAX_PATHS
 ) -> Optional[int]:
     """Smallest valid nilpotency bound for a purely monomial presentation.
 

@@ -3,20 +3,22 @@
 The enlarged quiver adds one return arrow per maximal path, turning every
 maximal path into a simple cycle.  Together with the cycles already traced
 by the successor tables, and with the presentation's nilpotency bound as
-the uniform multiplicity, these form a valid cycle system.  Collapsing the
-enlarged quiver onto the base sends return arrows to zero and fixes
-everything else; :func:`verify_quotient` justifies, generator by
-generator, that each generated relation collapses into the original ideal,
-which exhibits the presented algebra as a quotient of the symmetric one,
-and :meth:`QuotientCertificate.dimensions` compares the two dimensions on
-the cover it built.  The successor tables, the enlarged quiver and the
-cover are each derived once per presentation and kept on it.
+the uniform multiplicity, these form a valid cycle system: the cover.  Its
+quiver is the enlarged one, so the return arrows are exactly the cover's
+arrows that the base lacks.  Collapsing the enlarged quiver onto the base
+sends return arrows to zero and fixes everything else;
+:func:`verify_quotient` justifies, generator by generator, that each
+generated relation collapses into the original ideal, which exhibits the
+presented algebra as a quotient of the symmetric one, and
+:meth:`QuotientCertificate.dimensions` compares the two dimensions on the
+cover it built, the cover's closed form confirmed by the oracle.  The
+successor tables and the cover are each derived once per presentation and
+kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .cycle_algebra import (
     DEFAULT_MAX_PATHS,
@@ -27,7 +29,6 @@ from .cycle_algebra import (
 from .defining_pair import DefiningPair, close_under_rotation
 from .presentation import (
     Presentation,
-    SuccessorTables,
     derive_successors,
     maximal_paths,
     simple_cycles,
@@ -44,78 +45,44 @@ BINOMIAL_BOTH_TERMS = "BinomialBothTerms"
 UNCERTIFIED = "Uncertified"
 
 
-@dataclass(frozen=True, eq=False)
-class QuiverStar:
-    """The base quiver enlarged by one return arrow per maximal path,
-    together with the successor tables it was built from."""
+def symmetrize(presentation: Presentation) -> DefiningPair:
+    """The cycle system on the enlarged quiver induced by a presentation.
 
-    base: Quiver
-    star: Quiver
-    maximal: tuple[Path, ...]
-    return_arrows: dict[tuple[str, ...], str]
-    tables: SuccessorTables
-
-    @cached_property
-    def star_names(self) -> frozenset[str]:
-        return frozenset(self.return_arrows.values())
-
-    def is_star_arrow(self, name: str) -> bool:
-        return name in self.star_names
-
-
-def build_star_quiver(presentation: Presentation) -> QuiverStar:
-    """Add a return arrow from the end to the start of each maximal path.
-
-    Names are the reserved prefix followed by the path's concatenated
-    arrow names; a clash with an existing arrow (or between two generated
-    names) is a fault, since output files must be reproducible.  The star
-    is built once per presentation and kept on it.
+    The enlarged quiver adds to the base one return arrow from the end to
+    the start of each maximal path, in the sorted order of the paths.  Its
+    name is the reserved prefix followed by the path's concatenated arrow
+    names; a clash with an existing arrow (or between two generated names)
+    is a fault, since output files must be reproducible.  The cycles are
+    those traced by the successor tables plus, for each maximal path, the
+    closure of the path by its return arrow; every class carries the
+    presentation's nilpotency bound as multiplicity.  Closed once per
+    presentation and kept on it.
     """
-    if hasattr(presentation, "_star"):
-        return presentation._star
+    if hasattr(presentation, "_cover"):
+        return presentation._cover
+    base = presentation.quiver
     tables = derive_successors(presentation)
-    maximal = maximal_paths(tables)
-    return_arrows: dict[tuple[str, ...], str] = {}
-    for m in maximal:
+    closes: dict[str, Path] = {}
+    for m in maximal_paths(tables):
         name = STAR_PREFIX + "".join(m.arrows)
-        if name in presentation.quiver.arrows:
+        if name in base.arrows:
             raise ValueError(
                 f"generated return arrow {name!r} collides with an existing "
                 "arrow; rename the quiver's arrows"
             )
-        if name in return_arrows.values():
+        if name in closes:
             raise ValueError(
                 f"generated return arrow {name!r} is ambiguous between two "
                 "maximal paths; rename the quiver's arrows"
             )
-        return_arrows[m.arrows] = name
-    base = presentation.quiver
+        closes[name] = m
     arrow_triples = [(a.name, a.source, a.target) for a in base.arrows.values()]
-    arrow_triples.extend(
-        (return_arrows[m.arrows], m.target, m.source) for m in maximal
-    )
-    star = QuiverStar(base, Quiver(base.vertices, arrow_triples), maximal, return_arrows, tables)
-    object.__setattr__(presentation, "_star", star)
-    return star
-
-
-def symmetrize(presentation: Presentation) -> DefiningPair:
-    """The cycle system on the enlarged quiver induced by a presentation.
-
-    Its cycles are those traced by the successor tables plus, for each
-    maximal path, the closure of the path by its return arrow; every class
-    carries the presentation's nilpotency bound as multiplicity.  Closed
-    once per presentation and kept on it, as the star quiver is.
-    """
-    if hasattr(presentation, "_cover"):
-        return presentation._cover
-    star = build_star_quiver(presentation)
+    arrow_triples.extend((r, m.target, m.source) for r, m in closes.items())
+    enlarged = Quiver(base.vertices, arrow_triples)
     # the tables trace every rotation of a cycle; the closure merges them
-    cycles = list(simple_cycles(star.tables))
-    cycles.extend(
-        star.star.path(m.arrows + (star.return_arrows[m.arrows],)) for m in star.maximal
-    )
-    cover = close_under_rotation(star.star, [(c, presentation.nilpotency) for c in cycles])
+    cycles = list(simple_cycles(tables))
+    cycles.extend(enlarged.path(m.arrows + (r,)) for r, m in closes.items())
+    cover = close_under_rotation(enlarged, [(c, presentation.nilpotency) for c in cycles])
     object.__setattr__(presentation, "_cover", cover)
     return cover
 
@@ -155,7 +122,6 @@ class QuotientCertificate:
     lands in the presentation's ideal."""
 
     presentation: Presentation
-    star: QuiverStar
     pair: DefiningPair
     entries: list[CertifiedGenerator] = field(default_factory=list)
 
@@ -172,17 +138,15 @@ class QuotientCertificate:
             out[e.relation_kind] += 1
         return out
 
-    def dimensions(
-        self, max_paths: int = DEFAULT_MAX_PATHS, cross_check: bool = False
-    ) -> tuple[int, int]:
+    def dimensions(self, max_paths: int = DEFAULT_MAX_PATHS) -> tuple[int, int]:
         """(dimension of the presented algebra, dimension of its cover).
 
         The first is computed by the truncation oracle on the presentation's
-        generators, the second from the closed-form basis of the cover;
-        ``cross_check`` additionally runs the oracle on the cover and
-        insists the two routes agree.  The cover always dominates; a
-        disagreement, or a presented dimension above the cover's, raises
-        :class:`RuntimeError` as an engine bug.
+        generators, the second from the closed-form basis of the cover and
+        confirmed by the oracle on the cover's relations.  The cover always
+        dominates; a disagreement of the two routes, or a presented
+        dimension above the cover's, raises :class:`RuntimeError` as an
+        engine bug.
         """
         presentation = self.presentation
         dim = oracle_dimension(
@@ -192,13 +156,12 @@ class QuotientCertificate:
             max_paths=max_paths,
         )
         dim_star = CycleAlgebra(self.pair, max_paths).dimension
-        if cross_check:
-            oracle_star = pair_oracle_dimension(self.pair, max_paths)
-            if oracle_star != dim_star:
-                raise RuntimeError(
-                    f"closed-form dimension {dim_star} disagrees with the oracle "
-                    f"{oracle_star}; this is an engine bug"
-                )
+        oracle_star = pair_oracle_dimension(self.pair, max_paths)
+        if oracle_star != dim_star:
+            raise RuntimeError(
+                f"closed-form dimension {dim_star} disagrees with the oracle "
+                f"{oracle_star}; this is an engine bug"
+            )
         if dim > dim_star:
             raise RuntimeError(
                 f"presented dimension {dim} exceeds the cover's {dim_star}; "
@@ -225,11 +188,9 @@ class QuotientCertificate:
         return report
 
 
-def _certify_monomial_term(
-    path: Path, star: QuiverStar, nilpotency: int
-) -> Justification:
+def _certify_monomial_term(path: Path, base: Quiver, nilpotency: int) -> Justification:
     for name in path.arrows:
-        if star.is_star_arrow(name):
+        if name not in base.arrows:
             return Justification(
                 KILLED_BY_STAR_ARROW, f"contains return arrow {name}"
             )
@@ -252,7 +213,6 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     indicate an engine or input-contract bug.
     """
     pair = symmetrize(presentation)
-    star = build_star_quiver(presentation)
     if not pair.axioms.passed:
         failed = ", ".join(c.name for c in pair.axioms.failures())
         raise RuntimeError(
@@ -260,12 +220,12 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
             "this is an engine bug"
         )
     relations = pair.relations
-    certificate = QuotientCertificate(presentation, star, pair)
-    N = presentation.nilpotency
+    certificate = QuotientCertificate(presentation, pair)
+    base, N = presentation.quiver, presentation.nilpotency
 
     for u, w in relations.type1:
-        left = _certify_monomial_term(u, star, N)
-        right = _certify_monomial_term(w, star, N)
+        left = _certify_monomial_term(u, base, N)
+        right = _certify_monomial_term(w, base, N)
         ok = UNCERTIFIED not in (left.kind, right.kind)
         certificate.entries.append(
             CertifiedGenerator(
@@ -277,18 +237,18 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
         )
 
     for p in relations.type2:
-        j = _certify_monomial_term(p, star, N)
+        j = _certify_monomial_term(p, base, N)
         certificate.entries.append(
             CertifiedGenerator("type2", str(p), j, j.kind != UNCERTIFIED)
         )
 
     for p in relations.type3:
         a, b = p.arrows
-        if star.is_star_arrow(a) or star.is_star_arrow(b):
-            which = a if star.is_star_arrow(a) else b
+        if a not in base.arrows or b not in base.arrows:
+            which = a if a not in base.arrows else b
             j = Justification(KILLED_BY_STAR_ARROW, f"contains return arrow {which}")
         elif presentation.quadratic_in_ideal(a, b):
-            successor = star.tables.sigma[a]
+            successor = presentation.tables.sigma[a]
             j = Justification(
                 FORBIDDEN_QUADRATIC,
                 f"successor of {a} is "

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,8 @@ from pathlib import Path as FilePath
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiserial import cli
 from multiserial import cycle_algebra as cycle_algebra_module
@@ -16,6 +19,7 @@ from multiserial import defining_pair as defining_pair_module
 from multiserial import presentation as presentation_module
 from multiserial.cli import (
     COMMAND_TABLE,
+    InputDocument,
     ParseError,
     export_dot,
     main,
@@ -23,7 +27,11 @@ from multiserial.cli import (
     render_pair_document,
     run_command,
 )
-from multiserial import orbit_data, symmetrize
+from multiserial import derive_successors, maximal_paths, orbit_data, symmetrize
+from multiserial.random_instances import (
+    radical_square_zero_presentation,
+    random_presentation,
+)
 
 # The package exports the function ``symmetrize`` under the module's name.
 symmetrize_module = importlib.import_module("multiserial.symmetrize")
@@ -176,6 +184,22 @@ class TestMainExitCodes:
         )
         assert code == 0
         assert "certificate-complete" in out
+
+    def test_verify_quotient_oracle_disagreement_exits_two(self, capsys):
+        # the cover's closed-form dimension is 18; an oracle reading 19 is
+        # an engine bug, not a verdict
+        with mock.patch.object(
+            symmetrize_module, "pair_oracle_dimension", return_value=19
+        ):
+            code, out, err = self.run(
+                capsys, "verify-quotient", str(FIXTURES / "a3_gentle.alg")
+            )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: closed-form dimension 18 disagrees with the oracle 19; "
+            "this is an engine bug\n"
+        )
 
     def test_gram_degenerate_block_exits_one(self, capsys, tmp_path):
         doc = tmp_path / "isolated.alg"
@@ -345,11 +369,10 @@ class TestRunCommand:
 
     def test_verify_quotient_derives_each_stage_once(self):
         # a name read in two modules gets one spy, patched into both; the
-        # star's constructor counts builds, as build_star_quiver is a cached
-        # read that symmetrize and verify_quotient both make
+        # closure counts cover builds, as symmetrize is a cached read
         places = [
             (symmetrize_module, "derive_successors"),
-            (symmetrize_module, "QuiverStar"),
+            (symmetrize_module, "close_under_rotation"),
             (symmetrize_module, "symmetrize"),
             (defining_pair_module, "generate_relations"),
             (symmetrize_module, "oracle_dimension"),
@@ -364,7 +387,9 @@ class TestRunCommand:
                 stack.enter_context(mock.patch.object(module, name, spy))
             result = run_command("verify-quotient", parse_document(A3_TEXT))
         assert result.report.passed
-        assert {n: spy.call_count for n, spy in spies.items()} == dict.fromkeys(spies, 1)
+        # the oracle runs once on each algebra: the presented one and its cover
+        expected = dict.fromkeys(spies, 1) | {"oracle_dimension": 2}
+        assert {n: spy.call_count for n, spy in spies.items()} == expected
 
 
 class TestMainOutputs:
@@ -480,3 +505,21 @@ def test_radical_square_zero_fixture_end_to_end(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "certificate-complete" in out
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_symmetrize_return_arrows_close_the_maximal_paths(seed, square_zero):
+    # the return arrows are the cover's arrows that the base lacks, and each
+    # one closes a maximal path, listed in the sorted order of the paths
+    draw = radical_square_zero_presentation if square_zero else random_presentation
+    presentation = draw(random.Random(seed))
+    base, cover = presentation.quiver, symmetrize(presentation)
+    maximal = maximal_paths(derive_successors(presentation))
+    data = run_command("symmetrize", InputDocument(base, presentation=presentation)).data
+    returns = data["return_arrows"]
+    assert list(returns) == [a for a in cover.quiver.arrows if a not in base.arrows]
+    assert [r["closes"] for r in returns.values()] == [list(m.arrows) for m in maximal]
+    assert [(r["source"], r["target"]) for r in returns.values()] == [
+        (m.target, m.source) for m in maximal
+    ]

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import FrozenInstanceError
 from pathlib import Path as FilePath
 from unittest import mock
@@ -131,6 +132,19 @@ class TestDeriveSuccessors:
         with pytest.raises(FrozenInstanceError):
             p.tables.sigma = {}
 
+    def test_shared_tables_refuse_writes(self, linear_quiver):
+        tables = derive_successors(Presentation(linear_quiver, (), (), 3))
+        for table in (tables.sigma, tables.tau, tables.orbits):
+            with pytest.raises(TypeError):
+                table["a"] = None
+        assert tables.sigma == {"a": "b", "b": None}
+
+    def test_tables_copy_their_input(self, linear_quiver):
+        sigma, tau = {"a": "b", "b": None}, {"a": None, "b": "a"}
+        tables = SuccessorTables(linear_quiver, sigma, tau)
+        sigma["b"] = "a"
+        assert tables.sigma["b"] is None
+
     def test_condition_violation_is_raised_on_every_call(self):
         q = Quiver(
             ["1", "2", "3", "4"],
@@ -249,11 +263,30 @@ class TestOrbitStructure:
         assert report.passed
 
     def test_maximal_path_is_determined_by_the_orbits(self, linear_quiver):
-        tables = derive_successors(Presentation(linear_quiver, (), (), 3))
-        # a b is the one maximal path; claim b stops one step too late
-        tables.orbits["b"] = OrbitData(forward_stop=2, backward_stop=2)
+        shared = derive_successors(Presentation(linear_quiver, (), (), 3))
+        # a b is the one maximal path; a private copy of the tables claims b
+        # stops one step too late, past the read-only cached orbits
+        tables = SuccessorTables(shared.quiver, shared.sigma, shared.tau)
+        corrupt = {**orbit_data(tables), "b": OrbitData(forward_stop=2, backward_stop=2)}
+        object.__setattr__(tables, "orbits", corrupt)
         check = check_orbit_structure(tables).check("maximal-path-determined-by-arrow")
         assert not check.passed and check.witness == "b does not recover a b"
+        assert check_orbit_structure(shared).passed
+
+    def test_long_single_cycle_is_checked_in_subcubic_time(self):
+        # one sigma-cycle through 600 arrows, stored as 600 rotations; building
+        # every rotation of every stored cycle took about 15s here
+        n = 600
+        quiver = Quiver(
+            [str(i) for i in range(n)],
+            [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)],
+        )
+        tables = derive_successors(Presentation(quiver, (), (), 3))
+        started = time.perf_counter()
+        report = check_orbit_structure(tables)
+        assert report.passed
+        assert len(simple_cycles(tables)) == n
+        assert time.perf_counter() - started < 5.0
 
 
 @given(st.integers(0, 10**9))

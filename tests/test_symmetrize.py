@@ -14,10 +14,11 @@ from multiserial import (
     MultiserialConditionError,
     Presentation,
     Quiver,
-    build_star_quiver,
+    close_under_rotation,
     derive_successors,
     enumerate_paths,
     generate_relations,
+    maximal_paths,
     rotations,
     simple_cycles,
     symmetrize,
@@ -36,6 +37,7 @@ from multiserial.symmetrize import (
     FORBIDDEN_QUADRATIC,
     KILLED_BY_STAR_ARROW,
     LONG_PATH,
+    STAR_PREFIX,
 )
 
 # The package exports the function ``symmetrize`` under the module's name.
@@ -43,23 +45,24 @@ symmetrize_module = importlib.import_module("multiserial.symmetrize")
 
 
 class TestBuildStarQuiver:
+    """The enlarged quiver: the quiver of the cover that symmetrize builds."""
+
     def test_linear_presentation_gains_two_arrows(self, linear_presentation):
-        star = build_star_quiver(linear_presentation)
-        assert set(star.star.arrows) - set(star.base.arrows) == {"star_a", "star_b"}
-        assert star.star.arrow("star_a").source == "2"
-        assert star.star.arrow("star_a").target == "1"
-        assert star.star.arrow("star_b").source == "3"
-        assert star.star.arrow("star_b").target == "2"
+        enlarged = symmetrize(linear_presentation).quiver
+        added = set(enlarged.arrows) - set(linear_presentation.quiver.arrows)
+        assert added == {"star_a", "star_b"}
+        assert enlarged.arrow("star_a").source == "2"
+        assert enlarged.arrow("star_a").target == "1"
+        assert enlarged.arrow("star_b").source == "3"
+        assert enlarged.arrow("star_b").target == "2"
 
     def test_cycle_complete_presentation_is_unchanged(self, two_cycle_presentation):
-        star = build_star_quiver(two_cycle_presentation)
-        assert star.maximal == ()
-        assert star.star == star.base
+        assert maximal_paths(derive_successors(two_cycle_presentation)) == ()
+        assert symmetrize(two_cycle_presentation).quiver == two_cycle_presentation.quiver
 
     def test_dead_loop_gains_a_return_loop(self, loop_quiver):
         p = Presentation(loop_quiver, (loop_quiver.path(["a", "a"]),), (), 2)
-        star = build_star_quiver(p)
-        arrow = star.star.arrow("star_a")
+        arrow = symmetrize(p).quiver.arrow("star_a")
         assert (arrow.source, arrow.target) == ("v", "v")
 
     def test_faults_on_condition_violation(self):
@@ -68,26 +71,40 @@ class TestBuildStarQuiver:
             [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")],
         )
         with pytest.raises(MultiserialConditionError):
-            build_star_quiver(Presentation(q, (), (), 3))
+            symmetrize(Presentation(q, (), (), 3))
 
     def test_only_return_arrows_are_star_arrows(self, linear_presentation):
-        star = build_star_quiver(linear_presentation)
-        assert star.star_names == {"star_a", "star_b"}
-        assert star.is_star_arrow("star_a")
-        assert not star.is_star_arrow("a")
-        assert not star.is_star_arrow("missing")
+        # the base arrows come first, then one return arrow per maximal path
+        # in the sorted order of the paths
+        enlarged = symmetrize(linear_presentation).quiver
+        assert list(enlarged.arrows) == ["a", "b", "star_a", "star_b"]
+        assert all(
+            (name in linear_presentation.quiver.arrows) != name.startswith(STAR_PREFIX)
+            for name in enlarged.arrows
+        )
 
     def test_star_is_shared_and_frozen(self, linear_presentation):
-        star = build_star_quiver(linear_presentation)
-        assert build_star_quiver(linear_presentation) is star
+        cover = symmetrize(linear_presentation)
+        assert symmetrize(linear_presentation) is cover
         with pytest.raises(FrozenInstanceError):
-            star.maximal = ()
+            linear_presentation._cover = None
 
     def test_reserved_name_collision_faults(self):
         q = Quiver(["1", "2"], [("a", "1", "2"), ("star_a", "2", "1")])
         p = Presentation(q, (q.path(["a", "star_a"]), q.path(["star_a", "a"])), (), 3)
         with pytest.raises(ValueError, match="collides"):
-            build_star_quiver(p)
+            symmetrize(p)
+
+    def test_generated_name_ambiguity_faults(self):
+        # the maximal paths a bc and ab c both name their return arrow star_abc
+        q = Quiver(
+            ["1", "2", "3", "4", "5", "6"],
+            [("a", "1", "2"), ("bc", "2", "3"), ("ab", "4", "5"), ("c", "5", "6")],
+        )
+        p = Presentation(q, (), (), 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="'star_abc' is ambiguous"):
+                symmetrize(p)
 
 
 class TestSymmetrize:
@@ -114,18 +131,18 @@ class TestSymmetrize:
 
     def test_base_arrows_occur_on_exactly_one_class(self, linear_presentation):
         pair = symmetrize(linear_presentation)
-        star = build_star_quiver(linear_presentation)
-        for name in star.base.arrows:
+        base = linear_presentation.quiver
+        for name in base.arrows:
             classes = {
                 frozenset(r.arrows for r in rotations(c))
                 for c in pair.cycles
                 if name in c.arrows
             }
             assert len(classes) == 1
-        for name in star.star_names:
+        for name in set(pair.quiver.arrows) - set(base.arrows):
             for c in pair.cycles:
                 if name in c.arrows:
-                    assert set(c.arrows) - set(star.base.arrows) == {name}
+                    assert set(c.arrows) - set(base.arrows) == {name}
 
 
 class TestVerifyQuotient:
@@ -160,13 +177,13 @@ class TestVerifyQuotient:
         assert quadratics["star_a star_a"] == KILLED_BY_STAR_ARROW
 
     def test_return_arrows_kill_exactly_their_generators(self, linear_presentation):
-        star = build_star_quiver(linear_presentation)
+        base = linear_presentation.quiver
         certificate = verify_quotient(linear_presentation)
         for entry in certificate.entries:
             terms = entry.justification.parts or (entry.justification,)
             words = entry.relation.split(" - ")
             for word, term in zip(words, terms):
-                crosses = any(star.is_star_arrow(a) for a in word.split())
+                crosses = any(a not in base.arrows for a in word.split())
                 assert (term.kind == KILLED_BY_STAR_ARROW) == crosses, entry
 
     def test_successor_tables_are_derived_once(self, linear_presentation):
@@ -182,7 +199,7 @@ class TestVerifyQuotient:
             defining_pair_module, "generate_relations", wraps=generate_relations
         ) as spy:
             certificate = verify_quotient(linear_presentation)
-            assert certificate.dimensions(cross_check=True) == (5, 18)
+            assert certificate.dimensions() == (5, 18)
         assert spy.call_count == 1
 
     def test_cycle_system_is_validated_once(self, linear_presentation):
@@ -226,15 +243,15 @@ def test_long_linear_presentation_scales():
 class TestDimensionComparison:
     def test_linear_presentation(self, linear_presentation):
         certificate = verify_quotient(linear_presentation)
-        assert certificate.dimensions(cross_check=True) == (5, 18)
+        assert certificate.dimensions() == (5, 18)
 
     def test_two_cycle_presentation(self, two_cycle_presentation):
         certificate = verify_quotient(two_cycle_presentation)
-        assert certificate.dimensions(cross_check=True) == (6, 14)
+        assert certificate.dimensions() == (6, 14)
 
     def test_dead_loop(self, loop_quiver):
         p = Presentation(loop_quiver, (loop_quiver.path(["a", "a"]),), (), 2)
-        assert verify_quotient(p).dimensions(cross_check=True) == (2, 8)
+        assert verify_quotient(p).dimensions() == (2, 8)
 
     def test_oracle_disagreeing_with_closed_form_is_an_engine_bug(
         self, linear_presentation
@@ -247,11 +264,10 @@ class TestDimensionComparison:
             match="closed-form dimension 18 disagrees with the oracle 19; "
             "this is an engine bug",
         ):
-            certificate.dimensions(cross_check=True)
+            certificate.dimensions()
 
-    @pytest.mark.parametrize("cross_check", [False, True])
     def test_presented_dimension_above_the_cover_is_an_engine_bug(
-        self, linear_presentation, cross_check
+        self, linear_presentation
     ):
         # pair_oracle_dimension calls the unpatched oracle_dimension of
         # cycle_algebra, so the cross-check still passes
@@ -263,7 +279,7 @@ class TestDimensionComparison:
             match="presented dimension 19 exceeds the cover's 18; "
             "the collapse map cannot be surjective, this is an engine bug",
         ):
-            certificate.dimensions(cross_check=cross_check)
+            certificate.dimensions()
 
     def test_cover_dimension_builds_no_basis(self):
         # 200 arrows in a line, no zero paths: the cover's one rotation class
@@ -277,7 +293,7 @@ class TestDimensionComparison:
         certificate = verify_quotient(Presentation(quiver, (), (), 3))
         spy = mock.Mock(wraps=cycle_algebra_module.OnCyclePath)
         with mock.patch.object(cycle_algebra_module, "OnCyclePath", spy):
-            assert certificate.dimensions(cross_check=True) == (600, 121404)
+            assert certificate.dimensions() == (600, 121404)
         assert spy.call_count == 0
 
     def test_benchmark_sequence_derives_each_fact_once(self, linear_presentation):
@@ -286,7 +302,6 @@ class TestDimensionComparison:
         p = linear_presentation
         spies = {
             (presentation_module, "_surviving_compositions"): 1,
-            (symmetrize_module, "QuiverStar"): 1,
             (symmetrize_module, "close_under_rotation"): 1,
             # the explicit call below, and the cover's cached axioms
             (defining_pair_module, "validate"): 2,
@@ -305,19 +320,17 @@ class TestDimensionComparison:
             assert CycleAlgebra(cover).dimension == 18
         assert {key: spy.call_count for key, spy in mocks.items()} == spies
         assert symmetrize(p) is certificate.pair is cover
-        assert certificate.star.tables is tables
+        assert certificate.presentation.tables is tables
 
     def test_cover_is_built_and_validated_once(self, linear_presentation):
-        # one cover serves the certificate and both dimensions; the star's
-        # constructor counts builds, past build_star_quiver's cached reads
-        build = mock.Mock(wraps=symmetrize_module.QuiverStar)
+        # one cover serves the certificate and both dimensions; the closure
+        # counts builds, past symmetrize's cached reads
+        build = mock.Mock(wraps=close_under_rotation)
         check = mock.Mock(wraps=validate)
         with mock.patch.object(
-            symmetrize_module, "QuiverStar", build
+            symmetrize_module, "close_under_rotation", build
         ), mock.patch.object(defining_pair_module, "validate", check):
-            assert verify_quotient(linear_presentation).dimensions(
-                cross_check=True
-            ) == (5, 18)
+            assert verify_quotient(linear_presentation).dimensions() == (5, 18)
         assert build.call_count == 1
         assert check.call_count == 1
 
@@ -348,8 +361,7 @@ def test_cover_dimension_dominates(seed):
 @settings(max_examples=30, deadline=None)
 def test_cycle_complete_presentations_stay_put(seed):
     presentation = random_presentation(random.Random(seed))
-    star = build_star_quiver(presentation)
-    if star.maximal:
+    if maximal_paths(derive_successors(presentation)):
         return
     pair = symmetrize(presentation)
     assert pair.quiver == presentation.quiver
@@ -401,5 +413,5 @@ def test_binomial_presentations_through_the_cover(seed):
     presentation = with_long_binomials(rng, random_presentation(rng))
     certificate = verify_quotient(presentation)
     assert certificate.complete
-    dim, dim_star = certificate.dimensions(cross_check=True)
+    dim, dim_star = certificate.dimensions()
     assert dim <= dim_star
