@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
 from .quiver import MonomialAutomaton, Path, Quiver, compose
@@ -90,11 +90,6 @@ class Socle:
 
 
 BasisElement = Union[Idempotent, OnCyclePath, Socle]
-
-# A linear combination is a dict from basis elements to nonzero
-# coefficients of the caller's number type (int, Fraction, ...); the empty
-# dict is zero.
-LinearCombination = dict
 
 
 @dataclass
@@ -241,26 +236,6 @@ class CycleAlgebra:
         assert joined is not None
         return self._class_of(joined)
 
-    def multiply(self, x: Mapping, y: Mapping) -> dict:
-        """Bilinear extension of basis concatenation followed by reduction,
-        in the arithmetic of the coefficients given."""
-        out: dict = {}
-        for ex, cx in x.items():
-            for ey, cy in y.items():
-                ez = self._basis_product(ex, ey)
-                if ez is None:
-                    continue
-                total = out.get(ez, 0) + cx * cy
-                if total:
-                    out[ez] = total
-                else:
-                    out.pop(ez, None)
-        return out
-
-    def frobenius_form(self, x: Mapping):
-        """Sum of the socle coefficients; one on every full cycle power."""
-        return sum(c for element, c in x.items() if isinstance(element, Socle))
-
     def _factorizations(self) -> Iterator[tuple[int, int]]:
         """Basis index pairs (i, j) with x_i x_j a full power: e(v) with
         socle(v) both ways round, and F[:k] with F[k:] for the full power F
@@ -368,33 +343,27 @@ class CycleAlgebra:
 
         Every arrow must admit exactly one surviving composition on each
         side, and it must be the neighbouring arrow on the arrow's cycle.
+        One :meth:`Quiver.compositions` walk classifies each two-arrow
+        path once.
         """
-        q = self.pair.quiver
         following = self.pair.next_arrow
         preceding = {b: a for a, b in following.items()}
-        report = Report("multiserial-quotient")
+        successors, predecessors = self.pair.quiver.compositions(
+            lambda a, b: self._class_of(Path((a.name, b.name), (a.source, a.target, b.target)))
+            is not None
+        )
         problems = []
-        for arrow in sorted(q.arrows.values(), key=lambda a: a.name):
-            succ = [
-                b.name
-                for b in q.arrows_from(arrow.target)
-                if self.normal_form(q.path([arrow.name, b.name]))
-            ]
-            if succ != [following[arrow.name]]:
-                problems.append(
-                    f"{arrow.name} has surviving successors {succ}, "
-                    f"expected [{following[arrow.name]}]"
-                )
-            pred = [
-                c.name
-                for c in q.arrows_into(arrow.source)
-                if self.normal_form(q.path([c.name, arrow.name]))
-            ]
-            if pred != [preceding[arrow.name]]:
-                problems.append(
-                    f"{arrow.name} has surviving predecessors {pred}, "
-                    f"expected [{preceding[arrow.name]}]"
-                )
+        for name in successors:
+            for side, found, expected in (
+                ("successors", successors[name], following[name]),
+                ("predecessors", predecessors[name], preceding[name]),
+            ):
+                names = [a.name for a in found]
+                if names != [expected]:
+                    problems.append(
+                        f"{name} has surviving {side} {names}, expected [{expected}]"
+                    )
+        report = Report("multiserial-quotient")
         report.add("multiserial-quotient", not problems, "; ".join(problems))
         return report
 

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .quiver import (
@@ -34,8 +35,8 @@ class DefiningPair:
 
     ``cycles`` holds every rotation explicitly; ``mult`` maps each cycle's
     arrow tuple to its multiplicity.  Construction checks only structural
-    sanity; the axioms live in :func:`validate` so that invalid systems can
-    be represented and reported on.
+    sanity; :attr:`axioms` reports on the axioms, so that invalid systems
+    can be represented and reported on.
     """
 
     def __init__(
@@ -70,24 +71,105 @@ class DefiningPair:
         return self._mult[cycle.arrows]
 
     @cached_property
-    def next_arrow(self) -> dict[str, str]:
-        """The arrow that follows each arrow on its cycle.
-
-        Read from the first two arrows of every stored rotation, so it is
-        complete and single-valued for a system passing :func:`validate`.
-        """
-        return {c.arrows[0]: c.arrows[1 % len(c)] for c in self.cycles}
+    def next_arrow(self) -> Mapping[str, str]:
+        """The arrow that follows each arrow on its cycle, read-only, as every
+        reader of a cover shares it.  Read from the first two arrows of every
+        stored rotation, so it is complete and single-valued for a system
+        passing :func:`validate`."""
+        return MappingProxyType({c.arrows[0]: c.arrows[1 % len(c)] for c in self.cycles})
 
     @cached_property
     def axioms(self) -> Report:
-        """The :func:`validate` report of this system, computed on first
-        use and shared by every reader; :func:`validate` makes a fresh one."""
-        return validate(self)
+        """The report on the five axioms, with witnesses on failure, made on
+        first use and shared by every reader.  Rotation classes are keyed by
+        :func:`canonical_rotation` as integer ids, so the checks cost
+        O(sum of cycle lengths); only a failing class enumerates rotations,
+        for witnesses."""
+        report = Report("cycle-system-axioms")
+
+        bad_loops = [
+            str(c) for c in self.cycles if len(c) == 1 and self.mu(c) == 1
+        ]
+        report.add(
+            "loop-multiplicity",
+            not bad_loops,
+            "" if not bad_loops else "loops need multiplicity > 1: " + ", ".join(bad_loops),
+        )
+
+        ids: dict[tuple[str, ...], int] = {}
+        class_of = [ids.setdefault(canonical_rotation(c).arrows, len(ids)) for c in self.cycles]
+        members = Counter(class_of)
+        unclosed = {k for k, key in enumerate(ids) if members[k] != len(key)}
+        mult = {k: self.mu(c) for k, c in zip(class_of, self.cycles)}
+        uneven_classes = {k for k, c in zip(class_of, self.cycles) if self.mu(c) != mult[k]}
+
+        present = {c.arrows for c in self.cycles}
+        missing_rotations = [
+            f"{r} (rotation of {c})"
+            for k, c in zip(class_of, self.cycles) if k in unclosed
+            for r in rotations(c) if r.arrows not in present
+        ]
+        report.add("rotation-closure", not missing_rotations, "; ".join(missing_rotations))
+
+        uneven = [
+            f"{c} has {self.mu(c)}, rotation {r} has {self.mu(r)}"
+            for k, c in zip(class_of, self.cycles) if k in uneven_classes
+            for r in rotations(c) if r.arrows in present and self.mu(r) != self.mu(c)
+        ]
+        report.add("class-multiplicity", not uneven, "; ".join(uneven))
+
+        covered = {a for c in self.cycles for a in c.arrows}
+        uncovered = sorted(set(self.quiver.arrows) - covered)
+        report.add(
+            "arrow-coverage",
+            not uncovered,
+            "" if not uncovered else "arrows on no cycle: " + ", ".join(uncovered),
+        )
+
+        first_class: dict[str, int] = {}
+        conflicts = sorted({
+            a
+            for k, c in zip(class_of, self.cycles)
+            for a in c.arrows
+            if first_class.setdefault(a, k) != k
+        })
+        report.add(
+            "unique-class-per-arrow",
+            not conflicts,
+            "" if not conflicts else "arrows on two distinct classes: " + ", ".join(conflicts),
+        )
+
+        return report
 
     @cached_property
     def relations(self) -> RelationSet:
-        """This system's :func:`generate_relations`, made once and shared."""
-        return generate_relations(self)
+        """The full (possibly redundant) generating set of the ideal, made on
+        first use and shared; requires a system passing :func:`validate`.
+        Two-arrow paths count as on-cycle when they travel a cycle
+        cyclically, so the square of a loop with multiplicity above one is
+        not a relation."""
+        self.require_valid()
+
+        full = [cycle_power(c, self.mu(c)) for c in self.cycles]
+        at: dict[str, list[Path]] = {v: [] for v in self.quiver.vertices}
+        for power in full:
+            at[power.source].append(power)
+        type1 = [both for at_v in at.values() for both in combinations(at_v, 2)]
+        type2 = [
+            Path(power.arrows + power.arrows[:1], power.vertices + power.vertices[1:2])
+            for power in full
+        ]
+
+        # Every arrow lies on exactly one rotation class, so ab travels a cycle
+        # exactly when b follows a there.
+        following = self.next_arrow
+        type3 = [
+            p
+            for p in self.quiver.length_two_paths()
+            if following[p.arrows[0]] != p.arrows[1]
+        ]
+
+        return RelationSet(tuple(type1), tuple(type2), tuple(type3))
 
     def require_valid(self) -> None:
         """Raise :class:`ValueError` naming the failed axioms, if any."""
@@ -145,67 +227,11 @@ def close_under_rotation(
 
 
 def validate(pair: DefiningPair) -> Report:
-    """Check the five axioms of a cycle system, with witnesses on failure.
-
-    Keys each stored cycle's rotation class by :func:`canonical_rotation`,
-    numbered by integer ids, so the checks cost O(sum of cycle lengths);
-    only the cycles of a failing class enumerate rotations, for witnesses.
-    """
-    report = Report("cycle-system-axioms")
-
-    bad_loops = [
-        str(c) for c in pair.cycles if len(c) == 1 and pair.mu(c) == 1
-    ]
-    report.add(
-        "loop-multiplicity",
-        not bad_loops,
-        "" if not bad_loops else "loops need multiplicity > 1: " + ", ".join(bad_loops),
-    )
-
-    ids: dict[tuple[str, ...], int] = {}
-    class_of = [ids.setdefault(canonical_rotation(c).arrows, len(ids)) for c in pair.cycles]
-    members = Counter(class_of)
-    unclosed = {k for k, key in enumerate(ids) if members[k] != len(key)}
-    mult = {k: pair.mu(c) for k, c in zip(class_of, pair.cycles)}
-    uneven_classes = {k for k, c in zip(class_of, pair.cycles) if pair.mu(c) != mult[k]}
-
-    present = {c.arrows for c in pair.cycles}
-    missing_rotations = [
-        f"{r} (rotation of {c})"
-        for k, c in zip(class_of, pair.cycles) if k in unclosed
-        for r in rotations(c) if r.arrows not in present
-    ]
-    report.add("rotation-closure", not missing_rotations, "; ".join(missing_rotations))
-
-    uneven = [
-        f"{c} has {pair.mu(c)}, rotation {r} has {pair.mu(r)}"
-        for k, c in zip(class_of, pair.cycles) if k in uneven_classes
-        for r in rotations(c) if r.arrows in present and pair.mu(r) != pair.mu(c)
-    ]
-    report.add("class-multiplicity", not uneven, "; ".join(uneven))
-
-    covered = {a for c in pair.cycles for a in c.arrows}
-    uncovered = sorted(set(pair.quiver.arrows) - covered)
-    report.add(
-        "arrow-coverage",
-        not uncovered,
-        "" if not uncovered else "arrows on no cycle: " + ", ".join(uncovered),
-    )
-
-    first_class: dict[str, int] = {}
-    conflicts = sorted({
-        a
-        for k, c in zip(class_of, pair.cycles)
-        for a in c.arrows
-        if first_class.setdefault(a, k) != k
-    })
-    report.add(
-        "unique-class-per-arrow",
-        not conflicts,
-        "" if not conflicts else "arrows on two distinct classes: " + ", ".join(conflicts),
-    )
-
-    return report
+    """Check the five axioms of a cycle system, with witnesses on failure:
+    a copy of :attr:`DefiningPair.axioms`, derived once per system, that the
+    caller may change freely."""
+    axioms = pair.axioms
+    return Report(axioms.title, list(axioms.checks), list(axioms.warnings))
 
 
 @dataclass(frozen=True)
@@ -230,34 +256,9 @@ class RelationSet:
 
 
 def generate_relations(pair: DefiningPair) -> RelationSet:
-    """Emit the full (possibly redundant) generating set of the ideal.
-
-    Requires a system passing :func:`validate`.  Two-arrow paths count as
-    on-cycle when they travel a cycle cyclically, so the square of a loop
-    with multiplicity above one is not a relation.
-    """
-    pair.require_valid()
-
-    full = [cycle_power(c, pair.mu(c)) for c in pair.cycles]
-    at: dict[str, list[Path]] = {v: [] for v in pair.quiver.vertices}
-    for power in full:
-        at[power.source].append(power)
-    type1 = [both for at_v in at.values() for both in combinations(at_v, 2)]
-    type2 = [
-        Path(power.arrows + power.arrows[:1], power.vertices + power.vertices[1:2])
-        for power in full
-    ]
-
-    # Every arrow lies on exactly one rotation class, so ab travels a cycle
-    # exactly when b follows a there.
-    following = pair.next_arrow
-    type3 = [
-        p
-        for p in pair.quiver.length_two_paths()
-        if following[p.arrows[0]] != p.arrows[1]
-    ]
-
-    return RelationSet(tuple(type1), tuple(type2), tuple(type3))
+    """The relations of a cycle system passing :func:`validate`: the
+    immutable :attr:`DefiningPair.relations`, generated once per system."""
+    return pair.relations
 
 
 def nilpotency_bound(pair: DefiningPair) -> int:

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .cycle_algebra import DEFAULT_MAX_PATHS
-from .quiver import MonomialAutomaton, Path, Quiver, canonical_rotation
+from .quiver import Arrow, MonomialAutomaton, Path, Quiver, canonical_rotation
 from .report import Report
 
 
@@ -53,13 +53,13 @@ class Presentation:
                     f"binomial generator is not uniform: {p} and {q} "
                     "have different endpoints"
                 )
-        quadratic = frozenset(p.arrows for p in self.zero_paths if len(p) == 2)
+        quadratic = frozenset(p.arrows for p in self.zero_paths if len(p.arrows) == 2)
         object.__setattr__(self, "_quadratic", quadratic)
 
     def _check_generator(self, p: Path) -> None:
         if not self.quiver.contains_path(p):
             raise ValueError(f"generator {p} is not a path of the quiver")
-        if len(p) < 2:
+        if len(p.arrows) < 2:
             raise ValueError(f"generator {p} has length < 2; the ideal must be admissible")
 
     def quadratic_in_ideal(self, a: str, b: str) -> bool:
@@ -83,8 +83,8 @@ class Presentation:
             raise MultiserialConditionError(
                 f"presentation violates the multiserial condition: {failed}"
             )
-        sigma = {a: after[0] if after else None for a, after in successors.items()}
-        tau = {b: before[0] if before else None for b, before in predecessors.items()}
+        sigma = {a: after[0].name if after else None for a, after in successors.items()}
+        tau = {b: before[0].name if before else None for b, before in predecessors.items()}
         return SuccessorTables(self.quiver, sigma, tau)
 
 
@@ -146,9 +146,10 @@ class OrbitData:
 
 def _surviving_compositions(
     presentation: Presentation,
-) -> tuple[Report, dict[str, list[str]], dict[str, list[str]]]:
+) -> tuple[Report, dict[str, list[Arrow]], dict[str, list[Arrow]]]:
     """The multiserial-condition report, with each arrow's surviving
-    successors and predecessors in the quiver's adjacency order."""
+    successors and predecessors in name order, from one
+    :meth:`Quiver.compositions` walk that tests each two-arrow path once."""
     q = presentation.quiver
     report = Report("multiserial-condition")
     if not q.is_connected():
@@ -156,34 +157,18 @@ def _surviving_compositions(
             "quiver is disconnected; constructions proceed blockwise but the "
             "algebra is decomposable"
         )
-    successors: dict[str, list[str]] = {}
-    predecessors: dict[str, list[str]] = {}
-    violations = 0
-    for arrow in sorted(q.arrows.values(), key=lambda a: a.name):
-        after = successors[arrow.name] = [
-            b.name
-            for b in q.arrows_from(arrow.target)
-            if not presentation.quadratic_in_ideal(arrow.name, b.name)
-        ]
-        if len(after) > 1:
-            violations += 1
-            report.add(
-                f"unique-successor({arrow.name})",
-                False,
-                "surviving compositions with " + ", ".join(after),
-            )
-        before = predecessors[arrow.name] = [
-            c.name
-            for c in q.arrows_into(arrow.source)
-            if not presentation.quadratic_in_ideal(c.name, arrow.name)
-        ]
-        if len(before) > 1:
-            violations += 1
-            report.add(
-                f"unique-predecessor({arrow.name})",
-                False,
-                "surviving compositions with " + ", ".join(before),
-            )
+    successors, predecessors = q.compositions(
+        lambda a, b: not presentation.quadratic_in_ideal(a.name, b.name)
+    )
+    for name in successors:
+        for side, found in (("successor", successors[name]), ("predecessor", predecessors[name])):
+            if len(found) > 1:
+                report.add(
+                    f"unique-{side}({name})",
+                    False,
+                    "surviving compositions with " + ", ".join(a.name for a in found),
+                )
+    violations = len(report.checks)
     report.add(
         "multiserial-condition",
         violations == 0,

@@ -9,7 +9,8 @@ cyclic-subword tests never have to consult the quiver again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ class Quiver:
 
     Construction indexes the arrows out of and into each vertex in name
     order, in O(A log A); its readers return copies, linear in their length.
+    ``arrows`` is a read-only view, since every reader of a presentation
+    shares its quivers.
     """
 
     def __init__(
@@ -77,16 +80,17 @@ class Quiver:
                 raise ValueError(f"duplicate vertex {v!r}")
             seen.add(v)
         self._vertex_set = frozenset(self.vertices)
-        self.arrows: dict[str, Arrow] = {}
+        self._arrows: dict[str, Arrow] = {}
         for name, source, target in arrows:
-            if name in self.arrows:
+            if name in self._arrows:
                 raise ValueError(f"duplicate arrow name {name!r}")
             if source not in self._vertex_set:
                 raise ValueError(f"arrow {name!r} starts at undeclared vertex {source!r}")
             if target not in self._vertex_set:
                 raise ValueError(f"arrow {name!r} ends at undeclared vertex {target!r}")
-            self.arrows[name] = Arrow(name, source, target)
-        self._by_name = sorted(self.arrows.values(), key=lambda a: a.name)
+            self._arrows[name] = Arrow(name, source, target)
+        self.arrows: Mapping[str, Arrow] = MappingProxyType(self._arrows)
+        self._by_name = sorted(self._arrows.values(), key=lambda a: a.name)
         self._out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         self._in: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for arrow in self._by_name:
@@ -105,7 +109,7 @@ class Quiver:
 
     def arrow(self, name: str) -> Arrow:
         try:
-            return self.arrows[name]
+            return self._arrows[name]
         except KeyError:
             raise ValueError(f"unknown arrow {name!r}") from None
 
@@ -134,10 +138,10 @@ class Quiver:
 
     def contains_path(self, p: Path) -> bool:
         """Whether ``p`` is a valid path of this quiver, itinerary included."""
-        if p.is_trivial:
+        if not p.arrows:
             return p.source in self._vertex_set
         for i, name in enumerate(p.arrows):
-            arrow = self.arrows.get(name)
+            arrow = self._arrows.get(name)
             if arrow is None:
                 return False
             if arrow.source != p.vertices[i] or arrow.target != p.vertices[i + 1]:
@@ -150,27 +154,44 @@ class Quiver:
     def arrows_into(self, vertex: str) -> list[Arrow]:
         return list(self._in.get(vertex, ()))
 
+    def compositions(
+        self, survives: Callable[[Arrow, Arrow], bool]
+    ) -> tuple[dict[str, list[Arrow]], dict[str, list[Arrow]]]:
+        """By each arrow's name, the arrows b after it and c before it whose
+        composition survives: ``survives(a, b)``, ``survives(c, a)``.  One
+        walk over the composable pairs in name order asks ``survives`` once
+        per pair, so both lists are in name order, as :meth:`arrows_from`
+        and :meth:`arrows_into` give them."""
+        after: dict[str, list[Arrow]] = {a.name: [] for a in self._by_name}
+        before: dict[str, list[Arrow]] = {a.name: [] for a in self._by_name}
+        for a in self._by_name:
+            kept = after[a.name]
+            for b in self._out[a.target]:
+                if survives(a, b):
+                    kept.append(b)
+                    before[b.name].append(a)
+        return after, before
+
     def length_two_paths(self) -> list[Path]:
         """All composable two-arrow paths, ordered by their arrow names, in
         time linear in their number."""
+        after, _ = self.compositions(lambda a, b: True)
         return [
             Path((a.name, b.name), (a.source, a.target, b.target))
             for a in self._by_name
-            for b in self._out[a.target]
+            for b in after[a.name]
         ]
 
     def is_connected(self) -> bool:
-        """Connectivity of the underlying undirected graph."""
+        """Connectivity of the underlying undirected graph, searched along
+        the adjacency index."""
         if len(self.vertices) <= 1:
             return True
-        neighbors: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for arrow in self.arrows.values():
-            neighbors[arrow.source].add(arrow.target)
-            neighbors[arrow.target].add(arrow.source)
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            for w in neighbors[stack.pop()]:
+            v = stack.pop()
+            for w in [a.target for a in self._out[v]] + [a.source for a in self._in[v]]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

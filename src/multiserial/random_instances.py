@@ -13,13 +13,8 @@ from __future__ import annotations
 import random
 
 from .cycle_algebra import count_paths
-from .defining_pair import (
-    DefiningPair,
-    close_under_rotation,
-    nilpotency_bound,
-    validate,
-)
-from .presentation import Presentation, SuccessorTables
+from .defining_pair import DefiningPair, close_under_rotation, nilpotency_bound
+from .presentation import Presentation
 from .quiver import Path, Quiver
 
 
@@ -67,7 +62,7 @@ def tractable_defining_pair(
     fits the given budget, so that the dimension oracle stays desk-scale."""
     while True:
         pair = random_defining_pair(rng, max_vertices, max_arrows, max_mult)
-        if not validate(pair).passed:
+        if not pair.axioms.passed:
             continue
         if count_paths(pair.quiver, nilpotency_bound(pair) - 1, max_paths) > max_paths:
             continue
@@ -171,14 +166,3 @@ def _random_matching(rng: random.Random, quiver: Quiver) -> dict[str, str]:
             taken.add(choice)
     return matched
 
-
-def random_successor_tables(
-    rng: random.Random, max_vertices: int = 5, max_arrows: int = 8
-) -> SuccessorTables:
-    quiver = _random_quiver(rng, max_vertices, max_arrows)
-    matched = _random_matching(rng, quiver)
-    sigma = {name: matched.get(name) for name in quiver.arrows}
-    tau: dict[str, str | None] = {name: None for name in quiver.arrows}
-    for a, b in matched.items():
-        tau[b] = a
-    return SuccessorTables(quiver, sigma, tau)

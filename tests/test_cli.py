@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from multiserial import cli
 from multiserial import cycle_algebra as cycle_algebra_module
-from multiserial import defining_pair as defining_pair_module
 from multiserial import presentation as presentation_module
 from multiserial.cli import (
     COMMAND_TABLE,
@@ -32,6 +31,7 @@ from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
 )
+from test_defining_pair import spy_on_derivation
 
 # The package exports the function ``symmetrize`` under the module's name.
 symmetrize_module = importlib.import_module("multiserial.symmetrize")
@@ -369,22 +369,23 @@ class TestRunCommand:
 
     def test_verify_quotient_derives_each_stage_once(self):
         # a name read in two modules gets one spy, patched into both; the
-        # closure counts cover builds, as symmetrize is a cached read
+        # closure counts cover builds, as symmetrize is a cached read, and
+        # the cover's axioms and relations are counted where they are derived
         places = [
             (symmetrize_module, "derive_successors"),
             (symmetrize_module, "close_under_rotation"),
             (symmetrize_module, "symmetrize"),
-            (defining_pair_module, "generate_relations"),
             (symmetrize_module, "oracle_dimension"),
             (cycle_algebra_module, "oracle_dimension"),
             (cycle_algebra_module, "closed_form_dimension"),
-            (defining_pair_module, "validate"),
         ]
         spies: dict[str, mock.Mock] = {}
         with contextlib.ExitStack() as stack:
             for module, name in places:
                 spy = spies.setdefault(name, mock.Mock(wraps=getattr(module, name)))
                 stack.enter_context(mock.patch.object(module, name, spy))
+            for name in ("axioms", "relations"):
+                spies[name] = stack.enter_context(spy_on_derivation(name))
             result = run_command("verify-quotient", parse_document(A3_TEXT))
         assert result.report.passed
         # the oracle runs once on each algebra: the presented one and its cover

@@ -30,6 +30,8 @@ from multiserial import (
 )
 from multiserial import cycle_algebra
 from multiserial.quiver import MonomialAutomaton
+from multiserial.report import Report
+from test_defining_pair import spy_on_derivation
 from multiserial.random_instances import (
     random_defining_pair,
     random_presentation,
@@ -37,6 +39,63 @@ from multiserial.random_instances import (
 )
 
 ONE = Fraction(1)
+
+
+def multiply(alg: CycleAlgebra, x: dict, y: dict) -> dict:
+    """Bilinear extension of the basis product of ``alg`` to linear
+    combinations, dicts from basis elements to nonzero coefficients of
+    the caller's number type; the empty dict is zero."""
+    out: dict = {}
+    for ex, cx in x.items():
+        for ey, cy in y.items():
+            ez = alg._basis_product(ex, ey)
+            if ez is None:
+                continue
+            total = out.get(ez, 0) + cx * cy
+            if total:
+                out[ez] = total
+            else:
+                out.pop(ez, None)
+    return out
+
+
+def frobenius_form(x: dict):
+    """Sum of the socle coefficients; one on every full cycle power."""
+    return sum(c for element, c in x.items() if isinstance(element, Socle))
+
+
+def reference_check_multiserial(alg: CycleAlgebra) -> Report:
+    """The two-sided form of :meth:`CycleAlgebra.check_multiserial`, kept as
+    the reference the one-walk scan must equal: it builds and reduces each
+    two-arrow path twice, once from each of its arrows."""
+    q = alg.pair.quiver
+    following = alg.pair.next_arrow
+    preceding = {b: a for a, b in following.items()}
+    report = Report("multiserial-quotient")
+    problems = []
+    for arrow in sorted(q.arrows.values(), key=lambda a: a.name):
+        succ = [
+            b.name
+            for b in q.arrows_from(arrow.target)
+            if alg.normal_form(q.path([arrow.name, b.name]))
+        ]
+        if succ != [following[arrow.name]]:
+            problems.append(
+                f"{arrow.name} has surviving successors {succ}, "
+                f"expected [{following[arrow.name]}]"
+            )
+        pred = [
+            c.name
+            for c in q.arrows_into(arrow.source)
+            if alg.normal_form(q.path([c.name, arrow.name]))
+        ]
+        if pred != [preceding[arrow.name]]:
+            problems.append(
+                f"{arrow.name} has surviving predecessors {pred}, "
+                f"expected [{preceding[arrow.name]}]"
+            )
+    report.add("multiserial-quotient", not problems, "; ".join(problems))
+    return report
 
 
 def kronecker_pair():
@@ -228,28 +287,28 @@ class TestMultiply:
         q = pair.quiver
         a = {OnCyclePath(q.path(["a"])): ONE}
         abar = {OnCyclePath(q.path(["abar"])): ONE}
-        assert alg.multiply(a, abar) == {OnCyclePath(q.path(["a", "abar"])): ONE}
+        assert multiply(alg, a, abar) == {OnCyclePath(q.path(["a", "abar"])): ONE}
 
     def test_socle_annihilates_radical(self, loop_mu2_pair, loop_quiver):
         alg = CycleAlgebra(loop_mu2_pair)
         socle = {Socle("v"): ONE}
         a = {OnCyclePath(loop_quiver.path(["a"])): ONE}
-        assert alg.multiply(socle, a) == {}
-        assert alg.multiply(a, socle) == {}
+        assert multiply(alg, socle, a) == {}
+        assert multiply(alg, a, socle) == {}
 
     def test_idempotents_act_as_identities(self, loop_mu2_pair):
         alg = CycleAlgebra(loop_mu2_pair)
         socle = {Socle("v"): ONE}
         e = {Idempotent("v"): ONE}
-        assert alg.multiply(e, socle) == socle
-        assert alg.multiply(socle, e) == socle
+        assert multiply(alg, e, socle) == socle
+        assert multiply(alg, socle, e) == socle
 
     def test_bilinearity_collects_terms(self, loop_mu2_pair, loop_quiver):
         alg = CycleAlgebra(loop_mu2_pair)
         a = OnCyclePath(loop_quiver.path(["a"]))
         x = {a: Fraction(2), Idempotent("v"): Fraction(1)}
         y = {a: Fraction(1)}
-        assert alg.multiply(x, y) == {Socle("v"): Fraction(2), a: Fraction(1)}
+        assert multiply(alg, x, y) == {Socle("v"): Fraction(2), a: Fraction(1)}
 
     @pytest.mark.parametrize("seed", [3, 14, 159])
     def test_associative_on_sampled_triples(self, seed):
@@ -259,8 +318,8 @@ class TestMultiply:
         basis = alg.basis
         for _ in range(60):
             x, y, z = ({rng.choice(basis): ONE} for _ in range(3))
-            assert alg.multiply(alg.multiply(x, y), z) == alg.multiply(
-                x, alg.multiply(y, z)
+            assert multiply(alg, multiply(alg, x, y), z) == multiply(
+                alg, x, multiply(alg, y, z)
             )
 
     @pytest.mark.parametrize("maker", ["loop", "kronecker"])
@@ -269,24 +328,21 @@ class TestMultiply:
         alg = CycleAlgebra(pair)
         singletons = [{e: ONE} for e in alg.basis]
         for x, y, z in product(singletons, repeat=3):
-            assert alg.multiply(alg.multiply(x, y), z) == alg.multiply(
-                x, alg.multiply(y, z)
+            assert multiply(alg, multiply(alg, x, y), z) == multiply(
+                alg, x, multiply(alg, y, z)
             )
 
 
 class TestFrobeniusForm:
-    def test_socle_maps_to_one(self, loop_mu2_pair):
-        alg = CycleAlgebra(loop_mu2_pair)
-        assert alg.frobenius_form({Socle("v"): ONE}) == 1
+    def test_socle_maps_to_one(self):
+        assert frobenius_form({Socle("v"): ONE}) == 1
 
-    def test_idempotent_maps_to_zero(self, loop_mu2_pair):
-        alg = CycleAlgebra(loop_mu2_pair)
-        assert alg.frobenius_form({Idempotent("v"): ONE}) == 0
+    def test_idempotent_maps_to_zero(self):
+        assert frobenius_form({Idempotent("v"): ONE}) == 0
 
     def test_linearity_over_socles(self):
-        alg = CycleAlgebra(kronecker_pair())
         x = {Socle("1"): Fraction(3), Socle("2"): Fraction(-2)}
-        assert alg.frobenius_form(x) == 1
+        assert frobenius_form(x) == 1
 
 
 class TestGramMatrix:
@@ -459,6 +515,38 @@ class TestCheckMultiserial:
 
     def test_kronecker_star(self):
         assert CycleAlgebra(kronecker_pair()).check_multiserial().passed
+
+    def test_each_composition_is_classified_once(self):
+        alg = CycleAlgebra(kronecker_pair())
+        with mock.patch.object(
+            CycleAlgebra, "_class_of", autospec=True, side_effect=CycleAlgebra._class_of
+        ) as spy:
+            assert alg.check_multiserial().passed
+        asked = [call.args[1].arrows for call in spy.call_args_list]
+        assert asked == [p.arrows for p in alg.pair.quiver.length_two_paths()]
+
+    def test_failure_names_every_wrong_side(self):
+        # a b survives besides a abar, and abar a vanishes: a gains a second
+        # successor and b a second predecessor, a and abar lose theirs
+        alg = CycleAlgebra(kronecker_pair())
+        original = CycleAlgebra._class_of
+
+        def misread(self, path):
+            if path.arrows == ("a", "b"):
+                return OnCyclePath(path)
+            if path.arrows == ("abar", "a"):
+                return None
+            return original(self, path)
+
+        with mock.patch.object(CycleAlgebra, "_class_of", misread):
+            report = alg.check_multiserial()
+            assert report == reference_check_multiserial(alg)
+        assert report.check("multiserial-quotient").witness == (
+            "a has surviving successors ['abar', 'b'], expected [abar]; "
+            "a has surviving predecessors [], expected [abar]; "
+            "abar has surviving successors [], expected [a]; "
+            "b has surviving predecessors ['a', 'bbar'], expected [bbar]"
+        )
 
 
 class TestOracle:
@@ -724,3 +812,31 @@ def test_paths_at_the_bound_reduce_to_zero(seed):
     for p in paths:
         if len(p) == bound:
             assert alg.normal_form(p) == {}
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_check_multiserial_matches_the_two_sided_reference(seed):
+    # covers of presentations share vertices between cycles and carry
+    # return arrows, which tractable_defining_pair never draws
+    rng = random.Random(seed)
+    for pair in (tractable_defining_pair(rng), symmetrize(random_presentation(rng))):
+        alg = CycleAlgebra(pair)
+        assert alg.check_multiserial() == reference_check_multiserial(alg)
+
+
+def test_cycles_acceptance_sequence_derives_each_fact_once(two_cycle_mu3_pair):
+    # the operation of the cycles-acceptance benchmark, in its order
+    pair = two_cycle_mu3_pair
+    with spy_on_derivation("axioms") as axioms, spy_on_derivation("relations") as relations:
+        assert validate(pair).passed
+        alg = CycleAlgebra(pair)
+        generated = generate_relations(pair)
+        dimension = oracle_dimension(
+            pair.quiver, generated.linear_relations(), nilpotency_bound(pair)
+        )
+        assert dimension == alg.dimension == 14
+        assert alg.gram_matrix().is_permutation
+        assert alg.check_trace_symmetry().passed
+        assert alg.check_multiserial().passed
+    assert (axioms.call_count, relations.call_count) == (1, 1)

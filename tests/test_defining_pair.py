@@ -1,4 +1,6 @@
+import contextlib
 import random
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiserial import (
+    CycleAlgebra,
     DefiningPair,
     Path,
     Quiver,
@@ -20,6 +23,17 @@ from multiserial import (
 from multiserial import defining_pair as defining_pair_module
 from multiserial.random_instances import random_defining_pair, random_presentation
 from test_quiver import lies_in
+
+
+@contextlib.contextmanager
+def spy_on_derivation(name: str):
+    """Count the runs of the body of ``DefiningPair.<name>``, a cached
+    property, over every system; cached reads do not run it."""
+    spy = mock.Mock(wraps=DefiningPair.__dict__[name].func)
+    counted = cached_property(spy)
+    counted.__set_name__(DefiningPair, name)
+    with mock.patch.object(DefiningPair, name, counted):
+        yield spy
 
 
 def reference_validate(pair: DefiningPair) -> Report:
@@ -175,6 +189,34 @@ class TestValidate:
         pair = DefiningPair(Quiver(["v"]), [], {})
         assert validate(pair).passed
 
+    def test_axioms_are_derived_once_per_system(self, loop_mu2_pair):
+        with spy_on_derivation("axioms") as spy:
+            first, second = validate(loop_mu2_pair), validate(loop_mu2_pair)
+            loop_mu2_pair.require_valid()
+        assert spy.call_count == 1
+        assert first == second == loop_mu2_pair.axioms
+
+    def test_returned_report_is_the_callers_own(self, loop_mu2_pair):
+        report = validate(loop_mu2_pair)
+        report.add("planted", False, "written by a caller")
+        report.checks[0] = report.checks[-1]
+        report.warn("planted")
+        again = validate(loop_mu2_pair)
+        assert again.passed and not again.warnings
+        assert [c.name for c in again.checks] == [
+            "loop-multiplicity",
+            "rotation-closure",
+            "class-multiplicity",
+            "arrow-coverage",
+            "unique-class-per-arrow",
+        ]
+        assert CycleAlgebra(loop_mu2_pair).dimension == 3
+
+    def test_next_arrow_refuses_writes(self, two_cycle_mu3_pair):
+        with pytest.raises(TypeError):
+            two_cycle_mu3_pair.next_arrow["a"] = "a"
+        assert two_cycle_mu3_pair.next_arrow == {"a": "b", "b": "a"}
+
 
 class TestCloseUnderRotation:
     def test_generates_all_rotations(self, two_cycle_quiver):
@@ -243,6 +285,20 @@ class TestGenerateRelations:
         pair = DefiningPair(loop_quiver, [loop_quiver.path(["a"])], {("a",): 1})
         with pytest.raises(ValueError, match="fails validation"):
             generate_relations(pair)
+
+    def test_relations_are_generated_once_per_system(self, two_cycle_mu3_pair):
+        pair = two_cycle_mu3_pair
+        with spy_on_derivation("relations") as spy:
+            assert generate_relations(pair) is generate_relations(pair) is pair.relations
+        assert spy.call_count == 1
+
+    def test_invalid_system_is_rejected_on_every_call(self, loop_quiver):
+        pair = DefiningPair(loop_quiver, [loop_quiver.path(["a"])], {("a",): 1})
+        with spy_on_derivation("relations") as spy:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="fails validation"):
+                    generate_relations(pair)
+        assert spy.call_count == 2
 
 
 class TestNilpotencyBound:

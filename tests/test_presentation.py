@@ -25,7 +25,12 @@ from multiserial import (
 )
 from multiserial import presentation as presentation_module
 from multiserial.cli import parse_document
-from multiserial.random_instances import random_presentation, random_successor_tables
+from multiserial.random_instances import (
+    _random_matching,
+    _random_quiver,
+    random_presentation,
+)
+from multiserial.report import Report
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
 ORBIT_CHECKS = [
@@ -37,6 +42,70 @@ ORBIT_CHECKS = [
     "maximal-path-determined-by-arrow",
     "maximal-path-length-formula",
 ]
+
+
+
+def random_successor_tables(
+    rng: random.Random, max_vertices: int = 5, max_arrows: int = 8
+) -> SuccessorTables:
+    """Tables read off a random partial successor matching on a random
+    quiver, with no presentation behind them."""
+    quiver = _random_quiver(rng, max_vertices, max_arrows)
+    matched = _random_matching(rng, quiver)
+    sigma = {name: matched.get(name) for name in quiver.arrows}
+    tau: dict[str, str | None] = {name: None for name in quiver.arrows}
+    for a, b in matched.items():
+        tau[b] = a
+    return SuccessorTables(quiver, sigma, tau)
+
+
+def reference_surviving_compositions(
+    presentation: Presentation,
+) -> tuple[Report, dict[str, list[str]], dict[str, list[str]]]:
+    """The two-sided form of the multiserial-condition scan, kept as the
+    reference the one-walk scan must equal: it tests each two-arrow path
+    twice, once from each of its arrows."""
+    q = presentation.quiver
+    report = Report("multiserial-condition")
+    if not q.is_connected():
+        report.warn(
+            "quiver is disconnected; constructions proceed blockwise but the "
+            "algebra is decomposable"
+        )
+    successors: dict[str, list[str]] = {}
+    predecessors: dict[str, list[str]] = {}
+    violations = 0
+    for arrow in sorted(q.arrows.values(), key=lambda a: a.name):
+        after = successors[arrow.name] = [
+            b.name
+            for b in q.arrows_from(arrow.target)
+            if not presentation.quadratic_in_ideal(arrow.name, b.name)
+        ]
+        if len(after) > 1:
+            violations += 1
+            report.add(
+                f"unique-successor({arrow.name})",
+                False,
+                "surviving compositions with " + ", ".join(after),
+            )
+        before = predecessors[arrow.name] = [
+            c.name
+            for c in q.arrows_into(arrow.source)
+            if not presentation.quadratic_in_ideal(c.name, arrow.name)
+        ]
+        if len(before) > 1:
+            violations += 1
+            report.add(
+                f"unique-predecessor({arrow.name})",
+                False,
+                "surviving compositions with " + ", ".join(before),
+            )
+    report.add(
+        "multiserial-condition",
+        violations == 0,
+        "" if violations == 0 else f"{violations} arrow(s) violate the condition",
+    )
+    return report, successors, predecessors
 
 
 class TestPresentationConstruction:
@@ -92,6 +161,27 @@ class TestMultiserialCondition:
         report = check_multiserial_condition(Presentation(q, (), (), 2))
         assert report.passed
         assert any("disconnected" in w for w in report.warnings)
+
+    def test_each_composition_is_tested_once(self):
+        # a branching quiver, so both sides see several candidates
+        q = Quiver(
+            ["1", "2", "3"],
+            [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "2"), ("d", "3", "2")],
+        )
+        p = Presentation(q, (), (), 3)
+        with mock.patch.object(
+            Presentation,
+            "quadratic_in_ideal",
+            autospec=True,
+            side_effect=Presentation.quadratic_in_ideal,
+        ) as spy:
+            report = check_multiserial_condition(p)
+        asked = [call.args[1:] for call in spy.call_args_list]
+        assert asked == [path.arrows for path in q.length_two_paths()]
+        assert report == reference_surviving_compositions(p)[0]
+        assert report.check("unique-predecessor(c)").witness == (
+            "surviving compositions with a, c, d"
+        )
 
 
 class TestDeriveSuccessors:
@@ -316,6 +406,21 @@ def test_derived_tables_are_mutually_inverse(seed):
     for b, a in tables.tau.items():
         if a is not None:
             assert tables.sigma[a] == b
+
+
+@given(st.integers(0, 10**9), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_surviving_compositions_match_the_two_sided_reference(seed, keep_every):
+    # Keeping only every k-th zero path lets compositions survive that the
+    # drawn matching killed, so many draws break the multiserial condition.
+    drawn = random_presentation(random.Random(seed))
+    zero_paths = drawn.zero_paths[::keep_every] if keep_every else ()
+    p = Presentation(drawn.quiver, zero_paths, drawn.equal_pairs, drawn.nilpotency)
+    report, successors, predecessors = presentation_module._surviving_compositions(p)
+    expected = reference_surviving_compositions(p)
+    assert report == expected[0]
+    assert {a: [b.name for b in after] for a, after in successors.items()} == expected[1]
+    assert {b: [a.name for a in before] for b, before in predecessors.items()} == expected[2]
 
 
 @given(st.integers(0, 10**9))

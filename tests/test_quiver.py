@@ -67,6 +67,16 @@ def random_simple_cycle(seed: int) -> Path:
 
 
 class TestQuiverConstruction:
+    def test_arrows_refuse_writes(self):
+        q = Quiver(["1", "2"], [("a", "1", "2")])
+        with pytest.raises(TypeError):
+            q.arrows["b"] = q.arrows["a"]
+        with pytest.raises(TypeError):
+            del q.arrows["a"]
+        assert list(q.arrows) == ["a"]
+        assert q == Quiver(["1", "2"], [("a", "1", "2")])
+        assert q != Quiver(["1", "2"], [("a", "2", "1")])
+
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ValueError, match="duplicate vertex"):
             Quiver(["1", "1"])
@@ -235,6 +245,33 @@ def test_adjacency_index_matches_brute_force(seed):
         for b in by_name
         if b.source == a.target
     ]
+
+
+@given(st.integers(0, 10**9))
+def test_compositions_ask_once_per_pair_and_match_both_sides(seed):
+    q = random_quiver(seed)
+    asked = []
+
+    def survives(a, b):
+        asked.append((a.name, b.name))
+        return (seed + sum(map(ord, a.name + b.name))) % 3 > 0
+
+    after, before = q.compositions(survives)
+    assert asked == [p.arrows for p in q.length_two_paths()]
+    for a in sorted(q.arrows.values(), key=lambda a: a.name):
+        assert after[a.name] == [b for b in q.arrows_from(a.target) if survives(a, b)]
+        assert before[a.name] == [c for c in q.arrows_into(a.source) if survives(c, a)]
+
+
+@given(st.integers(0, 10**9))
+def test_connectivity_matches_merging_the_arrow_ends(seed):
+    q = random_quiver(seed)
+    component = {v: {v} for v in q.vertices}
+    for arrow in q.arrows.values():
+        merged = component[arrow.source] | component[arrow.target]
+        for v in merged:
+            component[v] = merged
+    assert q.is_connected() == (len(component[q.vertices[0]]) == len(q.vertices))
 
 
 def test_adjacency_readers_return_fresh_lists():

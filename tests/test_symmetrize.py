@@ -26,7 +26,6 @@ from multiserial import (
     verify_quotient,
 )
 from multiserial import cycle_algebra as cycle_algebra_module
-from multiserial import defining_pair as defining_pair_module
 from multiserial import presentation as presentation_module
 from multiserial.random_instances import (
     radical_square_zero_presentation,
@@ -39,6 +38,7 @@ from multiserial.symmetrize import (
     LONG_PATH,
     STAR_PREFIX,
 )
+from test_defining_pair import spy_on_derivation
 
 # The package exports the function ``symmetrize`` under the module's name.
 symmetrize_module = importlib.import_module("multiserial.symmetrize")
@@ -88,6 +88,18 @@ class TestBuildStarQuiver:
         assert symmetrize(linear_presentation) is cover
         with pytest.raises(FrozenInstanceError):
             linear_presentation._cover = None
+
+    def test_shared_cover_refuses_writes(self, linear_presentation):
+        cover = symmetrize(linear_presentation)
+        with pytest.raises(TypeError):
+            del cover.quiver.arrows["star_b"]
+        with pytest.raises(TypeError):
+            cover.quiver.arrows["star_c"] = cover.quiver.arrows["star_b"]
+        with pytest.raises(TypeError):
+            cover.next_arrow["star_b"] = "a"
+        again = symmetrize(linear_presentation)
+        assert list(again.quiver.arrows) == ["a", "b", "star_a", "star_b"]
+        assert again.next_arrow == {"a": "star_a", "star_a": "a", "b": "star_b", "star_b": "b"}
 
     def test_reserved_name_collision_faults(self):
         q = Quiver(["1", "2"], [("a", "1", "2"), ("star_a", "2", "1")])
@@ -195,24 +207,16 @@ class TestVerifyQuotient:
 
     def test_cover_relations_are_generated_once(self, linear_presentation):
         # the certificate and the cover's oracle read one cached set
-        with mock.patch.object(
-            defining_pair_module, "generate_relations", wraps=generate_relations
-        ) as spy:
+        with spy_on_derivation("relations") as spy:
             certificate = verify_quotient(linear_presentation)
             assert certificate.dimensions() == (5, 18)
         assert spy.call_count == 1
 
     def test_cycle_system_is_validated_once(self, linear_presentation):
         # as the CLI's verify-quotient and oracle commands use the cover
-        spy = mock.Mock(wraps=validate)
-        with mock.patch.object(
-            defining_pair_module, "validate", spy
-        ), mock.patch.object(
-            symmetrize_module, "validate", spy, create=True
-        ), mock.patch.object(
-            cycle_algebra_module, "validate", spy, create=True
-        ):
+        with spy_on_derivation("axioms") as spy:
             pair = verify_quotient(linear_presentation).pair
+            assert validate(pair).passed
             CycleAlgebra(pair)
             generate_relations(pair)
         assert spy.call_count == 1
@@ -303,8 +307,6 @@ class TestDimensionComparison:
         spies = {
             (presentation_module, "_surviving_compositions"): 1,
             (symmetrize_module, "close_under_rotation"): 1,
-            # the explicit call below, and the cover's cached axioms
-            (defining_pair_module, "validate"): 2,
         }
         with contextlib.ExitStack() as stack:
             mocks = {
@@ -313,12 +315,15 @@ class TestDimensionComparison:
                 )
                 for module, name in spies
             }
+            axioms = stack.enter_context(spy_on_derivation("axioms"))
             tables = derive_successors(p)
             cover = symmetrize(p)
-            assert defining_pair_module.validate(cover).passed
+            assert validate(cover).passed
             certificate = verify_quotient(p)
             assert CycleAlgebra(cover).dimension == 18
         assert {key: spy.call_count for key, spy in mocks.items()} == spies
+        # the explicit validate and verify_quotient read one report
+        assert axioms.call_count == 1
         assert symmetrize(p) is certificate.pair is cover
         assert certificate.presentation.tables is tables
 
@@ -326,10 +331,9 @@ class TestDimensionComparison:
         # one cover serves the certificate and both dimensions; the closure
         # counts builds, past symmetrize's cached reads
         build = mock.Mock(wraps=close_under_rotation)
-        check = mock.Mock(wraps=validate)
         with mock.patch.object(
             symmetrize_module, "close_under_rotation", build
-        ), mock.patch.object(defining_pair_module, "validate", check):
+        ), spy_on_derivation("axioms") as check:
             assert verify_quotient(linear_presentation).dimensions() == (5, 18)
         assert build.call_count == 1
         assert check.call_count == 1
