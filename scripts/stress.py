@@ -2,9 +2,10 @@
 """Randomized stress runs beyond the sizes pinned in the test suite.
 
 Every drawn cycle system is checked for agreement between the closed-form
-dimension and the truncation oracle, a full-rank permutation Gram matrix,
-trace symmetry, and vanishing at the nilpotency bound; every presentation
-for a valid symmetrization, a complete quotient certificate, sound orbit
+dimension and the truncation oracle, a full-rank permutation Gram matrix
+whose every pairing is a full power when its path is walked, trace
+symmetry, and vanishing at the nilpotency bound; every presentation for a
+valid symmetrization, a complete quotient certificate, sound orbit
 structure, and dimension domination, with every cover's closed form held
 against the oracle.  Any failed check or fault, an exceeded oracle budget
 included, ends the run with a nonzero exit.
@@ -16,7 +17,11 @@ import time
 
 from multiserial import (
     CycleAlgebra,
+    Idempotent,
+    OnCyclePath,
+    Socle,
     check_orbit_structure,
+    compose,
     derive_successors,
     enumerate_paths,
     nilpotency_bound,
@@ -43,6 +48,13 @@ def stress_pairs(rng: random.Random, count: int) -> None:
         assert algebra.dimension == oracle, (index, algebra.dimension, oracle)
         gram = algebra.gram_matrix()
         assert gram.is_permutation and gram.rank == algebra.dimension, index
+        # each pairing's product, walked along the joined path
+        for x, y in ((gram.basis[i], gram.basis[j]) for i, j in enumerate(gram.dual)):
+            if isinstance(x, OnCyclePath) and isinstance(y, OnCyclePath):
+                walked = algebra.normal_form(compose(x.path, y.path))
+                assert [type(e) for e in walked] == [Socle], (index, x, y)
+            else:
+                assert {x, y} == {Idempotent(x.source), Socle(x.source)}, (index, x, y)
         assert algebra.check_trace_symmetry().passed, index
         assert algebra.check_multiserial().passed, index
         for p in enumerate_paths(pair.quiver, bound, 1_000_000):

@@ -2,19 +2,19 @@
 
 Two independent routes to the same algebra live here.  The closed form
 (:class:`CycleAlgebra`) counts the basis from the rotation classes, then
-enumerates it from the cycle structure and multiplies via normal forms.  A
-product of two basis elements is one basis element or zero, so no
-coefficient field is needed: the trace form takes the values 0 and 1 on
-basis pairs, and it pairs x with y exactly when x y is a full cycle power.
-The pairing is therefore read off the factorizations of the full powers,
-each checked by the product itself, as one dual index per basis element
-(none only when its vertex carries no arrow).  The oracle
-(:func:`oracle_dimension`) knows nothing of that structure: it closes the
-relations, each a path or a difference of two paths, under multiplication
-by arrows in a truncated path algebra, and counts the path classes that do
-not vanish; :func:`pair_oracle_dimension` runs it on a cycle system's
-generated relations.  Tests and the acceptance suite hold the two routes
-against each other.
+enumerates it from the cycle structure; two basis elements, walks along a
+cycle, multiply at their junction.  A product of two basis elements is one
+basis element or zero, so no coefficient field is needed: the trace form
+takes the values 0 and 1 on basis pairs, and it pairs x with y exactly
+when x y is a full cycle power.  The pairing is therefore read off the
+factorizations of the full powers, each checked by the product itself, as
+one dual index per basis element (none only when its vertex carries no
+arrow).  The oracle (:func:`oracle_dimension`) knows nothing of that
+structure: it closes the relations, each a path or a difference of two
+paths, under multiplication by arrows in a truncated path algebra, and
+counts the path classes that do not vanish; :func:`pair_oracle_dimension`
+runs it on a cycle system's generated relations.  Tests and the acceptance
+suite hold the two routes against each other.
 """
 
 from __future__ import annotations
@@ -222,7 +222,12 @@ class CycleAlgebra:
         return OnCyclePath(path)
 
     def _basis_product(self, x: BasisElement, y: BasisElement) -> BasisElement | None:
-        """The basis element x * y equals, or None when it vanishes."""
+        """The basis element x * y equals, or None when it vanishes.
+
+        Both factors must be basis elements: a proper one is a walk along one
+        cycle, fixed by its first arrow and length, so x y survives only when
+        y's first arrow follows x's last, up to the full power of x's cycle.
+        """
         if x.target != y.source:
             return None
         if isinstance(x, Idempotent):
@@ -232,9 +237,13 @@ class CycleAlgebra:
         if isinstance(x, Socle) or isinstance(y, Socle):
             # full powers already have maximal surviving length
             return None
-        joined = compose(x.path, y.path)
-        assert joined is not None
-        return self._class_of(joined)
+        if y.path.arrows[0] != self.pair.next_arrow[x.path.arrows[-1]]:
+            return None
+        length = len(x.path) + len(y.path)
+        full = self._full_length[x.path.arrows[0]]
+        if length == full:
+            return Socle(x.source)
+        return OnCyclePath(compose(x.path, y.path)) if length < full else None
 
     def _factorizations(self) -> Iterator[tuple[int, int]]:
         """Basis index pairs (i, j) with x_i x_j a full power: e(v) with
@@ -259,11 +268,12 @@ class CycleAlgebra:
         No pair outside :meth:`_factorizations` has a socle product.  An
         idempotent factor leaves the other factor, a socle only for e(v)
         with socle(v); a socle times anything but an idempotent vanishes;
-        two proper paths x, y give the class of the path x y, which by
-        :meth:`_class_of` is a socle exactly when x y is a full power F of
-        some cycle, so x = F[:k] and y = F[k:] with k = len(x).  Each listed
-        pair is checked by :meth:`_basis_product`, and a row hit twice is
-        raised: a basis element has one dual at most.
+        two proper paths x, y give the class of the path x y, which is a
+        socle exactly when x y is a full power F of some cycle, so x =
+        F[:k] and y = F[k:] with k = len(x).  :meth:`_basis_product` checks
+        each listed pair of basis elements from their end arrows and lengths,
+        not from the index arithmetic that listed them; a pair off the socle,
+        or a row hit twice, is raised: a basis element has one dual at most.
         """
         dual: list[int | None] = [None] * self.dimension
         for i, j in self._factorizations():

@@ -142,7 +142,8 @@ class QuotientCertificate:
         """(dimension of the presented algebra, dimension of its cover).
 
         The first is computed by the truncation oracle on the presentation's
-        generators, the second from the closed-form basis of the cover and
+        generators, the second is :attr:`CycleAlgebra.dimension`, counted
+        from the cover's rotation classes without building its basis, and
         confirmed by the oracle on the cover's relations.  The cover always
         dominates; a disagreement of the two routes, or a presented
         dimension above the cover's, raises :class:`RuntimeError` as an

@@ -41,14 +41,31 @@ from multiserial.random_instances import (
 ONE = Fraction(1)
 
 
+def reference_product(alg: CycleAlgebra, x, y):
+    """The basis element x * y equals, or None, by walking the joined path:
+    the reference :meth:`CycleAlgebra._basis_product` is held against, which
+    reads the junction of two walks instead."""
+    if x.target != y.source:
+        return None
+    if isinstance(x, Idempotent):
+        return y
+    if isinstance(y, Idempotent):
+        return x
+    if isinstance(x, Socle) or isinstance(y, Socle):
+        # full powers already have maximal surviving length
+        return None
+    [element] = alg.normal_form(compose(x.path, y.path)) or [None]
+    return element
+
+
 def multiply(alg: CycleAlgebra, x: dict, y: dict) -> dict:
-    """Bilinear extension of the basis product of ``alg`` to linear
+    """Bilinear extension of :func:`reference_product` to linear
     combinations, dicts from basis elements to nonzero coefficients of
     the caller's number type; the empty dict is zero."""
     out: dict = {}
     for ex, cx in x.items():
         for ey, cy in y.items():
-            ez = alg._basis_product(ex, ey)
+            ez = reference_product(alg, ex, ey)
             if ez is None:
                 continue
             total = out.get(ez, 0) + cx * cy
@@ -121,10 +138,10 @@ def four_cycle_pair(mu):
 
 
 def reference_gram(alg):
-    """form(x * y) over every ordered basis pair by the product itself: the
+    """form(x * y) over every ordered basis pair by the walked product: the
     dense scan the sparse pairing is held against."""
     return [
-        [int(isinstance(alg._basis_product(x, y), Socle)) for y in alg.basis]
+        [int(isinstance(reference_product(alg, x, y), Socle)) for y in alg.basis]
         for x in alg.basis
     ]
 
@@ -333,6 +350,31 @@ class TestMultiply:
             )
 
 
+def assert_products_equal_the_reference(alg):
+    basis = alg.basis
+    for x, y in product(basis, repeat=2):
+        assert alg._basis_product(x, y) == reference_product(alg, x, y), (x, y)
+
+
+class TestBasisProduct:
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_walk_on_random_systems(self, seed, from_presentation):
+        rng = random.Random(seed)
+        if from_presentation:
+            pair = symmetrize(random_presentation(rng))
+        else:
+            pair = tractable_defining_pair(rng, max_paths=2_000)
+        assert_products_equal_the_reference(CycleAlgebra(pair))
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4])
+    def test_equals_the_walk_on_the_four_cycle(self, mu):
+        assert_products_equal_the_reference(CycleAlgebra(four_cycle_pair(mu)))
+
+    def test_equals_the_walk_on_the_loop(self, loop_mu2_pair):
+        assert_products_equal_the_reference(CycleAlgebra(loop_mu2_pair))
+
+
 class TestFrobeniusForm:
     def test_socle_maps_to_one(self):
         assert frobenius_form({Socle("v"): ONE}) == 1
@@ -419,6 +461,28 @@ class TestGramMatrix:
         alg = CycleAlgebra(loop_mu2_pair)
         with mock.patch.object(CycleAlgebra, "_basis_product", lambda self, x, y: None):
             with pytest.raises(RuntimeError, match=r"e\(v\) \* socle\(v\) factors"):
+                alg.gram_matrix()
+
+    def test_pairing_walks_no_path(self):
+        alg = CycleAlgebra(four_cycle_pair(50))
+        with mock.patch.object(
+            CycleAlgebra, "_class_of", autospec=True, side_effect=CycleAlgebra._class_of
+        ) as walks, mock.patch.object(cycle_algebra, "compose", wraps=compose) as joins:
+            assert alg.gram_matrix().is_permutation
+            assert alg.check_trace_symmetry().passed
+        assert (walks.call_count, joins.call_count) == (0, 0)
+
+    def test_factorization_with_the_wrong_rotation_is_an_engine_bug(self):
+        # a abar a abar = a * (abar a abar); b bbar b starts at the same
+        # vertex and has the right length, but b does not follow a
+        alg = CycleAlgebra(kronecker_pair())
+        index = {str(x): i for i, x in enumerate(alg.basis)}
+        wrong = (index["a"], index["b bbar b"])
+        with mock.patch.object(CycleAlgebra, "_factorizations", lambda self: [wrong]):
+            with pytest.raises(
+                RuntimeError,
+                match=r"^a \* b bbar b factors a full power but is not a socle element",
+            ):
                 alg.gram_matrix()
 
     def test_dimension_3204_in_linear_work(self):
