@@ -5,8 +5,9 @@ Every drawn cycle system is checked for agreement between the closed-form
 dimension and the truncation oracle, a full-rank permutation Gram matrix
 whose every pairing is a full power when its path is walked, trace
 symmetry, and vanishing at the nilpotency bound; every presentation for a
-valid symmetrization, a complete quotient certificate, sound orbit
-structure, and dimension domination, with every cover's closed form held
+valid symmetrization, a complete quotient certificate with no failures
+and one generator entry per counted relation, sound orbit structure, and
+dimension domination, with every cover's closed form held
 against the oracle.  Any failed check or fault, an exceeded oracle budget
 included, ends the run with a nonzero exit.
 """
@@ -77,6 +78,8 @@ def stress_presentations(rng: random.Random, count: int) -> None:
         assert validate(symmetrize(presentation)).passed, index
         certificate = verify_quotient(presentation)
         assert certificate.complete, index
+        assert certificate.failures() == [], index
+        assert len(certificate.entries) == sum(certificate.counts().values()), index
         assert check_orbit_structure(derive_successors(presentation)).passed, index
         dim, dim_star = certificate.dimensions()
         assert dim <= dim_star, (index, dim, dim_star)

@@ -18,7 +18,9 @@ kept on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .cycle_algebra import (
     DEFAULT_MAX_PATHS,
@@ -27,12 +29,7 @@ from .cycle_algebra import (
     pair_oracle_dimension,
 )
 from .defining_pair import DefiningPair, close_under_rotation
-from .presentation import (
-    Presentation,
-    derive_successors,
-    maximal_paths,
-    simple_cycles,
-)
+from .presentation import Presentation, derive_successors, maximal_paths, simple_cycles
 from .quiver import Path, Quiver
 from .report import Report
 
@@ -119,24 +116,63 @@ class CertifiedGenerator:
 @dataclass
 class QuotientCertificate:
     """Per-generator evidence that the collapse of the generated ideal
-    lands in the presentation's ideal."""
+    lands in the presentation's ideal.
+
+    ``verdicts`` holds, family by family (type 1, 2, 3), one verdict per
+    generator, a pair of them for a binomial: a kind, and the return arrow
+    that kills the term or None.  :attr:`complete`, :meth:`failures` and
+    :meth:`counts` read only these; :attr:`entries` and their witness text
+    are built from them on first read and kept.
+    """
 
     presentation: Presentation
     pair: DefiningPair
-    entries: list[CertifiedGenerator] = field(default_factory=list)
+    verdicts: tuple[list, list, list]
 
-    @property
+    @cached_property
     def complete(self) -> bool:
-        return all(e.certified for e in self.entries)
+        type1, type2, type3 = self.verdicts
+        return all(kind != UNCERTIFIED for kind, _ in chain(*type1, type2, type3))
 
     def failures(self) -> list[CertifiedGenerator]:
-        return [e for e in self.entries if not e.certified]
+        return [] if self.complete else [e for e in self.entries if not e.certified]
 
     def counts(self) -> dict[str, int]:
-        out = {"type1": 0, "type2": 0, "type3": 0}
-        for e in self.entries:
-            out[e.relation_kind] += 1
+        return dict(zip(("type1", "type2", "type3"), self.pair.relations.counts()))
+
+    @cached_property
+    def entries(self) -> list[CertifiedGenerator]:
+        """The verdicts as text, one generator each, in the order of the
+        cover's relations."""
+        rel = self.pair.relations
+        type1, type2, type3 = self.verdicts
+        out: list[CertifiedGenerator] = []
+        for (u, w), (left, right) in zip(rel.type1, type1):
+            parts = self._justify("type1", u, left), self._justify("type1", w, right)
+            both = Justification(BINOMIAL_BOTH_TERMS, "", parts)
+            certified = UNCERTIFIED not in (left[0], right[0])
+            out.append(CertifiedGenerator("type1", f"{u} - {w}", both, certified))
+        for kind, family, verdicts in (("type2", rel.type2, type2), ("type3", rel.type3, type3)):
+            for p, verdict in zip(family, verdicts):
+                why = self._justify(kind, p, verdict)
+                out.append(CertifiedGenerator(kind, str(p), why, verdict[0] != UNCERTIFIED))
         return out
+
+    def _justify(self, relation_kind: str, path: Path, verdict: tuple) -> Justification:
+        kind, arrow = verdict
+        if kind == KILLED_BY_STAR_ARROW:
+            return Justification(kind, f"contains return arrow {arrow}")
+        if kind == LONG_PATH:
+            bound = self.presentation.nilpotency
+            return Justification(kind, f"image has length {len(path)} >= bound {bound}")
+        if kind == FORBIDDEN_QUADRATIC:
+            a, b = path.arrows
+            successor = self.presentation.tables.sigma[a]
+            stop = successor if successor is not None else "the stop marker"
+            return Justification(kind, f"successor of {a} is {stop}, not {b}")
+        if relation_kind == "type3":
+            return Justification(kind, f"composition {path} survives in the ideal")
+        return Justification(kind, f"image {path} survives the collapse and is short")
 
     def dimensions(self, max_paths: int = DEFAULT_MAX_PATHS) -> tuple[int, int]:
         """(dimension of the presented algebra, dimension of its cover).
@@ -173,35 +209,12 @@ class QuotientCertificate:
     def to_report(self) -> Report:
         report = Report("quotient-certificate")
         counts = self.counts()
-        report.add(
-            "certificate-complete",
-            self.complete,
-            f"{len(self.entries)} generators "
-            f"({counts['type1']} binomial, {counts['type2']} overrun, "
-            f"{counts['type3']} quadratic)",
-        )
+        detail = f"{sum(counts.values())} generators ({counts['type1']} binomial, "
+        detail += f"{counts['type2']} overrun, {counts['type3']} quadratic)"
+        report.add("certificate-complete", self.complete, detail)
         for entry in self.failures():
-            report.add(
-                f"uncertified({entry.relation})",
-                False,
-                entry.justification.detail,
-            )
+            report.add(f"uncertified({entry.relation})", False, entry.justification.detail)
         return report
-
-
-def _certify_monomial_term(path: Path, base: Quiver, nilpotency: int) -> Justification:
-    for name in path.arrows:
-        if name not in base.arrows:
-            return Justification(
-                KILLED_BY_STAR_ARROW, f"contains return arrow {name}"
-            )
-    if len(path) >= nilpotency:
-        return Justification(
-            LONG_PATH, f"image has length {len(path)} >= bound {nilpotency}"
-        )
-    return Justification(
-        UNCERTIFIED, f"image {path} survives the collapse and is short"
-    )
 
 
 def verify_quotient(presentation: Presentation) -> QuotientCertificate:
@@ -210,8 +223,10 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     Quadratic generators either contain a return arrow or map to a
     composition already declared dead; the other generators either contain
     a return arrow or map to paths at least as long as the nilpotency
-    bound.  An uncertifiable generator is reported, not raised, but would
-    indicate an engine or input-contract bug.
+    bound.  Each full power is judged once, from its cycle, and a binomial
+    reads its two powers' verdicts; :attr:`QuotientCertificate.entries`
+    builds the text on first read.  An uncertifiable generator is reported,
+    not raised, but would indicate an engine or input-contract bug.
     """
     pair = symmetrize(presentation)
     if not pair.axioms.passed:
@@ -221,44 +236,20 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
             "this is an engine bug"
         )
     relations = pair.relations
-    certificate = QuotientCertificate(presentation, pair)
-    base, N = presentation.quiver, presentation.nilpotency
+    returns = pair.quiver.arrows.keys() - presentation.quiver.arrows.keys()
 
-    for u, w in relations.type1:
-        left = _certify_monomial_term(u, base, N)
-        right = _certify_monomial_term(w, base, N)
-        ok = UNCERTIFIED not in (left.kind, right.kind)
-        certificate.entries.append(
-            CertifiedGenerator(
-                "type1",
-                f"{u} - {w}",
-                Justification(BINOMIAL_BOTH_TERMS, "", (left, right)),
-                ok,
-            )
-        )
+    def verdict(arrows: tuple[str, ...], length: int, quadratic: bool = False) -> tuple:
+        # the one place a kind is decided, with the return arrow that kills
+        if not returns.isdisjoint(arrows):
+            return KILLED_BY_STAR_ARROW, next(a for a in arrows if a in returns)
+        if quadratic:
+            dead = presentation.quadratic_in_ideal(*arrows)
+            return (FORBIDDEN_QUADRATIC if dead else UNCERTIFIED), None
+        return (LONG_PATH if length >= presentation.nilpotency else UNCERTIFIED), None
 
-    for p in relations.type2:
-        j = _certify_monomial_term(p, base, N)
-        certificate.entries.append(
-            CertifiedGenerator("type2", str(p), j, j.kind != UNCERTIFIED)
-        )
-
-    for p in relations.type3:
-        a, b = p.arrows
-        if a not in base.arrows or b not in base.arrows:
-            which = a if a not in base.arrows else b
-            j = Justification(KILLED_BY_STAR_ARROW, f"contains return arrow {which}")
-        elif presentation.quadratic_in_ideal(a, b):
-            successor = presentation.tables.sigma[a]
-            j = Justification(
-                FORBIDDEN_QUADRATIC,
-                f"successor of {a} is "
-                f"{successor if successor is not None else 'the stop marker'}, not {b}",
-            )
-        else:
-            j = Justification(UNCERTIFIED, f"composition {p} survives in the ideal")
-        certificate.entries.append(
-            CertifiedGenerator("type3", str(p), j, j.kind != UNCERTIFIED)
-        )
-
-    return certificate
+    # every arrow starts one rotation of its cycle, which fixes the full power
+    power = {c.arrows[0]: verdict(c.arrows, pair.mu(c) * len(c)) for c in pair.cycles}
+    type1 = [(power[u.arrows[0]], power[w.arrows[0]]) for u, w in relations.type1]
+    type2 = [verdict(p.arrows, len(p)) for p in relations.type2]
+    type3 = [verdict(p.arrows, 2, quadratic=True) for p in relations.type3]
+    return QuotientCertificate(presentation, pair, (type1, type2, type3))

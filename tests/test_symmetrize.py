@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiserial import (
+    CertifiedGenerator,
     CycleAlgebra,
+    Justification,
     MultiserialConditionError,
+    Path,
     Presentation,
     Quiver,
     close_under_rotation,
@@ -25,6 +28,7 @@ from multiserial import (
     validate,
     verify_quotient,
 )
+from multiserial import cli
 from multiserial import cycle_algebra as cycle_algebra_module
 from multiserial import presentation as presentation_module
 from multiserial.random_instances import (
@@ -37,11 +41,64 @@ from multiserial.symmetrize import (
     KILLED_BY_STAR_ARROW,
     LONG_PATH,
     STAR_PREFIX,
+    UNCERTIFIED,
 )
 from test_defining_pair import spy_on_derivation
 
 # The package exports the function ``symmetrize`` under the module's name.
 symmetrize_module = importlib.import_module("multiserial.symmetrize")
+
+
+def reference_certificate(presentation):
+    """The certificate's generators by the eager walk: every term of every
+    generator judged from its own arrows and given its text at once."""
+    pair = symmetrize(presentation)
+    base, bound = presentation.quiver, presentation.nilpotency
+
+    def term(path):
+        for name in path.arrows:
+            if name not in base.arrows:
+                return Justification(KILLED_BY_STAR_ARROW, f"contains return arrow {name}")
+        if len(path) >= bound:
+            return Justification(LONG_PATH, f"image has length {len(path)} >= bound {bound}")
+        return Justification(UNCERTIFIED, f"image {path} survives the collapse and is short")
+
+    entries = []
+    relations = pair.relations
+    for u, w in relations.type1:
+        left, right = term(u), term(w)
+        ok = UNCERTIFIED not in (left.kind, right.kind)
+        both = Justification(BINOMIAL_BOTH_TERMS, "", (left, right))
+        entries.append(CertifiedGenerator("type1", f"{u} - {w}", both, ok))
+    for p in relations.type2:
+        j = term(p)
+        entries.append(CertifiedGenerator("type2", str(p), j, j.kind != UNCERTIFIED))
+    for p in relations.type3:
+        a, b = p.arrows
+        if a not in base.arrows or b not in base.arrows:
+            which = a if a not in base.arrows else b
+            j = Justification(KILLED_BY_STAR_ARROW, f"contains return arrow {which}")
+        elif presentation.quadratic_in_ideal(a, b):
+            successor = presentation.tables.sigma[a]
+            j = Justification(
+                FORBIDDEN_QUADRATIC,
+                f"successor of {a} is "
+                f"{successor if successor is not None else 'the stop marker'}, not {b}",
+            )
+        else:
+            j = Justification(UNCERTIFIED, f"composition {p} survives in the ideal")
+        entries.append(CertifiedGenerator("type3", str(p), j, j.kind != UNCERTIFIED))
+    return entries
+
+
+def undersized_loop_cover():
+    """A loop a with nilpotency bound 5, given in its cover slot the
+    hand-built cover a^2: the overrun a a a is shorter than the bound and
+    has no return arrow, so it survives the collapse."""
+    q = Quiver(["v"], [("a", "v", "v")])
+    p = Presentation(q, (), (), 5)
+    object.__setattr__(p, "_cover", close_under_rotation(q, [(q.path(["a"]), 2)]))
+    return p
 
 
 class TestBuildStarQuiver:
@@ -221,6 +278,56 @@ class TestVerifyQuotient:
             generate_relations(pair)
         assert spy.call_count == 1
 
+    def test_undersized_cover_is_reported_not_raised(self):
+        certificate = verify_quotient(undersized_loop_cover())
+        assert not certificate.complete
+        assert certificate.failures() == [
+            CertifiedGenerator(
+                "type2",
+                "a a a",
+                Justification(UNCERTIFIED, "image a a a survives the collapse and is short"),
+                False,
+            )
+        ]
+        failed = [c for c in certificate.to_report().checks if not c.passed]
+        assert [(c.name, c.witness) for c in failed] == [
+            ("certificate-complete", "1 generators (0 binomial, 1 overrun, 0 quadratic)"),
+            ("uncertified(a a a)", "image a a a survives the collapse and is short"),
+        ]
+
+    def test_undersized_cover_fails_the_command(self, tmp_path, capsys):
+        # the command parses its own presentation, so symmetrize hands it the
+        # undersized cover; that cover's dimension 3 is below the presented 5,
+        # which the dimension comparison reports as an engine bug (exit 2), so
+        # a budget of one path skips that comparison with a warning
+        document = tmp_path / "loop.alg"
+        document.write_text(
+            "[quiver]\nvertices = v\narrow a = v -> v\n\n[presentation]\nnilpotency = 5\n"
+        )
+        cover = undersized_loop_cover()._cover
+        with mock.patch.object(symmetrize_module, "symmetrize", return_value=cover):
+            assert cli.main(["verify-quotient", str(document), "--max-paths", "1"]) == 1
+            assert "[FAIL] uncertified(a a a)" in capsys.readouterr().out
+            assert cli.main(["verify-quotient", str(document)]) == 2
+        assert "exceeds the cover's 3" in capsys.readouterr().err
+
+    def test_verdicts_build_no_text(self):
+        presentation = random_presentation(random.Random(1), 4, 40, 4)
+        with mock.patch.object(
+            symmetrize_module, "CertifiedGenerator", wraps=CertifiedGenerator
+        ) as built, mock.patch.object(
+            Path, "__str__", autospec=True, side_effect=Path.__str__
+        ) as printed:
+            certificate = verify_quotient(presentation)
+            assert certificate.complete
+            total = sum(certificate.counts().values())
+            assert total > 1000
+            assert built.call_count == 0 and printed.call_count == 0
+            entries = certificate.entries
+            assert certificate.entries is entries
+        assert built.call_count == len(entries) == total
+        assert printed.call_count > 0
+
     def test_arrowless_quiver_has_empty_certificate(self):
         p = Presentation(Quiver(["v"]), (), (), 2)
         certificate = verify_quotient(p)
@@ -351,6 +458,25 @@ def test_symmetrized_systems_validate(seed):
 def test_certificates_are_complete(seed):
     presentation = random_presentation(random.Random(seed))
     assert verify_quotient(presentation).complete
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_certificate_matches_the_eager_walk(seed):
+    rng = random.Random(seed)
+    draw = radical_square_zero_presentation if seed % 3 == 0 else random_presentation
+    presentation = draw(rng)
+    certificate = verify_quotient(presentation)
+    assert certificate.entries == reference_certificate(presentation)
+    assert certificate.complete == all(e.certified for e in certificate.entries)
+    assert certificate.complete
+
+
+def test_undersized_certificate_matches_the_eager_walk():
+    presentation = undersized_loop_cover()
+    certificate = verify_quotient(presentation)
+    assert certificate.entries == reference_certificate(presentation)
+    assert certificate.complete == all(e.certified for e in certificate.entries)
+    assert not certificate.complete
 
 
 @given(st.integers(0, 10**9))
