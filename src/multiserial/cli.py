@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -103,19 +104,12 @@ def parse_document(text: str) -> InputDocument:
     vertex_set: set[str] = set()
     arrow_triples: list[tuple[str, str, str]] = []
     arrow_lines: dict[str, int] = {}
-    quiver: Quiver | None = None
 
     nilpotency: int | None = None
     zero_specs: list[tuple[list[str], int]] = []
     equal_specs: list[tuple[list[str], list[str], int]] = []
     cycle_specs: list[tuple[list[str], int, int]] = []
     seen_sections: list[str] = []
-
-    def finish_quiver() -> Quiver:
-        nonlocal quiver
-        if quiver is None:
-            quiver = Quiver(vertices, arrow_triples)
-        return quiver
 
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -228,7 +222,7 @@ def parse_document(text: str) -> InputDocument:
             "expected exactly one of [presentation] or [definingpair], "
             f"found {len(body)}"
         )
-    q = finish_quiver()
+    q = Quiver(vertices, arrow_triples)
 
     def path_of(names: list[str], number: int) -> Path:
         try:
@@ -599,8 +593,7 @@ def main(argv: list[str] | None = None) -> int:
             payload["data"]["output_file"] = args.out
         elif result.artifact is not None:
             payload["data"][result.artifact_key] = result.artifact
-        if not args.quiet:
-            print(json.dumps(payload))
+        text = json.dumps(payload)
     else:
         lines = [f"command: {result.command} ({args.input})"]
         lines.extend(result.report.lines())
@@ -609,8 +602,15 @@ def main(argv: list[str] | None = None) -> int:
             lines.append(f"wrote {args.out}")
         elif result.artifact is not None:
             lines.append(result.artifact.rstrip("\n"))
-        if not args.quiet:
-            print("\n".join(lines))
+        text = "\n".join(lines)
+    if not args.quiet:
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # the interpreter flushes stdout again on exit; send that nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
 
     return 0 if result.report.passed else 1
 

@@ -3,25 +3,27 @@
 Two independent routes to the same algebra live here.  The closed form
 (:class:`CycleAlgebra`) counts the basis from the rotation classes, then
 enumerates it from the cycle structure; two basis elements, walks along a
-cycle, multiply at their junction.  A product of two basis elements is one
-basis element or zero, so no coefficient field is needed: the trace form
-takes the values 0 and 1 on basis pairs, and it pairs x with y exactly
-when x y is a full cycle power.  The pairing is therefore read off the
-factorizations of the full powers, each checked by the product itself, as
-one dual index per basis element (none only when its vertex carries no
+cycle, multiply at their junction.  A path, and a product of two basis
+elements, is one basis element or zero (:meth:`CycleAlgebra.normal_form`
+gives the element, or None), so no coefficient field is needed: the trace
+form takes the values 0 and 1 on basis pairs, and it pairs x with y
+exactly when x y is a full cycle power.  The pairing is therefore read off
+the factorizations of the full powers, each checked by the product itself,
+as one dual index per basis element (none only when its vertex carries no
 arrow).  The oracle (:func:`oracle_dimension`) knows nothing of that
-structure: it closes the relations, each a path or a difference of two
-paths, under multiplication by arrows in a truncated path algebra, and
-counts the path classes that do not vanish; :func:`pair_oracle_dimension`
-runs it on a cycle system's generated relations.  Tests and the acceptance
-suite hold the two routes against each other.
+structure: it closes the relations, each a pair ``(p, None)`` for a path
+or ``(p, q)`` for a difference of two paths, under multiplication by
+arrows in a truncated path algebra, and counts the path classes that do
+not vanish; :func:`pair_oracle_dimension` runs it on a cycle system's
+generated relations.  Tests and the acceptance suite hold the two routes
+against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
 from .quiver import MonomialAutomaton, Path, Quiver, compose
@@ -189,13 +191,11 @@ class CycleAlgebra:
     def basis(self) -> list[BasisElement]:
         return list(self._basis)
 
-    def normal_form(self, path: Path) -> dict:
-        """The class of a path: ``{element: 1}`` for the basis element it
-        equals, or ``{}`` when it vanishes."""
+    def normal_form(self, path: Path) -> BasisElement | None:
+        """The basis element a path equals, or None when it vanishes."""
         if not self.pair.quiver.contains_path(path):
             raise ValueError(f"{path} is not a path of the system's quiver")
-        element = self._class_of(path)
-        return {} if element is None else {element: 1}
+        return self._class_of(path)
 
     def _class_of(self, path: Path) -> BasisElement | None:
         """The basis element a path of the quiver equals, or None.
@@ -494,27 +494,25 @@ class _PathTable:
         return p
 
 
-def _unit_relation(relation: Sequence[tuple[int, Path]], quiver: Quiver) -> tuple[Path, Path | None]:
-    """(p, None) for a relation ±p, (p, q) for ±(p - q); anything else
-    faults, since only these two shapes have a field-free answer, and so
-    does a term that is not a path of the quiver."""
-    terms = list(relation)
-    unit = terms and terms[0][0] in (1, -1)
-    if not (unit and (len(terms) == 1 or len(terms) == 2 and terms[0][0] == -terms[1][0])):
-        shown = " + ".join(f"({c})*{p}" for c, p in terms) or "the empty sum"
+def _checked_relation(relation: object, quiver: Quiver) -> tuple[Path, Path | None]:
+    """A relation as the oracle takes it, ``(p, None)`` for the path p or
+    ``(p, q)`` for p - q; anything else faults, and so does a term that is
+    not a path of the quiver."""
+    shape = type(relation) is tuple and len(relation) == 2 and tuple(map(type, relation))
+    if shape not in ((Path, Path), (Path, type(None))):
         raise ValueError(
-            f"relation {shown} is neither a path nor a difference of two paths; "
-            "the oracle takes only relations p and p - q"
+            f"relation {relation!r} is neither (p, None) nor (p, q) for paths p "
+            "and q; the oracle takes only relations p and p - q"
         )
-    for _, path in terms:
-        if not quiver.contains_path(path):
+    for path in relation:
+        if path is not None and not quiver.contains_path(path):
             raise ValueError(f"{path} is not a path of the quiver")
-    return terms[0][1], terms[1][1] if len(terms) == 2 else None
+    return relation
 
 
 def oracle_dimension(
     quiver: Quiver,
-    relations: Iterable[Sequence[tuple[int, Path]]],
+    relations: Iterable[tuple[Path, Path | None]],
     bound: int,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> int:
@@ -522,9 +520,9 @@ def oracle_dimension(
     algebra.
 
     ``bound`` must satisfy: every path of length >= bound lies in the
-    ideal.  Each relation must be a path p or a difference p - q of two
-    paths (up to sign); :class:`ValueError` is raised for any other.  The
-    quotient is then spanned by classes of paths shorter than the bound:
+    ideal.  Each relation is ``(p, None)`` for a path p or ``(p, q)`` for
+    the difference p - q; :class:`ValueError` is raised for anything else.
+    The quotient is then spanned by classes of paths shorter than the bound:
     two paths are equal in it when a chain of relations, multiplied by
     arrows on both sides, joins them, and zero when the chain reaches a
     path relation or a product that vanishes.  The dimension is the number
@@ -538,7 +536,7 @@ def oracle_dimension(
     """
     if bound < 2:
         raise ValueError("truncation bound must be at least 2")
-    pairs = [_unit_relation(relation, quiver) for relation in relations]
+    pairs = [_checked_relation(relation, quiver) for relation in relations]
     # longer path relations are zero anyway, and would only add states
     monomials = [p for p, q in pairs if q is None and 0 < len(p) < bound]
     automaton = MonomialAutomaton(quiver, monomials)

@@ -163,10 +163,11 @@ class DefiningPair:
         # Every arrow lies on exactly one rotation class, so ab travels a cycle
         # exactly when b follows a there.
         following = self.next_arrow
+        off_cycle, _ = self.quiver.compositions(lambda a, b: following[a.name] != b.name)
         type3 = [
-            p
-            for p in self.quiver.length_two_paths()
-            if following[p.arrows[0]] != p.arrows[1]
+            Path((a, b.name), (self.quiver.arrows[a].source, b.source, b.target))
+            for a, after in off_cycle.items()
+            for b in after
         ]
 
         return RelationSet(tuple(type1), tuple(type2), tuple(type3))
@@ -247,12 +248,10 @@ class RelationSet:
     def counts(self) -> tuple[int, int, int]:
         return len(self.type1), len(self.type2), len(self.type3)
 
-    def linear_relations(self) -> list[list[tuple[int, Path]]]:
-        rels: list[list[tuple[int, Path]]] = []
-        rels.extend([(1, p), (-1, q)] for p, q in self.type1)
-        rels.extend([(1, p)] for p in self.type2)
-        rels.extend([(1, p)] for p in self.type3)
-        return rels
+    def linear_relations(self) -> list[tuple[Path, Path | None]]:
+        """The generators for the dimension oracle: each type-1 difference
+        p - q as ``(p, q)``, then each type-2 and type-3 path p as ``(p, None)``."""
+        return [*self.type1, *((p, None) for p in self.type2 + self.type3)]
 
 
 def generate_relations(pair: DefiningPair) -> RelationSet:

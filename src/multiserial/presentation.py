@@ -68,11 +68,10 @@ class Presentation:
             return True
         return (a, b) in self._quadratic
 
-    def linear_relations(self) -> list[list[tuple[int, Path]]]:
-        """The generators as coefficient/path lists, for the dimension oracle."""
-        rels: list[list[tuple[int, Path]]] = [[(1, p)] for p in self.zero_paths]
-        rels.extend([(1, p), (-1, q)] for p, q in self.equal_pairs)
-        return rels
+    def linear_relations(self) -> list[tuple[Path, Path | None]]:
+        """The generators for the dimension oracle: each zero path p as
+        ``(p, None)``, then each difference p - q as ``(p, q)``."""
+        return [*((p, None) for p in self.zero_paths), *self.equal_pairs]
 
     @cached_property
     def tables(self) -> SuccessorTables:

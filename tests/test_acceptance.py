@@ -155,7 +155,7 @@ def test_criterion_4_randomized_cycle_systems():
         overlong = [
             p
             for p in enumerate_paths(pair.quiver, bound, 400_000)
-            if len(p) == bound and algebra.normal_form(p)
+            if len(p) == bound and algebra.normal_form(p) is not None
         ]
         if overlong:
             failures.append(f"pair {index}: path at the bound survived: {overlong[0]}")

@@ -314,6 +314,24 @@ class TestMainExitCodes:
         assert proc.stderr.startswith("error: out of memory")
         assert "Traceback" not in proc.stderr
 
+    def test_closed_stdout_exits_two(self):
+        # every verdict passes, so exit 1 would misreport a failed verdict
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "multiserial.cli", "sigma-tau"]
+            + [str(FIXTURES / "a3_gentle.alg"), "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert err.startswith("error: cannot write the report")
+        assert "Traceback" not in err and "Exception ignored" not in err
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_unwritable_out_file_exits_two(self, capsys, tmp_path, as_json):
         target = tmp_path / "missing-dir" / "cover.alg"

@@ -54,8 +54,7 @@ def reference_product(alg: CycleAlgebra, x, y):
     if isinstance(x, Socle) or isinstance(y, Socle):
         # full powers already have maximal surviving length
         return None
-    [element] = alg.normal_form(compose(x.path, y.path)) or [None]
-    return element
+    return alg.normal_form(compose(x.path, y.path))
 
 
 def multiply(alg: CycleAlgebra, x: dict, y: dict) -> dict:
@@ -94,7 +93,7 @@ def reference_check_multiserial(alg: CycleAlgebra) -> Report:
         succ = [
             b.name
             for b in q.arrows_from(arrow.target)
-            if alg.normal_form(q.path([arrow.name, b.name]))
+            if alg.normal_form(q.path([arrow.name, b.name])) is not None
         ]
         if succ != [following[arrow.name]]:
             problems.append(
@@ -104,7 +103,7 @@ def reference_check_multiserial(alg: CycleAlgebra) -> Report:
         pred = [
             c.name
             for c in q.arrows_into(arrow.source)
-            if alg.normal_form(q.path([c.name, arrow.name]))
+            if alg.normal_form(q.path([c.name, arrow.name])) is not None
         ]
         if pred != [preceding[arrow.name]]:
             problems.append(
@@ -204,8 +203,9 @@ class RowReducer:
 
 
 def elimination_dimension(quiver, relations, bound, field):
-    """The oracle's answer by exact linear algebra over ``field``: the
-    relation span closed under arrow multiplication on both sides in the
+    """The oracle's answer by exact linear algebra over ``field``: the span
+    of the relations, each pair ``(p, None)`` or ``(p, q)`` taken as the
+    row p or p - q, closed under arrow multiplication on both sides in the
     truncated path algebra, its rank taken from the path count."""
     paths = enumerate_paths(quiver, bound - 1)
     index = {p: i for i, p in enumerate(paths)}
@@ -224,8 +224,8 @@ def elimination_dimension(quiver, relations, bound, field):
             if row is not None:
                 pending.append(row)
 
-    for relation in relations:
-        insert(relation)
+    for p, q in relations:
+        insert([(1, p)] if q is None else [(1, p), (-1, q)])
     arrows = list(quiver.arrows.values())
     while pending:
         row = pending.pop()
@@ -243,29 +243,27 @@ def elimination_dimension(quiver, relations, bound, field):
 class TestNormalForm:
     def test_trivial_path(self, loop_mu2_pair, loop_quiver):
         alg = CycleAlgebra(loop_mu2_pair)
-        assert alg.normal_form(loop_quiver.trivial_path("v")) == {Idempotent("v"): ONE}
+        assert alg.normal_form(loop_quiver.trivial_path("v")) == Idempotent("v")
 
     def test_full_power_is_socle(self, loop_mu2_pair, loop_quiver):
         alg = CycleAlgebra(loop_mu2_pair)
-        assert alg.normal_form(loop_quiver.path(["a", "a"])) == {Socle("v"): ONE}
+        assert alg.normal_form(loop_quiver.path(["a", "a"])) == Socle("v")
 
     def test_overlong_path_vanishes(self, loop_mu2_pair, loop_quiver):
         alg = CycleAlgebra(loop_mu2_pair)
-        assert alg.normal_form(loop_quiver.path(["a", "a", "a"])) == {}
+        assert alg.normal_form(loop_quiver.path(["a", "a", "a"])) is None
 
     def test_proper_on_cycle_path_survives(self):
         pair = kronecker_pair()
         alg = CycleAlgebra(pair)
         p = pair.quiver.path(["a", "abar", "a"])
-        assert alg.normal_form(p) == {OnCyclePath(p): ONE}
+        assert alg.normal_form(p) == OnCyclePath(p)
 
     def test_deviating_path_vanishes(self):
         pair = kronecker_pair()
         alg = CycleAlgebra(pair)
-        assert alg.normal_form(pair.quiver.path(["abar", "a", "abar", "a"])) == {
-            Socle("2"): ONE
-        }
-        assert alg.normal_form(pair.quiver.path(["a", "b"])) == {}
+        assert alg.normal_form(pair.quiver.path(["abar", "a", "abar", "a"])) == Socle("2")
+        assert alg.normal_form(pair.quiver.path(["a", "b"])) is None
 
     def test_foreign_path_faults(self, loop_mu2_pair):
         other = Quiver(["w"], [("z", "w", "w")])
@@ -615,11 +613,11 @@ class TestCheckMultiserial:
 
 class TestOracle:
     def test_truncated_loop(self, loop_quiver):
-        relations = [[(1, loop_quiver.path(["a", "a", "a"]))]]
+        relations = [(loop_quiver.path(["a", "a", "a"]), None)]
         assert oracle_dimension(loop_quiver, relations, 3) == 3
 
     def test_linear_quiver_with_dead_composition(self, linear_quiver):
-        relations = [[(1, linear_quiver.path(["a", "b"]))]]
+        relations = [(linear_quiver.path(["a", "b"]), None)]
         assert oracle_dimension(linear_quiver, relations, 2) == 5
 
     def test_two_cycle_mu3_relations(self, two_cycle_mu3_pair):
@@ -633,9 +631,7 @@ class TestOracle:
 
     def test_binomial_closure_cascade(self, loop_quiver):
         # identifying a power with a longer one collapses both to zero
-        relations = [
-            [(1, loop_quiver.path(["a", "a"])), (-1, loop_quiver.path(["a", "a", "a"]))]
-        ]
+        relations = [(loop_quiver.path(["a", "a"]), loop_quiver.path(["a", "a", "a"]))]
         assert oracle_dimension(loop_quiver, relations, 5) == 2
 
     def test_commutative_square(self):
@@ -643,7 +639,7 @@ class TestOracle:
             ["1", "2", "3", "4"],
             [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
         )
-        relations = [[(1, q.path(["a", "b"])), (-1, q.path(["c", "d"]))]]
+        relations = [(q.path(["a", "b"]), q.path(["c", "d"]))]
         assert oracle_dimension(q, relations, 3) == 9
 
     def test_budget_fault(self, two_cycle_mu3_pair):
@@ -661,41 +657,60 @@ class TestOracle:
         # (a - ab) e(2) = a, so a and ab both lie in the ideal
         q = linear_quiver
         a, ab = q.path(["a"]), q.path(["a", "b"])
-        binomial = [[(1, a), (-1, ab)]]
-        monomials = [[(1, a)], [(1, ab)]]
+        binomial = [(a, ab)]
+        monomials = [(a, None), (ab, None)]
         assert oracle_dimension(q, binomial, 3) == oracle_dimension(q, monomials, 3) == 4
 
     def test_signs_and_long_terms(self, loop_quiver):
         q = loop_quiver
         aa, aaa = q.path(["a", "a"]), q.path(["a", "a", "a"])
-        assert oracle_dimension(q, [[(-1, aa)]], 4) == 2
-        assert oracle_dimension(q, [[(-1, aa), (1, aa)]], 4) == 4
-        # a term at the bound is already zero, so -a + a^3 kills a
-        assert oracle_dimension(q, [[(-1, q.path(["a"])), (1, aaa)]], 3) == 1
+        assert oracle_dimension(q, [(aa, None)], 4) == 2
+        # aa - aa is zero, so it kills nothing
+        assert oracle_dimension(q, [(aa, aa)], 4) == 4
+        # a term at the bound is already zero, so a - a^3 kills a
+        assert oracle_dimension(q, [(q.path(["a"]), aaa)], 3) == 1
 
+    # the first nine are coefficient/path lists, which must fail loudly
+    # rather than be read as pairs
     @pytest.mark.parametrize(
-        "coefficients",
-        [(2,), (1, 1), (1, -1, 1), (2, -2), (1, -2), (0,), ()],
-        ids=["2p", "p+q", "three-terms", "2p-2q", "p-2q", "0p", "empty"],
+        "shape",
+        [
+            lambda p, q, r: [(2, p)],
+            lambda p, q, r: [(1, p), (1, q)],
+            lambda p, q, r: [(1, p), (-1, q), (1, r)],
+            lambda p, q, r: [(2, p), (-2, q)],
+            lambda p, q, r: [(1, p), (-2, q)],
+            lambda p, q, r: [(0, p)],
+            lambda p, q, r: [],
+            lambda p, q, r: [(1, p)],
+            lambda p, q, r: [(1, p), (-1, r)],
+            lambda p, q, r: (p,),
+            lambda p, q, r: (p, q, r),
+            lambda p, q, r: p,
+            lambda p, q, r: (p, "a b"),
+            lambda p, q, r: (None, p),
+        ],
+        ids=[
+            "2p", "p+q", "three-terms", "2p-2q", "p-2q", "0p", "empty",
+            "listed-p", "listed-p-q", "one-path", "three-paths", "bare-path",
+            "string-term", "none-first",
+        ],
     )
-    def test_rejects_relations_other_than_p_and_p_minus_q(
-        self, two_cycle_quiver, coefficients
-    ):
+    def test_rejects_relations_other_than_p_and_p_minus_q(self, two_cycle_quiver, shape):
         q = two_cycle_quiver
-        paths = [q.path(["a", "b"]), q.trivial_path("1"), q.path(["a", "b", "a", "b"])]
-        relation = list(zip(coefficients, paths))
-        with pytest.raises(ValueError, match="difference of two paths"):
+        relation = shape(q.path(["a", "b"]), q.trivial_path("1"), q.path(["a", "b", "a", "b"]))
+        with pytest.raises(ValueError, match=r"relation .* is neither \(p, None\) nor \(p, q\)"):
             oracle_dimension(q, [relation], 5)
 
     def test_rejects_foreign_paths(self, loop_quiver, linear_quiver):
         with pytest.raises(ValueError, match="not a path of the quiver"):
-            oracle_dimension(loop_quiver, [[(1, linear_quiver.path(["a"]))]], 3)
+            oracle_dimension(loop_quiver, [(linear_quiver.path(["a"]), None)], 3)
 
     def test_budget_is_checked_before_tables_are_built(self, loop_quiver):
         # a binomial kills no path before the closure, so every power of a
         # below the bound counts against the budget
         q = loop_quiver
-        relations = [[(1, q.path(["a", "a"])), (-1, q.path(["a", "a", "a"]))]]
+        relations = [(q.path(["a", "a"]), q.path(["a", "a", "a"]))]
         with mock.patch.object(
             cycle_algebra, "_PathTable", side_effect=AssertionError
         ) as table:
@@ -703,20 +718,17 @@ class TestOracle:
                 oracle_dimension(loop_quiver, relations, 10**12, max_paths=1000)
         assert table.call_count == 0
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_trivial_path_relation_kills_the_paths_through_its_vertex(
-        self, linear_quiver, sign
-    ):
-        relations = [[(sign, linear_quiver.trivial_path("2"))]]
+    def test_trivial_path_relation_kills_the_paths_through_its_vertex(self, linear_quiver):
+        relations = [(linear_quiver.trivial_path("2"), None)]
         assert oracle_dimension(linear_quiver, relations, 3) == 2
 
     def test_rejects_monomials_on_missing_arrows(self, loop_quiver):
         foreign = Path(("z",), ("v", "v"))
         with pytest.raises(ValueError, match="not a path of the quiver"):
-            oracle_dimension(loop_quiver, [[(1, foreign)]], 3)
+            oracle_dimension(loop_quiver, [(foreign, None)], 3)
         aa = loop_quiver.path(["a", "a"])
         with pytest.raises(ValueError, match="not a path of the quiver"):
-            oracle_dimension(loop_quiver, [[(1, aa), (-1, foreign)]], 3)
+            oracle_dimension(loop_quiver, [(aa, foreign)], 3)
 
     def test_monomial_inside_a_binomial_term_kills_the_other_term(self):
         q = Quiver(
@@ -724,8 +736,8 @@ class TestOracle:
             [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
         )
         b, ab, cd = q.path(["b"]), q.path(["a", "b"]), q.path(["c", "d"])
-        binomial = [[(1, b)], [(1, ab), (-1, cd)]]
-        monomials = [[(1, b)], [(1, cd)]]
+        binomial = [(b, None), (ab, cd)]
+        monomials = [(b, None), (cd, None)]
         assert oracle_dimension(q, binomial, 3) == oracle_dimension(q, monomials, 3) == 7
 
     def test_huge_bound_on_an_acyclic_quiver(self, linear_quiver):
@@ -754,7 +766,7 @@ class TestOracle:
         for _ in range(rng.randint(0, 3)):
             p = rng.choice(paths)
             parallel = [r for r in paths if (r.source, r.target) == (p.source, p.target)]
-            relations.append([(1, p), (-1, rng.choice(parallel))])
+            relations.append((p, rng.choice(parallel)))
         dim = oracle_dimension(q, relations, bound)
         for field in ELIMINATION_FIELDS:
             assert dim == elimination_dimension(q, relations, bound, field)
@@ -796,14 +808,14 @@ class TestSurvivingPaths:
         assert longest == max(len(p) for p in survivors)
         # a monomial algebra's dimension is its number of surviving paths,
         # and that number is exactly what the oracle's budget admits
-        relations = [[(1, m)] for m in monomials]
+        relations = [(m, None) for m in monomials]
         assert oracle_dimension(q, relations, bound, max_paths=total) == total
         with pytest.raises(OracleBudgetError):
             oracle_dimension(q, relations, bound, max_paths=total - 1)
 
     def test_table_numbers_only_the_survivors(self, two_cycle_quiver):
         q = two_cycle_quiver
-        relations = [[(1, q.path(["a", "b", "a"]))]]
+        relations = [(q.path(["a", "b", "a"]), None)]
         original, tables = cycle_algebra._PathTable, []
 
         def build(*args):
@@ -875,7 +887,7 @@ def test_paths_at_the_bound_reduce_to_zero(seed):
     paths = enumerate_paths(pair.quiver, bound)
     for p in paths:
         if len(p) == bound:
-            assert alg.normal_form(p) == {}
+            assert alg.normal_form(p) is None
 
 
 @given(st.integers(0, 10**9))

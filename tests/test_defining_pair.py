@@ -354,6 +354,9 @@ def test_quadratics_split_into_on_cycle_and_type3(seed):
         everything = {p.arrows for p in pair.quiver.length_two_paths()}
         assert type3 | on_cycle == everything
         assert not (type3 & on_cycle)
+        assert list(relations.type3) == [
+            p for p in pair.quiver.length_two_paths() if p.arrows not in on_cycle
+        ]
 
 
 @given(st.integers(0, 10**9), st.sets(st.sampled_from(CORRUPTIONS)))
