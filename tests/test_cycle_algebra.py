@@ -718,9 +718,16 @@ class TestOracle:
                 oracle_dimension(loop_quiver, relations, 10**12, max_paths=1000)
         assert table.call_count == 0
 
-    def test_trivial_path_relation_kills_the_paths_through_its_vertex(self, linear_quiver):
-        relations = [(linear_quiver.trivial_path("2"), None)]
-        assert oracle_dimension(linear_quiver, relations, 3) == 2
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_trivial_path_relation_kills_the_paths_through_its_vertex(
+        self, linear_quiver, sign
+    ):
+        # the trivial path kills a and b, the arrows at vertex 2; the path
+        # relation ab it makes redundant changes nothing, whichever comes first
+        q = linear_quiver
+        relations = [(q.trivial_path("2"), None), (q.path(["a", "b"]), None)][::sign]
+        assert oracle_dimension(q, relations, 3) == 2
+        assert oracle_dimension(q, relations[::sign][:1], 3) == 2
 
     def test_rejects_monomials_on_missing_arrows(self, loop_quiver):
         foreign = Path(("z",), ("v", "v"))
