@@ -50,7 +50,8 @@ def stress_pairs(rng: random.Random, count: int) -> None:
         gram = algebra.gram_matrix()
         assert gram.is_permutation and gram.rank == algebra.dimension, index
         # each pairing's product, walked along the joined path
-        for x, y in ((gram.basis[i], gram.basis[j]) for i, j in enumerate(gram.dual)):
+        basis = algebra.basis
+        for x, y in ((basis[i], basis[j]) for i, j in enumerate(gram.dual)):
             if isinstance(x, OnCyclePath) and isinstance(y, OnCyclePath):
                 walked = algebra.normal_form(compose(x.path, y.path))
                 assert isinstance(walked, Socle), (index, x, y)

@@ -531,6 +531,13 @@ def _render_data(data: dict, indent: str = "") -> list[str]:
     return lines
 
 
+def _budget(text: str) -> int:
+    """A ``--max-paths`` value: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="input document")
@@ -538,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="FILE", help="write the primary output to FILE")
     common.add_argument(
         "--max-paths",
-        type=int,
+        type=_budget,
         default=DEFAULT_MAX_PATHS,
         help="budget on paths: those below the oracle's truncation bound that "
         "avoid every monomial relation, the closed-form basis, and gram's n*n entries",

@@ -1,22 +1,23 @@
 """The finite-dimensional algebra presented by a cycle system.
 
 Two independent routes to the same algebra live here.  The closed form
-(:class:`CycleAlgebra`) counts the basis from the rotation classes, then
-enumerates it from the cycle structure; two basis elements, walks along a
-cycle, multiply at their junction.  A path, and a product of two basis
-elements, is one basis element or zero (:meth:`CycleAlgebra.normal_form`
-gives the element, or None), so no coefficient field is needed: the trace
-form takes the values 0 and 1 on basis pairs, and it pairs x with y
-exactly when x y is a full cycle power.  The pairing is therefore read off
-the factorizations of the full powers, each checked by the product itself,
-as one dual index per basis element (none only when its vertex carries no
-arrow).  The oracle (:func:`oracle_dimension`) knows nothing of that
-structure: it closes the relations, each a pair ``(p, None)`` for a path
-or ``(p, q)`` for a difference of two paths, under multiplication by
-arrows in a truncated path algebra, and counts the path classes that do
-not vanish; :func:`pair_oracle_dimension` runs it on a cycle system's
-generated relations.  Tests and the acceptance suite hold the two routes
-against each other.
+(:class:`CycleAlgebra`) counts the basis from the rotation classes and lays
+it out by index, a proper path as its cycle and length; two basis elements,
+walks along a cycle, multiply at their junction.  A path, and a product of
+two basis elements, is one basis element or zero
+(:meth:`CycleAlgebra.normal_form` gives the element, or None), so no
+coefficient field is needed: the trace form takes the values 0 and 1 on
+basis pairs, and it pairs x with y exactly when x y is a full cycle power.
+The pairing is therefore read off the factorizations of the full powers,
+each checked by the index product, as one dual index per basis element
+(none only when its vertex carries no arrow), building no basis element.
+The oracle (:func:`oracle_dimension`) knows nothing of that structure: it
+closes the relations, each a pair ``(p, None)`` for a path or ``(p, q)``
+for a difference of two paths, under multiplication by arrows in a
+truncated path algebra, and counts the path classes that do not vanish;
+:func:`pair_oracle_dimension` runs it on a cycle system's generated
+relations.  Tests and the acceptance suite hold the two routes against
+each other.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
-from .quiver import MonomialAutomaton, Path, Quiver, compose
+from .quiver import MonomialAutomaton, Path, Quiver, cycle_power
+from .quiver import compose  # noqa: F401 - not called here; tests patch it to see no path joined
 from .report import Report
 
 DEFAULT_MAX_PATHS = 200_000
@@ -40,7 +42,7 @@ class OracleBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Idempotent:
+class _AtVertex:
     vertex: str
 
     @property
@@ -51,6 +53,9 @@ class Idempotent:
     def target(self) -> str:
         return self.vertex
 
+
+@dataclass(frozen=True)
+class Idempotent(_AtVertex):
     def __str__(self) -> str:
         return f"e({self.vertex})"
 
@@ -74,18 +79,8 @@ class OnCyclePath:
 
 
 @dataclass(frozen=True)
-class Socle:
+class Socle(_AtVertex):
     """The common class of all full cycle powers based at one vertex."""
-
-    vertex: str
-
-    @property
-    def source(self) -> str:
-        return self.vertex
-
-    @property
-    def target(self) -> str:
-        return self.vertex
 
     def __str__(self) -> str:
         return f"socle({self.vertex})"
@@ -96,10 +91,9 @@ BasisElement = Union[Idempotent, OnCyclePath, Socle]
 
 @dataclass
 class GramMatrix:
-    """The trace form on the canonical basis: entry (i, j) is 1 exactly
-    when ``dual[i] == j``."""
+    """The trace form on the canonical basis, by index: entry (i, j) is 1
+    exactly when ``dual[i] == j``."""
 
-    basis: list[BasisElement]
     dual: list[int | None]
     rank: int
     nondegenerate: bool
@@ -108,7 +102,7 @@ class GramMatrix:
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.dual)
 
     @cached_property
     def entries(self) -> list[list[int]]:
@@ -143,10 +137,11 @@ class CycleAlgebra:
 
     The basis consists of one idempotent per vertex, every proper path
     along a cycle (shorter than the full power of its class), and one
-    socle element per vertex that carries a cycle; it is built on first
-    read.  Construction insists on a system passing validation and on a
-    :attr:`dimension`, the :func:`closed_form_dimension`, within
-    ``max_paths``, else :class:`OracleBudgetError`.
+    socle element per vertex that carries a cycle, indexed in that order;
+    its elements are built when :attr:`basis` is first read.  Construction
+    insists on a system passing validation and on a :attr:`dimension`, the
+    :func:`closed_form_dimension`, within ``max_paths``, else
+    :class:`OracleBudgetError`.
     """
 
     def __init__(self, pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> None:
@@ -160,12 +155,19 @@ class CycleAlgebra:
         # by a cycle's first arrow: full power length, index of its 1-arrow prefix
         self._full_length: dict[str, int] = {}
         self._start: dict[str, int] = {}
+        # by proper-path index less |V|: its cycle's position in pair.cycles, its length
+        self._cycle: list[int] = []
+        self._length: list[int] = []
         size = len(pair.quiver.vertices)
-        for cycle in pair.cycles:
+        for c, cycle in enumerate(pair.cycles):
             length = pair.mu(cycle) * len(cycle)
             self._full_length[cycle.arrows[0]] = length
             self._start[cycle.arrows[0]] = size
+            self._cycle.extend([c] * (length - 1))
+            self._length.extend(range(1, length))
             size += length - 1
+        self._first_socle = size
+        self._socle_at = {v: s for s, v in enumerate(self._socle_vertices, size)}
         size += len(self._socle_vertices)
         if size != dimension:
             raise RuntimeError(
@@ -176,13 +178,11 @@ class CycleAlgebra:
     @cached_property
     def _basis(self) -> list[BasisElement]:
         basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
-        for cycle in self.pair.cycles:
-            mu = self.pair.mu(cycle)
-            full = Path(cycle.arrows * mu, cycle.vertices[:-1] * mu + (cycle.source,))
-            basis.extend(
-                OnCyclePath(Path(full.arrows[:cut], full.vertices[: cut + 1]))
-                for cut in range(1, len(full))
-            )
+        fulls = [cycle_power(c, self.pair.mu(c)) for c in self.pair.cycles]
+        basis.extend(
+            OnCyclePath(Path(fulls[c].arrows[:k], fulls[c].vertices[: k + 1]))
+            for c, k in zip(self._cycle, self._length)
+        )
         basis.extend(Socle(v) for v in self._socle_vertices)
         assert len(basis) == self.dimension
         return basis
@@ -190,6 +190,15 @@ class CycleAlgebra:
     @property
     def basis(self) -> list[BasisElement]:
         return list(self._basis)
+
+    def _ends(self, i: int) -> tuple[str, str]:
+        """The source and target vertex of basis element i, from the layout."""
+        n = len(self.pair.quiver.vertices)
+        if n <= i < self._first_socle:
+            cycle = self.pair.cycles[self._cycle[i - n]]
+            return cycle.source, cycle.vertices[self._length[i - n] % len(cycle)]
+        v = self.pair.quiver.vertices[i] if i < n else self._socle_vertices[i - self._first_socle]
+        return v, v
 
     def normal_form(self, path: Path) -> BasisElement | None:
         """The basis element a path equals, or None when it vanishes."""
@@ -221,37 +230,33 @@ class CycleAlgebra:
             return Socle(path.source)
         return OnCyclePath(path)
 
-    def _basis_product(self, x: BasisElement, y: BasisElement) -> BasisElement | None:
-        """The basis element x * y equals, or None when it vanishes.
-
-        Both factors must be basis elements: a proper one is a walk along one
-        cycle, fixed by its first arrow and length, so x y survives only when
-        y's first arrow follows x's last, up to the full power of x's cycle.
-        """
-        if x.target != y.source:
-            return None
-        if isinstance(x, Idempotent):
-            return y
-        if isinstance(y, Idempotent):
-            return x
-        if isinstance(x, Socle) or isinstance(y, Socle):
+    def _product(self, i: int, j: int) -> int | None:
+        """The index of x_i x_j, or None when it vanishes.  A proper basis
+        element (c, k) walks k arrows along cycle c, so (c, k) (c', m)
+        survives only when c' starts with the arrow after the k-th arrow of
+        c, up to the full power of c."""
+        n, first_socle = len(self.pair.quiver.vertices), self._first_socle
+        if i < n or j < n:
+            return (j if i < n else i) if self._ends(i)[1] == self._ends(j)[0] else None
+        if i >= first_socle or j >= first_socle:
             # full powers already have maximal surviving length
             return None
-        if y.path.arrows[0] != self.pair.next_arrow[x.path.arrows[-1]]:
+        cycles = self.pair.cycles
+        cycle, k = cycles[self._cycle[i - n]], self._length[i - n]
+        following = self.pair.next_arrow[cycle.arrows[(k - 1) % len(cycle.arrows)]]
+        if cycles[self._cycle[j - n]].arrows[0] != following:
             return None
-        length = len(x.path) + len(y.path)
-        full = self._full_length[x.path.arrows[0]]
+        length, full = k + self._length[j - n], self._full_length[cycle.arrows[0]]
         if length == full:
-            return Socle(x.source)
-        return OnCyclePath(compose(x.path, y.path)) if length < full else None
+            return self._socle_at[cycle.source]
+        return self._start[cycle.arrows[0]] + length - 1 if length < full else None
 
     def _factorizations(self) -> Iterator[tuple[int, int]]:
         """Basis index pairs (i, j) with x_i x_j a full power: e(v) with
         socle(v) both ways round, and F[:k] with F[k:] for the full power F
         of each cycle, 0 < k < len(F); F[k:] is a prefix of a rotation."""
         position = {v: i for i, v in enumerate(self.pair.quiver.vertices)}
-        first_socle = self.dimension - len(self._socle_vertices)
-        for s, v in enumerate(self._socle_vertices, first_socle):
+        for v, s in self._socle_at.items():
             yield position[v], s
             yield s, position[v]
         for cycle in self.pair.cycles:
@@ -270,23 +275,24 @@ class CycleAlgebra:
         with socle(v); a socle times anything but an idempotent vanishes;
         two proper paths x, y give the class of the path x y, which is a
         socle exactly when x y is a full power F of some cycle, so x =
-        F[:k] and y = F[k:] with k = len(x).  :meth:`_basis_product` checks
-        each listed pair of basis elements from their end arrows and lengths,
-        not from the index arithmetic that listed them; a pair off the socle,
+        F[:k] and y = F[k:] with k = len(x).  :meth:`_product` checks each
+        listed index pair from the end arrows and lengths in the layout,
+        not from the index arithmetic that listed it; a pair off the socle,
         or a row hit twice, is raised: a basis element has one dual at most.
+        Basis elements are built only to name the pair in that error.
         """
         dual: list[int | None] = [None] * self.dimension
         for i, j in self._factorizations():
-            x, y = self._basis[i], self._basis[j]
-            if not isinstance(self._basis_product(x, y), Socle):
+            k = self._product(i, j)
+            if k is None or k < self._first_socle:
                 raise RuntimeError(
-                    f"{x} * {y} factors a full power but is not a socle element; "
-                    "this is an engine bug"
+                    f"{self._basis[i]} * {self._basis[j]} factors a full power but is "
+                    "not a socle element; this is an engine bug"
                 )
             if dual[i] is not None:
                 raise RuntimeError(
-                    f"{x} pairs with 2 basis elements, {self._basis[dual[i]]} and "
-                    f"{y}, not at most one; this is an engine bug"
+                    f"{self._basis[i]} pairs with 2 basis elements, {self._basis[dual[i]]} "
+                    f"and {self._basis[j]}, not at most one; this is an engine bug"
                 )
             dual[i] = j
         return dual
@@ -297,23 +303,19 @@ class CycleAlgebra:
         Each row holds at most one 1, so the rank is the number of distinct
         columns hit, over every field; nondegeneracy means full rank.
         Vertices carrying no arrow make their block degenerate and are
-        reported as warnings.
+        reported as warnings; every arrow lies on a cycle, so they are the
+        vertices without a socle.
         """
         dual = self._dual
         rank = len({j for j in dual if j is not None})
         dimension = self.dimension
-
-        warnings = []
-        touched = {a.source for a in self.pair.quiver.arrows.values()}
-        touched |= {a.target for a in self.pair.quiver.arrows.values()}
-        for v in self.pair.quiver.vertices:
-            if v not in touched:
-                warnings.append(
-                    f"vertex {v} has no incident arrows; the form vanishes on "
-                    "its block and the pairing is degenerate there"
-                )
+        warnings = [
+            f"vertex {v} has no incident arrows; the form vanishes on "
+            "its block and the pairing is degenerate there"
+            for v in self.pair.quiver.vertices
+            if v not in self._socle_at
+        ]
         return GramMatrix(
-            basis=self.basis,
             dual=list(dual),
             rank=rank,
             nondegenerate=rank == dimension,
@@ -344,8 +346,9 @@ class CycleAlgebra:
         vertices = self.pair.quiver.vertices
         position = {v: i for i, v in enumerate(vertices)}
         entries = [[0] * len(vertices) for _ in vertices]
-        for element in self._basis:
-            entries[position[element.source]][position[element.target]] += 1
+        for i in range(self.dimension):
+            source, target = self._ends(i)
+            entries[position[source]][position[target]] += 1
         return CartanMatrix(vertices, entries)
 
     def check_multiserial(self) -> Report:

@@ -261,6 +261,23 @@ class TestMainExitCodes:
         assert code == 2
         assert "shrink the instance" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("command", list(COMMAND_TABLE))
+    def test_budget_below_one_is_a_usage_error(self, capsys, command, budget):
+        # without the check, verify-quotient skipped its dimension comparison
+        # with a warning and gram reported "more than -1 basis elements"
+        kind = COMMAND_TABLE[command][1]
+        fixture = "a3_gentle.alg" if kind == "presentation" else "loop_mu2.alg"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(FIXTURES / fixture), "--max-paths", budget])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"error: argument --max-paths: expected an integer of at least 1, got '{budget}'"
+            in captured.err
+        )
+
     def test_oversized_basis_exits_two(self, capsys, tmp_path):
         doc = tmp_path / "huge.alg"
         doc.write_text(HUGE_LOOP)

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import time
 from fractions import Fraction
@@ -39,12 +40,14 @@ from multiserial.random_instances import (
 )
 
 ONE = Fraction(1)
+# the index of socle(v) in the basis e(v), a, socle(v) of the loop at multiplicity 2
+SOCLE_V = 2
 
 
 def reference_product(alg: CycleAlgebra, x, y):
     """The basis element x * y equals, or None, by walking the joined path:
-    the reference :meth:`CycleAlgebra._basis_product` is held against, which
-    reads the junction of two walks instead."""
+    the reference :meth:`CycleAlgebra._product` is held against, which reads
+    the junction of two walks from the index layout instead."""
     if x.target != y.source:
         return None
     if isinstance(x, Idempotent):
@@ -350,8 +353,9 @@ class TestMultiply:
 
 def assert_products_equal_the_reference(alg):
     basis = alg.basis
-    for x, y in product(basis, repeat=2):
-        assert alg._basis_product(x, y) == reference_product(alg, x, y), (x, y)
+    for (i, x), (j, y) in product(enumerate(basis), repeat=2):
+        k = alg._product(i, j)
+        assert (None if k is None else basis[k]) == reference_product(alg, x, y), (x, y)
 
 
 class TestBasisProduct:
@@ -449,15 +453,13 @@ class TestGramMatrix:
         # a second hit on the row of e(v), whose product is taken for a socle
         with mock.patch.object(
             CycleAlgebra, "_factorizations", lambda self: [*listed(self), (0, 1)]
-        ), mock.patch.object(
-            CycleAlgebra, "_basis_product", lambda self, x, y: Socle("v")
-        ):
+        ), mock.patch.object(CycleAlgebra, "_product", lambda self, i, j: SOCLE_V):
             with pytest.raises(RuntimeError, match=r"e\(v\) pairs with 2 basis"):
                 alg.gram_matrix()
 
     def test_factorization_off_the_socle_is_an_engine_bug(self, loop_mu2_pair):
         alg = CycleAlgebra(loop_mu2_pair)
-        with mock.patch.object(CycleAlgebra, "_basis_product", lambda self, x, y: None):
+        with mock.patch.object(CycleAlgebra, "_product", lambda self, i, j: None):
             with pytest.raises(RuntimeError, match=r"e\(v\) \* socle\(v\) factors"):
                 alg.gram_matrix()
 
@@ -483,17 +485,44 @@ class TestGramMatrix:
             ):
                 alg.gram_matrix()
 
-    def test_dimension_3204_in_linear_work(self):
-        start = time.perf_counter()
+    def test_pairing_builds_no_basis_element(self):
         alg = CycleAlgebra(four_cycle_pair(200))
+        with contextlib.ExitStack() as stack:
+            spies = [
+                stack.enter_context(
+                    mock.patch.object(cycle_algebra, name, mock.Mock(wraps=made))
+                )
+                for name, made in (
+                    ("Path", Path),
+                    ("Idempotent", Idempotent),
+                    ("OnCyclePath", OnCyclePath),
+                    ("Socle", Socle),
+                )
+            ]
+            assert alg.gram_matrix().is_permutation
+            assert alg.check_trace_symmetry().passed
+        assert "_basis" not in vars(alg)
+        assert [spy.call_count for spy in spies] == [0, 0, 0, 0]
+
+    @staticmethod
+    def assert_pairs_in_linear_work(mu, dimension):
+        start = time.perf_counter()
+        alg = CycleAlgebra(four_cycle_pair(mu))
         gram = alg.gram_matrix()
         symmetry = alg.check_trace_symmetry()
         elapsed = time.perf_counter() - start
-        assert alg.dimension == gram.rank == 3204
+        assert alg.dimension == gram.rank == dimension
         assert gram.is_permutation
         assert symmetry.passed
-        assert f"{3204 * 3204} ordered pairs" in symmetry.check("trace-symmetry").witness
+        witness = symmetry.check("trace-symmetry").witness
+        assert f"{dimension * dimension} ordered pairs" in witness
         assert elapsed < 20.0
+
+    def test_dimension_3204_in_linear_work(self):
+        self.assert_pairs_in_linear_work(200, 3204)
+
+    def test_dimension_12804_in_linear_work(self):
+        self.assert_pairs_in_linear_work(800, 12804)
 
 
 class TestTraceSymmetry:
@@ -514,9 +543,7 @@ class TestTraceSymmetry:
         alg = CycleAlgebra(loop_mu2_pair)
         with mock.patch.object(
             CycleAlgebra, "_factorizations", lambda self: hits
-        ), mock.patch.object(
-            CycleAlgebra, "_basis_product", lambda self, x, y: Socle("v")
-        ):
+        ), mock.patch.object(CycleAlgebra, "_product", lambda self, i, j: SOCLE_V):
             report = alg.check_trace_symmetry()
             entries = alg.gram_matrix().entries
         assert not report.passed
@@ -569,6 +596,21 @@ class TestCartanMatrix:
     def test_arrowless_vertex_counts_its_idempotent(self):
         pair = DefiningPair(Quiver(["v"]), [], {})
         assert CycleAlgebra(pair).cartan_matrix().entries == [[1]]
+
+    @pytest.mark.parametrize(
+        "make",
+        [kronecker_pair, lambda: four_cycle_pair(3), lambda: valid_random_pair(21)],
+        ids=["kronecker", "four-cycle", "random"],
+    )
+    def test_counts_the_layout_without_the_basis(self, make):
+        alg = CycleAlgebra(make())
+        cartan = alg.cartan_matrix()
+        assert "_basis" not in vars(alg)
+        position = {v: i for i, v in enumerate(cartan.vertices)}
+        counted = [[0] * len(position) for _ in position]
+        for element in alg.basis:
+            counted[position[element.source]][position[element.target]] += 1
+        assert cartan.entries == counted
 
 
 class TestCheckMultiserial:
