@@ -38,7 +38,7 @@ from .cycle_algebra import (
     OracleBudgetError,
     Socle,
     _check_budget,
-    oracle_dimension,
+    _oracle_dimension,
     pair_oracle_dimension,
 )
 from .defining_pair import (
@@ -98,7 +98,8 @@ def _column_of(line_text: str, token: str) -> int | None:
 
 
 def parse_document(text: str) -> InputDocument:
-    """Parse a document; definingpair sections are rotation-closed on load."""
+    """Parse a document; definingpair sections are rotation-closed on load.
+    Each path is checked once, as :meth:`Quiver.path` builds it."""
     section = None
     vertices: list[str] = []
     vertex_set: set[str] = set()
@@ -245,7 +246,7 @@ def parse_document(text: str) -> InputDocument:
             for left, right, number in equal_specs
         )
         try:
-            presentation = Presentation(q, zeros, equals, nilpotency)
+            presentation = Presentation._trusted(q, zeros, equals, nilpotency)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         return InputDocument(q, presentation=presentation)
@@ -463,7 +464,7 @@ def _cmd_oracle(document: InputDocument, max_paths: int) -> CommandResult:
     if document.presentation is not None:
         presentation = document.presentation
         bound = presentation.nilpotency
-        dim = oracle_dimension(
+        dim = _oracle_dimension(
             presentation.quiver,
             presentation.linear_relations(),
             bound,

@@ -22,6 +22,7 @@ each other.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -132,16 +133,23 @@ def closed_form_dimension(pair: DefiningPair) -> int:
     return len(pair.quiver.vertices) + len(carrying) + on_cycles
 
 
+# The basis by index past the |V| idempotents: each proper path as its cycle's
+# position in pair.cycles and its length, then from first_socle on the socles, in
+# vertex order; by a cycle's first arrow, its full power's length and 1-arrow prefix.
+_Layout = namedtuple("_Layout", "cycle length full_length start socles socle_at first_socle")
+
+
 class CycleAlgebra:
     """Closed-form model of the algebra presented by a cycle system.
 
     The basis consists of one idempotent per vertex, every proper path
     along a cycle (shorter than the full power of its class), and one
     socle element per vertex that carries a cycle, indexed in that order;
-    its elements are built when :attr:`basis` is first read.  Construction
-    insists on a system passing validation and on a :attr:`dimension`, the
-    :func:`closed_form_dimension`, within ``max_paths``, else
-    :class:`OracleBudgetError`.
+    the index layout is built on the first read of the product, the
+    pairing, the Cartan count or the basis, the elements on the first read
+    of :attr:`basis`.  Construction insists on a system passing validation
+    and on a :attr:`dimension`, the :func:`closed_form_dimension`, within
+    ``max_paths``, else :class:`OracleBudgetError`.
     """
 
     def __init__(self, pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> None:
@@ -150,40 +158,41 @@ class CycleAlgebra:
         _check_budget(dimension, max_paths, f"basis elements (dimension {dimension})")
         self.pair = pair
         self.dimension = dimension
-        carrying = {c.source for c in pair.cycles}
-        self._socle_vertices = [v for v in pair.quiver.vertices if v in carrying]
-        # by a cycle's first arrow: full power length, index of its 1-arrow prefix
-        self._full_length: dict[str, int] = {}
-        self._start: dict[str, int] = {}
-        # by proper-path index less |V|: its cycle's position in pair.cycles, its length
-        self._cycle: list[int] = []
-        self._length: list[int] = []
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        pair = self.pair
+        full_length: dict[str, int] = {}
+        start: dict[str, int] = {}
+        cycles, lengths = [], []
         size = len(pair.quiver.vertices)
         for c, cycle in enumerate(pair.cycles):
             length = pair.mu(cycle) * len(cycle)
-            self._full_length[cycle.arrows[0]] = length
-            self._start[cycle.arrows[0]] = size
-            self._cycle.extend([c] * (length - 1))
-            self._length.extend(range(1, length))
+            full_length[cycle.arrows[0]] = length
+            start[cycle.arrows[0]] = size
+            cycles.extend([c] * (length - 1))
+            lengths.extend(range(1, length))
             size += length - 1
-        self._first_socle = size
-        self._socle_at = {v: s for s, v in enumerate(self._socle_vertices, size)}
-        size += len(self._socle_vertices)
-        if size != dimension:
+        carrying = {c.source for c in pair.cycles}
+        socles = [v for v in pair.quiver.vertices if v in carrying]
+        if size + len(socles) != self.dimension:
             raise RuntimeError(
-                f"the basis has {size} elements but the closed form "
-                f"counts {dimension}; this is an engine bug"
+                f"the basis has {size + len(socles)} elements but the closed form "
+                f"counts {self.dimension}; this is an engine bug"
             )
+        socle_at = {v: s for s, v in enumerate(socles, size)}
+        return _Layout(cycles, lengths, full_length, start, socles, socle_at, size)
 
     @cached_property
     def _basis(self) -> list[BasisElement]:
+        layout = self._layout
         basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
         fulls = [cycle_power(c, self.pair.mu(c)) for c in self.pair.cycles]
         basis.extend(
             OnCyclePath(Path(fulls[c].arrows[:k], fulls[c].vertices[: k + 1]))
-            for c, k in zip(self._cycle, self._length)
+            for c, k in zip(layout.cycle, layout.length)
         )
-        basis.extend(Socle(v) for v in self._socle_vertices)
+        basis.extend(Socle(v) for v in layout.socles)
         assert len(basis) == self.dimension
         return basis
 
@@ -193,11 +202,11 @@ class CycleAlgebra:
 
     def _ends(self, i: int) -> tuple[str, str]:
         """The source and target vertex of basis element i, from the layout."""
-        n = len(self.pair.quiver.vertices)
-        if n <= i < self._first_socle:
-            cycle = self.pair.cycles[self._cycle[i - n]]
-            return cycle.source, cycle.vertices[self._length[i - n] % len(cycle)]
-        v = self.pair.quiver.vertices[i] if i < n else self._socle_vertices[i - self._first_socle]
+        n, layout = len(self.pair.quiver.vertices), self._layout
+        if n <= i < layout.first_socle:
+            cycle = self.pair.cycles[layout.cycle[i - n]]
+            return cycle.source, cycle.vertices[layout.length[i - n] % len(cycle)]
+        v = self.pair.quiver.vertices[i] if i < n else layout.socles[i - layout.first_socle]
         return v, v
 
     def normal_form(self, path: Path) -> BasisElement | None:
@@ -215,10 +224,9 @@ class CycleAlgebra:
         """
         if path.is_trivial:
             return Idempotent(path.source)
-        first = path.arrows[0]
-        if first not in self._full_length:
-            raise ValueError(f"arrow {first!r} lies on no cycle of the system")
-        if len(path) > self._full_length[first]:
+        # a valid system puts every arrow on a cycle
+        first, full_length = path.arrows[0], self._layout.full_length
+        if len(path) > full_length[first]:
             return None
         following = self.pair.next_arrow
         expected = first
@@ -226,7 +234,7 @@ class CycleAlgebra:
             if name != expected:
                 return None
             expected = following[name]
-        if len(path) == self._full_length[first]:
+        if len(path) == full_length[first]:
             return Socle(path.source)
         return OnCyclePath(path)
 
@@ -235,35 +243,37 @@ class CycleAlgebra:
         element (c, k) walks k arrows along cycle c, so (c, k) (c', m)
         survives only when c' starts with the arrow after the k-th arrow of
         c, up to the full power of c."""
-        n, first_socle = len(self.pair.quiver.vertices), self._first_socle
+        n = len(self.pair.quiver.vertices)
+        cycle_of, length_of, full_length, start, _, socle_at, first_socle = self._layout
         if i < n or j < n:
             return (j if i < n else i) if self._ends(i)[1] == self._ends(j)[0] else None
         if i >= first_socle or j >= first_socle:
             # full powers already have maximal surviving length
             return None
         cycles = self.pair.cycles
-        cycle, k = cycles[self._cycle[i - n]], self._length[i - n]
+        cycle, k = cycles[cycle_of[i - n]], length_of[i - n]
         following = self.pair.next_arrow[cycle.arrows[(k - 1) % len(cycle.arrows)]]
-        if cycles[self._cycle[j - n]].arrows[0] != following:
+        if cycles[cycle_of[j - n]].arrows[0] != following:
             return None
-        length, full = k + self._length[j - n], self._full_length[cycle.arrows[0]]
+        length, full = k + length_of[j - n], full_length[cycle.arrows[0]]
         if length == full:
-            return self._socle_at[cycle.source]
-        return self._start[cycle.arrows[0]] + length - 1 if length < full else None
+            return socle_at[cycle.source]
+        return start[cycle.arrows[0]] + length - 1 if length < full else None
 
     def _factorizations(self) -> Iterator[tuple[int, int]]:
         """Basis index pairs (i, j) with x_i x_j a full power: e(v) with
         socle(v) both ways round, and F[:k] with F[k:] for the full power F
         of each cycle, 0 < k < len(F); F[k:] is a prefix of a rotation."""
         position = {v: i for i, v in enumerate(self.pair.quiver.vertices)}
-        for v, s in self._socle_at.items():
+        layout = self._layout
+        for v, s in layout.socle_at.items():
             yield position[v], s
             yield s, position[v]
         for cycle in self.pair.cycles:
-            length = self._full_length[cycle.arrows[0]]
-            start = self._start[cycle.arrows[0]]
+            length = layout.full_length[cycle.arrows[0]]
+            start = layout.start[cycle.arrows[0]]
             for k in range(1, length):
-                rest = self._start[cycle.arrows[k % len(cycle)]]
+                rest = layout.start[cycle.arrows[k % len(cycle)]]
                 yield start + k - 1, rest + length - k - 1
 
     @cached_property
@@ -282,9 +292,10 @@ class CycleAlgebra:
         Basis elements are built only to name the pair in that error.
         """
         dual: list[int | None] = [None] * self.dimension
+        first_socle = self._layout.first_socle
         for i, j in self._factorizations():
             k = self._product(i, j)
-            if k is None or k < self._first_socle:
+            if k is None or k < first_socle:
                 raise RuntimeError(
                     f"{self._basis[i]} * {self._basis[j]} factors a full power but is "
                     "not a socle element; this is an engine bug"
@@ -313,7 +324,7 @@ class CycleAlgebra:
             f"vertex {v} has no incident arrows; the form vanishes on "
             "its block and the pairing is degenerate there"
             for v in self.pair.quiver.vertices
-            if v not in self._socle_at
+            if v not in self._layout.socle_at
         ]
         return GramMatrix(
             dual=list(dual),
@@ -535,11 +546,18 @@ def oracle_dimension(
     count against ``max_paths``.  The classes are found by congruence
     closure: a union-find over path ids in which every merge of two
     classes queues its pair once, and a queued pair merges its one-arrow
-    extensions on both sides.
+    extensions on both sides.  Each relation and its terms are checked
+    here, once; the engine's own relations go unchecked, through
+    :func:`pair_oracle_dimension` and ``QuotientCertificate.dimensions``.
     """
+    pairs = [_checked_relation(relation, quiver) for relation in relations]
+    return _oracle_dimension(quiver, pairs, bound, max_paths)
+
+
+def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -> int:
+    """:func:`oracle_dimension` on pairs of paths of ``quiver``, unchecked."""
     if bound < 2:
         raise ValueError("truncation bound must be at least 2")
-    pairs = [_checked_relation(relation, quiver) for relation in relations]
     # longer path relations are zero anyway, and would only add states
     monomials = [p for p, q in pairs if q is None and 0 < len(p) < bound]
     automaton = MonomialAutomaton(quiver, monomials)
@@ -597,6 +615,6 @@ def oracle_dimension(
 def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> int:
     """The oracle's dimension of a cycle system's algebra: its generated
     relations closed below :func:`nilpotency_bound`, blind to the closed
-    form it is held against."""
+    form it is held against; its relations, the engine's own, go unchecked."""
     bound = nilpotency_bound(pair)
-    return oracle_dimension(pair.quiver, pair.relations.linear_relations(), bound, max_paths)
+    return _oracle_dimension(pair.quiver, pair.relations.linear_relations(), bound, max_paths)

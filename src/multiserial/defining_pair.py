@@ -36,7 +36,9 @@ class DefiningPair:
     ``cycles`` holds every rotation explicitly; ``mult`` maps each cycle's
     arrow tuple to its multiplicity.  Construction checks only structural
     sanity; :attr:`axioms` reports on the axioms, so that invalid systems
-    can be represented and reported on.
+    can be represented and reported on.  A caller's system is a border,
+    where each cycle is checked once to be a path of the quiver;
+    :func:`close_under_rotation` builds its rotations by :meth:`_trusted`.
     """
 
     def __init__(
@@ -45,12 +47,22 @@ class DefiningPair:
         cycles: Iterable[Path],
         mult: Mapping[tuple[str, ...], int],
     ) -> None:
+        self._build(quiver, cycles, mult, on_quiver=False)
+
+    @classmethod
+    def _trusted(cls, *args) -> DefiningPair:
+        """``DefiningPair(*args)``, trusting its cycles to be paths of its quiver."""
+        pair = cls.__new__(cls)
+        pair._build(*args, on_quiver=True)
+        return pair
+
+    def _build(self, quiver: Quiver, cycles: Iterable[Path], mult: Mapping, on_quiver: bool) -> None:
         self.quiver = quiver
         unique: dict[tuple[str, ...], Path] = {}
         for c in cycles:
             if not is_simple_cycle(c):
                 raise ValueError(f"not a simple cycle: {c}")
-            if not quiver.contains_path(c):
+            if not (on_quiver or quiver.contains_path(c)):
                 raise ValueError(f"cycle {c} is not a path of the quiver")
             unique[c.arrows] = c
         self.cycles: tuple[Path, ...] = tuple(
@@ -205,13 +217,18 @@ def close_under_rotation(
     """Build a cycle system from one representative per rotation class.
 
     Rotation closure and constancy of the multiplicity on each class hold
-    by construction.  Two representatives of the same class with different
-    multiplicities are a fault.
+    by construction.  The representatives are a border: each is checked
+    once per rotation class to be a simple cycle of ``quiver``, and a later
+    one of a class to walk the same vertices; their rotations are trusted.
+    Two representatives of one class with different multiplicities are a
+    fault.
     """
     by_class: dict[tuple[str, ...], tuple[Path, int]] = {}
     for cycle, mult in representatives:
         canon = canonical_rotation(cycle)
         known = by_class.get(canon.arrows)
+        if not (known[0] == canon if known else quiver.contains_path(canon)):
+            raise ValueError(f"cycle {cycle} is not a path of the quiver")
         if known is not None and known[1] != mult:
             raise ValueError(
                 f"conflicting multiplicities {known[1]} and {mult} "
@@ -224,7 +241,7 @@ def close_under_rotation(
         for rotation in rotations(canon):
             cycles.append(rotation)
             mult_map[rotation.arrows] = mult
-    return DefiningPair(quiver, cycles, mult_map)
+    return DefiningPair._trusted(quiver, cycles, mult_map)
 
 
 def validate(pair: DefiningPair) -> Report:

@@ -12,8 +12,10 @@ expected to list all vanishing quadratics explicitly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -32,7 +34,9 @@ class Presentation:
 
     ``zero_paths`` are monomial generators, ``equal_pairs`` binomial
     generators p - q (same endpoints), and ``nilpotency`` the declared
-    bound N >= 2 with every path of length >= N in the ideal.
+    bound N >= 2 with every path of length >= N in the ideal.  A caller's
+    presentation is a border, where each generator is checked once to be a
+    path of the quiver; the engine builds its own by :meth:`_trusted`.
     """
 
     quiver: Quiver
@@ -41,26 +45,34 @@ class Presentation:
     nilpotency: int
 
     def __post_init__(self) -> None:
+        self._check(on_quiver=False)
+
+    @classmethod
+    def _trusted(cls, *fields) -> Presentation:
+        """``Presentation(*fields)``, trusting its generators to be paths of its quiver."""
+        presentation = cls.__new__(cls)
+        vars(presentation).update(zip(cls.__dataclass_fields__, fields))
+        presentation._check(on_quiver=True)
+        return presentation
+
+    def _check(self, on_quiver: bool) -> None:
         if self.nilpotency < 2:
             raise ValueError("nilpotency bound must be at least 2")
-        for p in self.zero_paths:
-            self._check_generator(p)
+        for p in chain(self.zero_paths, *self.equal_pairs):
+            if not (on_quiver or self.quiver.contains_path(p)):
+                raise ValueError(f"generator {p} is not a path of the quiver")
+            if len(p.arrows) < 2:
+                raise ValueError(f"generator {p} has length < 2; the ideal must be admissible")
         for p, q in self.equal_pairs:
-            self._check_generator(p)
-            self._check_generator(q)
             if p.source != q.source or p.target != q.target:
                 raise ValueError(
                     f"binomial generator is not uniform: {p} and {q} "
                     "have different endpoints"
                 )
-        quadratic = frozenset(p.arrows for p in self.zero_paths if len(p.arrows) == 2)
-        object.__setattr__(self, "_quadratic", quadratic)
 
-    def _check_generator(self, p: Path) -> None:
-        if not self.quiver.contains_path(p):
-            raise ValueError(f"generator {p} is not a path of the quiver")
-        if len(p.arrows) < 2:
-            raise ValueError(f"generator {p} has length < 2; the ideal must be admissible")
+    @cached_property
+    def _quadratic(self) -> frozenset[tuple[str, ...]]:
+        return frozenset(p.arrows for p in self.zero_paths if len(p.arrows) == 2)
 
     def quadratic_in_ideal(self, a: str, b: str) -> bool:
         """Whether the two-arrow path ab lies in the ideal."""
@@ -108,20 +120,14 @@ class SuccessorTables:
         names = set(self.quiver.arrows)
         if set(self.sigma) != names or set(self.tau) != names:
             raise ValueError("tables must be defined on exactly the quiver's arrows")
-        for a, b in self.sigma.items():
-            if b is None:
-                continue
+        forward = {(a, b) for a, b in self.sigma.items() if b is not None}
+        backward = {(a, b) for b, a in self.tau.items() if a is not None}
+        for a, b in sorted(forward | backward):
             if self.quiver.arrow(a).target != self.quiver.arrow(b).source:
-                raise ValueError(f"successor of {a} is not composable: {b}")
-            if self.tau.get(b) != a:
-                raise ValueError(f"tables are not mutually inverse at {a} -> {b}")
-        for b, a in self.tau.items():
-            if a is None:
-                continue
-            if self.quiver.arrow(a).target != self.quiver.arrow(b).source:
-                raise ValueError(f"predecessor of {b} is not composable: {a}")
-            if self.sigma.get(a) != b:
-                raise ValueError(f"tables are not mutually inverse at {a} <- {b}")
+                raise ValueError(f"the tables pair {a} with {b}, which is not composable")
+        if forward != backward:
+            a, b = min(forward ^ backward)
+            raise ValueError(f"tables are not mutually inverse at {a} {b}")
 
     @cached_property
     def orbits(self) -> Mapping[str, OrbitData]:
@@ -244,18 +250,8 @@ def maximal_paths(tables: SuccessorTables) -> tuple[Path, ...]:
     successor map until it stops; every arrow with a stopping orbit occurs
     in exactly one of them.  Returned sorted by arrow sequence.
     """
-    q = tables.quiver
-    out = []
-    for name in sorted(q.arrows):
-        if tables.tau[name] is not None:
-            continue
-        chain = [name]
-        current = tables.sigma[name]
-        while current is not None:
-            chain.append(current)
-            current = tables.sigma[current]
-        out.append(q.path(chain))
-    return tuple(sorted(out, key=lambda p: p.arrows))
+    starts = [name for name in sorted(tables.quiver.arrows) if tables.tau[name] is None]
+    return tuple(_walk(tables, name, None) for name in starts)
 
 
 def simple_cycles(tables: SuccessorTables) -> tuple[Path, ...]:
@@ -264,20 +260,18 @@ def simple_cycles(tables: SuccessorTables) -> tuple[Path, ...]:
     The family is closed under rotation: the cycle based at an arrow's
     successor is the rotation of the cycle based at the arrow itself.
     """
-    q = tables.quiver
-    limit = len(q.arrows) + 1
-    out = []
-    for name in sorted(q.arrows):
-        _, period = _orbit(tables.sigma, name, limit)
-        if period is None:
-            continue
-        chain = [name]
-        current = tables.sigma[name]
-        while current != name:
-            chain.append(current)
-            current = tables.sigma[current]
-        out.append(q.path(chain))
-    return tuple(sorted(out, key=lambda p: p.arrows))
+    limit = len(tables.quiver.arrows) + 1
+    starts = [a for a in sorted(tables.quiver.arrows) if _orbit(tables.sigma, a, limit)[1]]
+    return tuple(_walk(tables, name, name) for name in starts)
+
+
+def _walk(tables: SuccessorTables, start: str, end: Optional[str]) -> Path:
+    """The path from ``start`` along the successor map up to ``end``, not
+    included; the paths start with distinct arrows, so name order sorts them."""
+    chain = [start]
+    while (current := tables.sigma[chain[-1]]) != end:
+        chain.append(current)
+    return tables.quiver.path(chain)
 
 
 def check_orbit_structure(tables: SuccessorTables) -> Report:
@@ -292,25 +286,19 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
     cycles = simple_cycles(tables)
     report = Report("orbit-structure")
 
-    on_maximal: dict[str, list[Path]] = {a: [] for a in q.arrows}
-    for m in maxima:
-        for a in m.arrows:
-            on_maximal[a].append(m)
+    on_maximal = Counter(a for m in maxima for a in m.arrows)
+    on_cycle = Counter(a for c in cycles for a in c.arrows)
     # each cycle's rotation class, numbered once from its canonical rotation
     class_ids: dict[tuple[str, ...], int] = {}
     class_at = {
         c.arrows[0]: class_ids.setdefault(canonical_rotation(c).arrows, len(class_ids))
         for c in cycles
     }
-    on_cycle: dict[str, list[Path]] = {a: [] for a in q.arrows}
-    for c in cycles:
-        for a in c.arrows:
-            on_cycle[a].append(c)
 
     bad = [
         a
         for a in sorted(q.arrows)
-        if (len(on_maximal[a]) > 0) == (len(on_cycle[a]) > 0)
+        if (on_maximal[a] > 0) == (on_cycle[a] > 0)
     ]
     report.add(
         "arrow-partition",
@@ -318,7 +306,7 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
         "" if not bad else "arrows on both or neither side: " + ", ".join(bad),
     )
 
-    multi = [a for a in sorted(q.arrows) if len(on_maximal[a]) > 1]
+    multi = [a for a in sorted(q.arrows) if on_maximal[a] > 1]
     report.add(
         "unique-maximal-path",
         not multi,

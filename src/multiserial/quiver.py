@@ -137,7 +137,8 @@ class Quiver:
         return Path(names, tuple(itinerary))
 
     def contains_path(self, p: Path) -> bool:
-        """Whether ``p`` is a valid path of this quiver, itinerary included."""
+        """Whether ``p`` is a valid path of this quiver, itinerary included:
+        the check a path from outside the engine gets once, where it enters."""
         if not p.arrows:
             return p.source in self._vertex_set
         for i, name in enumerate(p.arrows):
@@ -171,16 +172,6 @@ class Quiver:
                     kept.append(b)
                     before[b.name].append(a)
         return after, before
-
-    def length_two_paths(self) -> list[Path]:
-        """All composable two-arrow paths, ordered by their arrow names, in
-        time linear in their number."""
-        after, _ = self.compositions(lambda a, b: True)
-        return [
-            Path((a.name, b.name), (a.source, a.target, b.target))
-            for a in self._by_name
-            for b in after[a.name]
-        ]
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph, searched along

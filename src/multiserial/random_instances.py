@@ -5,7 +5,8 @@ loops drawing multiplicity one they validate by construction; callers
 filter on the validation verdict.  Presentations are built from a random
 partial successor matching, so they satisfy the multiserial condition, and
 may carry extra long monomial and binomial generators that exercise the
-oracle without touching the quadratic structure.
+oracle without touching the quadratic structure.  Generators are built on
+the drawn quiver, so no presentation checks them again.
 """
 
 from __future__ import annotations
@@ -83,17 +84,13 @@ def _random_walk(rng: random.Random, quiver: Quiver, length: int) -> Path | None
     arrows = list(quiver.arrows.values())
     if not arrows:
         return None
-    start = rng.choice(arrows)
-    names = [start.name]
-    current = start.target
+    walk = [rng.choice(arrows)]
     for _ in range(length - 1):
-        options = quiver.arrows_from(current)
+        options = quiver.arrows_from(walk[-1].target)
         if not options:
             return None
-        step = rng.choice(options)
-        names.append(step.name)
-        current = step.target
-    return quiver.path(names)
+        walk.append(rng.choice(options))
+    return Path(tuple(a.name for a in walk), (walk[0].source, *(a.target for a in walk)))
 
 
 def random_presentation(
@@ -105,12 +102,7 @@ def random_presentation(
     quiver = _random_quiver(rng, max_vertices, max_arrows)
     nilpotency = rng.randint(2, max_nilpotency)
 
-    matched = _random_matching(rng, quiver)
-    zero_paths = [
-        p
-        for p in quiver.length_two_paths()
-        if matched.get(p.arrows[0]) != p.arrows[1]
-    ]
+    zero_paths = _two_arrow_paths(quiver, _random_matching(rng, quiver))
 
     extras: list[Path] = []
     if nilpotency >= 3 and rng.random() < 0.4:
@@ -134,7 +126,7 @@ def random_presentation(
                 pairs.append((first, second))
                 break
 
-    return Presentation(
+    return Presentation._trusted(
         quiver, tuple(zero_paths) + tuple(extras), tuple(pairs), nilpotency
     )
 
@@ -144,7 +136,17 @@ def radical_square_zero_presentation(
 ) -> Presentation:
     """Every composition of two arrows vanishes, declared explicitly."""
     quiver = _random_quiver(rng, max_vertices, max_arrows)
-    return Presentation(quiver, tuple(quiver.length_two_paths()), (), 2)
+    return Presentation._trusted(quiver, tuple(_two_arrow_paths(quiver, {})), (), 2)
+
+
+def _two_arrow_paths(quiver: Quiver, matched: dict[str, str]) -> list[Path]:
+    """The two-arrow paths ab with b not ``matched[a]``, by arrow names."""
+    return [
+        Path((a.name, b.name), (a.source, a.target, b.target))
+        for a in sorted(quiver.arrows.values(), key=lambda a: a.name)
+        for b in quiver.arrows_from(a.target)
+        if b.name != matched.get(a.name)
+    ]
 
 
 def _random_matching(rng: random.Random, quiver: Quiver) -> dict[str, str]:

@@ -25,7 +25,7 @@ from itertools import chain
 from .cycle_algebra import (
     DEFAULT_MAX_PATHS,
     CycleAlgebra,
-    oracle_dimension,
+    _oracle_dimension,
     pair_oracle_dimension,
 )
 from .defining_pair import DefiningPair, close_under_rotation
@@ -78,7 +78,7 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     enlarged = Quiver(base.vertices, arrow_triples)
     # the tables trace every rotation of a cycle; the closure merges them
     cycles = list(simple_cycles(tables))
-    cycles.extend(enlarged.path(m.arrows + (r,)) for r, m in closes.items())
+    cycles.extend(Path(m.arrows + (r,), m.vertices + (m.source,)) for r, m in closes.items())
     cover = close_under_rotation(enlarged, [(c, presentation.nilpotency) for c in cycles])
     object.__setattr__(presentation, "_cover", cover)
     return cover
@@ -180,13 +180,14 @@ class QuotientCertificate:
         The first is computed by the truncation oracle on the presentation's
         generators, the second is :attr:`CycleAlgebra.dimension`, counted
         from the cover's rotation classes without building its basis, and
-        confirmed by the oracle on the cover's relations.  The cover always
-        dominates; a disagreement of the two routes, or a presented
-        dimension above the cover's, raises :class:`RuntimeError` as an
-        engine bug.
+        confirmed by the oracle on the cover's relations; both relation sets
+        reach the oracle unchecked, as they were checked where they entered
+        or built by the engine.  The cover always dominates; a disagreement
+        of the two routes, or a presented dimension above the cover's,
+        raises :class:`RuntimeError` as an engine bug.
         """
         presentation = self.presentation
-        dim = oracle_dimension(
+        dim = _oracle_dimension(
             presentation.quiver,
             presentation.linear_relations(),
             presentation.nilpotency,

@@ -28,6 +28,7 @@ from multiserial.random_instances import (
     random_presentation,
     tractable_defining_pair,
 )
+from test_quiver import length_two_paths
 
 
 def _conclude(number: int, label: str, failures: list, started: float, budget: float):
@@ -196,7 +197,7 @@ def test_criterion_6_radical_square_zero_coverage():
     for index in range(25):
         presentation = radical_square_zero_presentation(rng)
         if presentation.nilpotency != 2 or len(presentation.zero_paths) != len(
-            presentation.quiver.length_two_paths()
+            length_two_paths(presentation.quiver)
         ):
             failures.append(f"instance {index} is not radical square zero")
             break

@@ -26,7 +26,7 @@ from multiserial.cli import (
     render_pair_document,
     run_command,
 )
-from multiserial import derive_successors, maximal_paths, orbit_data, symmetrize
+from multiserial import Quiver, derive_successors, maximal_paths, orbit_data, symmetrize
 from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
@@ -45,6 +45,17 @@ LOOP_TEXT = (FIXTURES / "loop_mu2.alg").read_text()
 HUGE_BOUND = (
     "[quiver]\nvertices = 1 2\narrow a = 1 -> 2\narrow b = 2 -> 1\n\n"
     "[presentation]\nnilpotency = 100000000000\n"
+)
+# generators that Quiver.path builds but the presentation refuses: a zero
+# path of length 1, and an equal pair whose terms end at different vertices
+SHORT_ZERO = (
+    "[quiver]\nvertices = 1 2\narrow a = 1 -> 2\n\n"
+    "[presentation]\nnilpotency = 2\nzero = a\n"
+)
+NON_UNIFORM = (
+    "[quiver]\nvertices = 1 2 3\narrow a = 1 -> 2\narrow b = 2 -> 3\n"
+    "arrow c = 1 -> 2\narrow d = 2 -> 2\n\n"
+    "[presentation]\nnilpotency = 3\nequal = a b , c d\n"
 )
 # a loop whose algebra has dimension 10**11: past any basis budget in memory
 HUGE_LOOP = (
@@ -99,6 +110,26 @@ class TestParse:
         text = "[quiver]\nvertices = 1\n\n[presentation]\nnilpotency = 2\nzero = x y\n"
         with pytest.raises(ParseError, match=r"line 6.*unknown arrow 'x'"):
             parse_document(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(SHORT_ZERO, "generator a has length < 2"), (NON_UNIFORM, "not uniform")],
+        ids=["length-one", "non-uniform"],
+    )
+    def test_parsed_generators_keep_every_check_but_membership(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_document(text)
+
+    def test_parsing_a_presentation_checks_no_path_again(self):
+        # Quiver.path builds each generator from its line; nothing re-checks it
+        text = A3_TEXT + "zero = b\n"
+        with mock.patch.object(
+            Quiver, "contains_path", autospec=True, side_effect=Quiver.contains_path
+        ) as spy:
+            assert len(parse_document(A3_TEXT).presentation.zero_paths) == 1
+            with pytest.raises(ParseError, match="generator b has length < 2"):
+                parse_document(text)
+        assert spy.call_count == 0
 
     def test_non_composable_zero_path(self):
         text = (
@@ -359,6 +390,19 @@ class TestMainExitCodes:
         assert out == ""
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(SHORT_ZERO, "generator a has length < 2"), (NON_UNIFORM, "not uniform")],
+        ids=["length-one", "non-uniform"],
+    )
+    def test_refused_generator_exits_two(self, capsys, tmp_path, text, message):
+        doc = tmp_path / "refused.alg"
+        doc.write_text(text)
+        code, out, err = self.run(capsys, "validate", str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_wrong_document_kind_exits_two(self, capsys):
         code, _, err = self.run(
             capsys, "sigma-tau", str(FIXTURES / "loop_mu2.alg")
@@ -368,7 +412,7 @@ class TestMainExitCodes:
 
     def test_presented_dimension_above_the_cover_exits_two(self, capsys):
         # only an engine bug can make the presented algebra the larger one
-        with mock.patch.object(symmetrize_module, "oracle_dimension", return_value=99):
+        with mock.patch.object(symmetrize_module, "_oracle_dimension", return_value=99):
             code, out, err = self.run(
                 capsys, "verify-quotient", str(FIXTURES / "a3_gentle.alg")
             )
@@ -410,8 +454,8 @@ class TestRunCommand:
             (symmetrize_module, "derive_successors"),
             (symmetrize_module, "close_under_rotation"),
             (symmetrize_module, "symmetrize"),
-            (symmetrize_module, "oracle_dimension"),
-            (cycle_algebra_module, "oracle_dimension"),
+            (symmetrize_module, "_oracle_dimension"),
+            (cycle_algebra_module, "_oracle_dimension"),
             (cycle_algebra_module, "closed_form_dimension"),
         ]
         spies: dict[str, mock.Mock] = {}
@@ -424,7 +468,7 @@ class TestRunCommand:
             result = run_command("verify-quotient", parse_document(A3_TEXT))
         assert result.report.passed
         # the oracle runs once on each algebra: the presented one and its cover
-        expected = dict.fromkeys(spies, 1) | {"oracle_dimension": 2}
+        expected = dict.fromkeys(spies, 1) | {"_oracle_dimension": 2}
         assert {n: spy.call_count for n, spy in spies.items()} == expected
 
 

@@ -33,6 +33,7 @@ from multiserial import cycle_algebra
 from multiserial.quiver import MonomialAutomaton
 from multiserial.report import Report
 from test_defining_pair import spy_on_derivation
+from test_quiver import length_two_paths
 from multiserial.random_instances import (
     random_defining_pair,
     random_presentation,
@@ -579,9 +580,19 @@ class TestClosedFormDimension:
             CycleAlgebra(two_cycle_mu3_pair, max_paths=13)
 
     def test_mismatched_basis_is_an_engine_bug(self, two_cycle_mu3_pair):
+        # the layout is held against the closed form where it is built: on
+        # the first read of the basis, the pairing or the Cartan count
+        readers = [
+            lambda alg: alg.basis,
+            lambda alg: alg.gram_matrix(),
+            lambda alg: alg.check_trace_symmetry(),
+            lambda alg: alg.cartan_matrix(),
+        ]
         with mock.patch.object(cycle_algebra, "closed_form_dimension", return_value=15):
-            with pytest.raises(RuntimeError, match="counts 15; this is an engine bug"):
-                CycleAlgebra(two_cycle_mu3_pair)
+            for read in readers:
+                alg = CycleAlgebra(two_cycle_mu3_pair)
+                with pytest.raises(RuntimeError, match="counts 15; this is an engine bug"):
+                    read(alg)
 
 
 class TestCartanMatrix:
@@ -627,7 +638,7 @@ class TestCheckMultiserial:
         ) as spy:
             assert alg.check_multiserial().passed
         asked = [call.args[1].arrows for call in spy.call_args_list]
-        assert asked == [p.arrows for p in alg.pair.quiver.length_two_paths()]
+        assert asked == [p.arrows for p in length_two_paths(alg.pair.quiver)]
 
     def test_failure_names_every_wrong_side(self):
         # a b survives besides a abar, and abar a vanishes: a gains a second

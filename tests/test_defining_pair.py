@@ -22,7 +22,7 @@ from multiserial import (
 )
 from multiserial import defining_pair as defining_pair_module
 from multiserial.random_instances import random_defining_pair, random_presentation
-from test_quiver import lies_in
+from test_quiver import length_two_paths, lies_in
 
 
 @contextlib.contextmanager
@@ -237,6 +237,34 @@ class TestCloseUnderRotation:
                 q, [(q.path(["a", "b"]), 2), (q.path(["b", "a"]), 3)]
             )
 
+    def test_foreign_representative_is_named(self, two_cycle_quiver, loop_quiver):
+        q = two_cycle_quiver
+        foreign = loop_quiver.path(["a"])
+        with pytest.raises(ValueError, match=r"^cycle a is not a path of the quiver$"):
+            close_under_rotation(q, [(foreign, 2)])
+        # the arrows of a checked class on other vertices: the later one is foreign
+        moved = Path(("b", "a"), ("1", "2", "1"))
+        with pytest.raises(ValueError, match=r"^cycle b a is not a path of the quiver$"):
+            close_under_rotation(q, [(q.path(["a", "b"]), 2), (moved, 2)])
+
+    def test_checks_each_rotation_class_once(self):
+        # 3 classes of 4 arrows between two vertices, each given by its 4 rotations
+        quiver = Quiver(
+            ["1", "2"],
+            [(f"{x}{i}", "12"[i % 2], "12"[(i + 1) % 2]) for x in "abc" for i in range(4)],
+        )
+        cycles = [
+            quiver.path([f"{x}{(i + k) % 4}" for k in range(4)])
+            for x in "abc"
+            for i in range(4)
+        ]
+        with mock.patch.object(
+            Quiver, "contains_path", autospec=True, side_effect=Quiver.contains_path
+        ) as spy:
+            pair = close_under_rotation(quiver, [(c, 2) for c in cycles])
+        assert spy.call_count == 3
+        assert len(pair.cycles) == 12
+
     def test_representative_choice_is_irrelevant(self, two_cycle_quiver):
         q = two_cycle_quiver
         one = close_under_rotation(q, [(q.path(["a", "b"]), 3)])
@@ -348,14 +376,14 @@ def test_quadratics_split_into_on_cycle_and_type3(seed):
         type3 = {p.arrows for p in relations.type3}
         on_cycle = {
             p.arrows
-            for p in pair.quiver.length_two_paths()
+            for p in length_two_paths(pair.quiver)
             if any(lies_in(p, c) for c in pair.cycles)
         }
-        everything = {p.arrows for p in pair.quiver.length_two_paths()}
+        everything = {p.arrows for p in length_two_paths(pair.quiver)}
         assert type3 | on_cycle == everything
         assert not (type3 & on_cycle)
         assert list(relations.type3) == [
-            p for p in pair.quiver.length_two_paths() if p.arrows not in on_cycle
+            p for p in length_two_paths(pair.quiver) if p.arrows not in on_cycle
         ]
 
 

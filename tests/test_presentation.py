@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from dataclasses import FrozenInstanceError
@@ -28,9 +29,11 @@ from multiserial.cli import parse_document
 from multiserial.random_instances import (
     _random_matching,
     _random_quiver,
+    radical_square_zero_presentation,
     random_presentation,
 )
 from multiserial.report import Report
+from test_quiver import length_two_paths
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
 ORBIT_CHECKS = [
@@ -129,6 +132,23 @@ class TestPresentationConstruction:
         with pytest.raises(ValueError, match="not a path of the quiver"):
             Presentation(linear_quiver, (loop_quiver.path(["a", "a"]),), (), 2)
 
+    def test_trusted_route_keeps_every_check_but_membership(self):
+        q = Quiver(
+            ["1", "2", "3"],
+            [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2"), ("d", "2", "2")],
+        )
+        ab, cd = q.path(["a", "b"]), q.path(["c", "d"])
+        for args, message in [
+            ((q, (), (), 1), "at least 2"),
+            ((q, (q.path(["a"]),), (), 2), "length < 2"),
+            ((q, (), ((ab, cd),), 3), "not uniform"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Presentation._trusted(*args)
+        with mock.patch.object(Quiver, "contains_path", side_effect=AssertionError):
+            p = Presentation._trusted(q, (ab,), ((cd, q.path(["c", "d", "d"])),), 3)
+        assert p.quadratic_in_ideal("a", "b") and not p.quadratic_in_ideal("c", "d")
+
     def test_quadratic_membership(self, linear_presentation):
         assert linear_presentation.quadratic_in_ideal("a", "b")
 
@@ -177,7 +197,7 @@ class TestMultiserialCondition:
         ) as spy:
             report = check_multiserial_condition(p)
         asked = [call.args[1:] for call in spy.call_args_list]
-        assert asked == [path.arrows for path in q.length_two_paths()]
+        assert asked == [path.arrows for path in length_two_paths(q)]
         assert report == reference_surviving_compositions(p)[0]
         assert report.check("unique-predecessor(c)").witness == (
             "surviving compositions with a, c, d"
@@ -386,6 +406,68 @@ def test_orbit_structure_on_presentations(seed):
     report = check_orbit_structure(tables)
     assert [c.name for c in report.checks] == ORBIT_CHECKS
     assert report.passed
+
+
+# The generators at their default sizes and at four vertices, 40 arrows and
+# nilpotency 4, the largest shape the benchmark draws.
+GENERATORS = {
+    "random": random_presentation,
+    "random-4-40-4": lambda rng: random_presentation(rng, 4, 40, 4),
+    "radical-square-zero": radical_square_zero_presentation,
+    "radical-square-zero-4-40": lambda rng: radical_square_zero_presentation(rng, 4, 40),
+}
+# Three draws from random.Random(seed) for each seed 0..49, digested one by
+# one and then together.  The benchmark's pinned input digests rest on these
+# draws, so a change to the generators' RNG calls or output order fails here.
+DRAW_DIGESTS = {
+    "random": "5f62237329677f2c",
+    "random-4-40-4": "a59cc1ab13fa73e5",
+    "radical-square-zero": "a1a5936add8f4f37",
+    "radical-square-zero-4-40": "ad3c8c74a1a5b60e",
+}
+
+
+def draw_digest(p: Presentation) -> str:
+    """A digest of a presentation's vertices, arrows, generators with their
+    itineraries, and nilpotency."""
+    q = p.quiver
+    text = repr((
+        q.vertices,
+        [(a.name, a.source, a.target) for a in q.arrows.values()],
+        [(z.arrows, z.vertices) for z in p.zero_paths],
+        [((l.arrows, l.vertices), (r.arrows, r.vertices)) for l, r in p.equal_pairs],
+        p.nilpotency,
+    ))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def assert_generators_on_quiver(p: Presentation) -> None:
+    for path in (*p.zero_paths, *(t for pair in p.equal_pairs for t in pair)):
+        assert p.quiver.contains_path(path), path
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_random_generators_draw_paths_of_their_quiver_as_pinned(name):
+    # the generators check no generator against its quiver, so this test does
+    combined = hashlib.sha256()
+    for seed in range(50):
+        rng = random.Random(seed)
+        for _ in range(3):
+            p = GENERATORS[name](rng)
+            assert_generators_on_quiver(p)
+            combined.update(draw_digest(p).encode())
+    assert combined.hexdigest()[:16] == DRAW_DIGESTS[name]
+
+
+@given(st.integers(0, 10**9), st.sampled_from(sorted(GENERATORS)))
+@settings(max_examples=60, deadline=None)
+def test_random_generators_check_no_path(seed, name):
+    with mock.patch.object(
+        Quiver, "contains_path", autospec=True, side_effect=Quiver.contains_path
+    ) as spy:
+        p = GENERATORS[name](random.Random(seed))
+    assert spy.call_count == 0
+    assert_generators_on_quiver(p)
 
 
 @given(st.integers(0, 10**9))

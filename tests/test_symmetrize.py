@@ -380,17 +380,49 @@ class TestDimensionComparison:
     def test_presented_dimension_above_the_cover_is_an_engine_bug(
         self, linear_presentation
     ):
-        # pair_oracle_dimension calls the unpatched oracle_dimension of
+        # pair_oracle_dimension calls the unpatched _oracle_dimension of
         # cycle_algebra, so the cross-check still passes
         certificate = verify_quotient(linear_presentation)
         with mock.patch.object(
-            symmetrize_module, "oracle_dimension", return_value=19
+            symmetrize_module, "_oracle_dimension", return_value=19
         ), pytest.raises(
             RuntimeError,
             match="presented dimension 19 exceeds the cover's 18; "
             "the collapse map cannot be surjective, this is an engine bug",
         ):
             certificate.dimensions()
+
+    def test_cover_dimension_builds_no_layout(self):
+        # the 200-arrow line's cover has dimension 121,404; reading it lays
+        # out no basis index, which the pairing or the Cartan count would
+        n = 200
+        quiver = Quiver(
+            [str(i) for i in range(n + 1)],
+            [(f"a{i}", str(i), str(i + 1)) for i in range(n)],
+        )
+        algebra = CycleAlgebra(symmetrize(Presentation(quiver, (), (), 3)))
+        assert algebra.dimension == 121404
+        assert "_layout" not in vars(algebra)
+        assert len(algebra.cartan_matrix().entries) == n + 1
+        assert len(vars(algebra)["_layout"].cycle) == 121404 - 2 * (n + 1)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_paths_are_checked_once_per_rotation_class(self, seed):
+        # the cover's cycles are checked once per class, where they enter
+        # close_under_rotation; its relations and the presentation's
+        # generators reach the oracle unchecked
+        presentation = random_presentation(random.Random(seed))
+        with mock.patch.object(
+            Quiver, "contains_path", autospec=True, side_effect=Quiver.contains_path
+        ) as spy:
+            certificate = verify_quotient(presentation)
+            classes = len(certificate.pair.rotation_class_representatives())
+            assert spy.call_count <= classes
+            spy.reset_mock()
+            dim, dim_star = certificate.dimensions()
+        assert spy.call_count == 0
+        assert dim <= dim_star
 
     def test_cover_dimension_builds_no_basis(self):
         # 200 arrows in a line, no zero paths: the cover's one rotation class
