@@ -14,7 +14,10 @@ each checked by the index product, as one dual index per basis element
 The oracle (:func:`oracle_dimension`) knows nothing of that structure: it
 closes the relations, each a pair ``(p, None)`` for a path or ``(p, q)``
 for a difference of two paths, under multiplication by arrows in a
-truncated path algebra, and counts the path classes that do not vanish;
+truncated path algebra, and counts the path classes that do not vanish.
+An automaton of the path relations counts the paths that avoid them; they
+get ids only once a binomial or trivial-path relation needs them, and
+their extensions in front only when the closure first reaches them.
 :func:`pair_oracle_dimension` runs it on a cycle system's generated
 relations.  Tests and the acceptance suite hold the two routes against
 each other.
@@ -29,7 +32,6 @@ from typing import Iterable, Iterator, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
 from .quiver import MonomialAutomaton, Path, Quiver, cycle_power
-from .quiver import compose  # noqa: F401 - not called here; tests patch it to see no path joined
 from .report import Report
 
 DEFAULT_MAX_PATHS = 200_000
@@ -430,26 +432,28 @@ class _PathTable:
     as integer ids, with one-arrow extension tables.
 
     The id ``zero``, 0, stands for every product that vanishes or ends
-    with a monomial; it has no extensions.  The paths follow shortest
-    first, in the order :func:`enumerate_paths` lists them, survivors only.
+    with a monomial; it has no extensions.  The trivial paths follow in
+    vertex order, then the others, shortest first, by ``parent`` (the path
+    without its last arrow) and then the ``last`` arrow's slot.
     ``right[first[p] + i]`` is the path with the ``i``-th arrow out of its
     target (name order) put behind, and ``lefts[left_at[p] + i]`` the one
     with the ``i``-th arrow into its source put in front; both offsets are
     -1 for paths of length ``bound - 1``, whose extensions all reach the
-    bound.
+    bound.  ``left_at[p]`` is None until ``left(p)`` first makes the block.
     """
 
     def __init__(self, quiver: Quiver, automaton: MonomialAutomaton, bound: int) -> None:
         self.vertex = automaton.vertex
         incoming = [quiver.arrows_into(v) for v in quiver.vertices]
         self.out_degree = [len(arrows) for arrows in automaton.outgoing]
-        self.in_degree = [len(arrows) for arrows in incoming]
+        self.in_degree = in_degree = [len(arrows) for arrows in incoming]
         self.slot = {a.name: i for arrows in automaton.outgoing for i, a in enumerate(arrows)}
 
-        # zero's entries in state, source and target are placeholders
+        # zero's entries, and the trivial paths' parent and last, are placeholders
         step = automaton.step
         state = [0, *range(len(incoming))]
         source = list(state)
+        parent, last = [0] * len(state), [0] * len(state)
         first = [-1]
         right: list[int] = []
         level_start, level_end = 1, len(state)
@@ -457,45 +461,51 @@ class _PathTable:
             for p in range(level_start, level_end):
                 first.append(len(right))
                 s = source[p]
-                for t in step[state[p]]:
+                for j, t in enumerate(step[state[p]]):
                     if t < 0:
                         right.append(0)
                     else:
                         right.append(len(state))
                         state.append(t)
                         source.append(s)
+                        parent.append(p)
+                        last.append(j)
             if level_end == len(state):
                 break
             level_start, level_end = level_end, len(state)
         first.extend([-1] * (len(state) - len(first)))
-        target = [automaton.end[s] for s in state]
-
-        # Left extensions follow from the parent's: a(pb) = (ap)b, where ap
-        # is a path one shorter than a(pb), so its right extensions exist,
-        # and a(pb) is zero when ap is (``x and ...`` keeps the id 0).
-        lefts: list[int] = []
-        left_at = [-1]
-        for arrows in incoming:
-            left_at.append(len(lefts))
-            lefts.extend(right[first[self.vertex[a.source] + 1] + self.slot[a.name]] for a in arrows)
-        in_degree, out_degree = self.in_degree, self.out_degree
-        for p in range(1, len(state)):
-            if first[p] < 0:
-                break
-            parent = left_at[p]
-            degree = in_degree[source[p]]
-            for j, child in enumerate(right[first[p] : first[p] + out_degree[target[p]]]):
-                if not child:
-                    continue
-                if first[child] < 0:
-                    left_at.append(-1)
-                    continue
-                left_at.append(len(lefts))
-                lefts += [x and right[first[x] + j] for x in lefts[parent : parent + degree]]
-        left_at.extend([-1] * (len(state) - len(left_at)))
         self.count, self.zero = len(state) - 1, 0
-        self.source, self.target = source, target
-        self.first, self.right, self.left_at, self.lefts = first, right, left_at, lefts
+        self.source, self.target = source, [automaton.end[s] for s in state]
+        self.first, self.right, self.parent, self.last = first, right, parent, last
+
+        # a trivial path's left extensions are the arrows into its vertex
+        self.lefts = lefts = []
+        self.left_at = left_at = [-1 if f < 0 else None for f in first]
+        for v, arrows in enumerate(incoming, 1):
+            left_at[v] = len(lefts)
+            lefts.extend(right[first[self.vertex[a.source] + 1] + self.slot[a.name]] for a in arrows)
+
+        # left(p) makes the block of an unmade p, and first those of its unmade
+        # ancestors (one source, one block length), oldest first: a(qb) =
+        # (aq)b, where aq is one shorter than a(qb), so its right extensions
+        # exist, and a(qb) is zero when aq is (``x and ...`` keeps the id 0).
+        # A closure, not a method, and the chain reversed only when it is
+        # longer than p: the oracle calls it for nearly every path it reaches.
+        def left(p: int) -> int:
+            chain, up = [p], parent[p]
+            if left_at[up] is None:
+                while left_at[up] is None:
+                    chain.append(up)
+                    up = parent[up]
+                chain.reverse()
+            block, degree = left_at[up], in_degree[source[p]]
+            for q in chain:
+                j, left_at[q] = last[q], len(lefts)
+                lefts.extend([x and right[first[x] + j] for x in lefts[block : block + degree]])
+                block = left_at[q]
+            return block
+
+        self.left = left
 
     def id_of(self, path: Path) -> int:
         """The id of a path of the quiver, or ``zero`` when it has a
@@ -542,13 +552,15 @@ def oracle_dimension(
     path relation or a product that vanishes.  The dimension is the number
     of classes other than zero, the same over every field.  A path with a
     path relation as a subword is zero at once, so only the paths below
-    the bound that avoid every monomial relation get ids, and only they
-    count against ``max_paths``.  The classes are found by congruence
-    closure: a union-find over path ids in which every merge of two
-    classes queues its pair once, and a queued pair merges its one-arrow
-    extensions on both sides.  Each relation and its terms are checked
-    here, once; the engine's own relations go unchecked, through
-    :func:`pair_oracle_dimension` and ``QuotientCertificate.dimensions``.
+    the bound that avoid every monomial relation count against
+    ``max_paths``: an automaton counts them before anything is built, and
+    with no binomial or trivial-path relation the count is the dimension.
+    Else they get ids, and the classes are found by congruence closure: a
+    union-find over path ids in which every merge of two classes queues
+    its pair once, and a queued pair merges its one-arrow extensions on
+    both sides, those in front made on first use.  Each relation and its
+    terms are checked here, once; the engine's own relations go unchecked,
+    through :func:`pair_oracle_dimension` and ``QuotientCertificate.dimensions``.
     """
     pairs = [_checked_relation(relation, quiver) for relation in relations]
     return _oracle_dimension(quiver, pairs, bound, max_paths)
@@ -561,9 +573,15 @@ def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -
     # longer path relations are zero anyway, and would only add states
     monomials = [p for p, q in pairs if q is None and 0 < len(p) < bound]
     automaton = MonomialAutomaton(quiver, monomials)
-    _check_budget(automaton.count(bound - 1, max_paths)[0], max_paths, _SURVIVING)
+    count = automaton.count(bound - 1, max_paths)[0]
+    _check_budget(count, max_paths, _SURVIVING)
+    # A nontrivial path relation's id is zero: below the bound it ends with
+    # itself, at or past it the product vanishes; it merges nothing.
+    seeds = [(p, q) for p, q in pairs if q is not None or p.is_trivial]
+    if not seeds:
+        return count
     table = _PathTable(quiver, automaton, bound)
-    zero = table.zero
+    zero, left = table.zero, table.left
     first, right, left_at, lefts = table.first, table.right, table.left_at, table.lefts
     source, target = table.source, table.target
     out_degree, in_degree = table.out_degree, table.in_degree
@@ -582,7 +600,7 @@ def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -
             leader[ry] = rx
             pending.append((x, y))
 
-    for p, q in pairs:
+    for p, q in seeds:
         if q is not None and (p.source, p.target) != (q.source, q.target):
             # p - q with other end points: multiplying by the idempotents
             # at p's ends leaves p alone, so both are relations.
@@ -603,13 +621,17 @@ def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -
                     right[fy + i] if fy >= 0 else zero,
                 )
         lx, ly = left_at[x], left_at[y]
+        if lx is None:
+            lx = left(x)
+        if ly is None:
+            ly = left(y)
         if lx >= 0 or ly >= 0:
             for i in range(in_degree[source[live]]):
                 union(
                     lefts[lx + i] if lx >= 0 else zero,
                     lefts[ly + i] if ly >= 0 else zero,
                 )
-    return table.count - merges
+    return count - merges
 
 
 def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> int:

@@ -468,10 +468,10 @@ class TestGramMatrix:
         alg = CycleAlgebra(four_cycle_pair(50))
         with mock.patch.object(
             CycleAlgebra, "_class_of", autospec=True, side_effect=CycleAlgebra._class_of
-        ) as walks, mock.patch.object(cycle_algebra, "compose", wraps=compose) as joins:
+        ) as walks:
             assert alg.gram_matrix().is_permutation
             assert alg.check_trace_symmetry().passed
-        assert (walks.call_count, joins.call_count) == (0, 0)
+        assert walks.call_count == 0
 
     def test_factorization_with_the_wrong_rotation_is_an_engine_bug(self):
         # a abar a abar = a * (abar a abar); b bbar b starts at the same
@@ -695,6 +695,26 @@ class TestOracle:
         relations = [(q.path(["a", "b"]), q.path(["c", "d"]))]
         assert oracle_dimension(q, relations, 3) == 9
 
+    # The closure reaches almost every path below the bound in these three,
+    # each with a closed-form answer.
+    def test_commuting_loops_count_the_monomials_below_the_bound(self):
+        # xy = yx makes the classes the commutative monomials of degree < 15
+        q = Quiver(["v"], [("x", "v", "v"), ("y", "v", "v")])
+        relations = [(q.path(["x", "y"]), q.path(["y", "x"]))]
+        assert oracle_dimension(q, relations, 15) == 15 * 16 // 2
+
+    def test_idempotent_power_far_below_the_bound(self, loop_quiver):
+        # aa = aaa = ... = a^20000, which reaches the bound, so only e(v) and a survive
+        relations = [(loop_quiver.path(["a", "a"]), loop_quiver.path(["a", "a", "a"]))]
+        assert oracle_dimension(loop_quiver, relations, 20_000) == 2
+
+    def test_trivial_path_relation_kills_every_path_through_it(self):
+        # every nontrivial path between 1 and 2 meets vertex 1; e(2) survives
+        q = Quiver(
+            ["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "2"), ("d", "2", "1")]
+        )
+        assert oracle_dimension(q, [(q.trivial_path("1"), None)], 14) == 1
+
     def test_budget_fault(self, two_cycle_mu3_pair):
         relations = generate_relations(two_cycle_mu3_pair).linear_relations()
         with pytest.raises(OracleBudgetError):
@@ -857,6 +877,19 @@ def quivers_with_monomials(draw):
     return q, bound, monomials
 
 
+@contextlib.contextmanager
+def spy_on_tables():
+    """Collect every path table the oracle builds."""
+    original, tables = cycle_algebra._PathTable, []
+
+    def build(*args):
+        tables.append(original(*args))
+        return tables[-1]
+
+    with mock.patch.object(cycle_algebra, "_PathTable", side_effect=build):
+        yield tables
+
+
 class TestSurvivingPaths:
     @given(quivers_with_monomials())
     @settings(max_examples=150, deadline=None)
@@ -874,18 +907,51 @@ class TestSurvivingPaths:
             oracle_dimension(q, relations, bound, max_paths=total - 1)
 
     def test_table_numbers_only_the_survivors(self, two_cycle_quiver):
+        # the binomial needs ids; bab = b then leaves e(1), e(2) and a
         q = two_cycle_quiver
-        relations = [(q.path(["a", "b", "a"]), None)]
-        original, tables = cycle_algebra._PathTable, []
-
-        def build(*args):
-            tables.append(original(*args))
-            return tables[-1]
-
-        with mock.patch.object(cycle_algebra, "_PathTable", side_effect=build):
-            assert oracle_dimension(q, relations, 10) == 7
+        relations = [(q.path(["a", "b", "a"]), None), (q.path(["b", "a", "b"]), q.path(["b"]))]
+        with spy_on_tables() as tables:
+            assert oracle_dimension(q, relations, 10) == 3
         # e(1), e(2), a, b, ab, ba and bab, of the 20 paths below the bound
         assert [t.count for t in tables] == [7]
+
+    @given(quivers_with_monomials())
+    @settings(max_examples=60, deadline=None)
+    def test_monomials_alone_build_no_table(self, drawn):
+        q, bound, monomials = drawn
+        with mock.patch.object(
+            cycle_algebra, "_PathTable", side_effect=AssertionError
+        ) as table:
+            dim = oracle_dimension(q, [(m, None) for m in monomials], bound)
+        assert table.call_count == 0
+        assert dim == MonomialAutomaton(q, monomials).count(bound - 1)[0]
+
+    @given(quivers_with_monomials())
+    @settings(max_examples=60, deadline=None)
+    def test_left_extensions_made_on_first_use(self, drawn):
+        # longest paths first, so most blocks are made with their ancestors'
+        q, bound, monomials = drawn
+        automaton = MonomialAutomaton(q, monomials)
+        table = cycle_algebra._PathTable(q, automaton, bound)
+        paths = [p for p in enumerate_paths(q, bound - 2) if avoids(p, monomials)]
+        for path in sorted(paths, key=len, reverse=True):
+            p = table.id_of(path)
+            block = table.left(p) if table.left_at[p] is None else table.left_at[p]
+            for i, arrow in enumerate(q.arrows_into(path.source)):
+                extended = compose(q.path([arrow.name]), path)
+                assert table.lefts[block + i] == table.id_of(extended)
+        assert None not in table.left_at
+
+    def test_criterion_4_family_makes_fewer_left_blocks_than_ids(self):
+        rng = random.Random(20260809)
+        with spy_on_tables() as tables:
+            for _ in range(200):
+                pair = tractable_defining_pair(rng)
+                relations = generate_relations(pair).linear_relations()
+                oracle_dimension(pair.quiver, relations, nilpotency_bound(pair))
+        made = sum(at is not None and at >= 0 for t in tables for at in t.left_at)
+        assert tables
+        assert made < sum(t.count for t in tables)
 
 
 class TestCountPaths:

@@ -434,10 +434,14 @@ class TestDimensionComparison:
             [(f"a{i}", str(i), str(i + 1)) for i in range(n)],
         )
         certificate = verify_quotient(Presentation(quiver, (), (), 3))
+        # nor, with no binomial and no trivial-path relation, a path table
         spy = mock.Mock(wraps=cycle_algebra_module.OnCyclePath)
-        with mock.patch.object(cycle_algebra_module, "OnCyclePath", spy):
+        table = mock.Mock(side_effect=AssertionError)
+        with mock.patch.object(cycle_algebra_module, "OnCyclePath", spy), mock.patch.object(
+            cycle_algebra_module, "_PathTable", table
+        ):
             assert certificate.dimensions() == (600, 121404)
-        assert spy.call_count == 0
+        assert (spy.call_count, table.call_count) == (0, 0)
 
     def test_benchmark_sequence_derives_each_fact_once(self, linear_presentation):
         # sigma-tau then verify-quotient on one presentation, in the order the
