@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
-from .quiver import MonomialAutomaton, Path, Quiver, cycle_power
+from .quiver import MonomialAutomaton, Path, Quiver, _path, cycle_power
 from .report import Report
 
 DEFAULT_MAX_PATHS = 200_000
@@ -191,7 +191,7 @@ class CycleAlgebra:
         basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
         fulls = [cycle_power(c, self.pair.mu(c)) for c in self.pair.cycles]
         basis.extend(
-            OnCyclePath(Path(fulls[c].arrows[:k], fulls[c].vertices[: k + 1]))
+            OnCyclePath(_path(fulls[c].arrows[:k], fulls[c].vertices[: k + 1]))
             for c, k in zip(layout.cycle, layout.length)
         )
         basis.extend(Socle(v) for v in layout.socles)
@@ -375,7 +375,7 @@ class CycleAlgebra:
         following = self.pair.next_arrow
         preceding = {b: a for a, b in following.items()}
         successors, predecessors = self.pair.quiver.compositions(
-            lambda a, b: self._class_of(Path((a.name, b.name), (a.source, a.target, b.target)))
+            lambda a, b: self._class_of(_path((a.name, b.name), (a.source, a.target, b.target)))
             is not None
         )
         problems = []
@@ -417,9 +417,9 @@ def enumerate_paths(
     frontier = list(paths)
     for _ in range(max_length):
         frontier = [
-            Path(p.arrows + (arrow.name,), p.vertices + (arrow.target,))
+            _path(p.arrows + (arrow.name,), p.vertices + (arrow.target,))
             for p in frontier
-            for arrow in quiver.arrows_from(p.target)
+            for arrow in quiver._out[p.target]
         ]
         if not frontier:
             break

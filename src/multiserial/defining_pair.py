@@ -22,6 +22,7 @@ from typing import Iterable, Mapping
 from .quiver import (
     Path,
     Quiver,
+    _path,
     canonical_rotation,
     cycle_power,
     is_simple_cycle,
@@ -168,18 +169,17 @@ class DefiningPair:
             at[power.source].append(power)
         type1 = [both for at_v in at.values() for both in combinations(at_v, 2)]
         type2 = [
-            Path(power.arrows + power.arrows[:1], power.vertices + power.vertices[1:2])
+            _path(power.arrows + power.arrows[:1], power.vertices + power.vertices[1:2])
             for power in full
         ]
 
         # Every arrow lies on exactly one rotation class, so ab travels a cycle
-        # exactly when b follows a there.
-        following = self.next_arrow
-        off_cycle, _ = self.quiver.compositions(lambda a, b: following[a.name] != b.name)
+        # exactly when b follows a there; pairs in name order.
+        following, out = self.next_arrow, self.quiver._out
         type3 = [
-            Path((a, b.name), (self.quiver.arrows[a].source, b.source, b.target))
-            for a, after in off_cycle.items()
-            for b in after
+            _path((a.name, b.name), (a.source, a.target, b.target))
+            for a in self.quiver._by_name
+            for b in out[a.target] if following[a.name] != b.name
         ]
 
         return RelationSet(tuple(type1), tuple(type2), tuple(type3))

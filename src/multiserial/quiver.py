@@ -23,12 +23,12 @@ class Arrow:
         return f"{self.name}: {self.source} -> {self.target}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
-    """A path in a quiver.
+    """A path in a quiver, slotted; the engine builds its own by ``_path``.
 
-    ``vertices`` has exactly one more entry than ``arrows``; a trivial path
-    anchored at a vertex v is ``Path((), (v,))``.
+    ``vertices`` has exactly one more entry than ``arrows``, which a caller's
+    ``Path(...)`` checks; a trivial path at v is ``Path((), (v,))``.
     """
 
     arrows: tuple[str, ...]
@@ -57,6 +57,17 @@ class Path:
         if self.is_trivial:
             return f"e({self.source})"
         return " ".join(self.arrows)
+
+
+_set_arrows, _set_vertices = Path.arrows.__set__, Path.vertices.__set__
+
+
+def _path(arrows: tuple[str, ...], vertices: tuple[str, ...]) -> Path:
+    """``Path(arrows, vertices)`` without its length check, for engine-built itineraries."""
+    path = object.__new__(Path)
+    _set_arrows(path, arrows)
+    _set_vertices(path, vertices)
+    return path
 
 
 class Quiver:
@@ -116,7 +127,7 @@ class Quiver:
     def trivial_path(self, vertex: str) -> Path:
         if vertex not in self._vertex_set:
             raise ValueError(f"unknown vertex {vertex!r}")
-        return Path((), (vertex,))
+        return _path((), (vertex,))
 
     def path(self, names: Sequence[str], at: str | None = None) -> Path:
         """Build the path given by ``names``; ``at`` anchors a trivial path."""
@@ -134,7 +145,7 @@ class Quiver:
                     f"previous arrow ends at {itinerary[-1]!r}"
                 )
             itinerary.append(arrow.target)
-        return Path(names, tuple(itinerary))
+        return _path(names, tuple(itinerary))
 
     def contains_path(self, p: Path) -> bool:
         """Whether ``p`` is a valid path of this quiver, itinerary included:
@@ -197,7 +208,7 @@ def compose(p: Path, q: Path) -> Path | None:
         return q
     if q.is_trivial:
         return p
-    return Path(p.arrows + q.arrows, p.vertices + q.vertices[1:])
+    return _path(p.arrows + q.arrows, p.vertices + q.vertices[1:])
 
 
 def is_simple_cycle(p: Path) -> bool:
@@ -212,7 +223,7 @@ def is_simple_cycle(p: Path) -> bool:
 def _rotation(cycle: Path, i: int) -> Path:
     """The rebasing of a cycle that starts with its i-th arrow."""
     starts = cycle.vertices[:-1]
-    return Path(cycle.arrows[i:] + cycle.arrows[:i], starts[i:] + starts[:i] + (starts[i],))
+    return _path(cycle.arrows[i:] + cycle.arrows[:i], starts[i:] + starts[:i] + (starts[i],))
 
 
 def rotations(cycle: Path) -> list[Path]:
@@ -239,7 +250,7 @@ def cycle_power(cycle: Path, exponent: int) -> Path:
         raise ValueError(f"not a simple cycle: {cycle}")
     if exponent < 1:
         raise ValueError("exponent must be positive")
-    return Path(cycle.arrows * exponent, cycle.vertices[:-1] * exponent + (cycle.source,))
+    return _path(cycle.arrows * exponent, cycle.vertices[:-1] * exponent + (cycle.source,))
 
 
 class MonomialAutomaton:

@@ -6,7 +6,7 @@ filter on the validation verdict.  Presentations are built from a random
 partial successor matching, so they satisfy the multiserial condition, and
 may carry extra long monomial and binomial generators that exercise the
 oracle without touching the quadratic structure.  Generators are built on
-the drawn quiver, so no presentation checks them again.
+the drawn quiver by ``_path``; no presentation or length check runs on them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import random
 from .cycle_algebra import count_paths
 from .defining_pair import DefiningPair, close_under_rotation, nilpotency_bound
 from .presentation import Presentation
-from .quiver import Path, Quiver
+from .quiver import Path, Quiver, _path
 
 
 def random_defining_pair(
@@ -90,7 +90,7 @@ def _random_walk(rng: random.Random, quiver: Quiver, length: int) -> Path | None
         if not options:
             return None
         walk.append(rng.choice(options))
-    return Path(tuple(a.name for a in walk), (walk[0].source, *(a.target for a in walk)))
+    return _path(tuple(a.name for a in walk), (walk[0].source, *(a.target for a in walk)))
 
 
 def random_presentation(
@@ -141,12 +141,13 @@ def radical_square_zero_presentation(
 
 def _two_arrow_paths(quiver: Quiver, matched: dict[str, str]) -> list[Path]:
     """The two-arrow paths ab with b not ``matched[a]``, by arrow names."""
-    return [
-        Path((a.name, b.name), (a.source, a.target, b.target))
-        for a in sorted(quiver.arrows.values(), key=lambda a: a.name)
-        for b in quiver.arrows_from(a.target)
-        if b.name != matched.get(a.name)
-    ]
+    paths: list[Path] = []
+    for a in quiver._by_name:
+        name, skip, source, middle = a.name, matched.get(a.name), a.source, a.target
+        for b in quiver._out[middle]:
+            if b.name != skip:
+                paths.append(_path((name, b.name), (source, middle, b.target)))
+    return paths
 
 
 def _random_matching(rng: random.Random, quiver: Quiver) -> dict[str, str]:

@@ -30,7 +30,7 @@ from .cycle_algebra import (
 )
 from .defining_pair import DefiningPair, close_under_rotation
 from .presentation import Presentation, derive_successors, maximal_paths, simple_cycles
-from .quiver import Path, Quiver
+from .quiver import Path, Quiver, _path
 from .report import Report
 
 STAR_PREFIX = "star_"
@@ -78,7 +78,7 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     enlarged = Quiver(base.vertices, arrow_triples)
     # the tables trace every rotation of a cycle; the closure merges them
     cycles = list(simple_cycles(tables))
-    cycles.extend(Path(m.arrows + (r,), m.vertices + (m.source,)) for r, m in closes.items())
+    cycles.extend(_path(m.arrows + (r,), m.vertices + (m.source,)) for r, m in closes.items())
     cover = close_under_rotation(enlarged, [(c, presentation.nilpotency) for c in cycles])
     object.__setattr__(presentation, "_cover", cover)
     return cover

@@ -30,7 +30,7 @@ from multiserial import (
     validate,
 )
 from multiserial import cycle_algebra
-from multiserial.quiver import MonomialAutomaton
+from multiserial.quiver import MonomialAutomaton, _path
 from multiserial.report import Report
 from test_defining_pair import spy_on_derivation
 from test_quiver import length_two_paths
@@ -495,6 +495,7 @@ class TestGramMatrix:
                 )
                 for name, made in (
                     ("Path", Path),
+                    ("_path", _path),
                     ("Idempotent", Idempotent),
                     ("OnCyclePath", OnCyclePath),
                     ("Socle", Socle),
@@ -503,7 +504,7 @@ class TestGramMatrix:
             assert alg.gram_matrix().is_permutation
             assert alg.check_trace_symmetry().passed
         assert "_basis" not in vars(alg)
-        assert [spy.call_count for spy in spies] == [0, 0, 0, 0]
+        assert [spy.call_count for spy in spies] == [0, 0, 0, 0, 0]
 
     @staticmethod
     def assert_pairs_in_linear_work(mu, dimension):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from multiserial import (
     MultiserialConditionError,
     OrbitData,
+    Path,
     Presentation,
     Quiver,
     SuccessorTables,
@@ -25,10 +26,12 @@ from multiserial import (
     simple_cycles,
 )
 from multiserial import presentation as presentation_module
+from multiserial import random_instances
 from multiserial.cli import parse_document
 from multiserial.random_instances import (
     _random_matching,
     _random_quiver,
+    _two_arrow_paths,
     radical_square_zero_presentation,
     random_presentation,
 )
@@ -468,6 +471,34 @@ def test_random_generators_check_no_path(seed, name):
         p = GENERATORS[name](random.Random(seed))
     assert spy.call_count == 0
     assert_generators_on_quiver(p)
+
+
+def reference_two_arrow_paths(quiver: Quiver, matched: dict[str, str]) -> list[Path]:
+    """The two-arrow zero paths as the generators first drew them: the
+    reference for the loop over the quiver's adjacency index."""
+    return [
+        Path((a.name, b.name), (a.source, a.target, b.target))
+        for a in sorted(quiver.arrows.values(), key=lambda a: a.name)
+        for b in quiver.arrows_from(a.target)
+        if b.name != matched.get(a.name)
+    ]
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_two_arrow_paths_match_the_reference(name):
+    sizes = []
+
+    def checked(quiver, matched):
+        paths = _two_arrow_paths(quiver, matched)
+        assert paths == reference_two_arrow_paths(quiver, matched)
+        sizes.append(len(paths))
+        return paths
+
+    rng = random.Random(2026)
+    with mock.patch.object(random_instances, "_two_arrow_paths", side_effect=checked):
+        for _ in range(300):
+            GENERATORS[name](rng)
+    assert len(sizes) == 300 and sum(sizes) > 300
 
 
 @given(st.integers(0, 10**9))

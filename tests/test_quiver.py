@@ -1,18 +1,29 @@
 import random
+from dataclasses import FrozenInstanceError
+from pathlib import Path as FilePath
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multiserial import (
+    CycleAlgebra,
     Path,
     Quiver,
     canonical_rotation,
     compose,
     cycle_power,
+    enumerate_paths,
     is_simple_cycle,
     rotations,
+    verify_quotient,
 )
+from multiserial.cli import parse_document
+from multiserial.quiver import _path
+from multiserial.random_instances import random_presentation
+
+FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
 
 
 def lies_in(p: Path, cycle: Path) -> bool:
@@ -117,6 +128,55 @@ class TestQuiverConstruction:
         assert connected.is_connected()
         split = Quiver(["1", "2", "3"], [("a", "1", "2")])
         assert not split.is_connected()
+
+
+class TestPathConstructors:
+    """A caller's ``Path(...)`` checks the itinerary's length; the engine's
+    ``_path`` builds the same slotted value without that check."""
+
+    @pytest.mark.parametrize("vertices", [("1",), ("1", "2", "3")])
+    def test_caller_paths_check_their_length(self, vertices):
+        with pytest.raises(ValueError, match=r"visits exactly len\(arrows\) \+ 1 vertices"):
+            Path(("a",), vertices)
+
+    @pytest.mark.parametrize(
+        "arrows, vertices", [((), ("1",)), (("a",), ("1", "2")), (("a", "b"), ("1", "2", "1"))]
+    )
+    def test_both_constructors_build_one_value(self, arrows, vertices):
+        checked, built = Path(arrows, vertices), _path(arrows, vertices)
+        assert type(built) is Path
+        assert built == checked and hash(built) == hash(checked)
+        assert (built.arrows, built.vertices) == (arrows, vertices)
+
+    def test_paths_are_slotted_and_frozen(self):
+        for p in (Path(("a",), ("1", "2")), _path(("a",), ("1", "2"))):
+            assert not hasattr(p, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                p.arrows = ("b",)
+            with pytest.raises(FrozenInstanceError):
+                p.vertices = ("2", "1")
+            assert p == Path(("a",), ("1", "2"))
+
+    def test_only_a_callers_path_runs_the_length_check(self):
+        # the parser, the generators, the cover's cycles and relations, both
+        # dimensions, the cover's basis and path enumeration build every path
+        # through _path
+        with mock.patch.object(
+            Path, "__post_init__", autospec=True, side_effect=Path.__post_init__
+        ) as spy:
+            document = parse_document((FIXTURES / "two_cycle.alg").read_text())
+            rng = random.Random(0)
+            drawn = [random_presentation(rng) for _ in range(20)]
+            for presentation in (document.presentation, *drawn):
+                certificate = verify_quotient(presentation)
+                dim, dim_star = certificate.dimensions()
+                assert certificate.complete and dim <= dim_star
+            cover = CycleAlgebra(certificate.pair)
+            assert len(cover.basis) == dim_star and cover.check_multiserial().passed
+            assert len(enumerate_paths(document.presentation.quiver, 3)) == 2 + 2 + 2 + 2
+            assert spy.call_count == 0
+            Path(("a",), ("1", "2"))
+        assert spy.call_count == 1
 
 
 class TestCompose:
