@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
-from .quiver import MonomialAutomaton, Path, Quiver, _path, cycle_power
+from .quiver import MonomialAutomaton, Path, Quiver, _path, _power
 from .report import Report
 
 DEFAULT_MAX_PATHS = 200_000
@@ -189,7 +189,7 @@ class CycleAlgebra:
     def _basis(self) -> list[BasisElement]:
         layout = self._layout
         basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
-        fulls = [cycle_power(c, self.pair.mu(c)) for c in self.pair.cycles]
+        fulls = [_power(c, self.pair.mu(c)) for c in self.pair.cycles]
         basis.extend(
             OnCyclePath(_path(fulls[c].arrows[:k], fulls[c].vertices[: k + 1]))
             for c, k in zip(layout.cycle, layout.length)
@@ -445,9 +445,9 @@ class _PathTable:
     def __init__(self, quiver: Quiver, automaton: MonomialAutomaton, bound: int) -> None:
         self.vertex = automaton.vertex
         incoming = [quiver.arrows_into(v) for v in quiver.vertices]
-        self.out_degree = [len(arrows) for arrows in automaton.outgoing]
+        self.out_degree = [len(heads) for heads in automaton.outgoing]
         self.in_degree = in_degree = [len(arrows) for arrows in incoming]
-        self.slot = {a.name: i for arrows in automaton.outgoing for i, a in enumerate(arrows)}
+        self.slot = {name: i for heads in automaton.outgoing for i, name in enumerate(heads)}
 
         # zero's entries, and the trivial paths' parent and last, are placeholders
         step = automaton.step
@@ -518,10 +518,8 @@ class _PathTable:
         return p
 
 
-def _checked_relation(relation: object, quiver: Quiver) -> tuple[Path, Path | None]:
-    """A relation as the oracle takes it, ``(p, None)`` for the path p or
-    ``(p, q)`` for p - q; anything else faults, and so does a term that is
-    not a path of the quiver."""
+def _checked_relation(relation: object, quiver: Quiver) -> None:
+    """Fault unless a relation is ``(p, None)`` or ``(p, q)`` for paths of the quiver."""
     shape = type(relation) is tuple and len(relation) == 2 and tuple(map(type, relation))
     if shape not in ((Path, Path), (Path, type(None))):
         raise ValueError(
@@ -531,7 +529,6 @@ def _checked_relation(relation: object, quiver: Quiver) -> tuple[Path, Path | No
     for path in relation:
         if path is not None and not quiver.contains_path(path):
             raise ValueError(f"{path} is not a path of the quiver")
-    return relation
 
 
 def oracle_dimension(
@@ -558,26 +555,30 @@ def oracle_dimension(
     Else they get ids, and the classes are found by congruence closure: a
     union-find over path ids in which every merge of two classes queues
     its pair once, and a queued pair merges its one-arrow extensions on
-    both sides, those in front made on first use.  Each relation and its
-    terms are checked here, once; the engine's own relations go unchecked,
-    through :func:`pair_oracle_dimension` and ``QuotientCertificate.dimensions``.
+    both sides, those in front made on first use.  Each relation is checked
+    here, once, but a monomial below the bound only as the automaton inserts
+    it, as it does the engine's own, from :func:`pair_oracle_dimension`.
     """
-    pairs = [_checked_relation(relation, quiver) for relation in relations]
+    pairs = list(relations)
+    for r in pairs:
+        p = type(r) is tuple and r[1:] == (None,) and r[0]
+        if type(p) is not Path or not 0 < len(p.arrows) < bound:
+            _checked_relation(r, quiver)
     return _oracle_dimension(quiver, pairs, bound, max_paths)
 
 
 def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -> int:
-    """:func:`oracle_dimension` on pairs of paths of ``quiver``, unchecked."""
+    """:func:`oracle_dimension` past its border: only the automaton checks the monomials."""
     if bound < 2:
         raise ValueError("truncation bound must be at least 2")
     # longer path relations are zero anyway, and would only add states
-    monomials = [p for p, q in pairs if q is None and 0 < len(p) < bound]
+    monomials = [p for p, q in pairs if q is None and 0 < len(p.arrows) < bound]
     automaton = MonomialAutomaton(quiver, monomials)
     count = automaton.count(bound - 1, max_paths)[0]
     _check_budget(count, max_paths, _SURVIVING)
     # A nontrivial path relation's id is zero: below the bound it ends with
     # itself, at or past it the product vanishes; it merges nothing.
-    seeds = [(p, q) for p, q in pairs if q is not None or p.is_trivial]
+    seeds = [(p, q) for p, q in pairs if q is not None or not p.arrows]
     if not seeds:
         return count
     table = _PathTable(quiver, automaton, bound)
@@ -637,6 +638,6 @@ def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -
 def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> int:
     """The oracle's dimension of a cycle system's algebra: its generated
     relations closed below :func:`nilpotency_bound`, blind to the closed
-    form it is held against; its relations, the engine's own, go unchecked."""
+    form it is held against; its relations, the engine's own, skip the border."""
     bound = nilpotency_bound(pair)
     return _oracle_dimension(pair.quiver, pair.relations.linear_relations(), bound, max_paths)

@@ -22,9 +22,10 @@ from typing import Iterable, Mapping
 from .quiver import (
     Path,
     Quiver,
+    _canonical,
     _path,
+    _power,
     canonical_rotation,
-    cycle_power,
     is_simple_cycle,
     rotations,
 )
@@ -110,7 +111,7 @@ class DefiningPair:
         )
 
         ids: dict[tuple[str, ...], int] = {}
-        class_of = [ids.setdefault(canonical_rotation(c).arrows, len(ids)) for c in self.cycles]
+        class_of = [ids.setdefault(_canonical(c).arrows, len(ids)) for c in self.cycles]
         members = Counter(class_of)
         unclosed = {k for k, key in enumerate(ids) if members[k] != len(key)}
         mult = {k: self.mu(c) for k, c in zip(class_of, self.cycles)}
@@ -163,7 +164,7 @@ class DefiningPair:
         not a relation."""
         self.require_valid()
 
-        full = [cycle_power(c, self.mu(c)) for c in self.cycles]
+        full = [_power(c, self.mu(c)) for c in self.cycles]
         at: dict[str, list[Path]] = {v: [] for v in self.quiver.vertices}
         for power in full:
             at[power.source].append(power)
@@ -194,7 +195,7 @@ class DefiningPair:
         """One canonical (lexicographically least) cycle per rotation class."""
         reps: dict[tuple[str, ...], tuple[Path, int]] = {}
         for c in self.cycles:
-            canon = canonical_rotation(c)
+            canon = _canonical(c)
             reps.setdefault(canon.arrows, (canon, self.mu(c)))
         return [reps[k] for k in sorted(reps)]
 

@@ -72,13 +72,15 @@ class Presentation:
 
     @cached_property
     def _quadratic(self) -> frozenset[tuple[str, ...]]:
-        return frozenset(p.arrows for p in self.zero_paths if len(p.arrows) == 2)
+        """The arrow names of the two-arrow paths of the quiver in the ideal."""
+        if self.nilpotency > 2:
+            return frozenset(p.arrows for p in self.zero_paths if len(p.arrows) == 2)
+        q = self.quiver
+        return frozenset((a.name, b.name) for a in q._by_name for b in q._out[a.target])
 
     def quadratic_in_ideal(self, a: str, b: str) -> bool:
         """Whether the two-arrow path ab lies in the ideal."""
-        if self.nilpotency == 2:
-            return True
-        return (a, b) in self._quadratic
+        return self.nilpotency == 2 or (a, b) in self._quadratic
 
     def linear_relations(self) -> list[tuple[Path, Path | None]]:
         """The generators for the dimension oracle: each zero path p as
@@ -162,9 +164,8 @@ def _surviving_compositions(
             "quiver is disconnected; constructions proceed blockwise but the "
             "algebra is decomposable"
         )
-    successors, predecessors = q.compositions(
-        lambda a, b: not presentation.quadratic_in_ideal(a.name, b.name)
-    )
+    dead = presentation._quadratic
+    successors, predecessors = q.compositions(lambda a, b: (a.name, b.name) not in dead)
     for name in successors:
         for side, found in (("successor", successors[name]), ("predecessor", predecessors[name])):
             if len(found) > 1:

@@ -136,8 +136,9 @@ class Quiver:
             if at is None:
                 raise ValueError("a trivial path needs an anchoring vertex")
             return self.trivial_path(at)
-        itinerary = [self.arrow(names[0]).source]
-        for name in names:
+        arrow = self.arrow(names[0])
+        itinerary = [arrow.source, arrow.target]
+        for name in names[1:]:
             arrow = self.arrow(name)
             if arrow.source != itinerary[-1]:
                 raise ValueError(
@@ -241,6 +242,11 @@ def canonical_rotation(cycle: Path) -> Path:
     """
     if not is_simple_cycle(cycle):
         raise ValueError(f"not a simple cycle: {cycle}")
+    return _canonical(cycle)
+
+
+def _canonical(cycle: Path) -> Path:
+    """:func:`canonical_rotation` of a cycle known to be simple."""
     return _rotation(cycle, cycle.arrows.index(min(cycle.arrows)))
 
 
@@ -250,6 +256,11 @@ def cycle_power(cycle: Path, exponent: int) -> Path:
         raise ValueError(f"not a simple cycle: {cycle}")
     if exponent < 1:
         raise ValueError("exponent must be positive")
+    return _power(cycle, exponent)
+
+
+def _power(cycle: Path, exponent: int) -> Path:
+    """:func:`cycle_power` of a cycle known to be simple, to a positive exponent."""
     return _path(cycle.arrows * exponent, cycle.vertices[:-1] * exponent + (cycle.source,))
 
 
@@ -259,22 +270,27 @@ class MonomialAutomaton:
 
     State i < len(quiver.vertices) is the i-th vertex's trivial path, the
     others are proper prefixes of monomials, ending at vertex ``end[s]``.
-    ``step[s][i]`` follows the i-th arrow out of that vertex (name order)
-    to the longest suffix of the extended path that is a state, or is -1
-    when that path ends with a monomial; the paths that never reach -1
-    are the normal words of the monomial algebra (Ufnarovski 1982).
+    ``outgoing[i]`` maps the arrows out of vertex i, in name order, to their
+    targets, and ``step[s][i]`` follows the i-th arrow out of ``end[s]`` to
+    the longest suffix of the extended path that is a state, or is -1 when
+    that path ends with a monomial; the paths that never reach -1 are the
+    normal words of the monomial algebra (Ufnarovski 1982).  Insertion
+    checks each monomial against ``outgoing`` arrow by arrow, and the
+    first that is not a path of the quiver raises :class:`ValueError`.
     """
 
     def __init__(self, quiver: Quiver, monomials: Iterable[Path]) -> None:
         self.vertex = vertex = {v: i for i, v in enumerate(quiver.vertices)}
-        self.outgoing = outgoing = [quiver.arrows_from(v) for v in quiver.vertices]
+        self.outgoing = outgoing = [{a.name: a.target for a in out} for out in quiver._out.values()]
         roots = len(outgoing)
         children: list[dict[str, int]] = [{} for _ in range(roots)]
         self.end = end = list(range(roots))
         matched: set[int] = set()
         for path in monomials:
-            s = vertex[path.source]
+            s = vertex.get(path.source, -1)
             for name, v in zip(path.arrows, path.vertices[1:]):
+                if s < 0 or outgoing[end[s]].get(name, outgoing) != v:  # default: no vertex
+                    raise ValueError(f"{path} is not a path of the quiver")
                 if name not in children[s]:
                     children[s][name] = len(end)
                     children.append({})
@@ -287,9 +303,9 @@ class MonomialAutomaton:
         link = [0] * len(end)
         queue = list(range(roots))
         for s in queue:
-            for i, arrow in enumerate(outgoing[end[s]]):
-                down = step[link[s]][i] if s >= roots else vertex[arrow.target]
-                child = children[s].get(arrow.name)
+            for i, (name, head) in enumerate(outgoing[end[s]].items()):
+                down = step[link[s]][i] if s >= roots else vertex[head]
+                child = children[s].get(name)
                 if child is not None:
                     if child in matched or down < 0:
                         down = -1

@@ -132,7 +132,7 @@ class QuotientCertificate:
     @cached_property
     def complete(self) -> bool:
         type1, type2, type3 = self.verdicts
-        return all(kind != UNCERTIFIED for kind, _ in chain(*type1, type2, type3))
+        return UNCERTIFIED not in {kind for kind, _ in chain(*type1, type2, type3)}
 
     def failures(self) -> list[CertifiedGenerator]:
         return [] if self.complete else [e for e in self.entries if not e.certified]
@@ -181,8 +181,8 @@ class QuotientCertificate:
         generators, the second is :attr:`CycleAlgebra.dimension`, counted
         from the cover's rotation classes without building its basis, and
         confirmed by the oracle on the cover's relations; both relation sets
-        reach the oracle unchecked, as they were checked where they entered
-        or built by the engine.  The cover always dominates; a disagreement
+        skip the oracle's border, as they were checked where they entered or
+        built by the engine.  The cover always dominates; a disagreement
         of the two routes, or a presented dimension above the cover's,
         raises :class:`RuntimeError` as an engine bug.
         """
@@ -239,18 +239,19 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     relations = pair.relations
     returns = pair.quiver.arrows.keys() - presentation.quiver.arrows.keys()
 
-    def verdict(arrows: tuple[str, ...], length: int, quadratic: bool = False) -> tuple:
-        # the one place a kind is decided, with the return arrow that kills
+    def verdict(arrows: tuple[str, ...], length: int) -> tuple:
         if not returns.isdisjoint(arrows):
             return KILLED_BY_STAR_ARROW, next(a for a in arrows if a in returns)
-        if quadratic:
-            dead = presentation.quadratic_in_ideal(*arrows)
-            return (FORBIDDEN_QUADRATIC if dead else UNCERTIFIED), None
         return (LONG_PATH if length >= presentation.nilpotency else UNCERTIFIED), None
 
     # every arrow starts one rotation of its cycle, which fixes the full power
     power = {c.arrows[0]: verdict(c.arrows, pair.mu(c) * len(c)) for c in pair.cycles}
     type1 = [(power[u.arrows[0]], power[w.arrows[0]]) for u, w in relations.type1]
     type2 = [verdict(p.arrows, len(p)) for p in relations.type2]
-    type3 = [verdict(p.arrows, 2, quadratic=True) for p in relations.type3]
+    dead = presentation._quadratic
+    type3 = [
+        (KILLED_BY_STAR_ARROW, a if a in returns else b) if a in returns or b in returns
+        else (FORBIDDEN_QUADRATIC if (a, b) in dead else UNCERTIFIED, None)
+        for a, b in (p.arrows for p in relations.type3)
+    ]
     return QuotientCertificate(presentation, pair, (type1, type2, type3))

@@ -30,7 +30,9 @@ from multiserial import (
     validate,
 )
 from multiserial import cycle_algebra
-from multiserial.quiver import MonomialAutomaton, _path
+from multiserial import defining_pair as defining_pair_module
+from multiserial import quiver as quiver_module
+from multiserial.quiver import MonomialAutomaton, _path, cycle_power
 from multiserial.report import Report
 from test_defining_pair import spy_on_derivation
 from test_quiver import length_two_paths
@@ -811,6 +813,78 @@ class TestOracle:
         with pytest.raises(ValueError, match="not a path of the quiver"):
             oracle_dimension(loop_quiver, [(aa, foreign)], 3)
 
+    # Foreign monomials of length 2 on the linear quiver 1 -a-> 2 -b-> 3, and
+    # where each goes: below the bound into the automaton's insertion walk,
+    # at the bound or inside a binomial to the border check of the term.
+    FOREIGN = {
+        "unknown-arrow": Path(("a", "z"), ("1", "2", "3")),
+        "wrong-source": Path(("b", "b"), ("2", "3", "3")),
+        "wrong-target": Path(("a", "b"), ("1", "2", "2")),
+        "unknown-start": Path(("a", "b"), ("9", "2", "3")),
+    }
+    PLACES = {
+        "below-bound": (3, lambda q, bad: (bad, None)),
+        "at-bound": (2, lambda q, bad: (bad, None)),
+        "bound-one": (1, lambda q, bad: (bad, None)),
+        "binomial-first": (3, lambda q, bad: (bad, q.path(["a", "b"]))),
+        "binomial-second": (3, lambda q, bad: (q.path(["a", "b"]), bad)),
+    }
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("kind", FOREIGN)
+    def test_rejects_foreign_terms_wherever_they_are_checked(self, linear_quiver, kind, place):
+        # bound 1 still names the relation, not the bound
+        bound, relation = self.PLACES[place]
+        good = (linear_quiver.path(["a"]), None)
+        with pytest.raises(ValueError, match=r"^.* is not a path of the quiver$"):
+            oracle_dimension(linear_quiver, [good, relation(linear_quiver, self.FOREIGN[kind])], bound)
+
+    def test_rejects_the_wrong_target_of_a_single_arrow(self, linear_quiver):
+        with pytest.raises(ValueError, match="^a is not a path of the quiver$"):
+            oracle_dimension(linear_quiver, [(Path(("a",), ("1", "3")), None)], 3)
+
+    def test_monomials_below_the_bound_are_checked_only_by_the_automaton(self, linear_quiver):
+        # at bound 2 the monomial a b reaches the bound, and only it is checked
+        q = linear_quiver
+        monomials = [(q.path(["a"]), None), (q.path(["a", "b"]), None)]
+        with mock.patch.object(
+            cycle_algebra, "_checked_relation", wraps=cycle_algebra._checked_relation
+        ) as checked, mock.patch.object(
+            Quiver, "contains_path", autospec=True, side_effect=Quiver.contains_path
+        ) as contains:
+            assert oracle_dimension(q, monomials, 3) == 4
+            assert (checked.call_count, contains.call_count) == (0, 0)
+            assert oracle_dimension(q, monomials, 2) == 4
+        assert (checked.call_count, contains.call_count) == (1, 1)
+        assert contains.call_args.args[1] == q.path(["a", "b"])
+
+    @given(st.integers(0, 10**9), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_border_matches_the_unchecked_oracle_and_rejects_any_foreign_term(
+        self, seed, data
+    ):
+        presentation = random_presentation(random.Random(seed))
+        q, bound = presentation.quiver, presentation.nilpotency
+        relations = presentation.linear_relations()
+        assert oracle_dimension(q, relations, bound) == cycle_algebra._oracle_dimension(
+            q, relations, bound, cycle_algebra.DEFAULT_MAX_PATHS
+        )
+        if not relations:
+            return
+        # a path of a quiver that renames some of q's arrows or vertices
+        foreign = data.draw(st.sampled_from([
+            lambda p: Path(tuple("z" + a for a in p.arrows), p.vertices),
+            lambda p: Path(p.arrows, tuple("w" + v for v in p.vertices)),
+            lambda p: Path(p.arrows, p.vertices[:-1] + ("w",)),
+        ]))
+        i = data.draw(st.integers(0, len(relations) - 1))
+        terms = list(relations[i])
+        j = data.draw(st.sampled_from([j for j, t in enumerate(terms) if t is not None]))
+        terms[j] = foreign(terms[j])
+        relations[i] = tuple(terms)
+        with pytest.raises(ValueError, match="is not a path of the quiver"):
+            oracle_dimension(q, relations, bound)
+
     def test_monomial_inside_a_binomial_term_kills_the_other_term(self):
         q = Quiver(
             ["1", "2", "3", "4"],
@@ -1043,3 +1117,26 @@ def test_cycles_acceptance_sequence_derives_each_fact_once(two_cycle_mu3_pair):
         assert alg.check_trace_symmetry().passed
         assert alg.check_multiserial().passed
     assert (axioms.call_count, relations.call_count) == (1, 1)
+
+
+@pytest.mark.parametrize("draw", [None, 3, 11])
+def test_a_built_pair_checks_no_cycle_for_simplicity_again(two_cycle_mu3_pair, draw):
+    # construction checked every cycle; the axioms, the relations and the
+    # basis build powers and rotations without checking them again
+    if draw is None:
+        pair = two_cycle_mu3_pair
+    else:
+        drawn = tractable_defining_pair(random.Random(draw))
+        # a fresh pair, since the draw derived its axioms already
+        pair = DefiningPair(drawn.quiver, drawn.cycles, {c.arrows: drawn.mu(c) for c in drawn.cycles})
+    spy = mock.Mock(wraps=quiver_module.is_simple_cycle)
+    with mock.patch.object(quiver_module, "is_simple_cycle", spy), mock.patch.object(
+        defining_pair_module, "is_simple_cycle", spy
+    ):
+        assert pair.axioms.passed
+        assert pair.relations.type2
+        assert len(CycleAlgebra(pair).basis) == closed_form_dimension(pair)
+        assert spy.call_count == 0
+        with pytest.raises(ValueError, match="not a simple cycle"):
+            cycle_power(pair.quiver.trivial_path(pair.quiver.vertices[0]), 1)
+    assert spy.call_count == 1

@@ -192,14 +192,17 @@ class TestMultiserialCondition:
             [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "2"), ("d", "3", "2")],
         )
         p = Presentation(q, (), (), 3)
-        with mock.patch.object(
-            Presentation,
-            "quadratic_in_ideal",
-            autospec=True,
-            side_effect=Presentation.quadratic_in_ideal,
-        ) as spy:
+        # spy on the predicate the walk hands to Quiver.compositions
+        predicates, compositions = [], Quiver.compositions
+
+        def spying(quiver, survives):
+            predicates.append(mock.Mock(wraps=survives))
+            return compositions(quiver, predicates[-1])
+
+        with mock.patch.object(Quiver, "compositions", spying):
             report = check_multiserial_condition(p)
-        asked = [call.args[1:] for call in spy.call_args_list]
+        [spy] = predicates
+        asked = [(a.name, b.name) for a, b in (call.args for call in spy.call_args_list)]
         assert asked == [path.arrows for path in length_two_paths(q)]
         assert report == reference_surviving_compositions(p)[0]
         assert report.check("unique-predecessor(c)").witness == (

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import FrozenInstanceError
 from pathlib import Path as FilePath
 from unittest import mock
@@ -122,6 +123,20 @@ class TestQuiverConstruction:
         assert q.path(["a", "b"]).vertices == ("1", "2", "3")
         with pytest.raises(ValueError, match="do not compose"):
             q.path(["b", "a"])
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["z"], "unknown arrow 'z'"),
+            (["a", "z"], "unknown arrow 'z'"),
+            (["b", "a", "z"], "arrows do not compose: 'a' starts at '1', previous arrow ends at '3'"),
+        ],
+    )
+    def test_path_construction_names_the_first_fault(self, names, message):
+        # one walk over the names, each looked up once: the first fault wins
+        q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            q.path(names)
 
     def test_connectivity(self):
         connected = Quiver(["1", "2"], [("a", "1", "2")])
@@ -377,6 +392,15 @@ def test_canonical_rotation_is_least():
     q = Quiver(["1", "2"], [("b", "1", "2"), ("a", "2", "1")])
     c = q.path(["b", "a"])
     assert canonical_rotation(c).arrows == ("a", "b")
+
+
+def test_cycle_power_rejects_non_cycles_and_exponents_below_one():
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    for p in (q.path(["a"]), q.path(["a", "b", "a", "b"]), q.trivial_path("1")):
+        with pytest.raises(ValueError, match="not a simple cycle"):
+            cycle_power(p, 2)
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        cycle_power(q.path(["a", "b"]), 0)
 
 
 def test_cycle_power_stitches_vertices():
