@@ -25,6 +25,7 @@ from .quiver import (
     _canonical,
     _path,
     _power,
+    _rotation,
     canonical_rotation,
     is_simple_cycle,
     rotations,
@@ -39,7 +40,7 @@ class DefiningPair:
     arrow tuple to its multiplicity.  Construction checks only structural
     sanity; :attr:`axioms` reports on the axioms, so that invalid systems
     can be represented and reported on.  A caller's system is a border,
-    where each cycle is checked once to be a path of the quiver;
+    where each cycle is checked once to be a simple cycle of the quiver;
     :func:`close_under_rotation` builds its rotations by :meth:`_trusted`.
     """
 
@@ -49,22 +50,22 @@ class DefiningPair:
         cycles: Iterable[Path],
         mult: Mapping[tuple[str, ...], int],
     ) -> None:
-        self._build(quiver, cycles, mult, on_quiver=False)
+        self._build(quiver, cycles, mult, trusted=False)
 
     @classmethod
     def _trusted(cls, *args) -> DefiningPair:
-        """``DefiningPair(*args)``, trusting its cycles to be paths of its quiver."""
+        """``DefiningPair(*args)``, trusting its cycles to be simple cycles of its quiver."""
         pair = cls.__new__(cls)
-        pair._build(*args, on_quiver=True)
+        pair._build(*args, trusted=True)
         return pair
 
-    def _build(self, quiver: Quiver, cycles: Iterable[Path], mult: Mapping, on_quiver: bool) -> None:
+    def _build(self, quiver: Quiver, cycles: Iterable[Path], mult: Mapping, trusted: bool) -> None:
         self.quiver = quiver
         unique: dict[tuple[str, ...], Path] = {}
         for c in cycles:
-            if not is_simple_cycle(c):
+            if not (trusted or is_simple_cycle(c)):
                 raise ValueError(f"not a simple cycle: {c}")
-            if not (on_quiver or quiver.contains_path(c)):
+            if not (trusted or quiver.contains_path(c)):
                 raise ValueError(f"cycle {c} is not a path of the quiver")
             unique[c.arrows] = c
         self.cycles: tuple[Path, ...] = tuple(
@@ -156,34 +157,38 @@ class DefiningPair:
         return report
 
     @cached_property
-    def relations(self) -> RelationSet:
-        """The full (possibly redundant) generating set of the ideal, made on
-        first use and shared; requires a system passing :func:`validate`.
-        Two-arrow paths count as on-cycle when they travel a cycle
-        cyclically, so the square of a loop with multiplicity above one is
-        not a relation."""
+    def _generators(self) -> tuple[list, list]:
+        """The generator index, made on first use: type 1 as the pairs of
+        indices into ``cycles`` whose full powers share a source, type 3 as
+        the ``Arrow`` pairs off the cycles, in name order; type 2 is one per cycle."""
         self.require_valid()
-
-        full = [_power(c, self.mu(c)) for c in self.cycles]
-        at: dict[str, list[Path]] = {v: [] for v in self.quiver.vertices}
-        for power in full:
-            at[power.source].append(power)
+        at: dict[str, list[int]] = {v: [] for v in self.quiver.vertices}
+        for i, c in enumerate(self.cycles):
+            at[c.source].append(i)
         type1 = [both for at_v in at.values() for both in combinations(at_v, 2)]
-        type2 = [
-            _path(power.arrows + power.arrows[:1], power.vertices + power.vertices[1:2])
-            for power in full
-        ]
-
         # Every arrow lies on exactly one rotation class, so ab travels a cycle
-        # exactly when b follows a there; pairs in name order.
+        # exactly when b follows a there.
         following, out = self.next_arrow, self.quiver._out
         type3 = [
-            _path((a.name, b.name), (a.source, a.target, b.target))
-            for a in self.quiver._by_name
-            for b in out[a.target] if following[a.name] != b.name
+            (a, b) for a in self.quiver._by_name for b in out[a.target]
+            if following[a.name] != b.name
         ]
+        return type1, type3
 
-        return RelationSet(tuple(type1), tuple(type2), tuple(type3))
+    @cached_property
+    def relations(self) -> RelationSet:
+        """The full (possibly redundant) generating set of the ideal, rendered
+        as paths from :attr:`_generators` on first use and shared; requires a
+        system passing :func:`validate`.  Two-arrow paths count as on-cycle
+        when they travel a cycle cyclically, so the square of a loop with
+        multiplicity above one is not a relation."""
+        type1, type3 = self._generators
+        full = [_power(c, self.mu(c)) for c in self.cycles]
+        return RelationSet(
+            tuple((full[i], full[j]) for i, j in type1),
+            tuple(_path(p.arrows + p.arrows[:1], p.vertices + p.vertices[1:2]) for p in full),
+            tuple(_path((a.name, b.name), (a.source, a.target, b.target)) for a, b in type3),
+        )
 
     def require_valid(self) -> None:
         """Raise :class:`ValueError` naming the failed axioms, if any."""
@@ -219,8 +224,9 @@ def close_under_rotation(
 
     Rotation closure and constancy of the multiplicity on each class hold
     by construction.  The representatives are a border: each is checked
-    once per rotation class to be a simple cycle of ``quiver``, and a later
-    one of a class to walk the same vertices; their rotations are trusted.
+    once to be a simple cycle, once per rotation class to be a path of
+    ``quiver``, and a later one of a class to walk the same vertices; their
+    rotations are trusted.
     Two representatives of one class with different multiplicities are a
     fault.
     """
@@ -239,9 +245,9 @@ def close_under_rotation(
     cycles: list[Path] = []
     mult_map: dict[tuple[str, ...], int] = {}
     for canon, mult in by_class.values():
-        for rotation in rotations(canon):
-            cycles.append(rotation)
-            mult_map[rotation.arrows] = mult
+        for i in range(len(canon.arrows)):
+            cycles.append(_rotation(canon, i))
+            mult_map[cycles[-1].arrows] = mult
     return DefiningPair._trusted(quiver, cycles, mult_map)
 
 

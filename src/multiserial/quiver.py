@@ -269,14 +269,16 @@ class MonomialAutomaton:
     of one quiver, over its arrow names.
 
     State i < len(quiver.vertices) is the i-th vertex's trivial path, the
-    others are proper prefixes of monomials, ending at vertex ``end[s]``.
+    others are proper prefixes of monomials, ending at vertex ``end[s]``; a
+    monomial's last arrow is a trie edge to -1, not a state of its own.
     ``outgoing[i]`` maps the arrows out of vertex i, in name order, to their
     targets, and ``step[s][i]`` follows the i-th arrow out of ``end[s]`` to
     the longest suffix of the extended path that is a state, or is -1 when
     that path ends with a monomial; the paths that never reach -1 are the
     normal words of the monomial algebra (Ufnarovski 1982).  Insertion
-    checks each monomial against ``outgoing`` arrow by arrow, and the
-    first that is not a path of the quiver raises :class:`ValueError`.
+    checks each monomial against ``outgoing`` arrow by arrow, the rest of
+    one whose prefix is already dead included, and the first that is not a
+    path of the quiver raises :class:`ValueError`.
     """
 
     def __init__(self, quiver: Quiver, monomials: Iterable[Path]) -> None:
@@ -285,18 +287,22 @@ class MonomialAutomaton:
         roots = len(outgoing)
         children: list[dict[str, int]] = [{} for _ in range(roots)]
         self.end = end = list(range(roots))
-        matched: set[int] = set()
         for path in monomials:
-            s = vertex.get(path.source, -1)
-            for name, v in zip(path.arrows, path.vertices[1:]):
-                if s < 0 or outgoing[end[s]].get(name, outgoing) != v:  # default: no vertex
+            vertices = path.vertices
+            s = at = vertex.get(vertices[0], -1)
+            # the walk follows each arrow one behind its check; the last is an edge to -1
+            edge = None
+            for name, v in zip(path.arrows, vertices[1:]):
+                if at < 0 or outgoing[at].get(name, outgoing) != v:  # default: no vertex
                     raise ValueError(f"{path} is not a path of the quiver")
-                if name not in children[s]:
-                    children[s][name] = len(end)
-                    children.append({})
-                    end.append(vertex[v])
-                s = children[s][name]
-            matched.add(s)
+                if edge is not None and s >= 0:
+                    s = children[s].setdefault(edge, len(end))
+                    if s == len(end):
+                        children.append({})
+                        end.append(at)
+                at, edge = vertex[v], name
+            if edge is not None and s >= 0:
+                children[s][edge] = -1
         # Breadth first, so the suffix link of a state (its longest proper
         # suffix that is a state, at the same end vertex) has its steps.
         self.step = step = [[] for _ in end]
@@ -307,7 +313,7 @@ class MonomialAutomaton:
                 down = step[link[s]][i] if s >= roots else vertex[head]
                 child = children[s].get(name)
                 if child is not None:
-                    if child in matched or down < 0:
+                    if child < 0 or down < 0:
                         down = -1
                     else:
                         link[child], down = down, child

@@ -120,9 +120,9 @@ class QuotientCertificate:
 
     ``verdicts`` holds, family by family (type 1, 2, 3), one verdict per
     generator, a pair of them for a binomial: a kind, and the return arrow
-    that kills the term or None.  :attr:`complete`, :meth:`failures` and
-    :meth:`counts` read only these; :attr:`entries` and their witness text
-    are built from them on first read and kept.
+    that kills the term or None.  :attr:`complete`, :meth:`counts` and a
+    complete certificate's :meth:`failures` read only these; :attr:`entries`
+    and their witness text are built on first read, with the relations, and kept.
     """
 
     presentation: Presentation
@@ -138,7 +138,7 @@ class QuotientCertificate:
         return [] if self.complete else [e for e in self.entries if not e.certified]
 
     def counts(self) -> dict[str, int]:
-        return dict(zip(("type1", "type2", "type3"), self.pair.relations.counts()))
+        return dict(zip(("type1", "type2", "type3"), map(len, self.verdicts)))
 
     @cached_property
     def entries(self) -> list[CertifiedGenerator]:
@@ -224,10 +224,12 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     Quadratic generators either contain a return arrow or map to a
     composition already declared dead; the other generators either contain
     a return arrow or map to paths at least as long as the nilpotency
-    bound.  Each full power is judged once, from its cycle, and a binomial
-    reads its two powers' verdicts; :attr:`QuotientCertificate.entries`
-    builds the text on first read.  An uncertifiable generator is reported,
-    not raised, but would indicate an engine or input-contract bug.
+    bound.  Each is judged from the cover's generator index and cycles, and
+    no relation path is built: a full power once, from its cycle, a binomial
+    from its two powers' verdicts, an overrun as its cycle's arrows at
+    length mu*L + 1.  :attr:`QuotientCertificate.entries` builds the text
+    on first read.  An uncertifiable generator is reported, not raised, but
+    would indicate an engine or input-contract bug.
     """
     pair = symmetrize(presentation)
     if not pair.axioms.passed:
@@ -236,7 +238,7 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
             f"symmetrized cycle system fails validation ({failed}); "
             "this is an engine bug"
         )
-    relations = pair.relations
+    index1, index3 = pair._generators
     returns = pair.quiver.arrows.keys() - presentation.quiver.arrows.keys()
 
     def verdict(arrows: tuple[str, ...], length: int) -> tuple:
@@ -244,14 +246,15 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
             return KILLED_BY_STAR_ARROW, next(a for a in arrows if a in returns)
         return (LONG_PATH if length >= presentation.nilpotency else UNCERTIFIED), None
 
-    # every arrow starts one rotation of its cycle, which fixes the full power
-    power = {c.arrows[0]: verdict(c.arrows, pair.mu(c) * len(c)) for c in pair.cycles}
-    type1 = [(power[u.arrows[0]], power[w.arrows[0]]) for u, w in relations.type1]
-    type2 = [verdict(p.arrows, len(p)) for p in relations.type2]
+    power = [verdict(c.arrows, pair.mu(c) * len(c.arrows)) for c in pair.cycles]
+    type1 = [(power[i], power[j]) for i, j in index1]
+    type2 = [verdict(c.arrows, pair.mu(c) * len(c.arrows) + 1) for c in pair.cycles]
+    # a dead quadratic is a path of the base, so it holds no return arrow
     dead = presentation._quadratic
     type3 = [
-        (KILLED_BY_STAR_ARROW, a if a in returns else b) if a in returns or b in returns
-        else (FORBIDDEN_QUADRATIC if (a, b) in dead else UNCERTIFIED, None)
-        for a, b in (p.arrows for p in relations.type3)
+        (FORBIDDEN_QUADRATIC, None) if (a, b) in dead
+        else (KILLED_BY_STAR_ARROW, a if a in returns else b) if a in returns or b in returns
+        else (UNCERTIFIED, None)
+        for x, y in index3 for a, b in ((x.name, y.name),)
     ]
     return QuotientCertificate(presentation, pair, (type1, type2, type3))

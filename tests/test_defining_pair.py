@@ -13,6 +13,7 @@ from multiserial import (
     Path,
     Quiver,
     Report,
+    canonical_rotation,
     close_under_rotation,
     generate_relations,
     nilpotency_bound,
@@ -21,6 +22,7 @@ from multiserial import (
     validate,
 )
 from multiserial import defining_pair as defining_pair_module
+from multiserial import quiver as quiver_module
 from multiserial.random_instances import random_defining_pair, random_presentation
 from test_quiver import length_two_paths, lies_in
 
@@ -264,6 +266,31 @@ class TestCloseUnderRotation:
             pair = close_under_rotation(quiver, [(c, 2) for c in cycles])
         assert spy.call_count == 3
         assert len(pair.cycles) == 12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_checks_each_representative_for_simplicity_once(self, seed):
+        # a cover's cycles hand several representatives to most classes; the
+        # rotations built from them are trusted
+        presentation = random_presentation(random.Random(seed), 4, 40, 4)
+        cover = symmetrize(presentation)
+        representatives = [(c, cover.mu(c)) for c in reversed(cover.cycles)]
+        spy = mock.Mock(wraps=quiver_module.is_simple_cycle)
+        with mock.patch.object(quiver_module, "is_simple_cycle", spy), mock.patch.object(
+            defining_pair_module, "is_simple_cycle", spy
+        ):
+            assert close_under_rotation(cover.quiver, representatives) == cover
+        assert spy.call_count == len(representatives)
+
+    def test_public_routes_still_reject_a_non_simple_cycle(self, two_cycle_quiver):
+        q = two_cycle_quiver
+        twice = q.path(["a", "b", "a", "b"])
+        with pytest.raises(ValueError, match=r"^not a simple cycle: a b a b$"):
+            DefiningPair(q, [twice], {twice.arrows: 2})
+        with pytest.raises(ValueError, match=r"^not a simple cycle: a b a b$"):
+            close_under_rotation(q, [(twice, 2)])
+        for check in (rotations, canonical_rotation):
+            with pytest.raises(ValueError, match=r"^not a simple cycle: a b a b$"):
+                check(twice)
 
     def test_representative_choice_is_irrelevant(self, two_cycle_quiver):
         q = two_cycle_quiver

@@ -5,7 +5,7 @@ from pathlib import Path as FilePath
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiserial import (
@@ -21,7 +21,7 @@ from multiserial import (
     verify_quotient,
 )
 from multiserial.cli import parse_document
-from multiserial.quiver import _path
+from multiserial.quiver import MonomialAutomaton, _path
 from multiserial.random_instances import random_presentation
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
@@ -409,3 +409,106 @@ def test_cycle_power_stitches_vertices():
     assert squared.arrows == ("a", "b", "a", "b")
     assert squared.vertices == ("1", "2", "1", "2", "1")
     assert q.contains_path(squared)
+
+
+def all_paths(q: Quiver, max_length: int) -> list[Path]:
+    """Every path of length 0..max_length, grown arrow by arrow from the
+    adjacency readers: the brute-force reference for the automaton."""
+    level = [q.trivial_path(v) for v in q.vertices]
+    paths = list(level)
+    for _ in range(max_length):
+        level = [
+            Path(p.arrows + (a.name,), p.vertices + (a.target,))
+            for p in level
+            for a in q.arrows_from(p.target)
+        ]
+        paths += level
+    return paths
+
+
+def brute_force_count(q: Quiver, monomials, max_length: int) -> tuple[int, int]:
+    """How many paths of length 0..max_length have no monomial as a subword,
+    and the longest among them, by slicing every path."""
+    lengths = [
+        len(p.arrows)
+        for p in all_paths(q, max_length)
+        if not any(
+            p.arrows[i : i + len(m.arrows)] == m.arrows
+            for m in monomials
+            for i in range(len(p.arrows))
+        )
+    ]
+    return len(lengths), max(lengths)
+
+
+@st.composite
+def automaton_inputs(draw):
+    """A quiver of at most 3 vertices and 5 arrows, a length L, and up to
+    five monomials of length 1 to L + 2, so some are at or past the bound
+    L + 1, as :func:`minimal_monomial_bound` passes them; a monomial drawn
+    twice is a duplicate."""
+    n = draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    q = Quiver(
+        [str(v) for v in range(n)],
+        [(f"x{k}", str(s), str(t)) for k, (s, t) in enumerate(draw(st.lists(ends, max_size=5)))],
+    )
+    max_length = draw(st.integers(0, 3))
+    candidates = [p for p in all_paths(q, max_length + 2) if p.arrows]
+    monomials = draw(st.lists(st.sampled_from(candidates), max_size=5)) if candidates else []
+    return q, max_length, monomials
+
+
+@given(automaton_inputs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_automaton_count_matches_brute_force(drawn, data):
+    q, max_length, monomials = drawn
+    expected = brute_force_count(q, monomials, max_length)
+    for inserted in (monomials, monomials[::-1], monomials + monomials):
+        assert MonomialAutomaton(q, inserted).count(max_length) == expected
+    if not monomials:
+        return
+    # a prefix of the first monomial, inserted before it and after it
+    m = monomials[0]
+    k = data.draw(st.integers(1, len(m.arrows)))
+    prefix = Path(m.arrows[:k], m.vertices[: k + 1])
+    expected = brute_force_count(q, [prefix, *monomials], max_length)
+    for inserted in ([prefix, *monomials], [*monomials, prefix]):
+        assert MonomialAutomaton(q, inserted).count(max_length) == expected
+
+
+def test_automaton_states_are_proper_prefixes():
+    # every two-arrow path is a monomial: one state per vertex and per arrow
+    # that starts one, and none for a whole monomial
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1")])
+    automaton = MonomialAutomaton(q, length_two_paths(q))
+    assert len(automaton.end) == 2 + 3
+    assert automaton.count(5) == (5, 1)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_automaton_prefix_kills_in_either_order(order):
+    # ab kills aba; inserted after it, its last edge replaces a state
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    monomials = [q.path(["a", "b", "a"]), q.path(["a", "b"])][::order]
+    # e(1), e(2), a, b and ba
+    assert MonomialAutomaton(q, monomials).count(6) == (5, 2)
+
+
+@pytest.mark.parametrize(
+    "dead, arrows, vertices",
+    [
+        (["a"], ("a", "b", "x"), ("1", "2", "1", "2")),
+        (["a", "b"], ("a", "b", "a", "x"), ("1", "2", "1", "2", "1")),
+        (["a"], ("a", "b", "a"), ("1", "2", "1", "1")),
+    ],
+)
+def test_automaton_checks_the_rest_of_a_dead_monomial(dead, arrows, vertices):
+    # a foreign arrow, or a wrong target, past a prefix that is already a
+    # monomial raises as it would anywhere else
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    bad = Path(arrows, vertices)
+    message = f"^{' '.join(arrows)} is not a path of the quiver$"
+    for monomials in ([q.path(dead), bad], [bad]):
+        with pytest.raises(ValueError, match=message):
+            MonomialAutomaton(q, monomials)

@@ -30,7 +30,9 @@ from multiserial import (
 )
 from multiserial import cli
 from multiserial import cycle_algebra as cycle_algebra_module
+from multiserial import defining_pair as defining_pair_module
 from multiserial import presentation as presentation_module
+from multiserial import quiver as quiver_module
 from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
@@ -269,6 +271,46 @@ class TestVerifyQuotient:
             assert certificate.dimensions() == (5, 18)
         assert spy.call_count == 1
 
+    def test_verdicts_build_no_relation_path(self):
+        # with the cover and its axioms built, every generator is judged from
+        # the cover's generator index and cycles
+        presentation = random_presentation(random.Random(3), 4, 40, 4)
+        pair = symmetrize(presentation)
+        assert pair.axioms.passed
+        paths = mock.Mock(wraps=quiver_module._path)
+        with contextlib.ExitStack() as stack:
+            for module in (quiver_module, defining_pair_module, symmetrize_module):
+                stack.enter_context(mock.patch.object(module, "_path", paths))
+            derived = stack.enter_context(spy_on_derivation("relations"))
+            certificate = verify_quotient(presentation)
+            assert certificate.complete
+            counts = certificate.counts()
+        assert (derived.call_count, paths.call_count) == (0, 0)
+        assert counts == dict(zip(("type1", "type2", "type3"), pair.relations.counts()))
+        assert min(counts.values()) > 0
+
+    @pytest.mark.parametrize("reader", ["entries", "failures", "dimensions"])
+    def test_relations_are_derived_by_the_first_reader_of_paths(
+        self, reader, linear_presentation
+    ):
+        # failures() reads the entries only on an incomplete certificate
+        presentation = undersized_loop_cover() if reader == "failures" else linear_presentation
+        with spy_on_derivation("relations") as spy:
+            certificate = verify_quotient(presentation)
+            certificate.counts()
+            if certificate.complete:
+                assert certificate.failures() == []
+                assert certificate.to_report().passed
+            assert spy.call_count == 0
+            for _ in range(2):
+                read = getattr(certificate, reader)
+                if callable(read):
+                    read()
+            assert spy.call_count == 1
+            if certificate.complete:
+                assert certificate.entries and certificate.dimensions() == (5, 18)
+        assert spy.call_count == 1
+
     def test_cycle_system_is_validated_once(self, linear_presentation):
         # as the CLI's verify-quotient and oracle commands use the cover
         with spy_on_derivation("axioms") as spy:
@@ -505,6 +547,23 @@ def test_certificate_matches_the_eager_walk(seed):
     assert certificate.entries == reference_certificate(presentation)
     assert certificate.complete == all(e.certified for e in certificate.entries)
     assert certificate.complete
+
+
+def test_verdicts_zip_with_the_rendered_relations():
+    # the certificate judges the generator index; the relations render it
+    for seed in range(300):
+        rng = random.Random(seed)
+        draw = radical_square_zero_presentation if seed % 3 == 0 else random_presentation
+        certificate = verify_quotient(draw(rng))
+        relations = certificate.pair.relations
+        type1, type2, type3 = certificate.verdicts
+        terms = [(u, left) for (u, _), (left, _) in zip(relations.type1, type1)]
+        terms += [(w, right) for (_, w), (_, right) in zip(relations.type1, type1)]
+        terms += zip(relations.type2 + relations.type3, type2 + type3)
+        assert (len(type1), len(type2), len(type3)) == relations.counts(), seed
+        for path, (kind, arrow) in terms:
+            assert (kind == KILLED_BY_STAR_ARROW) == (arrow is not None), seed
+            assert arrow is None or arrow in path.arrows, (seed, path, arrow)
 
 
 def test_undersized_certificate_matches_the_eager_walk():
