@@ -22,7 +22,6 @@ from multiserial import (
     OnCyclePath,
     Socle,
     check_orbit_structure,
-    compose,
     derive_successors,
     enumerate_paths,
     nilpotency_bound,
@@ -53,7 +52,7 @@ def stress_pairs(rng: random.Random, count: int) -> None:
         basis = algebra.basis
         for x, y in ((basis[i], basis[j]) for i, j in enumerate(gram.dual)):
             if isinstance(x, OnCyclePath) and isinstance(y, OnCyclePath):
-                walked = algebra.normal_form(compose(x.path, y.path))
+                walked = algebra.normal_form(pair.quiver.path(x.path.arrows + y.path.arrows))
                 assert isinstance(walked, Socle), (index, x, y)
             else:
                 assert {x, y} == {Idempotent(x.source), Socle(x.source)}, (index, x, y)

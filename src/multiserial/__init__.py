@@ -45,10 +45,7 @@ from .quiver import (
     Path,
     Quiver,
     canonical_rotation,
-    compose,
-    cycle_power,
     is_simple_cycle,
-    rotations,
 )
 from .report import Check, Report
 from .symmetrize import (
@@ -91,9 +88,7 @@ __all__ = [
     "check_orbit_structure",
     "close_under_rotation",
     "closed_form_dimension",
-    "compose",
     "count_paths",
-    "cycle_power",
     "derive_successors",
     "enumerate_paths",
     "generate_relations",
@@ -104,7 +99,6 @@ __all__ = [
     "oracle_dimension",
     "orbit_data",
     "pair_oracle_dimension",
-    "rotations",
     "simple_cycles",
     "symmetrize",
     "validate",

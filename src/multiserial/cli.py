@@ -146,6 +146,9 @@ def parse_document(text: str) -> InputDocument:
                 if len(parts) != 2 or not eq:
                     raise ParseError("expected 'arrow NAME = SRC -> TGT'", number)
                 name = parts[1]
+                if "|" in name or "," in name:
+                    column = _column_of(raw, name)
+                    raise ParseError(f"arrow name {name} may not contain '|' or ','", number, column)
                 ends = [t.strip() for t in rest.split("->")]
                 if len(ends) != 2 or not ends[0] or not ends[1]:
                     raise ParseError("expected 'arrow NAME = SRC -> TGT'", number)
@@ -277,17 +280,21 @@ def render_pair_document(pair: DefiningPair) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_quoted(text: str) -> str:
+    """``text`` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(document: InputDocument) -> str:
     """Graphviz output; return arrows of a symmetrization render dashed."""
     q = document.quiver
     lines = ["digraph quiver {"]
     for v in sorted(q.vertices):
-        lines.append(f'    "{v}";')
+        lines.append(f"    {_dot_quoted(v)};")
     for arrow in sorted(q.arrows.values(), key=lambda a: a.name):
         style = ", style=dashed" if arrow.name.startswith(STAR_PREFIX) else ""
-        lines.append(
-            f'    "{arrow.source}" -> "{arrow.target}" [label="{arrow.name}"{style}];'
-        )
+        source, target, label = map(_dot_quoted, (arrow.source, arrow.target, arrow.name))
+        lines.append(f"    {source} -> {target} [label={label}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

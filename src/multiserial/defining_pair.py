@@ -28,7 +28,6 @@ from .quiver import (
     _rotation,
     canonical_rotation,
     is_simple_cycle,
-    rotations,
 )
 from .report import Report
 
@@ -122,14 +121,15 @@ class DefiningPair:
         missing_rotations = [
             f"{r} (rotation of {c})"
             for k, c in zip(class_of, self.cycles) if k in unclosed
-            for r in rotations(c) if r.arrows not in present
+            for r in (_rotation(c, i) for i in range(len(c))) if r.arrows not in present
         ]
         report.add("rotation-closure", not missing_rotations, "; ".join(missing_rotations))
 
         uneven = [
             f"{c} has {self.mu(c)}, rotation {r} has {self.mu(r)}"
             for k, c in zip(class_of, self.cycles) if k in uneven_classes
-            for r in rotations(c) if r.arrows in present and self.mu(r) != self.mu(c)
+            for r in (_rotation(c, i) for i in range(len(c)))
+            if r.arrows in present and self.mu(r) != self.mu(c)
         ]
         report.add("class-multiplicity", not uneven, "; ".join(uneven))
 

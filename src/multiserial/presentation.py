@@ -78,10 +78,6 @@ class Presentation:
         q = self.quiver
         return frozenset((a.name, b.name) for a in q._by_name for b in q._out[a.target])
 
-    def quadratic_in_ideal(self, a: str, b: str) -> bool:
-        """Whether the two-arrow path ab lies in the ideal."""
-        return self.nilpotency == 2 or (a, b) in self._quadratic
-
     def linear_relations(self) -> list[tuple[Path, Path | None]]:
         """The generators for the dimension oracle: each zero path p as
         ``(p, None)``, then each difference p - q as ``(p, q)``."""

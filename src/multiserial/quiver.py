@@ -2,8 +2,8 @@
 
 Arrows are identified by name, so parallel arrows and loops are allowed.
 Paths record their full vertex itinerary alongside the arrow names, which
-makes them self-contained immutable values: rotation, composition and
-cyclic-subword tests never have to consult the quiver again.
+makes them self-contained immutable values: rotations and powers never
+have to consult the quiver again.
 """
 
 from __future__ import annotations
@@ -129,13 +129,11 @@ class Quiver:
             raise ValueError(f"unknown vertex {vertex!r}")
         return _path((), (vertex,))
 
-    def path(self, names: Sequence[str], at: str | None = None) -> Path:
-        """Build the path given by ``names``; ``at`` anchors a trivial path."""
+    def path(self, names: Sequence[str]) -> Path:
+        """Build the nontrivial path given by ``names``."""
         names = tuple(names)
         if not names:
-            if at is None:
-                raise ValueError("a trivial path needs an anchoring vertex")
-            return self.trivial_path(at)
+            raise ValueError("a path needs at least one arrow; use trivial_path for e(v)")
         arrow = self.arrow(names[0])
         itinerary = [arrow.source, arrow.target]
         for name in names[1:]:
@@ -201,17 +199,6 @@ class Quiver:
         return len(seen) == len(self.vertices)
 
 
-def compose(p: Path, q: Path) -> Path | None:
-    """Concatenate two paths, or return None when the endpoints mismatch."""
-    if p.target != q.source:
-        return None
-    if p.is_trivial:
-        return q
-    if q.is_trivial:
-        return p
-    return _path(p.arrows + q.arrows, p.vertices + q.vertices[1:])
-
-
 def is_simple_cycle(p: Path) -> bool:
     """A closed nontrivial path with no repeated arrows (vertices may repeat)."""
     return (
@@ -225,13 +212,6 @@ def _rotation(cycle: Path, i: int) -> Path:
     """The rebasing of a cycle that starts with its i-th arrow."""
     starts = cycle.vertices[:-1]
     return _path(cycle.arrows[i:] + cycle.arrows[:i], starts[i:] + starts[:i] + (starts[i],))
-
-
-def rotations(cycle: Path) -> list[Path]:
-    """All cyclic rebasings of a simple cycle, one per arrow, in place order."""
-    if not is_simple_cycle(cycle):
-        raise ValueError(f"not a simple cycle: {cycle}")
-    return [_rotation(cycle, i) for i in range(len(cycle))]
 
 
 def canonical_rotation(cycle: Path) -> Path:
@@ -250,17 +230,8 @@ def _canonical(cycle: Path) -> Path:
     return _rotation(cycle, cycle.arrows.index(min(cycle.arrows)))
 
 
-def cycle_power(cycle: Path, exponent: int) -> Path:
-    """The closed path walking ``cycle`` a positive number of times."""
-    if not is_simple_cycle(cycle):
-        raise ValueError(f"not a simple cycle: {cycle}")
-    if exponent < 1:
-        raise ValueError("exponent must be positive")
-    return _power(cycle, exponent)
-
-
 def _power(cycle: Path, exponent: int) -> Path:
-    """:func:`cycle_power` of a cycle known to be simple, to a positive exponent."""
+    """The closed path walking a cycle known to be simple a positive number of times."""
     return _path(cycle.arrows * exponent, cycle.vertices[:-1] * exponent + (cycle.source,))
 
 

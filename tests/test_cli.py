@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -162,6 +163,20 @@ class TestParse:
         with pytest.raises(ParseError, match="line 4, column 7"):
             parse_document(text)
 
+    @pytest.mark.parametrize("body", ["[presentation]\nnilpotency = 2", "[definingpair]"])
+    @pytest.mark.parametrize(
+        "line, column",
+        [("arrow a|b = 1 -> 1", 7), ("arrow a,b = 1 -> 1", 7), ("  arrow  , = 1 -> 1", 10)],
+    )
+    def test_arrow_names_may_not_hold_a_separator(self, body, line, column):
+        # '|' ends the arrows of a cycle line and ',' splits an equal line, so
+        # such a name could not be read back from a rendered cover document
+        text = f"[quiver]\nvertices = 1\n{line}\n\n{body}\n"
+        name = line.split()[1]
+        message = f"line 3, column {column}: arrow name {name} may not contain '|' or ','"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_document(text)
+
 
 class TestRoundTrip:
     def test_pair_document_round_trips(self, linear_presentation):
@@ -196,6 +211,19 @@ class TestExportDot:
         dot = export_dot(parse_document(LOOP_TEXT))
         assert dot.count("->") == 1
         assert '"v" -> "v"' in dot
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        text = '[quiver]\nvertices = x"y z\narrow a\\ = x"y -> z\n\n[presentation]\nnilpotency = 2\n'
+        dot = export_dot(parse_document(text))
+        assert dot == (
+            'digraph quiver {\n'
+            '    "x\\"y";\n'
+            '    "z";\n'
+            '    "x\\"y" -> "z" [label="a\\\\"];\n'
+            '}\n'
+        )
+        # each quoted string ends at its own closing quote: none is left over
+        assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", dot)
 
 
 class TestMainExitCodes:

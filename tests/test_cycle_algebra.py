@@ -18,9 +18,9 @@ from multiserial import (
     Path,
     Quiver,
     Socle,
+    canonical_rotation,
     close_under_rotation,
     closed_form_dimension,
-    compose,
     count_paths,
     enumerate_paths,
     generate_relations,
@@ -32,10 +32,10 @@ from multiserial import (
 from multiserial import cycle_algebra
 from multiserial import defining_pair as defining_pair_module
 from multiserial import quiver as quiver_module
-from multiserial.quiver import MonomialAutomaton, _path, cycle_power
+from multiserial.quiver import MonomialAutomaton, _path
 from multiserial.report import Report
 from test_defining_pair import spy_on_derivation
-from test_quiver import length_two_paths
+from test_quiver import compose, length_two_paths
 from multiserial.random_instances import (
     random_defining_pair,
     random_presentation,
@@ -1138,5 +1138,5 @@ def test_a_built_pair_checks_no_cycle_for_simplicity_again(two_cycle_mu3_pair, d
         assert len(CycleAlgebra(pair).basis) == closed_form_dimension(pair)
         assert spy.call_count == 0
         with pytest.raises(ValueError, match="not a simple cycle"):
-            cycle_power(pair.quiver.trivial_path(pair.quiver.vertices[0]), 1)
+            canonical_rotation(pair.quiver.trivial_path(pair.quiver.vertices[0]))
     assert spy.call_count == 1

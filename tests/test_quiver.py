@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from multiserial import (
     CycleAlgebra,
     Path,
+    Presentation,
     Quiver,
     canonical_rotation,
-    compose,
-    cycle_power,
     enumerate_paths,
     is_simple_cycle,
-    rotations,
     verify_quotient,
 )
 from multiserial.cli import parse_document
-from multiserial.quiver import MonomialAutomaton, _path
+from multiserial.quiver import MonomialAutomaton, _path, _power, _rotation
 from multiserial.random_instances import random_presentation
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
@@ -55,6 +53,50 @@ def length_two_paths(q: Quiver) -> list[Path]:
         for b in by_name
         if b.source == a.target
     ]
+
+
+def compose(p: Path, q: Path) -> Path | None:
+    """The concatenation pq, or None when p does not end where q starts:
+    the reference join of two paths, built by the checked constructor."""
+    if p.target != q.source:
+        return None
+    return Path(p.arrows + q.arrows, p.vertices + q.vertices[1:])
+
+
+def rotations(cycle: Path) -> list[Path]:
+    """Every rebasing of a simple cycle, one per arrow in place order, read
+    off the cycle walked twice: the reference for ``_rotation`` and
+    :func:`canonical_rotation`."""
+    if not is_simple_cycle(cycle):
+        raise ValueError(f"not a simple cycle: {cycle}")
+    twice = compose(cycle, cycle)
+    length = len(cycle)
+    return [
+        Path(twice.arrows[i : i + length], twice.vertices[i : i + length + 1])
+        for i in range(length)
+    ]
+
+
+def cycle_power(cycle: Path, exponent: int) -> Path:
+    """The closed path walking a simple cycle ``exponent`` >= 1 times, joined
+    one copy at a time: the reference for ``_power``."""
+    if not is_simple_cycle(cycle):
+        raise ValueError(f"not a simple cycle: {cycle}")
+    if exponent < 1:
+        raise ValueError("exponent must be positive")
+    walk = cycle
+    for _ in range(exponent - 1):
+        walk = compose(walk, cycle)
+    return walk
+
+
+def quadratic_in_ideal(presentation: Presentation, a: str, b: str) -> bool:
+    """Whether the two-arrow path ab lies in the ideal, read from the
+    nilpotency and the declared zero paths: the reference for the set
+    ``Presentation._quadratic`` that the engine tests membership in."""
+    return presentation.nilpotency == 2 or any(
+        p.arrows == (a, b) for p in presentation.zero_paths
+    )
 
 
 def make_cycle(length: int, seed: int) -> Path:
@@ -130,6 +172,7 @@ class TestQuiverConstruction:
             (["z"], "unknown arrow 'z'"),
             (["a", "z"], "unknown arrow 'z'"),
             (["b", "a", "z"], "arrows do not compose: 'a' starts at '1', previous arrow ends at '3'"),
+            ([], "a path needs at least one arrow; use trivial_path for e(v)"),
         ],
     )
     def test_path_construction_names_the_first_fault(self, names, message):
@@ -214,22 +257,30 @@ class TestCompose:
 
 
 class TestRotations:
+    """The engine's unchecked ``_rotation`` against the literal rebasings and
+    the reference :func:`rotations`."""
+
     def test_two_cycle(self):
         q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
-        rots = rotations(q.path(["a", "b"]))
+        cycle = q.path(["a", "b"])
+        rots = [_rotation(cycle, i) for i in range(2)]
+        assert rots == rotations(cycle)
         assert [r.arrows for r in rots] == [("a", "b"), ("b", "a")]
         assert rots[1].source == "2"
 
     def test_loop(self):
         q = Quiver(["v"], [("a", "v", "v")])
-        assert [r.arrows for r in rotations(q.path(["a"]))] == [("a",)]
+        loop = q.path(["a"])
+        assert _rotation(loop, 0) == loop == rotations(loop)[0]
 
     def test_three_cycle(self):
         q = Quiver(
             ["1", "2", "3"],
             [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],
         )
-        rots = rotations(q.path(["a", "b", "c"]))
+        cycle = q.path(["a", "b", "c"])
+        rots = [_rotation(cycle, i) for i in range(3)]
+        assert rots == rotations(cycle)
         assert [r.arrows for r in rots] == [
             ("a", "b", "c"),
             ("b", "c", "a"),
@@ -237,9 +288,11 @@ class TestRotations:
         ]
 
     def test_rejects_non_cycles(self):
+        # the public route checks; so does the reference it is held against
         q = Quiver(["1", "2"], [("a", "1", "2")])
-        with pytest.raises(ValueError, match="not a simple cycle"):
-            rotations(q.path(["a"]))
+        for check in (canonical_rotation, rotations):
+            with pytest.raises(ValueError, match="not a simple cycle"):
+                check(q.path(["a"]))
 
 
 class TestLiesIn:
@@ -289,14 +342,14 @@ class TestIsSimpleCycle:
 @given(st.integers(1, 6), st.integers(0, 10**6))
 def test_rotation_count_and_closure(length, seed):
     cycle = make_cycle(length, seed)
-    rots = rotations(cycle)
-    assert len(rots) == length
+    rots = [_rotation(cycle, i) for i in range(length)]
+    assert rots == rotations(cycle)
     assert len({r.arrows for r in rots}) == length
     all_rotations = {r.arrows for r in rots}
     for r in rots:
         assert is_simple_cycle(r)
-        for rr in rotations(r):
-            assert rr.arrows in all_rotations
+        for i in range(length):
+            assert _rotation(r, i).arrows in all_rotations
 
 
 @given(st.integers(1, 5), st.integers(0, 10**6), st.integers(1, 12))
@@ -395,6 +448,7 @@ def test_canonical_rotation_is_least():
 
 
 def test_cycle_power_rejects_non_cycles_and_exponents_below_one():
+    # the reference's own contract; the engine's _power trusts its caller
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     for p in (q.path(["a"]), q.path(["a", "b", "a", "b"]), q.trivial_path("1")):
         with pytest.raises(ValueError, match="not a simple cycle"):
@@ -405,10 +459,13 @@ def test_cycle_power_rejects_non_cycles_and_exponents_below_one():
 
 def test_cycle_power_stitches_vertices():
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
-    squared = cycle_power(q.path(["a", "b"]), 2)
+    cycle = q.path(["a", "b"])
+    squared = _power(cycle, 2)
     assert squared.arrows == ("a", "b", "a", "b")
     assert squared.vertices == ("1", "2", "1", "2", "1")
     assert q.contains_path(squared)
+    for exponent in range(1, 5):
+        assert _power(cycle, exponent) == cycle_power(cycle, exponent)
 
 
 def all_paths(q: Quiver, max_length: int) -> list[Path]:

@@ -22,7 +22,6 @@ from multiserial import (
     enumerate_paths,
     generate_relations,
     maximal_paths,
-    rotations,
     simple_cycles,
     symmetrize,
     validate,
@@ -46,6 +45,7 @@ from multiserial.symmetrize import (
     UNCERTIFIED,
 )
 from test_defining_pair import spy_on_derivation
+from test_quiver import quadratic_in_ideal, rotations
 
 # The package exports the function ``symmetrize`` under the module's name.
 symmetrize_module = importlib.import_module("multiserial.symmetrize")
@@ -80,7 +80,7 @@ def reference_certificate(presentation):
         if a not in base.arrows or b not in base.arrows:
             which = a if a not in base.arrows else b
             j = Justification(KILLED_BY_STAR_ARROW, f"contains return arrow {which}")
-        elif presentation.quadratic_in_ideal(a, b):
+        elif quadratic_in_ideal(presentation, a, b):
             successor = presentation.tables.sigma[a]
             j = Justification(
                 FORBIDDEN_QUADRATIC,
