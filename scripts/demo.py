@@ -8,8 +8,6 @@ from pathlib import Path
 from multiserial import (
     CycleAlgebra,
     derive_successors,
-    maximal_paths,
-    simple_cycles,
     symmetrize,
     verify_quotient,
 )
@@ -24,8 +22,8 @@ def show_presentation(name: str) -> None:
     print(f"=== {name} ===")
     tables = derive_successors(presentation)
     print("successors:", {a: b or "stop" for a, b in sorted(tables.sigma.items())})
-    print("maximal paths:", [str(m) for m in maximal_paths(tables)] or "none")
-    print("cycles:", [str(c) for c in simple_cycles(tables)] or "none")
+    print("maximal paths:", [str(m) for m in tables.maximal_paths] or "none")
+    print("cycles:", [str(c) for c in tables.simple_cycles] or "none")
 
     pair = symmetrize(presentation)
     # the return arrows are the cover's arrows that the base lacks

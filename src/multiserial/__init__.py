@@ -35,10 +35,7 @@ from .presentation import (
     check_multiserial_condition,
     check_orbit_structure,
     derive_successors,
-    maximal_paths,
     minimal_monomial_bound,
-    orbit_data,
-    simple_cycles,
 )
 from .quiver import (
     Arrow,
@@ -93,13 +90,10 @@ __all__ = [
     "enumerate_paths",
     "generate_relations",
     "is_simple_cycle",
-    "maximal_paths",
     "minimal_monomial_bound",
     "nilpotency_bound",
     "oracle_dimension",
-    "orbit_data",
     "pair_oracle_dimension",
-    "simple_cycles",
     "symmetrize",
     "validate",
     "verify_quotient",

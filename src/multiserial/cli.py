@@ -28,7 +28,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cycle_algebra import (
     DEFAULT_MAX_PATHS,
@@ -53,9 +53,7 @@ from .presentation import (
     check_multiserial_condition,
     check_orbit_structure,
     derive_successors,
-    maximal_paths,
     minimal_monomial_bound,
-    simple_cycles,
 )
 from .quiver import Path, Quiver
 from .report import Report
@@ -92,9 +90,9 @@ class InputDocument:
         return "presentation" if self.presentation is not None else "definingpair"
 
 
-def _column_of(line_text: str, token: str) -> int | None:
-    match = re.search(rf"(?<!\w){re.escape(token)}(?!\w)", line_text)
-    return match.start() + 1 if match else None
+def _columns(line_text: str, start: int = 0) -> list[int]:
+    """The 1-based columns of the line's whitespace-separated tokens from ``start`` on."""
+    return [match.start() + 1 for match in re.compile(r"\S+").finditer(line_text, start)]
 
 
 def parse_document(text: str) -> InputDocument:
@@ -135,9 +133,9 @@ def parse_document(text: str) -> InputDocument:
                 _, _, rest = line.partition("=")
                 if not rest.strip():
                     raise ParseError("empty vertex list", number)
-                for v in rest.split():
+                for v, column in zip(rest.split(), _columns(raw, raw.index("=") + 1)):
                     if v in vertex_set:
-                        raise ParseError(f"duplicate vertex {v}", number, _column_of(raw, v))
+                        raise ParseError(f"duplicate vertex {v}", number, column)
                     vertex_set.add(v)
                     vertices.append(v)
             elif line.startswith("arrow"):
@@ -147,20 +145,22 @@ def parse_document(text: str) -> InputDocument:
                     raise ParseError("expected 'arrow NAME = SRC -> TGT'", number)
                 name = parts[1]
                 if "|" in name or "," in name:
-                    column = _column_of(raw, name)
+                    column = _columns(raw)[1]
                     raise ParseError(f"arrow name {name} may not contain '|' or ','", number, column)
                 ends = [t.strip() for t in rest.split("->")]
                 if len(ends) != 2 or not ends[0] or not ends[1]:
                     raise ParseError("expected 'arrow NAME = SRC -> TGT'", number)
                 source, target = ends
                 if name in arrow_lines:
-                    raise ParseError(f"duplicate arrow name {name}", number, _column_of(raw, name))
-                for v in (source, target):
+                    raise ParseError(f"duplicate arrow name {name}", number, _columns(raw)[1])
+                # each end begins with the first token after its '=' or '->'
+                equals = raw.index("=") + 1
+                for v, start in ((source, equals), (target, raw.index("->", equals) + 2)):
                     if v not in vertex_set:
                         raise ParseError(
                             f"arrow {name} references undeclared vertex {v}",
                             number,
-                            _column_of(raw, v),
+                            _columns(raw, start)[0],
                         )
                 arrow_lines[name] = number
                 arrow_triples.append((name, source, target))
@@ -343,42 +343,27 @@ def _cmd_sigma_tau(document: InputDocument, max_paths: int) -> CommandResult:
     data = {
         "sigma": {a: tables.sigma[a] for a in sorted(tables.sigma)},
         "tau": {a: tables.tau[a] for a in sorted(tables.tau)},
-        "orbits": {
-            a: {
-                "forward_stop": orbits[a].forward_stop,
-                "backward_stop": orbits[a].backward_stop,
-                "period": orbits[a].period,
-            }
-            for a in sorted(orbits)
-        },
-        "maximal_paths": [_path_json(m) for m in maximal_paths(tables)],
-        "cycles": [_path_json(c) for c in simple_cycles(tables)],
+        "orbits": {a: asdict(orbits[a]) for a in sorted(orbits)},
+        "maximal_paths": [_path_json(m) for m in tables.maximal_paths],
+        "cycles": [_path_json(c) for c in tables.simple_cycles],
     }
     return CommandResult("sigma-tau", report, data)
-
-
-def _closed_by(pair: DefiningPair, arrow: str) -> Path:
-    """The path that ``arrow`` closes to a cycle of ``pair``: the rest of
-    its cycle, read forwards from the arrow after it."""
-    chain = [pair.next_arrow[arrow]]
-    while chain[-1] != arrow:
-        chain.append(pair.next_arrow[chain[-1]])
-    return pair.quiver.path(chain[:-1])
 
 
 def _cmd_symmetrize(document: InputDocument, max_paths: int) -> CommandResult:
     presentation = document.presentation
     pair = symmetrize(presentation)
     report = validate_pair(pair)
+    # the cover lists its return arrows last, in the order of the paths they close
+    returns = [r for r in pair.quiver.arrows.values() if r.name not in presentation.quiver.arrows]
     data = {
         "return_arrows": {
             r.name: {
                 "source": r.source,
                 "target": r.target,
-                "closes": _path_json(_closed_by(pair, r.name)),
+                "closes": _path_json(m),
             }
-            for r in pair.quiver.arrows.values()
-            if r.name not in presentation.quiver.arrows
+            for r, m in zip(returns, derive_successors(presentation).maximal_paths)
         },
         "classes": [
             {"cycle": _path_json(c), "mult": mult}

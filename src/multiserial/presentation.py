@@ -1,5 +1,5 @@
-"""Monomial/binomial presentations of path-algebra quotients and the
-successor combinatorics they induce.
+"""Monomial/binomial presentations of path-algebra quotients and their
+successor tables, which derive and keep their orbits, maximal paths and cycles.
 
 The ideal of a presentation is generated by its explicit zero paths and
 binomial differences together with every path of length at least the
@@ -103,9 +103,10 @@ class SuccessorTables:
 
     ``None`` is the stop marker: no composition with that arrow survives in
     the quotient.  The two maps are mutually inverse wherever defined, and
-    a successor is always composable with its arrow.  Both maps, and the
-    orbits read off them, are kept as read-only copies, since every reader
-    of a presentation shares its tables.
+    a successor is always composable with its arrow.  The tables are the
+    one place their orbits, maximal paths and simple cycles are derived,
+    each on first read; the maps and these three are kept read-only, since
+    every reader of a presentation shares its tables.
     """
 
     quiver: Quiver
@@ -129,8 +130,46 @@ class SuccessorTables:
 
     @cached_property
     def orbits(self) -> Mapping[str, OrbitData]:
-        """The :func:`orbit_data` of these tables, computed on first use."""
-        return MappingProxyType(orbit_data(self))
+        """Both maps iterated at every arrow, each orbit classified.
+
+        The forward orbit stops exactly when the backward one does, and
+        cyclic orbits have equal periods under both maps; a violation means
+        the tables were corrupted and is raised, not reported.
+        """
+        limit = len(self.quiver.arrows) + 1
+        out: dict[str, OrbitData] = {}
+        for name in sorted(self.quiver.arrows):
+            forward_stop, sigma_period = _orbit(self.sigma, name, limit)
+            backward_stop, tau_period = _orbit(self.tau, name, limit)
+            if (forward_stop is None) != (backward_stop is None):
+                raise RuntimeError(f"orbit of {name!r} stops in one direction only")
+            if sigma_period != tau_period:
+                raise RuntimeError(
+                    f"orbit of {name!r} has mismatched periods "
+                    f"{sigma_period} and {tau_period}"
+                )
+            out[name] = OrbitData(forward_stop, backward_stop, sigma_period)
+        return MappingProxyType(out)
+
+    @cached_property
+    def maximal_paths(self) -> tuple[Path, ...]:
+        """All paths that cannot be extended in either direction.
+
+        Such a path starts at an arrow with no predecessor and follows the
+        successor map until it stops; every arrow with a stopping orbit
+        occurs in exactly one of them.  Sorted by arrow sequence.
+        """
+        return tuple(_walk(self, a, None) for a in sorted(self.quiver.arrows) if self.tau[a] is None)
+
+    @cached_property
+    def simple_cycles(self) -> tuple[Path, ...]:
+        """The cycles traced by the successor map, one per arrow that
+        :attr:`orbits` gives a period.
+
+        The family is closed under rotation: the cycle based at an arrow's
+        successor is the rotation of the cycle based at the arrow itself.
+        """
+        return tuple(_walk(self, a, a) for a in sorted(self.quiver.arrows) if self.orbits[a].period)
 
 
 @dataclass(frozen=True)
@@ -213,55 +252,6 @@ def _orbit(table: Mapping[str, Optional[str]], start: str, limit: int) -> tuple[
     )
 
 
-def orbit_data(tables: SuccessorTables) -> dict[str, OrbitData]:
-    """Iterate both tables at every arrow and classify the orbits.
-
-    The forward orbit stops exactly when the backward one does, and cyclic
-    orbits have equal periods under both maps; a violation means the tables
-    were corrupted and is raised, not reported.
-    """
-    limit = len(tables.quiver.arrows) + 1
-    out: dict[str, OrbitData] = {}
-    for name in sorted(tables.quiver.arrows):
-        forward_stop, sigma_period = _orbit(tables.sigma, name, limit)
-        backward_stop, tau_period = _orbit(tables.tau, name, limit)
-        if (forward_stop is None) != (backward_stop is None):
-            raise RuntimeError(f"orbit of {name!r} stops in one direction only")
-        if sigma_period != tau_period:
-            raise RuntimeError(
-                f"orbit of {name!r} has mismatched periods "
-                f"{sigma_period} and {tau_period}"
-            )
-        out[name] = OrbitData(
-            forward_stop=forward_stop,
-            backward_stop=backward_stop,
-            period=sigma_period,
-        )
-    return out
-
-
-def maximal_paths(tables: SuccessorTables) -> tuple[Path, ...]:
-    """All paths that cannot be extended in either direction.
-
-    Such a path starts at an arrow with no predecessor and follows the
-    successor map until it stops; every arrow with a stopping orbit occurs
-    in exactly one of them.  Returned sorted by arrow sequence.
-    """
-    starts = [name for name in sorted(tables.quiver.arrows) if tables.tau[name] is None]
-    return tuple(_walk(tables, name, None) for name in starts)
-
-
-def simple_cycles(tables: SuccessorTables) -> tuple[Path, ...]:
-    """The cycles traced by the successor map, one per on-cycle arrow.
-
-    The family is closed under rotation: the cycle based at an arrow's
-    successor is the rotation of the cycle based at the arrow itself.
-    """
-    limit = len(tables.quiver.arrows) + 1
-    starts = [a for a in sorted(tables.quiver.arrows) if _orbit(tables.sigma, a, limit)[1]]
-    return tuple(_walk(tables, name, name) for name in starts)
-
-
 def _walk(tables: SuccessorTables, start: str, end: Optional[str]) -> Path:
     """The path from ``start`` along the successor map up to ``end``, not
     included; the paths start with distinct arrows, so name order sorts them."""
@@ -279,8 +269,8 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
     """
     q = tables.quiver
     data = tables.orbits
-    maxima = maximal_paths(tables)
-    cycles = simple_cycles(tables)
+    maxima = tables.maximal_paths
+    cycles = tables.simple_cycles
     report = Report("orbit-structure")
 
     on_maximal = Counter(a for m in maxima for a in m.arrows)

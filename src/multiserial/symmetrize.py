@@ -29,7 +29,7 @@ from .cycle_algebra import (
     pair_oracle_dimension,
 )
 from .defining_pair import DefiningPair, close_under_rotation
-from .presentation import Presentation, derive_successors, maximal_paths, simple_cycles
+from .presentation import Presentation, derive_successors
 from .quiver import Path, Quiver, _path
 from .report import Report
 
@@ -60,7 +60,7 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     base = presentation.quiver
     tables = derive_successors(presentation)
     closes: dict[str, Path] = {}
-    for m in maximal_paths(tables):
+    for m in tables.maximal_paths:
         name = STAR_PREFIX + "".join(m.arrows)
         if name in base.arrows:
             raise ValueError(
@@ -77,7 +77,7 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     arrow_triples.extend((r, m.target, m.source) for r, m in closes.items())
     enlarged = Quiver(base.vertices, arrow_triples)
     # the tables trace every rotation of a cycle; the closure merges them
-    cycles = list(simple_cycles(tables))
+    cycles = list(tables.simple_cycles)
     cycles.extend(_path(m.arrows + (r,), m.vertices + (m.source,)) for r, m in closes.items())
     cover = close_under_rotation(enlarged, [(c, presentation.nilpotency) for c in cycles])
     object.__setattr__(presentation, "_cover", cover)

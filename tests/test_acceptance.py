@@ -16,7 +16,6 @@ from multiserial import (
     derive_successors,
     enumerate_paths,
     generate_relations,
-    maximal_paths,
     nilpotency_bound,
     oracle_dimension,
     symmetrize,
@@ -64,7 +63,7 @@ def test_criterion_2_gentle_linear_quiver():
     presentation = Presentation(quiver, (quiver.path(["a", "b"]),), (), 2)
 
     tables = derive_successors(presentation)
-    if [m.arrows for m in maximal_paths(tables)] != [("a",), ("b",)]:
+    if [m.arrows for m in tables.maximal_paths] != [("a",), ("b",)]:
         failures.append("maximal paths are not the two single arrows")
     pair = symmetrize(presentation)
     if len(pair.quiver.arrows) - len(quiver.arrows) != 2:
@@ -101,7 +100,7 @@ def test_criterion_3_two_cycle_presentation():
     )
 
     tables = derive_successors(presentation)
-    if maximal_paths(tables) != ():
+    if tables.maximal_paths != ():
         failures.append("expected no maximal paths")
     pair = symmetrize(presentation)
     if pair.quiver != quiver:

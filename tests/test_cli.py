@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import importlib
+import io
 import json
 import os
 import random
@@ -7,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path as FilePath
 from unittest import mock
 
@@ -27,7 +30,7 @@ from multiserial.cli import (
     render_pair_document,
     run_command,
 )
-from multiserial import Quiver, derive_successors, maximal_paths, orbit_data, symmetrize
+from multiserial import Quiver, check_orbit_structure, derive_successors, symmetrize
 from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
@@ -158,10 +161,29 @@ class TestParse:
         with pytest.raises(ParseError, match="exactly one"):
             parse_document(text)
 
-    def test_duplicate_arrow_reports_line_and_column(self):
-        text = "[quiver]\nvertices = 1\narrow a = 1 -> 1\narrow a = 1 -> 1\n"
-        with pytest.raises(ParseError, match="line 4, column 7"):
-            parse_document(text)
+    @pytest.mark.parametrize(
+        "quiver, message",
+        [
+            (
+                "vertices = 1\narrow a = 1 -> 1\narrow a = 1 -> 1",
+                "line 4, column 7: duplicate arrow name a",
+            ),
+            (
+                "vertices = 1\narrow arrow = 1 -> 1\narrow arrow = 1 -> 1",
+                "line 4, column 7: duplicate arrow name arrow",
+            ),
+            (
+                "vertices = 1\narrow a = 1 -> a",
+                "line 3, column 16: arrow a references undeclared vertex a",
+            ),
+            ("vertices = a b a", "line 2, column 16: duplicate vertex a"),
+        ],
+        ids=["duplicate-arrow", "arrow-named-arrow", "undeclared-target", "duplicate-vertex"],
+    )
+    def test_duplicate_arrow_reports_line_and_column(self, quiver, message):
+        # the column is the offending token's own, not an earlier equal token's
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_document(f"[quiver]\n{quiver}\n")
 
     @pytest.mark.parametrize("body", ["[presentation]\nnilpotency = 2", "[definingpair]"])
     @pytest.mark.parametrize(
@@ -538,15 +560,42 @@ class TestMainOutputs:
         assert payload["data"]["maximal_paths"] == [["a"], ["b"]]
 
     def test_sigma_tau_computes_orbit_data_once(self, capsys):
-        spy = mock.Mock(wraps=orbit_data)
-        # The CLI module is patched too, in case it calls the name itself.
-        with mock.patch.object(presentation_module, "orbit_data", spy), mock.patch.object(
-            cli, "orbit_data", spy, create=True
-        ):
-            code = main(["sigma-tau", str(FIXTURES / "a3_gentle.alg"), "--json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["data"]["orbits"]
-        assert spy.call_count == 1
+        # one _orbit call per arrow for sigma and one for tau, though the run
+        # reads the orbits twice, once in its checks and once in its data
+        for fixture in ("a3_gentle.alg", "two_cycle.alg"):
+            with mock.patch.object(
+                presentation_module, "_orbit", wraps=presentation_module._orbit
+            ) as spy:
+                code = main(["sigma-tau", str(FIXTURES / fixture), "--json"])
+            data = json.loads(capsys.readouterr().out)["data"]
+            assert code == 0 and data["orbits"]
+            # two tables, sigma and tau, each followed once from every arrow
+            calls = Counter((id(c.args[0]), c.args[1]) for c in spy.call_args_list)
+            assert len({table for table, _ in calls}) == 2 and set(calls.values()) == {1}
+            assert Counter(a for _, a in calls) == {a: 2 for a in data["sigma"]}
+
+    @pytest.mark.parametrize("name", ["a3_gentle.alg", "two_cycle.alg", "random"])
+    def test_each_maximal_path_and_cycle_is_walked_once(self, name):
+        # the orbit check, the cover and a sigma-tau run all read one
+        # presentation's maximal paths and cycles, derived once
+        if name == "random":
+            presentation = random_presentation(random.Random(3), 4, 40, 4)
+        else:
+            presentation = parse_document((FIXTURES / name).read_text()).presentation
+        document = InputDocument(presentation.quiver, presentation=presentation)
+        with mock.patch.object(
+            presentation_module, "_walk", wraps=presentation_module._walk
+        ) as spy:
+            tables = derive_successors(presentation)
+            assert check_orbit_structure(tables).passed
+            symmetrize(presentation)
+            assert run_command("sigma-tau", document).report.passed
+        # a maximal path starts where tau stops, a cycle at each periodic arrow
+        arrows = sorted(presentation.quiver.arrows)
+        starts = [(a, None) for a in arrows if tables.tau[a] is None]
+        starts += [(a, a) for a in arrows if tables.orbits[a].period]
+        assert [c.args[1:] for c in spy.call_args_list] == starts
+        assert len(starts) == len(tables.maximal_paths) + len(tables.simple_cycles) > 0
 
     def test_oracle_matches_closed_form_on_pair(self, capsys):
         code = main(["oracle", str(FIXTURES / "loop_mu2.alg"), "--json"])
@@ -623,7 +672,7 @@ def test_symmetrize_return_arrows_close_the_maximal_paths(seed, square_zero):
     draw = radical_square_zero_presentation if square_zero else random_presentation
     presentation = draw(random.Random(seed))
     base, cover = presentation.quiver, symmetrize(presentation)
-    maximal = maximal_paths(derive_successors(presentation))
+    maximal = derive_successors(presentation).maximal_paths
     data = run_command("symmetrize", InputDocument(base, presentation=presentation)).data
     returns = data["return_arrows"]
     assert list(returns) == [a for a in cover.quiver.arrows if a not in base.arrows]
@@ -631,3 +680,51 @@ def test_symmetrize_return_arrows_close_the_maximal_paths(seed, square_zero):
     assert [(r["source"], r["target"]) for r in returns.values()] == [
         (m.target, m.source) for m in maximal
     ]
+    # the cover's next-arrow map runs each return arrow round the path it closes
+    for r, m in zip(returns, maximal):
+        assert [cover.next_arrow[a] for a in (r, *m.arrows)] == [*m.arrows, r]
+
+
+FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.alg"))]
+# separators, a section header, a reserved name and out-of-range integers
+FUZZ_TOKENS = ["|", ",", "=", "->", "[x]", "star_a", "-3", "99999"]
+# building the argument parser takes most of a run, and every run builds the
+# same one, so the fuzzed runs share one
+shared_parser = functools.cache(cli.build_parser)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture document with lines dropped, duplicated or truncated, and
+    tokens replaced by separators, names and integers the parser must judge."""
+    lines = draw(st.sampled_from(FIXTURE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "truncate", "replace"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        elif tokens := lines[i].split():
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(text=mutated_documents())
+@settings(max_examples=200, deadline=None)
+def test_mutated_documents_fail_only_by_parse_error_and_exit_code(tmp_path_factory, text):
+    # a malformed document is a ParseError, and every command exits 0, 1 or 2
+    with contextlib.suppress(ParseError):
+        parse_document(text)
+    path = tmp_path_factory.getbasetemp() / "mutated.alg"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ), mock.patch.object(cli, "build_parser", shared_parser):
+        for command in COMMAND_TABLE:
+            assert main([command, str(path), "--max-paths", "5000"]) in (0, 1, 2), command

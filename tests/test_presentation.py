@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from pathlib import Path as FilePath
 from unittest import mock
@@ -20,10 +21,7 @@ from multiserial import (
     check_orbit_structure,
     derive_successors,
     enumerate_paths,
-    maximal_paths,
     minimal_monomial_bound,
-    orbit_data,
-    simple_cycles,
 )
 from multiserial import presentation as presentation_module
 from multiserial import random_instances
@@ -254,7 +252,11 @@ class TestDeriveSuccessors:
         for table in (tables.sigma, tables.tau, tables.orbits):
             with pytest.raises(TypeError):
                 table["a"] = None
+        for name in ("orbits", "maximal_paths", "simple_cycles"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(tables, name, ())
         assert tables.sigma == {"a": "b", "b": None}
+        assert type(tables.maximal_paths) is type(tables.simple_cycles) is tuple
 
     def test_tables_copy_their_input(self, linear_quiver):
         sigma, tau = {"a": "b", "b": None}, {"a": None, "b": "a"}
@@ -297,39 +299,39 @@ class TestSuccessorTables:
 class TestOrbitData:
     def test_period_two(self, two_cycle_quiver):
         tables = derive_successors(Presentation(two_cycle_quiver, (), (), 3))
-        data = orbit_data(tables)
+        data = tables.orbits
         assert data["a"].period == 2
         assert data["a"].forward_stop is None
 
     def test_stops_at_one(self, linear_presentation):
-        data = orbit_data(derive_successors(linear_presentation))
+        data = derive_successors(linear_presentation).orbits
         assert data["a"].forward_stop == 1
         assert data["a"].backward_stop == 1
 
     def test_fixed_loop(self, loop_quiver):
         tables = derive_successors(Presentation(loop_quiver, (), (), 3))
-        assert orbit_data(tables)["a"].period == 1
+        assert tables.orbits["a"].period == 1
 
 
 class TestMaximalPathsAndCycles:
     def test_all_stops_give_singletons(self, linear_presentation):
         tables = derive_successors(linear_presentation)
-        assert [m.arrows for m in maximal_paths(tables)] == [("a",), ("b",)]
+        assert [m.arrows for m in tables.maximal_paths] == [("a",), ("b",)]
 
     def test_surviving_composition_joins(self, linear_quiver):
         p = Presentation(linear_quiver, (), (), 3)
         tables = derive_successors(p)
-        assert [m.arrows for m in maximal_paths(tables)] == [("a", "b")]
-        assert simple_cycles(tables) == ()
+        assert [m.arrows for m in tables.maximal_paths] == [("a", "b")]
+        assert tables.simple_cycles == ()
 
     def test_cycles_of_two_cycle(self, two_cycle_quiver):
         tables = derive_successors(Presentation(two_cycle_quiver, (), (), 3))
-        assert maximal_paths(tables) == ()
-        assert [c.arrows for c in simple_cycles(tables)] == [("a", "b"), ("b", "a")]
+        assert tables.maximal_paths == ()
+        assert [c.arrows for c in tables.simple_cycles] == [("a", "b"), ("b", "a")]
 
     def test_loop_cycle(self, loop_quiver):
         tables = derive_successors(Presentation(loop_quiver, (), (), 3))
-        assert [c.arrows for c in simple_cycles(tables)] == [("a",)]
+        assert [c.arrows for c in tables.simple_cycles] == [("a",)]
 
     def test_results_do_not_depend_on_declaration_order(self):
         triples = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")]
@@ -339,11 +341,11 @@ class TestMaximalPathsAndCycles:
         zero_b = (backward.path(["c", "a"]),)
         tf = derive_successors(Presentation(forward, zero_f, (), 3))
         tb = derive_successors(Presentation(backward, zero_b, (), 3))
-        assert [m.arrows for m in maximal_paths(tf)] == [
-            m.arrows for m in maximal_paths(tb)
+        assert [m.arrows for m in tf.maximal_paths] == [
+            m.arrows for m in tb.maximal_paths
         ]
-        assert [c.arrows for c in simple_cycles(tf)] == [
-            c.arrows for c in simple_cycles(tb)
+        assert [c.arrows for c in tf.simple_cycles] == [
+            c.arrows for c in tb.simple_cycles
         ]
 
 
@@ -351,7 +353,7 @@ class TestOrbitStructure:
     def test_maximal_length_formula(self, linear_quiver):
         p = Presentation(linear_quiver, (), (), 3)
         tables = derive_successors(p)
-        data = orbit_data(tables)
+        data = tables.orbits
         assert data["a"].forward_stop == 2 and data["a"].backward_stop == 1
         report = check_orbit_structure(tables)
         assert report.check("maximal-path-length-formula").passed
@@ -362,13 +364,25 @@ class TestOrbitStructure:
         assert report.check("cycle-length-is-period").passed
         assert report.passed
 
-    def test_orbit_data_is_computed_once(self, linear_quiver):
-        tables = derive_successors(Presentation(linear_quiver, (), (), 3))
-        with mock.patch.object(
-            presentation_module, "orbit_data", wraps=orbit_data
-        ) as spy:
-            assert check_orbit_structure(tables).passed
-        assert spy.call_count == 1
+    def test_orbit_data_is_computed_once(self, linear_quiver, two_cycle_quiver):
+        # one _orbit call per arrow for sigma and one for tau, however often
+        # the orbits, maximal paths and cycles are read
+        presentations = [
+            Presentation(linear_quiver, (), (), 3),
+            Presentation(two_cycle_quiver, (), (), 3),
+            random_presentation(random.Random(3), 4, 40, 4),
+        ]
+        for presentation in presentations:
+            tables = derive_successors(presentation)
+            with mock.patch.object(
+                presentation_module, "_orbit", wraps=presentation_module._orbit
+            ) as spy:
+                assert check_orbit_structure(tables).passed
+                assert check_orbit_structure(tables).passed
+            side = {id(tables.sigma): "sigma", id(tables.tau): "tau"}
+            calls = Counter((side[id(c.args[0])], c.args[1]) for c in spy.call_args_list)
+            arrows = presentation.quiver.arrows
+            assert calls == {(s, a): 1 for a in arrows for s in ("sigma", "tau")}
 
     @pytest.mark.parametrize(
         "fixture", ["a3_gentle.alg", "two_cycle.alg", "radical_square_zero.alg"]
@@ -384,7 +398,7 @@ class TestOrbitStructure:
         # a b is the one maximal path; a private copy of the tables claims b
         # stops one step too late, past the read-only cached orbits
         tables = SuccessorTables(shared.quiver, shared.sigma, shared.tau)
-        corrupt = {**orbit_data(tables), "b": OrbitData(forward_stop=2, backward_stop=2)}
+        corrupt = {**tables.orbits, "b": OrbitData(forward_stop=2, backward_stop=2)}
         object.__setattr__(tables, "orbits", corrupt)
         check = check_orbit_structure(tables).check("maximal-path-determined-by-arrow")
         assert not check.passed and check.witness == "b does not recover a b"
@@ -402,7 +416,7 @@ class TestOrbitStructure:
         started = time.perf_counter()
         report = check_orbit_structure(tables)
         assert report.passed
-        assert len(simple_cycles(tables)) == n
+        assert len(tables.simple_cycles) == n
         assert time.perf_counter() - started < 5.0
 
 
@@ -544,8 +558,8 @@ def test_surviving_compositions_match_the_two_sided_reference(seed, keep_every):
 @settings(max_examples=60, deadline=None)
 def test_arrows_partition_into_maximal_and_cyclic(seed):
     tables = random_successor_tables(random.Random(seed))
-    on_maximal = {a for m in maximal_paths(tables) for a in m.arrows}
-    on_cycle = {a for c in simple_cycles(tables) for a in c.arrows}
+    on_maximal = {a for m in tables.maximal_paths for a in m.arrows}
+    on_cycle = {a for c in tables.simple_cycles for a in c.arrows}
     assert on_maximal | on_cycle == set(tables.quiver.arrows)
     assert not (on_maximal & on_cycle)
 

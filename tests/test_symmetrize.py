@@ -21,8 +21,6 @@ from multiserial import (
     derive_successors,
     enumerate_paths,
     generate_relations,
-    maximal_paths,
-    simple_cycles,
     symmetrize,
     validate,
     verify_quotient,
@@ -116,7 +114,7 @@ class TestBuildStarQuiver:
         assert enlarged.arrow("star_b").target == "2"
 
     def test_cycle_complete_presentation_is_unchanged(self, two_cycle_presentation):
-        assert maximal_paths(derive_successors(two_cycle_presentation)) == ()
+        assert derive_successors(two_cycle_presentation).maximal_paths == ()
         assert symmetrize(two_cycle_presentation).quiver == two_cycle_presentation.quiver
 
     def test_dead_loop_gains_a_return_loop(self, loop_quiver):
@@ -586,13 +584,13 @@ def test_cover_dimension_dominates(seed):
 @settings(max_examples=30, deadline=None)
 def test_cycle_complete_presentations_stay_put(seed):
     presentation = random_presentation(random.Random(seed))
-    if maximal_paths(derive_successors(presentation)):
+    if derive_successors(presentation).maximal_paths:
         return
     pair = symmetrize(presentation)
     assert pair.quiver == presentation.quiver
     tables = derive_successors(presentation)
     assert {c.arrows for c in pair.cycles} == {
-        c.arrows for c in simple_cycles(tables)
+        c.arrows for c in tables.simple_cycles
     }
 
 
