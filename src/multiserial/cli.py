@@ -377,6 +377,7 @@ def _cmd_symmetrize(document: InputDocument, max_paths: int) -> CommandResult:
 
 def _cmd_relations(document: InputDocument, max_paths: int) -> CommandResult:
     pair = document.pair
+    CycleAlgebra(pair, max_paths)  # the basis budget, before any full power is rendered
     relations = generate_relations(pair)
     data = {
         "type1": [[_path_json(p), _path_json(q)] for p, q in relations.type1],
@@ -465,8 +466,8 @@ def _cmd_oracle(document: InputDocument, max_paths: int) -> CommandResult:
         data = {"bound": bound, "oracle_dimension": dim, "closed_form_dimension": None}
         return CommandResult("oracle", report, data)
     pair = document.pair
-    dim = pair_oracle_dimension(pair, max_paths)
     closed = CycleAlgebra(pair, max_paths).dimension
+    dim = pair_oracle_dimension(pair, max_paths)
     report.add("dimension-match", dim == closed, f"oracle {dim}, closed form {closed}")
     data = {
         "bound": nilpotency_bound(pair),

@@ -390,7 +390,7 @@ class CycleAlgebra:
                         f"{name} has surviving {side} {names}, expected [{expected}]"
                     )
         report = Report("multiserial-quotient")
-        report.add("multiserial-quotient", not problems, "; ".join(problems))
+        report.expect_none("multiserial-quotient", problems)
         return report
 
 
@@ -638,6 +638,7 @@ def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -
 def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> int:
     """The oracle's dimension of a cycle system's algebra: its generated
     relations closed below :func:`nilpotency_bound`, blind to the closed
-    form it is held against; its relations, the engine's own, skip the border."""
+    form it is held against.  Its relations, the engine's own, skip the border
+    and are all rendered before the budget count, so bound the basis first."""
     bound = nilpotency_bound(pair)
     return _oracle_dimension(pair.quiver, pair.relations.linear_relations(), bound, max_paths)

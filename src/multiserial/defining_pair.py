@@ -104,11 +104,7 @@ class DefiningPair:
         bad_loops = [
             str(c) for c in self.cycles if len(c) == 1 and self.mu(c) == 1
         ]
-        report.add(
-            "loop-multiplicity",
-            not bad_loops,
-            "" if not bad_loops else "loops need multiplicity > 1: " + ", ".join(bad_loops),
-        )
+        report.expect_none("loop-multiplicity", bad_loops, "loops need multiplicity > 1")
 
         ids: dict[tuple[str, ...], int] = {}
         class_of = [ids.setdefault(_canonical(c).arrows, len(ids)) for c in self.cycles]
@@ -123,7 +119,7 @@ class DefiningPair:
             for k, c in zip(class_of, self.cycles) if k in unclosed
             for r in (_rotation(c, i) for i in range(len(c))) if r.arrows not in present
         ]
-        report.add("rotation-closure", not missing_rotations, "; ".join(missing_rotations))
+        report.expect_none("rotation-closure", missing_rotations)
 
         uneven = [
             f"{c} has {self.mu(c)}, rotation {r} has {self.mu(r)}"
@@ -131,15 +127,11 @@ class DefiningPair:
             for r in (_rotation(c, i) for i in range(len(c)))
             if r.arrows in present and self.mu(r) != self.mu(c)
         ]
-        report.add("class-multiplicity", not uneven, "; ".join(uneven))
+        report.expect_none("class-multiplicity", uneven)
 
         covered = {a for c in self.cycles for a in c.arrows}
         uncovered = sorted(set(self.quiver.arrows) - covered)
-        report.add(
-            "arrow-coverage",
-            not uncovered,
-            "" if not uncovered else "arrows on no cycle: " + ", ".join(uncovered),
-        )
+        report.expect_none("arrow-coverage", uncovered, "arrows on no cycle")
 
         first_class: dict[str, int] = {}
         conflicts = sorted({
@@ -148,11 +140,7 @@ class DefiningPair:
             for a in c.arrows
             if first_class.setdefault(a, k) != k
         })
-        report.add(
-            "unique-class-per-arrow",
-            not conflicts,
-            "" if not conflicts else "arrows on two distinct classes: " + ", ".join(conflicts),
-        )
+        report.expect_none("unique-class-per-arrow", conflicts, "arrows on two distinct classes")
 
         return report
 

@@ -194,11 +194,6 @@ def _surviving_compositions(
     :meth:`Quiver.compositions` walk that tests each two-arrow path once."""
     q = presentation.quiver
     report = Report("multiserial-condition")
-    if not q.is_connected():
-        report.warn(
-            "quiver is disconnected; constructions proceed blockwise but the "
-            "algebra is decomposable"
-        )
     dead = presentation._quadratic
     successors, predecessors = q.compositions(lambda a, b: (a.name, b.name) not in dead)
     for name in successors:
@@ -223,9 +218,15 @@ def check_multiserial_condition(presentation: Presentation) -> Report:
     one composable predecessor outside the ideal.
 
     Violations are report content, not faults; every offending arrow is
-    listed with its surviving compositions.
+    listed with its surviving compositions; a disconnected quiver is a warning.
     """
-    return _surviving_compositions(presentation)[0]
+    report = _surviving_compositions(presentation)[0]
+    if not presentation.quiver.is_connected():
+        report.warn(
+            "quiver is disconnected; constructions proceed blockwise but the "
+            "algebra is decomposable"
+        )
+    return report
 
 
 def derive_successors(presentation: Presentation) -> SuccessorTables:
@@ -287,18 +288,10 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
         for a in sorted(q.arrows)
         if (on_maximal[a] > 0) == (on_cycle[a] > 0)
     ]
-    report.add(
-        "arrow-partition",
-        not bad,
-        "" if not bad else "arrows on both or neither side: " + ", ".join(bad),
-    )
+    report.expect_none("arrow-partition", bad, "arrows on both or neither side")
 
     multi = [a for a in sorted(q.arrows) if on_maximal[a] > 1]
-    report.add(
-        "unique-maximal-path",
-        not multi,
-        "" if not multi else "arrows on several maximal paths: " + ", ".join(multi),
-    )
+    report.expect_none("unique-maximal-path", multi, "arrows on several maximal paths")
 
     incoherent = [
         f"{a} on {c}"
@@ -306,21 +299,17 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
         for a in c.arrows
         if class_at.get(a) != class_at[c.arrows[0]]
     ]
-    report.add(
-        "cycle-rotation-coherence",
-        not incoherent,
-        "; ".join(incoherent),
-    )
+    report.expect_none("cycle-rotation-coherence", incoherent)
 
     bad_len = [
         f"{c}: length {len(c)} != period {data[c.arrows[0]].period}"
         for c in cycles
         if len(c) != data[c.arrows[0]].period
     ]
-    report.add("cycle-length-is-period", not bad_len, "; ".join(bad_len))
+    report.expect_none("cycle-length-is-period", bad_len)
 
     repeated = [str(m) for m in maxima if len(set(m.arrows)) != len(m.arrows)]
-    report.add("maximal-path-no-repeated-arrows", not repeated, "; ".join(repeated))
+    report.expect_none("maximal-path-no-repeated-arrows", repeated)
 
     # The arrow at index i of m lies i + 1 steps from the stop backwards and
     # len(m) - i forwards, so its two orbit halves rebuild exactly m.
@@ -330,7 +319,7 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
         for i, a in enumerate(m.arrows)
         if (data[a].backward_stop, data[a].forward_stop) != (i + 1, len(m) - i)
     ]
-    report.add("maximal-path-determined-by-arrow", not mismatched, "; ".join(mismatched))
+    report.expect_none("maximal-path-determined-by-arrow", mismatched)
 
     bad_formula = []
     for m in maxima:
@@ -338,7 +327,7 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
             d = data[a]
             if d.forward_stop is None or len(m) != d.forward_stop + d.backward_stop - 1:
                 bad_formula.append(f"{m} at {a}")
-    report.add("maximal-path-length-formula", not bad_formula, "; ".join(bad_formula))
+    report.expect_none("maximal-path-length-formula", bad_formula)
 
     return report
 

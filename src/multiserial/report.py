@@ -22,6 +22,12 @@ class Report:
     def add(self, name: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, bool(passed), witness))
 
+    def expect_none(self, name: str, offenders: list[str], label: str = "") -> None:
+        """Pass ``name`` exactly when there are no offenders; else the witness
+        lists them after ``label`` joined by ", ", or without one by "; "."""
+        witness = f"{label}: " + ", ".join(offenders) if label else "; ".join(offenders)
+        self.add(name, not offenders, witness if offenders else "")
+
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 

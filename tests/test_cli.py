@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from multiserial import cli
 from multiserial import cycle_algebra as cycle_algebra_module
+from multiserial import defining_pair as defining_pair_module
 from multiserial import presentation as presentation_module
 from multiserial.cli import (
     COMMAND_TABLE,
@@ -366,6 +367,21 @@ class TestMainExitCodes:
         assert code == 2
         assert err.startswith("error: more than 200000 basis elements")
         assert "(dimension 100000000000); shrink the instance" in err
+
+    @pytest.mark.parametrize("command", ["oracle", "relations"])
+    def test_basis_budget_comes_before_any_relation_is_rendered(self, capsys, tmp_path, command):
+        # dimension 300,001: the one full power alone is 300,000 arrows
+        doc = tmp_path / "long.alg"
+        doc.write_text(
+            "[quiver]\nvertices = v\narrow a = v -> v\n\n"
+            "[definingpair]\ncycle = a | mult = 300000\n"
+        )
+        with mock.patch.object(
+            defining_pair_module, "_power", wraps=defining_pair_module._power
+        ) as power:
+            code, out, err = self.run(capsys, command, str(doc))
+        assert (code, out, power.call_count) == (2, "", 0)
+        assert err.startswith("error: more than 200000 basis elements (dimension 300001)")
 
     def test_dense_gram_print_is_budgeted(self, capsys, tmp_path):
         # dimension 4 + 4 + 4 * (200 * 4 - 1) = 3,204: 10,265,616 entries

@@ -33,7 +33,7 @@ from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
 )
-from multiserial.report import Report
+from multiserial.report import Check, Report
 from test_quiver import length_two_paths, quadratic_in_ideal
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
@@ -247,6 +247,17 @@ class TestDeriveSuccessors:
         with pytest.raises(FrozenInstanceError):
             p.tables.sigma = {}
 
+    def test_connectivity_is_searched_only_for_the_condition_report(self, two_cycle_quiver):
+        # only check_multiserial_condition shows the disconnected warning
+        p = Presentation(two_cycle_quiver, (), (), 3)
+        with mock.patch.object(
+            Quiver, "is_connected", autospec=True, side_effect=Quiver.is_connected
+        ) as spy:
+            derive_successors(p)
+            assert spy.call_count == 0
+            assert check_multiserial_condition(p).passed
+        assert spy.call_count == 1
+
     def test_shared_tables_refuse_writes(self, linear_quiver):
         tables = derive_successors(Presentation(linear_quiver, (), (), 3))
         for table in (tables.sigma, tables.tau, tables.orbits):
@@ -404,6 +415,46 @@ class TestOrbitStructure:
         assert not check.passed and check.witness == "b does not recover a b"
         assert check_orbit_structure(shared).passed
 
+    @pytest.mark.parametrize(
+        "quiver, attribute, corrupt, name, witness",
+        [
+            (
+                "linear_quiver", "maximal_paths", lambda q: (),
+                "arrow-partition", "arrows on both or neither side: a, b",
+            ),
+            (
+                "linear_quiver", "maximal_paths", lambda q: (q.path(["a", "b"]),) * 2,
+                "unique-maximal-path", "arrows on several maximal paths: a, b",
+            ),
+            (
+                "two_cycle_quiver", "simple_cycles", lambda q: (q.path(["a", "b"]),),
+                "cycle-rotation-coherence", "b on a b",
+            ),
+            (
+                "two_cycle_quiver", "orbits",
+                lambda q: {"a": OrbitData(period=3), "b": OrbitData(period=2)},
+                "cycle-length-is-period", "a b: length 2 != period 3",
+            ),
+            (
+                "two_cycle_quiver", "maximal_paths", lambda q: (q.path(["a", "b", "a"]),),
+                "maximal-path-no-repeated-arrows", "a b a",
+            ),
+            (
+                "linear_quiver", "orbits", lambda q: {"a": OrbitData(3, 1), "b": OrbitData(1, 2)},
+                "maximal-path-length-formula", "a b at a",
+            ),
+        ],
+    )
+    def test_failing_check_names_its_offenders(
+        self, request, quiver, attribute, corrupt, name, witness
+    ):
+        # a private copy of the tables, corrupted past its read-only caches
+        shared = derive_successors(Presentation(request.getfixturevalue(quiver), (), (), 3))
+        tables = SuccessorTables(shared.quiver, shared.sigma, shared.tau)
+        object.__setattr__(tables, attribute, corrupt(tables.quiver))
+        assert check_orbit_structure(tables).check(name) == Check(name, False, witness)
+        assert check_orbit_structure(shared).passed
+
     def test_long_single_cycle_is_checked_in_subcubic_time(self):
         # one sigma-cycle through 600 arrows, stored as 600 rotations; building
         # every rotation of every stored cycle took about 15s here
@@ -547,9 +598,10 @@ def test_surviving_compositions_match_the_two_sided_reference(seed, keep_every):
     drawn = random_presentation(random.Random(seed))
     zero_paths = drawn.zero_paths[::keep_every] if keep_every else ()
     p = Presentation(drawn.quiver, zero_paths, drawn.equal_pairs, drawn.nilpotency)
-    report, successors, predecessors = presentation_module._surviving_compositions(p)
+    _, successors, predecessors = presentation_module._surviving_compositions(p)
     expected = reference_surviving_compositions(p)
-    assert report == expected[0]
+    # the connectivity warning is added by the public entry point alone
+    assert check_multiserial_condition(p) == expected[0]
     assert {a: [b.name for b in after] for a, after in successors.items()} == expected[1]
     assert {b: [a.name for a in before] for b, before in predecessors.items()} == expected[2]
 
