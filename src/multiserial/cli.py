@@ -90,6 +90,21 @@ class InputDocument:
         return "presentation" if self.presentation is not None else "definingpair"
 
 
+# Each section's line keys, and the form of a line with each key.  A line is
+# split once at its first '='; the first word before it is the key, matched
+# whole, and only an arrow line has one more word there, its name.
+LINE_FORMS = {
+    "quiver": {"vertices": "vertices = v1 v2 ...", "arrow": "arrow NAME = SRC -> TGT"},
+    "presentation": {
+        "nilpotency": "nilpotency = N",
+        "zero": "zero = a1 a2 ...",
+        "equal": "equal = p1 p2 ... , q1 q2 ...",
+    },
+    "definingpair": {"cycle": "cycle = a1 a2 ... | mult = m"},
+}
+_ONE_BODY = "expected exactly one of [presentation] or [definingpair], found "
+
+
 def _columns(line_text: str, start: int = 0) -> list[int]:
     """The 1-based columns of the line's whitespace-separated tokens from ``start`` on."""
     return [match.start() + 1 for match in re.compile(r"\S+").finditer(line_text, start)]
@@ -97,136 +112,19 @@ def _columns(line_text: str, start: int = 0) -> list[int]:
 
 def parse_document(text: str) -> InputDocument:
     """Parse a document; definingpair sections are rotation-closed on load.
-    Each path is checked once, as :meth:`Quiver.path` builds it."""
-    section = None
+
+    Each line is read once, by :data:`LINE_FORMS`, and judged as it is read,
+    so a line's own fault is reported before any later line's.  The quiver
+    is built at the body section's header, and each path is checked once, as
+    :meth:`Quiver.path` builds it from its line."""
+    section = q = nilpotency = None
     vertices: list[str] = []
     vertex_set: set[str] = set()
     arrow_triples: list[tuple[str, str, str]] = []
     arrow_lines: dict[str, int] = {}
-
-    nilpotency: int | None = None
-    zero_specs: list[tuple[list[str], int]] = []
-    equal_specs: list[tuple[list[str], list[str], int]] = []
-    cycle_specs: list[tuple[list[str], int, int]] = []
-    seen_sections: list[str] = []
-
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in ("quiver", "presentation", "definingpair"):
-                raise ParseError(f"unknown section [{name}]", number)
-            if name != "quiver" and "quiver" not in seen_sections:
-                raise ParseError("the [quiver] section must come first", number)
-            if name in seen_sections:
-                raise ParseError(f"duplicate section [{name}]", number)
-            seen_sections.append(name)
-            section = name
-            continue
-        if section is None:
-            raise ParseError("content before any section header", number)
-
-        if section == "quiver":
-            if line.startswith("vertices"):
-                _, _, rest = line.partition("=")
-                if not rest.strip():
-                    raise ParseError("empty vertex list", number)
-                for v, column in zip(rest.split(), _columns(raw, raw.index("=") + 1)):
-                    if v in vertex_set:
-                        raise ParseError(f"duplicate vertex {v}", number, column)
-                    vertex_set.add(v)
-                    vertices.append(v)
-            elif line.startswith("arrow"):
-                head, eq, rest = line.partition("=")
-                parts = head.split()
-                if len(parts) != 2 or not eq:
-                    raise ParseError("expected 'arrow NAME = SRC -> TGT'", number)
-                name = parts[1]
-                if "|" in name or "," in name:
-                    column = _columns(raw)[1]
-                    raise ParseError(f"arrow name {name} may not contain '|' or ','", number, column)
-                ends = [t.strip() for t in rest.split("->")]
-                if len(ends) != 2 or not ends[0] or not ends[1]:
-                    raise ParseError("expected 'arrow NAME = SRC -> TGT'", number)
-                source, target = ends
-                if name in arrow_lines:
-                    raise ParseError(f"duplicate arrow name {name}", number, _columns(raw)[1])
-                # each end begins with the first token after its '=' or '->'
-                equals = raw.index("=") + 1
-                for v, start in ((source, equals), (target, raw.index("->", equals) + 2)):
-                    if v not in vertex_set:
-                        raise ParseError(
-                            f"arrow {name} references undeclared vertex {v}",
-                            number,
-                            _columns(raw, start)[0],
-                        )
-                arrow_lines[name] = number
-                arrow_triples.append((name, source, target))
-            else:
-                raise ParseError(f"unrecognized quiver line: {line}", number)
-            continue
-
-        if section == "presentation":
-            key, eq, rest = line.partition("=")
-            key = key.strip()
-            rest = rest.strip()
-            if not eq:
-                raise ParseError(f"expected 'KEY = ...': {line}", number)
-            if key == "nilpotency":
-                try:
-                    nilpotency = int(rest)
-                except ValueError:
-                    raise ParseError(f"nilpotency must be an integer, got {rest!r}", number) from None
-            elif key == "zero":
-                names = rest.split()
-                if not names:
-                    raise ParseError("empty zero path", number)
-                zero_specs.append((names, number))
-            elif key == "equal":
-                sides = rest.split(",")
-                if len(sides) != 2:
-                    raise ParseError("expected 'equal = p1 p2 ... , q1 q2 ...'", number)
-                left, right = sides[0].split(), sides[1].split()
-                if not left or not right:
-                    raise ParseError("both sides of 'equal' need arrows", number)
-                equal_specs.append((left, right, number))
-            else:
-                raise ParseError(f"unrecognized presentation key {key!r}", number)
-            continue
-
-        if section == "definingpair":
-            if not line.startswith("cycle"):
-                raise ParseError(f"unrecognized definingpair line: {line}", number)
-            _, eq, rest = line.partition("=")
-            if not eq:
-                raise ParseError("expected 'cycle = a1 a2 ... | mult = m'", number)
-            pieces = rest.split("|")
-            if len(pieces) != 2:
-                raise ParseError("expected 'cycle = a1 a2 ... | mult = m'", number)
-            names = pieces[0].split()
-            mult_key, mult_eq, mult_value = pieces[1].partition("=")
-            if mult_key.strip() != "mult" or not mult_eq:
-                raise ParseError("expected 'mult = m' after '|'", number)
-            try:
-                mult = int(mult_value)
-            except ValueError:
-                raise ParseError(f"multiplicity must be an integer, got {mult_value.strip()!r}", number) from None
-            if not names:
-                raise ParseError("empty cycle", number)
-            cycle_specs.append((names, mult, number))
-            continue
-
-    if "quiver" not in seen_sections:
-        raise ParseError("missing [quiver] section")
-    body = [s for s in seen_sections if s != "quiver"]
-    if len(body) != 1:
-        raise ParseError(
-            "expected exactly one of [presentation] or [definingpair], "
-            f"found {len(body)}"
-        )
-    q = Quiver(vertices, arrow_triples)
+    zeros: list[Path] = []
+    equals: list[tuple[Path, Path]] = []
+    representatives: list[tuple[Path, int]] = []
 
     def path_of(names: list[str], number: int) -> Path:
         try:
@@ -234,37 +132,124 @@ def parse_document(text: str) -> InputDocument:
         except ValueError as exc:
             raise ParseError(str(exc), number) from None
 
-    if body == ["presentation"]:
-        for name, number in arrow_lines.items():
-            if name.startswith(STAR_PREFIX):
-                raise ParseError(
-                    f"arrow name {name} uses the reserved prefix {STAR_PREFIX!r}",
-                    number,
-                )
-        if nilpotency is None:
-            raise ParseError("presentation section needs 'nilpotency = N'")
-        zeros = tuple(path_of(names, number) for names, number in zero_specs)
-        equals = tuple(
-            (path_of(left, number), path_of(right, number))
-            for left, right, number in equal_specs
-        )
-        try:
-            presentation = Presentation._trusted(q, zeros, equals, nilpotency)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        return InputDocument(q, presentation=presentation)
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in LINE_FORMS:
+                raise ParseError(f"unknown section [{name}]", number)
+            if section is None and name != "quiver":
+                raise ParseError("the [quiver] section must come first", number)
+            if section is not None and name in (section, "quiver"):
+                raise ParseError(f"duplicate section [{name}]", number)
+            if q is not None:
+                raise ParseError(_ONE_BODY + "2", number)
+            section, forms = name, LINE_FORMS[name]
+            if name == "quiver":
+                continue
+            q = Quiver(vertices, arrow_triples)
+            reserved = name == "presentation" and [
+                a for a in arrow_lines if a.startswith(STAR_PREFIX)
+            ]
+            if reserved:
+                message = f"arrow name {reserved[0]} uses the reserved prefix {STAR_PREFIX!r}"
+                raise ParseError(message, arrow_lines[reserved[0]])
+            continue
+        if section is None:
+            raise ParseError("content before any section header", number)
 
-    representatives = []
-    for names, mult, number in cycle_specs:
-        cycle = path_of(names, number)
-        if mult < 1:
-            raise ParseError(f"multiplicity must be positive, got {mult}", number)
-        representatives.append((cycle, mult))
+        head, eq, value = line.partition("=")
+        words = head.split()
+        key = words[0] if words else None
+        form = forms.get(key)
+        if form is None:
+            raise ParseError(f"unrecognized {section} line: {line}", number)
+        if not eq or len(words) != (2 if key == "arrow" else 1):
+            raise ParseError(f"expected '{form}'", number)
+
+        # zero lines are most of a presentation, so they are matched first
+        if key == "zero":
+            names = value.split()
+            if not names:
+                raise ParseError("empty zero path", number)
+            zeros.append(path_of(names, number))
+        elif key == "vertices":
+            names = value.split()
+            if not names:
+                raise ParseError("empty vertex list", number)
+            for v, column in zip(names, _columns(raw, raw.index("=") + 1)):
+                if v in vertex_set:
+                    raise ParseError(f"duplicate vertex {v}", number, column)
+                vertex_set.add(v)
+                vertices.append(v)
+        elif key == "arrow":
+            name = words[1]
+            if "|" in name or "," in name:
+                column = _columns(raw)[1]
+                raise ParseError(f"arrow name {name} may not contain '|' or ','", number, column)
+            ends = [t.strip() for t in value.split("->")]
+            if len(ends) != 2 or not ends[0] or not ends[1]:
+                raise ParseError(f"expected '{form}'", number)
+            if name in arrow_lines:
+                raise ParseError(f"duplicate arrow name {name}", number, _columns(raw)[1])
+            # each end begins with the first token after its '=' or '->'
+            after_eq = raw.index("=") + 1
+            for v, start in ((ends[0], after_eq), (ends[1], raw.index("->", after_eq) + 2)):
+                if v not in vertex_set:
+                    raise ParseError(
+                        f"arrow {name} references undeclared vertex {v}",
+                        number,
+                        _columns(raw, start)[0],
+                    )
+            arrow_lines[name] = number
+            arrow_triples.append((name, *ends))
+        elif key == "nilpotency":
+            if nilpotency is not None:
+                raise ParseError("duplicate nilpotency line", number)
+            try:
+                nilpotency = int(value)
+            except ValueError:
+                raise ParseError(f"nilpotency must be an integer, got {value.strip()!r}", number) from None
+        elif key == "equal":
+            sides = value.split(",")
+            if len(sides) != 2:
+                raise ParseError(f"expected '{form}'", number)
+            left, right = sides[0].split(), sides[1].split()
+            if not left or not right:
+                raise ParseError("both sides of 'equal' need arrows", number)
+            equals.append((path_of(left, number), path_of(right, number)))
+        else:
+            pieces = value.split("|")
+            mult_key, mult_eq, mult_value = pieces[-1].partition("=")
+            if len(pieces) != 2 or mult_key.strip() != "mult" or not mult_eq:
+                raise ParseError(f"expected '{form}'", number)
+            try:
+                mult = int(mult_value)
+            except ValueError:
+                raise ParseError(f"multiplicity must be an integer, got {mult_value.strip()!r}", number) from None
+            names = pieces[0].split()
+            if not names:
+                raise ParseError("empty cycle", number)
+            cycle = path_of(names, number)
+            if mult < 1:
+                raise ParseError(f"multiplicity must be positive, got {mult}", number)
+            representatives.append((cycle, mult))
+
+    if section is None:
+        raise ParseError("missing [quiver] section")
+    if q is None:
+        raise ParseError(_ONE_BODY + "0")
+    if section == "presentation" and nilpotency is None:
+        raise ParseError(f"presentation section needs '{LINE_FORMS[section]['nilpotency']}'")
     try:
-        pair = close_under_rotation(q, representatives)
+        if section == "presentation":
+            presentation = Presentation._trusted(q, tuple(zeros), tuple(equals), nilpotency)
+            return InputDocument(q, presentation=presentation)
+        return InputDocument(q, pair=close_under_rotation(q, representatives))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return InputDocument(q, pair=pair)
 
 
 def render_pair_document(pair: DefiningPair) -> str:

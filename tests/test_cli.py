@@ -69,6 +69,91 @@ HUGE_LOOP = (
 )
 
 
+# keys that only begin with a known key; each is refused, since keys are matched whole
+BAD_KEY_DOCUMENTS = [
+    (
+        "[quiver]\nverticesX = 1 2\narrow a = 1 -> 2\n\n[presentation]\nnilpotency = 2\n",
+        "line 2: unrecognized quiver line: verticesX = 1 2",
+    ),
+    (
+        "[quiver]\nvertices = 1 2\narrowhead a = 1 -> 2\n\n[presentation]\nnilpotency = 2\n",
+        "line 3: unrecognized quiver line: arrowhead a = 1 -> 2",
+    ),
+    (
+        "[quiver]\nvertices = 1 2\narrow a = 1 -> 2\narrow b = 2 -> 1\n\n"
+        "[definingpair]\ncycles = a b | mult = 2\n",
+        "line 7: unrecognized definingpair line: cycles = a b | mult = 2",
+    ),
+]
+# a two-cycle on lines 1-4; a body line after PRESENTATION or PAIR is line 8 or 7
+QUIVER = "[quiver]\nvertices = 1 2\narrow a = 1 -> 2\narrow b = 2 -> 1\n"
+PRESENTATION = QUIVER + "\n[presentation]\nnilpotency = 2\n"
+PAIR = QUIVER + "\n[definingpair]\n"
+CYCLE_FORM = "expected 'cycle = a1 a2 ... | mult = m'"
+# every way a document is refused, each with its exact message
+PARSE_ERRORS = {
+    "no-quiver": ("# only a comment\n", "missing [quiver] section"),
+    "content-first": ("vertices = 1\n", "line 1: content before any section header"),
+    "unknown-section": ("[quivers]\n", "line 1: unknown section [quivers]"),
+    "body-first": ("[presentation]\n", "line 1: the [quiver] section must come first"),
+    "second-quiver": (QUIVER + "[quiver]\n", "line 5: duplicate section [quiver]"),
+    "second-body": (PAIR + "[definingpair]\n", "line 7: duplicate section [definingpair]"),
+    "two-bodies": (
+        PRESENTATION + "[definingpair]\n",
+        "line 8: expected exactly one of [presentation] or [definingpair], found 2",
+    ),
+    "no-body": (QUIVER, "expected exactly one of [presentation] or [definingpair], found 0"),
+    "empty-vertices": ("[quiver]\nvertices =\n", "line 2: empty vertex list"),
+    "vertices-form": ("[quiver]\nvertices 1 2\n", "line 2: expected 'vertices = v1 v2 ...'"),
+    "arrow-head-form": (
+        "[quiver]\nvertices = 1\narrow a b = 1 -> 1\n",
+        "line 3: expected 'arrow NAME = SRC -> TGT'",
+    ),
+    "arrow-form": (
+        "[quiver]\nvertices = 1\narrow a = 1 1\n",
+        "line 3: expected 'arrow NAME = SRC -> TGT'",
+    ),
+    "nilpotency-form": (
+        QUIVER + "\n[presentation]\nnilpotency 2\n",
+        "line 7: expected 'nilpotency = N'",
+    ),
+    "nilpotency-integer": (
+        QUIVER + "\n[presentation]\nnilpotency = two\n",
+        "line 7: nilpotency must be an integer, got 'two'",
+    ),
+    "no-nilpotency": (
+        QUIVER + "\n[presentation]\nzero = a b\n",
+        "presentation section needs 'nilpotency = N'",
+    ),
+    "presentation-key": (
+        PRESENTATION + "nilpotent = 2\n",
+        "line 8: unrecognized presentation line: nilpotent = 2",
+    ),
+    "empty-zero": (PRESENTATION + "zero =\n", "line 8: empty zero path"),
+    "equal-form": (
+        PRESENTATION + "equal = a b\n",
+        "line 8: expected 'equal = p1 p2 ... , q1 q2 ...'",
+    ),
+    "equal-side": (PRESENTATION + "equal = a b ,\n", "line 8: both sides of 'equal' need arrows"),
+    "equal-path": (PRESENTATION + "equal = a b , a x\n", "line 8: unknown arrow 'x'"),
+    "definingpair-key": (PAIR + "mult = 2\n", "line 7: unrecognized definingpair line: mult = 2"),
+    "cycle-no-equals": (PAIR + "cycle a b\n", f"line 7: {CYCLE_FORM}"),
+    "cycle-no-bar": (PAIR + "cycle = a b\n", f"line 7: {CYCLE_FORM}"),
+    "cycle-two-bars": (PAIR + "cycle = a | b | mult = 2\n", f"line 7: {CYCLE_FORM}"),
+    "cycle-mult-key": (PAIR + "cycle = a b | mu = 2\n", f"line 7: {CYCLE_FORM}"),
+    "mult-integer": (
+        PAIR + "cycle = a b | mult = two\n",
+        "line 7: multiplicity must be an integer, got 'two'",
+    ),
+    "empty-cycle": (PAIR + "cycle = | mult = 2\n", "line 7: empty cycle"),
+    "cycle-path": (PAIR + "cycle = a x | mult = 2\n", "line 7: unknown arrow 'x'"),
+    "mult-positive": (
+        PAIR + "cycle = a b | mult = 0\n",
+        "line 7: multiplicity must be positive, got 0",
+    ),
+}
+
+
 class TestParse:
     def test_presentation_document(self):
         document = parse_document(A3_TEXT)
@@ -198,6 +283,30 @@ class TestParse:
         name = line.split()[1]
         message = f"line 3, column {column}: arrow name {name} may not contain '|' or ','"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_document(text)
+
+    @pytest.mark.parametrize(
+        "text, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys()
+    )
+    def test_each_refusal_has_its_exact_message(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_document(text)
+
+    @pytest.mark.parametrize(
+        "text, message", BAD_KEY_DOCUMENTS, ids=["verticesX", "arrowhead", "cycles"]
+    )
+    def test_keys_are_matched_whole(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_document(text)
+
+    def test_nilpotency_is_declared_once(self):
+        with pytest.raises(ParseError, match=r"^line 9: duplicate nilpotency line$"):
+            parse_document(PRESENTATION + "zero = a b\nnilpotency = 3\n")
+
+    def test_the_first_offending_line_is_reported(self):
+        # a path error on line 7 comes before a key error on line 8
+        text = QUIVER + "\n[presentation]\nzero = a x\nbogus = 2\nnilpotency = 2\n"
+        with pytest.raises(ParseError, match=r"^line 7: unknown arrow 'x'$"):
             parse_document(text)
 
 
