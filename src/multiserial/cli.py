@@ -38,18 +38,21 @@ from .cycle_algebra import (
     OracleBudgetError,
     Socle,
     _check_budget,
-    _oracle_dimension,
+    _presented_dimension,
     pair_oracle_dimension,
 )
 from .defining_pair import (
     DefiningPair,
-    close_under_rotation,
+    _add_rotations,
     generate_relations,
     nilpotency_bound,
 )
 from .defining_pair import validate as validate_pair
 from .presentation import (
     Presentation,
+    _check_bound,
+    _check_length,
+    _check_uniform,
     check_multiserial_condition,
     check_orbit_structure,
     derive_successors,
@@ -114,9 +117,10 @@ def parse_document(text: str) -> InputDocument:
     """Parse a document; definingpair sections are rotation-closed on load.
 
     Each line is read once, by :data:`LINE_FORMS`, and judged as it is read,
-    so a line's own fault is reported before any later line's.  The quiver
-    is built at the body section's header, and each path is checked once, as
-    :meth:`Quiver.path` builds it from its line."""
+    so a line's own fault is reported, with its number, before any later
+    line's.  The quiver is built at the body section's header; each path is
+    checked as :meth:`Quiver.path` builds it, each generator, bound and cycle
+    by the library's own check on it."""
     section = q = nilpotency = None
     vertices: list[str] = []
     vertex_set: set[str] = set()
@@ -124,118 +128,124 @@ def parse_document(text: str) -> InputDocument:
     arrow_lines: dict[str, int] = {}
     zeros: list[Path] = []
     equals: list[tuple[Path, Path]] = []
-    representatives: list[tuple[Path, int]] = []
+    cycles: dict[tuple[str, ...], Path] = {}
+    mults: dict[tuple[str, ...], int] = {}
 
-    def path_of(names: list[str], number: int) -> Path:
-        try:
-            return q.path(names)
-        except ValueError as exc:
-            raise ParseError(str(exc), number) from None
-
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in LINE_FORMS:
-                raise ParseError(f"unknown section [{name}]", number)
-            if section is None and name != "quiver":
-                raise ParseError("the [quiver] section must come first", number)
-            if section is not None and name in (section, "quiver"):
-                raise ParseError(f"duplicate section [{name}]", number)
-            if q is not None:
-                raise ParseError(_ONE_BODY + "2", number)
-            section, forms = name, LINE_FORMS[name]
-            if name == "quiver":
+    try:
+        for number, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
-            q = Quiver(vertices, arrow_triples)
-            reserved = name == "presentation" and [
-                a for a in arrow_lines if a.startswith(STAR_PREFIX)
-            ]
-            if reserved:
-                message = f"arrow name {reserved[0]} uses the reserved prefix {STAR_PREFIX!r}"
-                raise ParseError(message, arrow_lines[reserved[0]])
-            continue
-        if section is None:
-            raise ParseError("content before any section header", number)
+            if line.startswith("[") and line.endswith("]"):
+                name = line[1:-1].strip()
+                if name not in LINE_FORMS:
+                    raise ParseError(f"unknown section [{name}]", number)
+                if section is None and name != "quiver":
+                    raise ParseError("the [quiver] section must come first", number)
+                if section is not None and name in (section, "quiver"):
+                    raise ParseError(f"duplicate section [{name}]", number)
+                if q is not None:
+                    raise ParseError(_ONE_BODY + "2", number)
+                section, forms = name, LINE_FORMS[name]
+                if name == "quiver":
+                    continue
+                q = Quiver(vertices, arrow_triples)
+                reserved = name == "presentation" and [
+                    a for a in arrow_lines if a.startswith(STAR_PREFIX)
+                ]
+                if reserved:
+                    message = f"arrow name {reserved[0]} uses the reserved prefix {STAR_PREFIX!r}"
+                    raise ParseError(message, arrow_lines[reserved[0]])
+                continue
+            if section is None:
+                raise ParseError("content before any section header", number)
 
-        head, eq, value = line.partition("=")
-        words = head.split()
-        key = words[0] if words else None
-        form = forms.get(key)
-        if form is None:
-            raise ParseError(f"unrecognized {section} line: {line}", number)
-        if not eq or len(words) != (2 if key == "arrow" else 1):
-            raise ParseError(f"expected '{form}'", number)
+            head, eq, value = line.partition("=")
+            words = head.split()
+            key = words[0] if words else None
+            form = forms.get(key)
+            if form is None:
+                raise ParseError(f"unrecognized {section} line: {line}", number)
+            if not eq or len(words) != (2 if key == "arrow" else 1):
+                raise ParseError(f"expected '{form}'", number)
 
-        # zero lines are most of a presentation, so they are matched first
-        if key == "zero":
-            names = value.split()
-            if not names:
-                raise ParseError("empty zero path", number)
-            zeros.append(path_of(names, number))
-        elif key == "vertices":
-            names = value.split()
-            if not names:
-                raise ParseError("empty vertex list", number)
-            for v, column in zip(names, _columns(raw, raw.index("=") + 1)):
-                if v in vertex_set:
-                    raise ParseError(f"duplicate vertex {v}", number, column)
-                vertex_set.add(v)
-                vertices.append(v)
-        elif key == "arrow":
-            name = words[1]
-            if "|" in name or "," in name:
-                column = _columns(raw)[1]
-                raise ParseError(f"arrow name {name} may not contain '|' or ','", number, column)
-            ends = [t.strip() for t in value.split("->")]
-            if len(ends) != 2 or not ends[0] or not ends[1]:
-                raise ParseError(f"expected '{form}'", number)
-            if name in arrow_lines:
-                raise ParseError(f"duplicate arrow name {name}", number, _columns(raw)[1])
-            # each end begins with the first token after its '=' or '->'
-            after_eq = raw.index("=") + 1
-            for v, start in ((ends[0], after_eq), (ends[1], raw.index("->", after_eq) + 2)):
-                if v not in vertex_set:
-                    raise ParseError(
-                        f"arrow {name} references undeclared vertex {v}",
-                        number,
-                        _columns(raw, start)[0],
-                    )
-            arrow_lines[name] = number
-            arrow_triples.append((name, *ends))
-        elif key == "nilpotency":
-            if nilpotency is not None:
-                raise ParseError("duplicate nilpotency line", number)
-            try:
-                nilpotency = int(value)
-            except ValueError:
-                raise ParseError(f"nilpotency must be an integer, got {value.strip()!r}", number) from None
-        elif key == "equal":
-            sides = value.split(",")
-            if len(sides) != 2:
-                raise ParseError(f"expected '{form}'", number)
-            left, right = sides[0].split(), sides[1].split()
-            if not left or not right:
-                raise ParseError("both sides of 'equal' need arrows", number)
-            equals.append((path_of(left, number), path_of(right, number)))
-        else:
-            pieces = value.split("|")
-            mult_key, mult_eq, mult_value = pieces[-1].partition("=")
-            if len(pieces) != 2 or mult_key.strip() != "mult" or not mult_eq:
-                raise ParseError(f"expected '{form}'", number)
-            try:
-                mult = int(mult_value)
-            except ValueError:
-                raise ParseError(f"multiplicity must be an integer, got {mult_value.strip()!r}", number) from None
-            names = pieces[0].split()
-            if not names:
-                raise ParseError("empty cycle", number)
-            cycle = path_of(names, number)
-            if mult < 1:
-                raise ParseError(f"multiplicity must be positive, got {mult}", number)
-            representatives.append((cycle, mult))
+            # zero lines are most of a presentation, so they are matched first
+            if key == "zero":
+                names = value.split()
+                if not names:
+                    raise ParseError("empty zero path", number)
+                zeros.append(q.path(names))
+                _check_length(zeros[-1])
+            elif key == "vertices":
+                names = value.split()
+                if not names:
+                    raise ParseError("empty vertex list", number)
+                for v, column in zip(names, _columns(raw, raw.index("=") + 1)):
+                    if v in vertex_set:
+                        raise ParseError(f"duplicate vertex {v}", number, column)
+                    vertex_set.add(v)
+                    vertices.append(v)
+            elif key == "arrow":
+                name = words[1]
+                if "|" in name or "," in name:
+                    column = _columns(raw)[1]
+                    raise ParseError(f"arrow name {name} may not contain '|' or ','", number, column)
+                ends = [t.strip() for t in value.split("->")]
+                if len(ends) != 2 or not ends[0] or not ends[1]:
+                    raise ParseError(f"expected '{form}'", number)
+                if name in arrow_lines:
+                    raise ParseError(f"duplicate arrow name {name}", number, _columns(raw)[1])
+                # each end begins with the first token after its '=' or '->'
+                after_eq = raw.index("=") + 1
+                for v, start in ((ends[0], after_eq), (ends[1], raw.index("->", after_eq) + 2)):
+                    if v not in vertex_set:
+                        raise ParseError(
+                            f"arrow {name} references undeclared vertex {v}",
+                            number,
+                            _columns(raw, start)[0],
+                        )
+                arrow_lines[name] = number
+                arrow_triples.append((name, *ends))
+            elif key == "nilpotency":
+                if nilpotency is not None:
+                    raise ParseError("duplicate nilpotency line", number)
+                try:
+                    nilpotency = int(value)
+                except ValueError:
+                    raise ParseError(f"nilpotency must be an integer, got {value.strip()!r}", number) from None
+                _check_bound(nilpotency)
+            elif key == "equal":
+                sides = value.split(",")
+                if len(sides) != 2:
+                    raise ParseError(f"expected '{form}'", number)
+                left, right = sides[0].split(), sides[1].split()
+                if not left or not right:
+                    raise ParseError("both sides of 'equal' need arrows", number)
+                equals.append((q.path(left), q.path(right)))
+                for side in equals[-1]:
+                    _check_length(side)
+                _check_uniform(*equals[-1])
+            else:
+                pieces = value.split("|")
+                mult_key, mult_eq, mult_value = pieces[-1].partition("=")
+                if len(pieces) != 2 or mult_key.strip() != "mult" or not mult_eq:
+                    raise ParseError(f"expected '{form}'", number)
+                try:
+                    mult = int(mult_value)
+                except ValueError:
+                    raise ParseError(f"multiplicity must be an integer, got {mult_value.strip()!r}", number) from None
+                names = pieces[0].split()
+                if not names:
+                    raise ParseError("empty cycle", number)
+                cycle = q.path(names)
+                if mult < 1:
+                    raise ParseError(f"multiplicity must be positive, got {mult}", number)
+                _add_rotations(cycles, mults, q, cycle, mult)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        # a bare ValueError is the library refusing what this line declares
+        raise ParseError(str(exc), number) from None
 
     if section is None:
         raise ParseError("missing [quiver] section")
@@ -243,13 +253,10 @@ def parse_document(text: str) -> InputDocument:
         raise ParseError(_ONE_BODY + "0")
     if section == "presentation" and nilpotency is None:
         raise ParseError(f"presentation section needs '{LINE_FORMS[section]['nilpotency']}'")
-    try:
-        if section == "presentation":
-            presentation = Presentation._trusted(q, tuple(zeros), tuple(equals), nilpotency)
-            return InputDocument(q, presentation=presentation)
-        return InputDocument(q, pair=close_under_rotation(q, representatives))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    if section == "presentation":
+        presentation = Presentation._trusted(q, tuple(zeros), tuple(equals), nilpotency)
+        return InputDocument(q, presentation=presentation)
+    return InputDocument(q, pair=DefiningPair._trusted(q, cycles.values(), mults))
 
 
 def render_pair_document(pair: DefiningPair) -> str:
@@ -390,14 +397,11 @@ def _cmd_gram(document: InputDocument, max_paths: int) -> CommandResult:
     _check_budget(algebra.dimension**2, max_paths, "Gram matrix entries")
     gram = algebra.gram_matrix()
     report = Report("gram")
-    for warning in gram.warnings:
-        report.warn(warning)
     report.add("gram-permutation", gram.is_permutation)
     report.add(
         "gram-nondegenerate",
         gram.nondegenerate,
-        f"rank {gram.rank} of dimension {gram.dimension}"
-        + ("" if gram.nondegenerate else " (DEGENERATE block present)"),
+        f"rank {gram.rank} of dimension {gram.dimension}",
     )
     data = {
         "dimension": gram.dimension,
@@ -440,14 +444,8 @@ def _cmd_verify_quotient(document: InputDocument, max_paths: int) -> CommandResu
 def _cmd_oracle(document: InputDocument, max_paths: int) -> CommandResult:
     report = Report("oracle")
     if document.presentation is not None:
-        presentation = document.presentation
-        bound = presentation.nilpotency
-        dim = _oracle_dimension(
-            presentation.quiver,
-            presentation.linear_relations(),
-            bound,
-            max_paths=max_paths,
-        )
+        bound = document.presentation.nilpotency
+        dim = _presented_dimension(document.presentation, max_paths)
         data = {"bound": bound, "oracle_dimension": dim, "closed_form_dimension": None}
         return CommandResult("oracle", report, data)
     pair = document.pair

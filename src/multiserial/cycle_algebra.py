@@ -9,8 +9,8 @@ two basis elements, is one basis element or zero
 coefficient field is needed: the trace form takes the values 0 and 1 on
 basis pairs, and it pairs x with y exactly when x y is a full cycle power.
 The pairing is therefore read off the factorizations of the full powers,
-each checked by the index product, as one dual index per basis element
-(none only when its vertex carries no arrow), building no basis element.
+each checked by the index product, as one dual index per basis element,
+building no basis element; a vertex without arrows spans k, its own socle.
 The oracle (:func:`oracle_dimension`) knows nothing of that structure: it
 closes the relations, each a pair ``(p, None)`` for a path or ``(p, q)``
 for a difference of two paths, under multiplication by arrows in a
@@ -19,8 +19,8 @@ An automaton of the path relations counts the paths that avoid them; they
 get ids only once a binomial or trivial-path relation needs them, and
 their extensions in front only when the closure first reaches them.
 :func:`pair_oracle_dimension` runs it on a cycle system's generated
-relations.  Tests and the acceptance suite hold the two routes against
-each other.
+relations, and ``_presented_dimension`` on a presentation's.  Tests and
+the acceptance suite hold the two routes against each other.
 """
 
 from __future__ import annotations
@@ -28,11 +28,14 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
 from .quiver import MonomialAutomaton, Path, Quiver, _path, _power
 from .report import Report
+
+if TYPE_CHECKING:
+    from .presentation import Presentation
 
 DEFAULT_MAX_PATHS = 200_000
 _BELOW_BOUND = "paths below the truncation bound"
@@ -101,7 +104,6 @@ class GramMatrix:
     rank: int
     nondegenerate: bool
     is_permutation: bool
-    warnings: list[str]
 
     @property
     def dimension(self) -> int:
@@ -263,14 +265,16 @@ class CycleAlgebra:
         return start[cycle.arrows[0]] + length - 1 if length < full else None
 
     def _factorizations(self) -> Iterator[tuple[int, int]]:
-        """Basis index pairs (i, j) with x_i x_j a full power: e(v) with
-        socle(v) both ways round, and F[:k] with F[k:] for the full power F
-        of each cycle, 0 < k < len(F); F[k:] is a prefix of a rotation."""
-        position = {v: i for i, v in enumerate(self.pair.quiver.vertices)}
+        """Basis index pairs (i, j) with x_i x_j a socle element: e(v) with
+        socle(v) both ways round, e(v) with itself at a vertex without
+        arrows, which spans k, and F[:k] with F[k:] for the full power F of
+        each cycle, 0 < k < len(F); F[k:] is a prefix of a rotation."""
         layout = self._layout
-        for v, s in layout.socle_at.items():
-            yield position[v], s
-            yield s, position[v]
+        for i, v in enumerate(self.pair.quiver.vertices):
+            s = layout.socle_at.get(v, i)
+            yield i, s
+            if s != i:
+                yield s, i
         for cycle in self.pair.cycles:
             length = layout.full_length[cycle.arrows[0]]
             start = layout.start[cycle.arrows[0]]
@@ -284,7 +288,8 @@ class CycleAlgebra:
 
         No pair outside :meth:`_factorizations` has a socle product.  An
         idempotent factor leaves the other factor, a socle only for e(v)
-        with socle(v); a socle times anything but an idempotent vanishes;
+        with socle(v), or with e(v) at a vertex without arrows, whose
+        socle it is; a socle times anything but an idempotent vanishes;
         two proper paths x, y give the class of the path x y, which is a
         socle exactly when x y is a full power F of some cycle, so x =
         F[:k] and y = F[k:] with k = len(x).  :meth:`_product` checks each
@@ -297,7 +302,7 @@ class CycleAlgebra:
         first_socle = self._layout.first_socle
         for i, j in self._factorizations():
             k = self._product(i, j)
-            if k is None or k < first_socle:
+            if k is None or k < first_socle and not i == j == k:
                 raise RuntimeError(
                     f"{self._basis[i]} * {self._basis[j]} factors a full power but is "
                     "not a socle element; this is an engine bug"
@@ -314,27 +319,18 @@ class CycleAlgebra:
         """The pairing (x, y) -> form(x * y) over the canonical basis.
 
         Each row holds at most one 1, so the rank is the number of distinct
-        columns hit, over every field; nondegeneracy means full rank.
-        Vertices carrying no arrow make their block degenerate and are
-        reported as warnings; every arrow lies on a cycle, so they are the
-        vertices without a socle.
+        columns hit, over every field.  Full rank means the n rows hit n
+        distinct columns, so every row holds a 1: the matrix is a
+        permutation exactly when the form is nondegenerate.
         """
         dual = self._dual
         rank = len({j for j in dual if j is not None})
-        dimension = self.dimension
-        warnings = [
-            f"vertex {v} has no incident arrows; the form vanishes on "
-            "its block and the pairing is degenerate there"
-            for v in self.pair.quiver.vertices
-            if v not in self._layout.socle_at
-        ]
+        full = rank == self.dimension
         return GramMatrix(
             dual=list(dual),
             rank=rank,
-            nondegenerate=rank == dimension,
-            # every row hit once, and the n rows hit n distinct columns
-            is_permutation=None not in dual and rank == dimension,
-            warnings=warnings,
+            nondegenerate=full,
+            is_permutation=full,
         )
 
     def check_trace_symmetry(self) -> Report:
@@ -642,3 +638,10 @@ def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS
     and are all rendered before the budget count, so bound the basis first."""
     bound = nilpotency_bound(pair)
     return _oracle_dimension(pair.quiver, pair.relations.linear_relations(), bound, max_paths)
+
+
+def _presented_dimension(presentation: Presentation, max_paths: int) -> int:
+    """The oracle's dimension of a presentation's algebra: its generators,
+    checked where they entered, closed below its nilpotency bound."""
+    relations = presentation.linear_relations()
+    return _oracle_dimension(presentation.quiver, relations, presentation.nilpotency, max_paths)

@@ -218,25 +218,31 @@ def close_under_rotation(
     Two representatives of one class with different multiplicities are a
     fault.
     """
-    by_class: dict[tuple[str, ...], tuple[Path, int]] = {}
+    cycles: dict[tuple[str, ...], Path] = {}
+    mults: dict[tuple[str, ...], int] = {}
     for cycle, mult in representatives:
-        canon = canonical_rotation(cycle)
-        known = by_class.get(canon.arrows)
-        if not (known[0] == canon if known else quiver.contains_path(canon)):
-            raise ValueError(f"cycle {cycle} is not a path of the quiver")
-        if known is not None and known[1] != mult:
-            raise ValueError(
-                f"conflicting multiplicities {known[1]} and {mult} "
-                f"for rotations of {canon}"
-            )
-        by_class[canon.arrows] = (canon, mult)
-    cycles: list[Path] = []
-    mult_map: dict[tuple[str, ...], int] = {}
-    for canon, mult in by_class.values():
+        _add_rotations(cycles, mults, quiver, cycle, mult)
+    return DefiningPair._trusted(quiver, cycles.values(), mults)
+
+
+def _add_rotations(cycles: dict, mults: dict, quiver: Quiver, cycle: Path, mult: int) -> None:
+    """:func:`close_under_rotation`'s step, which the parser takes line by
+    line: check one representative and, for a new class, add its rotations
+    and their multiplicity, keyed by their arrows."""
+    canon = canonical_rotation(cycle)
+    known = cycles.get(canon.arrows)
+    if not (known == canon if known is not None else quiver.contains_path(canon)):
+        raise ValueError(f"cycle {cycle} is not a path of the quiver")
+    if known is None:
         for i in range(len(canon.arrows)):
-            cycles.append(_rotation(canon, i))
-            mult_map[cycles[-1].arrows] = mult
-    return DefiningPair._trusted(quiver, cycles, mult_map)
+            rotation = _rotation(canon, i)
+            cycles[rotation.arrows] = rotation
+            mults[rotation.arrows] = mult
+    elif mults[canon.arrows] != mult:
+        raise ValueError(
+            f"conflicting multiplicities {mults[canon.arrows]} and {mult} "
+            f"for rotations of {canon}"
+        )
 
 
 def validate(pair: DefiningPair) -> Report:

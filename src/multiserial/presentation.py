@@ -28,6 +28,24 @@ class MultiserialConditionError(ValueError):
     """Raised when an operation needs the at-most-one-successor condition."""
 
 
+def _check_bound(nilpotency: int) -> None:
+    if nilpotency < 2:
+        raise ValueError("nilpotency bound must be at least 2")
+
+
+def _check_length(p: Path) -> None:
+    if len(p.arrows) < 2:
+        raise ValueError(f"generator {p} has length < 2; the ideal must be admissible")
+
+
+def _check_uniform(p: Path, q: Path) -> None:
+    if p.source != q.source or p.target != q.target:
+        raise ValueError(
+            f"binomial generator is not uniform: {p} and {q} "
+            "have different endpoints"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Presentation:
     """A quotient of a path algebra by an admissible ideal.
@@ -56,19 +74,13 @@ class Presentation:
         return presentation
 
     def _check(self, on_quiver: bool) -> None:
-        if self.nilpotency < 2:
-            raise ValueError("nilpotency bound must be at least 2")
+        _check_bound(self.nilpotency)
         for p in chain(self.zero_paths, *self.equal_pairs):
             if not (on_quiver or self.quiver.contains_path(p)):
                 raise ValueError(f"generator {p} is not a path of the quiver")
-            if len(p.arrows) < 2:
-                raise ValueError(f"generator {p} has length < 2; the ideal must be admissible")
+            _check_length(p)
         for p, q in self.equal_pairs:
-            if p.source != q.source or p.target != q.target:
-                raise ValueError(
-                    f"binomial generator is not uniform: {p} and {q} "
-                    "have different endpoints"
-                )
+            _check_uniform(p, q)
 
     @cached_property
     def _quadratic(self) -> frozenset[tuple[str, ...]]:

@@ -151,6 +151,33 @@ PARSE_ERRORS = {
         PAIR + "cycle = a b | mult = 0\n",
         "line 7: multiplicity must be positive, got 0",
     ),
+    # the library's own checks on what a line declares: its message, behind
+    # the number of the line that declares it
+    "zero-length-one": (
+        PRESENTATION + "zero = a\n",
+        "line 8: generator a has length < 2; the ideal must be admissible",
+    ),
+    "equal-length-one": (
+        PRESENTATION + "equal = a b , a b a b\nequal = b a b , b\n",
+        "line 9: generator b has length < 2; the ideal must be admissible",
+    ),
+    "equal-non-uniform": (
+        PRESENTATION + "equal = a b , b a\n",
+        "line 8: binomial generator is not uniform: a b and b a have different endpoints",
+    ),
+    "nilpotency-below-two": (
+        QUIVER + "\n[presentation]\nnilpotency = 1\n",
+        "line 7: nilpotency bound must be at least 2",
+    ),
+    "cycle-not-simple": (
+        PAIR + "cycle = a b a b | mult = 2\n",
+        "line 7: not a simple cycle: a b a b",
+    ),
+    "cycle-not-closed": (PAIR + "cycle = a | mult = 2\n", "line 7: not a simple cycle: a"),
+    "conflicting-multiplicities": (
+        PAIR + "cycle = a b | mult = 2\ncycle = b a | mult = 3\n",
+        "line 8: conflicting multiplicities 2 and 3 for rotations of a b",
+    ),
 }
 
 
@@ -309,6 +336,11 @@ class TestParse:
         with pytest.raises(ParseError, match=r"^line 7: unknown arrow 'x'$"):
             parse_document(text)
 
+    def test_a_short_generator_comes_before_a_later_bad_key(self):
+        # the generator's own check runs on line 8, before line 9 is read
+        with pytest.raises(ParseError, match=r"^line 8: generator a has length < 2"):
+            parse_document(PRESENTATION + "zero = a\nbogus = 2\n")
+
 
 class TestRoundTrip:
     def test_pair_document_round_trips(self, linear_presentation):
@@ -392,16 +424,17 @@ class TestMainExitCodes:
             "this is an engine bug\n"
         )
 
-    def test_gram_degenerate_block_exits_one(self, capsys, tmp_path):
+    def test_gram_on_an_arrowless_vertex_exits_zero(self, capsys, tmp_path):
+        # w carries no arrow, so it spans k and e(w) is its own socle
         doc = tmp_path / "isolated.alg"
         doc.write_text(
             "[quiver]\nvertices = v w\narrow a = v -> v\n\n"
             "[definingpair]\ncycle = a | mult = 2\n"
         )
         code, out, _ = self.run(capsys, "gram", str(doc))
-        assert code == 1
-        assert "DEGENERATE" in out
-        assert "no incident arrows" in out
+        assert code == 0
+        assert "rank 4 of dimension 4" in out
+        assert "warning" not in out
 
     def test_validate_failure_exits_one(self, capsys, tmp_path):
         doc = tmp_path / "branching.alg"
@@ -587,7 +620,7 @@ class TestMainExitCodes:
 
     def test_presented_dimension_above_the_cover_exits_two(self, capsys):
         # only an engine bug can make the presented algebra the larger one
-        with mock.patch.object(symmetrize_module, "_oracle_dimension", return_value=99):
+        with mock.patch.object(symmetrize_module, "_presented_dimension", return_value=99):
             code, out, err = self.run(
                 capsys, "verify-quotient", str(FIXTURES / "a3_gentle.alg")
             )
@@ -629,7 +662,7 @@ class TestRunCommand:
             (symmetrize_module, "derive_successors"),
             (symmetrize_module, "close_under_rotation"),
             (symmetrize_module, "symmetrize"),
-            (symmetrize_module, "_oracle_dimension"),
+            (symmetrize_module, "_presented_dimension"),
             (cycle_algebra_module, "_oracle_dimension"),
             (cycle_algebra_module, "closed_form_dimension"),
         ]
@@ -663,6 +696,16 @@ class TestMainOutputs:
         reparsed = parse_document(out_file.read_text())
         document = parse_document(A3_TEXT)
         assert reparsed.pair == symmetrize(document.presentation)
+
+    def test_json_names_the_written_file_instead_of_the_document(self, capsys, tmp_path):
+        out_file = tmp_path / "cover.alg"
+        fixture = str(FIXTURES / "a3_gentle.alg")
+        code = main(["symmetrize", fixture, "--out", str(out_file), "--json"])
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert code == 0
+        assert data["output_file"] == str(out_file) and "document" not in data
+        cover = symmetrize(parse_document(A3_TEXT).presentation)
+        assert out_file.read_text() == render_pair_document(cover)
 
     def test_json_report_schema_and_round_trip(self, capsys):
         code = main(["gram", str(FIXTURES / "loop_mu2.alg"), "--json"])

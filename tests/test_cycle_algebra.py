@@ -144,11 +144,12 @@ def four_cycle_pair(mu):
 
 def reference_gram(alg):
     """form(x * y) over every ordered basis pair by the walked product: the
-    dense scan the sparse pairing is held against."""
-    return [
-        [int(isinstance(reference_product(alg, x, y), Socle)) for y in alg.basis]
-        for x in alg.basis
-    ]
+    dense scan the sparse pairing is held against.  The form is one on the
+    socle elements, and on e(v) at a vertex v without arrows, which spans k."""
+    q = alg.pair.quiver
+    lone = {Idempotent(v) for v in q.vertices if not q.arrows_from(v) + q.arrows_into(v)}
+    products = [[reference_product(alg, x, y) for y in alg.basis] for x in alg.basis]
+    return [[int(isinstance(z, Socle) or z in lone) for z in row] for row in products]
 
 
 class ExactField:
@@ -406,12 +407,15 @@ class TestGramMatrix:
         assert gram.rank == 14
         assert gram.is_permutation
 
-    def test_isolated_vertex_degenerates_with_warning(self):
+    def test_isolated_vertex_is_its_own_socle(self):
+        # w spans k: e(w) pairs with itself, e(v) with socle(v), a with a
         q = Quiver(["v", "w"], [("a", "v", "v")])
         pair = close_under_rotation(q, [(q.path(["a"]), 2)])
-        gram = CycleAlgebra(pair).gram_matrix()
-        assert not gram.nondegenerate
-        assert any("no incident arrows" in w for w in gram.warnings)
+        alg = CycleAlgebra(pair)
+        gram = alg.gram_matrix()
+        assert gram.dual == [3, 1, 2, 0]
+        assert gram.rank == 4 and gram.nondegenerate and gram.is_permutation
+        assert alg.check_trace_symmetry().passed
 
     @given(st.integers(0, 10**9), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -335,6 +335,22 @@ class TestVerifyQuotient:
             ("uncertified(a a a)", "image a a a survives the collapse and is short"),
         ]
 
+    def test_forgotten_dead_quadratic_is_reported_not_raised(self, linear_presentation):
+        # the cover is built while a b is dead, then the presentation forgets it
+        symmetrize(linear_presentation)
+        dead = linear_presentation._quadratic - {("a", "b")}
+        object.__setattr__(linear_presentation, "_quadratic", dead)
+        certificate = verify_quotient(linear_presentation)
+        assert not certificate.complete
+        assert certificate.failures() == [
+            CertifiedGenerator(
+                "type3",
+                "a b",
+                Justification(UNCERTIFIED, "composition a b survives in the ideal"),
+                False,
+            )
+        ]
+
     def test_undersized_cover_fails_the_command(self, tmp_path, capsys):
         # the command parses its own presentation, so symmetrize hands it the
         # undersized cover; that cover's dimension 3 is below the presented 5,
@@ -420,11 +436,11 @@ class TestDimensionComparison:
     def test_presented_dimension_above_the_cover_is_an_engine_bug(
         self, linear_presentation
     ):
-        # pair_oracle_dimension calls the unpatched _oracle_dimension of
-        # cycle_algebra, so the cross-check still passes
+        # only the presented route is patched, so the cover's cross-check
+        # with pair_oracle_dimension still passes
         certificate = verify_quotient(linear_presentation)
         with mock.patch.object(
-            symmetrize_module, "_oracle_dimension", return_value=19
+            symmetrize_module, "_presented_dimension", return_value=19
         ), pytest.raises(
             RuntimeError,
             match="presented dimension 19 exceeds the cover's 18; "
