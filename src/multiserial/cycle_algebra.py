@@ -8,9 +8,9 @@ two basis elements, is one basis element or zero
 (:meth:`CycleAlgebra.normal_form` gives the element, or None), so no
 coefficient field is needed: the trace form takes the values 0 and 1 on
 basis pairs, and it pairs x with y exactly when x y is a full cycle power.
-The pairing is therefore read off the factorizations of the full powers,
-each checked by the index product, as one dual index per basis element,
-building no basis element; a vertex without arrows spans k, its own socle.
+The pairing is therefore listed by index arithmetic from the factorizations
+of the full powers and checked against the layout, one pass each, as one
+dual index per basis element; a vertex without arrows spans k, its own socle.
 The oracle (:func:`oracle_dimension`) knows nothing of that structure: it
 closes the relations, each a pair ``(p, None)`` for a path or ``(p, q)``
 for a difference of two paths, under multiplication by arrows in a
@@ -25,10 +25,11 @@ the acceptance suite hold the two routes against each other.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from operator import add, mod
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
 from .quiver import MonomialAutomaton, Path, Quiver, _path, _power
@@ -264,49 +265,63 @@ class CycleAlgebra:
             return socle_at[cycle.source]
         return start[cycle.arrows[0]] + length - 1 if length < full else None
 
-    def _factorizations(self) -> Iterator[tuple[int, int]]:
-        """Basis index pairs (i, j) with x_i x_j a socle element: e(v) with
-        socle(v) both ways round, e(v) with itself at a vertex without
-        arrows, which spans k, and F[:k] with F[k:] for the full power F of
-        each cycle, 0 < k < len(F); F[k:] is a prefix of a rotation."""
+    def _listing(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """The index pairs (i, j) with x_i x_j a socle: e(v) with socle(v) both
+        ways, or with itself where v has no arrows; and one column per proper
+        row: F[:k], for a full power F, pairs with F[k:], the prefix of length
+        len(F) - k of the rotation at F's k-th arrow, len(F) - k - 1 past its start."""
         layout = self._layout
-        for i, v in enumerate(self.pair.quiver.vertices):
-            s = layout.socle_at.get(v, i)
-            yield i, s
-            if s != i:
-                yield s, i
+        pairs = [(i, layout.socle_at.get(v, i)) for i, v in enumerate(self.pair.quiver.vertices)]
+        columns: list[int] = []
         for cycle in self.pair.cycles:
-            length = layout.full_length[cycle.arrows[0]]
-            start = layout.start[cycle.arrows[0]]
-            for k in range(1, length):
-                rest = layout.start[cycle.arrows[k % len(cycle)]]
-                yield start + k - 1, rest + length - k - 1
+            arrows, full = cycle.arrows, layout.full_length[cycle.arrows[0]]
+            rotations = map(layout.start.__getitem__, (arrows * (full // len(arrows)))[1:])
+            columns += map(add, rotations, range(full - 2, -1, -1))
+        return pairs + [(s, i) for i, s in pairs if s != i], columns
 
     @cached_property
     def _dual(self) -> list[int | None]:
         """For each basis index i, the j with form(x_i * x_j) = 1, or None.
 
-        No pair outside :meth:`_factorizations` has a socle product.  An
-        idempotent factor leaves the other factor, a socle only for e(v)
-        with socle(v), or with e(v) at a vertex without arrows, whose
-        socle it is; a socle times anything but an idempotent vanishes;
-        two proper paths x, y give the class of the path x y, which is a
-        socle exactly when x y is a full power F of some cycle, so x =
-        F[:k] and y = F[k:] with k = len(x).  :meth:`_product` checks each
-        listed index pair from the end arrows and lengths in the layout,
-        not from the index arithmetic that listed it; a pair off the socle,
-        or a row hit twice, is raised: a basis element has one dual at most.
-        Basis elements are built only to name the pair in that error.
+        No pair outside :meth:`_listing` has a socle product: an idempotent
+        leaves the other factor, a socle kills all but idempotents, and x y,
+        for proper x, y, is a socle exactly when it is a full power F = x y.
+        One pass checks the proper block from the layout's cycles and lengths
+        and the next-arrow map, not the listing's arithmetic: y's cycle starts
+        with the arrow after x's last, the lengths sum to F's, and x's cycle
+        has a socle index; :meth:`_product` checks the vertex rows.  A pair
+        off the socle, or a row hit twice, is raised, naming basis elements.
         """
-        dual: list[int | None] = [None] * self.dimension
-        first_socle = self._layout.first_socle
-        for i, j in self._factorizations():
-            k = self._product(i, j)
-            if k is None or k < first_socle and not i == j == k:
-                raise RuntimeError(
-                    f"{self._basis[i]} * {self._basis[j]} factors a full power but is "
-                    "not a socle element; this is an engine bug"
-                )
+        n, layout = len(self.pair.quiver.vertices), self._layout
+        cycle, length, first_socle = layout.cycle, layout.length, layout.first_socle
+        pairs, columns = self._listing()
+        if len(columns) != first_socle - n:
+            raise RuntimeError(f"{len(columns)} columns for {first_socle - n} rows; an engine bug")
+        cycles, following = self.pair.cycles, self.pair.next_arrow
+        heads = [c.arrows[0] for c in cycles]
+        full = list(map(layout.full_length.__getitem__, heads))
+        # per cycle, the arrow after each of its arrows; None without a socle index
+        socled = [layout.socle_at.get(c.source, -1) >= first_socle for c in cycles]
+        after = [[following[a] if s else None for a in c.arrows] for c, s in zip(cycles, socled)]
+        # each index's cycle head and length, None off the proper block
+        pad, tail = [None] * n, [None] * len(layout.socles)
+        head_at, length_at = pad + list(map(heads.__getitem__, cycle)) + tail, pad + length + tail
+        got = [list(map(head_at.__getitem__, columns)), list(map(length_at.__getitem__, columns))]
+        want = [[after[c][(k - 1) % len(after[c])] for c, k in zip(cycle, length)],
+                [full[c] - k for c, k in zip(cycle, length)]]
+        products = [(i, j, self._product(i, j)) for i, j in pairs]
+        off = [(i, j) for i, j, k in products if k is None or k < first_socle and not i == j == k]
+        if got != want:
+            rows = enumerate(zip(columns, *got, *want), n)
+            off += [(i, j) for i, (j, *x) in rows if x[:2] != x[2:]]
+        if off:
+            i, j = min(off)
+            raise RuntimeError(
+                f"{self._basis[i]} * {self._basis[j]} factors a full power but is "
+                "not a socle element; this is an engine bug"
+            )
+        dual: list[int | None] = pad + columns + tail
+        for i, j in pairs:
             if dual[i] is not None:
                 raise RuntimeError(
                     f"{self._basis[i]} pairs with 2 basis elements, {self._basis[dual[i]]} "
@@ -324,7 +339,7 @@ class CycleAlgebra:
         permutation exactly when the form is nondegenerate.
         """
         dual = self._dual
-        rank = len({j for j in dual if j is not None})
+        rank = len(set(dual)) - (None in dual)
         full = rank == self.dimension
         return GramMatrix(
             dual=list(dual),
@@ -351,13 +366,16 @@ class CycleAlgebra:
         return report
 
     def cartan_matrix(self) -> CartanMatrix:
-        """Counts of basis elements by (source, target) vertex pair."""
-        vertices = self.pair.quiver.vertices
+        """Counts of basis elements by (source, target) vertex pair, in one pass
+        over the layout: a proper element (c, k) runs k arrows along cycle c."""
+        vertices, layout, cycles = self.pair.quiver.vertices, self._layout, self.pair.cycles
         position = {v: i for i, v in enumerate(vertices)}
         entries = [[0] * len(vertices) for _ in vertices]
-        for i in range(self.dimension):
-            source, target = self._ends(i)
-            entries[position[source]][position[target]] += 1
+        for v in [*vertices, *layout.socles]:
+            entries[position[v]][position[v]] += 1
+        steps = map(mod, layout.length, map([len(c) for c in cycles].__getitem__, layout.cycle))
+        for (c, k), count in Counter(zip(layout.cycle, steps)).items():
+            entries[position[cycles[c].source]][position[cycles[c].vertices[k]]] += count
         return CartanMatrix(vertices, entries)
 
     def check_multiserial(self) -> Report:

@@ -144,24 +144,13 @@ class SuccessorTables:
     def orbits(self) -> Mapping[str, OrbitData]:
         """Both maps iterated at every arrow, each orbit classified.
 
-        The forward orbit stops exactly when the backward one does, and
-        cyclic orbits have equal periods under both maps; a violation means
-        the tables were corrupted and is raised, not reported.
-        """
-        limit = len(self.quiver.arrows) + 1
-        out: dict[str, OrbitData] = {}
-        for name in sorted(self.quiver.arrows):
-            forward_stop, sigma_period = _orbit(self.sigma, name, limit)
-            backward_stop, tau_period = _orbit(self.tau, name, limit)
-            if (forward_stop is None) != (backward_stop is None):
-                raise RuntimeError(f"orbit of {name!r} stops in one direction only")
-            if sigma_period != tau_period:
-                raise RuntimeError(
-                    f"orbit of {name!r} has mismatched periods "
-                    f"{sigma_period} and {tau_period}"
-                )
-            out[name] = OrbitData(forward_stop, backward_stop, sigma_period)
-        return MappingProxyType(out)
+        The constructor refuses tables that are not mutually inverse, so
+        sigma is a partial injection with inverse tau: an orbit stops or
+        returns within the arrow count, stops forward exactly when it stops
+        backward, and has one period under both maps."""
+        arrows = sorted(self.quiver.arrows)
+        walks = {a: (_orbit(self.sigma, a), _orbit(self.tau, a)[0]) for a in arrows}
+        return MappingProxyType({a: OrbitData(f, b, p) for a, ((f, p), b) in walks.items()})
 
     @cached_property
     def maximal_paths(self) -> tuple[Path, ...]:
@@ -250,19 +239,12 @@ def derive_successors(presentation: Presentation) -> SuccessorTables:
     return presentation.tables
 
 
-def _orbit(table: Mapping[str, Optional[str]], start: str, limit: int) -> tuple[Optional[int], Optional[int]]:
+def _orbit(table: Mapping[str, Optional[str]], start: str) -> tuple[Optional[int], Optional[int]]:
     """Follow a table from ``start``: (steps to stop, None) or (None, period)."""
-    current: Optional[str] = start
-    for step in range(1, limit + 1):
-        current = table[current]
-        if current is None:
-            return step, None
-        if current == start:
-            return None, step
-    raise RuntimeError(
-        f"orbit of {start!r} neither stops nor returns within {limit} steps; "
-        "the tables are corrupt"
-    )
+    current, step = table[start], 1
+    while current is not None and current != start:
+        current, step = table[current], step + 1
+    return (step, None) if current is None else (None, step)
 
 
 def _walk(tables: SuccessorTables, start: str, end: Optional[str]) -> Path:

@@ -6,7 +6,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiserial import (
@@ -37,6 +37,7 @@ from multiserial.report import Report
 from test_defining_pair import spy_on_derivation
 from test_quiver import compose, length_two_paths
 from multiserial.random_instances import (
+    radical_square_zero_presentation,
     random_defining_pair,
     random_presentation,
     tractable_defining_pair,
@@ -150,6 +151,53 @@ def reference_gram(alg):
     lone = {Idempotent(v) for v in q.vertices if not q.arrows_from(v) + q.arrows_into(v)}
     products = [[reference_product(alg, x, y) for y in alg.basis] for x in alg.basis]
     return [[int(isinstance(z, Socle) or z in lone) for z in row] for row in products]
+
+
+def reference_dual(alg: CycleAlgebra) -> list:
+    """The pairing by the per-pair route :meth:`CycleAlgebra._dual` is held
+    against: every factorization of a socle listed one pair at a time, e(v)
+    with socle(v) both ways round, e(v) with itself at a vertex without
+    arrows, and F[:k] with F[k:] for the full power F of each cycle, each
+    pair checked by its own :meth:`CycleAlgebra._product` call."""
+    layout, vertices = alg._layout, alg.pair.quiver.vertices
+    listed = []
+    for i, v in enumerate(vertices):
+        s = layout.socle_at.get(v, i)
+        listed += [(i, s), (s, i)] if s != i else [(i, i)]
+    for cycle in alg.pair.cycles:
+        length = layout.full_length[cycle.arrows[0]]
+        start = layout.start[cycle.arrows[0]]
+        for k in range(1, length):
+            rest = layout.start[cycle.arrows[k % len(cycle)]]
+            listed.append((start + k - 1, rest + length - k - 1))
+    dual = [None] * alg.dimension
+    for i, j in listed:
+        k = alg._product(i, j)
+        assert k is not None and (k >= layout.first_socle or i == j == k), (i, j)
+        assert dual[i] is None, i
+        dual[i] = j
+    return dual
+
+
+def draw_cover(kind, seed):
+    """A valid cycle system of one of four kinds; the four-cycle's
+    multiplicity runs through 1..12 with the seed."""
+    rng = random.Random(seed)
+    if kind == "tractable":
+        return tractable_defining_pair(rng, max_paths=2_000)
+    if kind == "presentation":
+        return symmetrize(random_presentation(rng))
+    if kind == "radical-square-zero":
+        return symmetrize(radical_square_zero_presentation(rng))
+    return four_cycle_pair(seed % 12 + 1)
+
+
+def with_listing(alg, pairs=None, columns=None):
+    """Patch :meth:`CycleAlgebra._listing` to hand ``alg`` the given vertex
+    pairs or proper columns, each defaulting to the engine's own."""
+    real_pairs, real_columns = CycleAlgebra._listing(alg)
+    listing = (real_pairs if pairs is None else pairs, real_columns if columns is None else columns)
+    return mock.patch.object(CycleAlgebra, "_listing", lambda self: listing)
 
 
 class ExactField:
@@ -456,18 +504,27 @@ class TestGramMatrix:
 
     def test_row_with_two_duals_is_an_engine_bug(self, loop_mu2_pair):
         alg = CycleAlgebra(loop_mu2_pair)
-        listed = CycleAlgebra._factorizations
-        # a second hit on the row of e(v), whose product is taken for a socle
-        with mock.patch.object(
-            CycleAlgebra, "_factorizations", lambda self: [*listed(self), (0, 1)]
-        ), mock.patch.object(CycleAlgebra, "_product", lambda self, i, j: SOCLE_V):
-            with pytest.raises(RuntimeError, match=r"e\(v\) pairs with 2 basis"):
+        # a second hit on the row of e(v): e(v) e(v) = e(v) passes the product
+        # check, as it would at a vertex without arrows
+        with with_listing(alg, pairs=[(0, SOCLE_V), (SOCLE_V, 0), (0, 0)]):
+            with pytest.raises(
+                RuntimeError, match=r"e\(v\) pairs with 2 basis elements, socle\(v\) and e\(v\)"
+            ):
                 alg.gram_matrix()
 
     def test_factorization_off_the_socle_is_an_engine_bug(self, loop_mu2_pair):
+        # the vertex rows keep the index product: a product off the socle is
+        # raised, whether the product errs or the listing does (e(v) a = a)
         alg = CycleAlgebra(loop_mu2_pair)
         with mock.patch.object(CycleAlgebra, "_product", lambda self, i, j: None):
             with pytest.raises(RuntimeError, match=r"e\(v\) \* socle\(v\) factors"):
+                alg.gram_matrix()
+        alg = CycleAlgebra(loop_mu2_pair)
+        with with_listing(alg, pairs=[(0, 1), (SOCLE_V, 0)]):
+            with pytest.raises(
+                RuntimeError,
+                match=r"^e\(v\) \* a factors a full power but is not a socle element",
+            ):
                 alg.gram_matrix()
 
     def test_pairing_walks_no_path(self):
@@ -484,13 +541,75 @@ class TestGramMatrix:
         # vertex and has the right length, but b does not follow a
         alg = CycleAlgebra(kronecker_pair())
         index = {str(x): i for i, x in enumerate(alg.basis)}
-        wrong = (index["a"], index["b bbar b"])
-        with mock.patch.object(CycleAlgebra, "_factorizations", lambda self: [wrong]):
+        n = len(alg.pair.quiver.vertices)
+        columns = CycleAlgebra._listing(alg)[1]
+        columns[index["a"] - n] = index["b bbar b"]
+        with with_listing(alg, columns=columns):
             with pytest.raises(
                 RuntimeError,
                 match=r"^a \* b bbar b factors a full power but is not a socle element",
             ):
                 alg.gram_matrix()
+
+    def test_factorization_with_the_wrong_length_is_an_engine_bug(self):
+        # b c starts with the arrow after a, but a b c is no full power
+        alg = CycleAlgebra(four_cycle_pair(3))
+        index = {str(x): i for i, x in enumerate(alg.basis)}
+        columns = CycleAlgebra._listing(alg)[1]
+        columns[index["a"] - len(alg.pair.quiver.vertices)] = index["b c"]
+        with with_listing(alg, columns=columns):
+            with pytest.raises(
+                RuntimeError, match=r"^a \* b c factors a full power but is not a socle element"
+            ):
+                alg.gram_matrix()
+
+    def test_corrupt_length_names_the_row(self):
+        # the check reads the layout, not the listing's arithmetic: a wrong
+        # length on the row of a is raised with a and its dual b c d a b c d a b c d
+        alg = CycleAlgebra(four_cycle_pair(3))
+        basis, dual = alg.basis, reference_dual(alg)
+        row = basis.index(OnCyclePath(alg.pair.quiver.path(["a"])))
+        alg._layout.length[row - len(alg.pair.quiver.vertices)] += 1
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^{basis[row]} \* {basis[dual[row]]} factors a full power but is not a socle",
+        ):
+            alg.gram_matrix()
+
+    def test_cycle_without_socle_index_names_its_first_row(self):
+        # socle(1) is moved onto an index of the proper block after the
+        # listing: the cycle based at 1 has no socle index, and its first
+        # row, a, is raised
+        alg = CycleAlgebra(four_cycle_pair(3))
+        basis, dual = alg.basis, reference_dual(alg)
+        with with_listing(alg):
+            alg._layout.socle_at["1"] = 5
+            with pytest.raises(RuntimeError, match=rf"^a \* {basis[dual[4]]} factors"):
+                alg.gram_matrix()
+
+    def test_listing_one_column_short_is_an_engine_bug(self, two_cycle_mu3_pair):
+        alg = CycleAlgebra(two_cycle_mu3_pair)
+        with with_listing(alg, columns=CycleAlgebra._listing(alg)[1][:-1]):
+            with pytest.raises(RuntimeError, match="9 columns for 10 rows; an engine bug"):
+                alg.gram_matrix()
+
+    @given(
+        st.sampled_from(["tractable", "presentation", "radical-square-zero", "four-cycle"]),
+        st.integers(0, 10**9),
+    )
+    @example("presentation", 6)
+    @example("radical-square-zero", 6)
+    @settings(max_examples=80, deadline=None)
+    def test_dual_equals_the_per_pair_route(self, kind, seed):
+        # seed 6 draws covers with a vertex without arrows; four_cycle_pair
+        # runs through mu = 1..12
+        alg = CycleAlgebra(draw_cover(kind, seed))
+        assert alg._dual == reference_dual(alg)
+
+    def test_per_pair_route_meets_a_vertex_without_arrows(self):
+        for kind in ("presentation", "radical-square-zero"):
+            q = draw_cover(kind, 6).quiver
+            assert any(not q.arrows_from(v) + q.arrows_into(v) for v in q.vertices)
 
     def test_pairing_builds_no_basis_element(self):
         alg = CycleAlgebra(four_cycle_pair(200))
@@ -542,16 +661,16 @@ class TestTraceSymmetry:
     def test_kronecker_star(self):
         assert CycleAlgebra(kronecker_pair()).check_trace_symmetry().passed
 
-    # dual [2, 1, 1]: socle(v) also pairs with the arrow; dual [None, None, 0]:
-    # the first asymmetric entry, (0, 2), lies in a row that hits nothing
+    # each listed pair is a true factorization, so only a row left out of
+    # the listing breaks symmetry.  dual [2, 1, None]: the first asymmetric
+    # entry, (0, 2), lies in a row that is hit; dual [None, 1, 0]: in a row
+    # that hits nothing
     @pytest.mark.parametrize(
-        "hits", [[(0, 2), (1, 1), (2, 1)], [(2, 0)]], ids=["row-hit", "row-missed"]
+        "pairs", [[(0, SOCLE_V)], [(SOCLE_V, 0)]], ids=["row-hit", "row-missed"]
     )
-    def test_witness_is_the_first_asymmetric_entry(self, loop_mu2_pair, hits):
+    def test_witness_is_the_first_asymmetric_entry(self, loop_mu2_pair, pairs):
         alg = CycleAlgebra(loop_mu2_pair)
-        with mock.patch.object(
-            CycleAlgebra, "_factorizations", lambda self: hits
-        ), mock.patch.object(CycleAlgebra, "_product", lambda self, i, j: SOCLE_V):
+        with with_listing(alg, pairs=pairs):
             report = alg.check_trace_symmetry()
             entries = alg.gram_matrix().entries
         assert not report.passed

@@ -323,6 +323,34 @@ class TestOrbitData:
         tables = derive_successors(Presentation(loop_quiver, (), (), 3))
         assert tables.orbits["a"].period == 1
 
+    @given(st.permutations(range(8)), st.lists(st.booleans(), min_size=8, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_tables_stop_together_with_one_period(self, image, kept):
+        # sigma, a permutation restricted to the kept arrows, is a partial
+        # injection, and every one arises so; tau is its inverse.  Arrow i
+        # starts at s<i> and ends where its successor starts, else at t<i>.
+        names = [f"a{i}" for i in range(len(image))]
+        sigma = {a: names[j] if keep else None for a, j, keep in zip(names, image, kept)}
+        tau = dict.fromkeys(names)
+        tau.update({b: a for a, b in sigma.items() if b is not None})
+        arrows = [
+            (a, f"s{i}", f"s{image[i]}" if kept[i] else f"t{i}") for i, a in enumerate(names)
+        ]
+        vertices = sorted({v for _, source, target in arrows for v in (source, target)})
+        tables = SuccessorTables(Quiver(vertices, arrows), sigma, tau)
+        for a in names:
+            forward_stop, forward_period = presentation_module._orbit(tables.sigma, a)
+            backward_stop, backward_period = presentation_module._orbit(tables.tau, a)
+            assert (forward_stop is None) == (backward_stop is None)
+            assert forward_period == backward_period
+            # the orbit through a holds forward_stop + backward_stop - 1 arrows,
+            # or period many: within the arrow count either way
+            if forward_period is None:
+                assert forward_stop + backward_stop - 1 <= len(names)
+            else:
+                assert forward_period <= len(names)
+            assert tables.orbits[a] == OrbitData(forward_stop, backward_stop, forward_period)
+
 
 class TestMaximalPathsAndCycles:
     def test_all_stops_give_singletons(self, linear_presentation):
