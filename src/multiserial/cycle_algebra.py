@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mod
+from operator import add, mod, sub
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
@@ -271,13 +271,14 @@ class CycleAlgebra:
         row: F[:k], for a full power F, pairs with F[k:], the prefix of length
         len(F) - k of the rotation at F's k-th arrow, len(F) - k - 1 past its start."""
         layout = self._layout
-        pairs = [(i, layout.socle_at.get(v, i)) for i, v in enumerate(self.pair.quiver.vertices)]
+        vertex_pairs = [(i, layout.socle_at.get(v, i)) for i, v in enumerate(self.pair.quiver.vertices)]
         columns: list[int] = []
         for cycle in self.pair.cycles:
-            arrows, full = cycle.arrows, layout.full_length[cycle.arrows[0]]
+            arrows = cycle.arrows
+            full = layout.full_length[arrows[0]]
             rotations = map(layout.start.__getitem__, (arrows * (full // len(arrows)))[1:])
             columns += map(add, rotations, range(full - 2, -1, -1))
-        return pairs + [(s, i) for i, s in pairs if s != i], columns
+        return vertex_pairs + [(s, i) for i, s in vertex_pairs if s != i], columns
 
     @cached_property
     def _dual(self) -> list[int | None]:
@@ -286,34 +287,49 @@ class CycleAlgebra:
         No pair outside :meth:`_listing` has a socle product: an idempotent
         leaves the other factor, a socle kills all but idempotents, and x y,
         for proper x, y, is a socle exactly when it is a full power F = x y.
-        One pass checks the proper block from the layout's cycles and lengths
-        and the next-arrow map, not the listing's arithmetic: y's cycle starts
-        with the arrow after x's last, the lengths sum to F's, and x's cycle
-        has a socle index; :meth:`_product` checks the vertex rows.  A pair
-        off the socle, or a row hit twice, is raised, naming basis elements.
+        :meth:`_product` checks the vertex rows.  One pass checks the proper
+        block from the layout's cycles and lengths and the next-arrow map,
+        not the listing's arithmetic: y's cycle starts with the arrow after
+        x's last, the lengths sum to F's, and x's cycle has a socle index.
+        A pair off the socle, or a row hit twice, is raised, naming both.
         """
-        n, layout = len(self.pair.quiver.vertices), self._layout
-        cycle, length, first_socle = layout.cycle, layout.length, layout.first_socle
+        n = len(self.pair.quiver.vertices)
+        layout = self._layout
+        first_socle = layout.first_socle
         pairs, columns = self._listing()
         if len(columns) != first_socle - n:
             raise RuntimeError(f"{len(columns)} columns for {first_socle - n} rows; an engine bug")
-        cycles, following = self.pair.cycles, self.pair.next_arrow
+        off = []
+        for i, j in pairs:
+            k = self._product(i, j)
+            if k is None or k < first_socle and not i == j == k:
+                off.append((i, j))
+        # per cycle, the arrow after each of its arrows, None where its
+        # source has no socle index
+        cycles = self.pair.cycles
+        after: list[list[str | None]] = []
+        for c in cycles:
+            if layout.socle_at.get(c.source, -1) >= first_socle:
+                after.append(list(map(self.pair.next_arrow.__getitem__, c.arrows)))
+            else:
+                after.append([None] * len(c))
+        want_heads = [after[c][(k - 1) % len(after[c])] for c, k in zip(layout.cycle, layout.length)]
         heads = [c.arrows[0] for c in cycles]
-        full = list(map(layout.full_length.__getitem__, heads))
-        # per cycle, the arrow after each of its arrows; None without a socle index
-        socled = [layout.socle_at.get(c.source, -1) >= first_socle for c in cycles]
-        after = [[following[a] if s else None for a in c.arrows] for c, s in zip(cycles, socled)]
+        row_heads = list(map(heads.__getitem__, layout.cycle))
+        fulls = map(layout.full_length.__getitem__, row_heads)
+        want_lengths = list(map(sub, fulls, layout.length))
         # each index's cycle head and length, None off the proper block
-        pad, tail = [None] * n, [None] * len(layout.socles)
-        head_at, length_at = pad + list(map(heads.__getitem__, cycle)) + tail, pad + length + tail
-        got = [list(map(head_at.__getitem__, columns)), list(map(length_at.__getitem__, columns))]
-        want = [[after[c][(k - 1) % len(after[c])] for c, k in zip(cycle, length)],
-                [full[c] - k for c, k in zip(cycle, length)]]
-        products = [(i, j, self._product(i, j)) for i, j in pairs]
-        off = [(i, j) for i, j, k in products if k is None or k < first_socle and not i == j == k]
-        if got != want:
-            rows = enumerate(zip(columns, *got, *want), n)
-            off += [(i, j) for i, (j, *x) in rows if x[:2] != x[2:]]
+        pad = [None] * n
+        tail = [None] * len(layout.socles)
+        head_at = pad + row_heads + tail
+        length_at = pad + layout.length + tail
+        got_heads = list(map(head_at.__getitem__, columns))
+        got_lengths = list(map(length_at.__getitem__, columns))
+        if got_heads != want_heads or got_lengths != want_lengths:
+            got = zip(got_heads, got_lengths)
+            want = zip(want_heads, want_lengths)
+            rows = zip(range(n, first_socle), columns, got, want)
+            off += [(i, j) for i, j, found, expected in rows if found != expected]
         if off:
             i, j = min(off)
             raise RuntimeError(
@@ -368,12 +384,15 @@ class CycleAlgebra:
     def cartan_matrix(self) -> CartanMatrix:
         """Counts of basis elements by (source, target) vertex pair, in one pass
         over the layout: a proper element (c, k) runs k arrows along cycle c."""
-        vertices, layout, cycles = self.pair.quiver.vertices, self._layout, self.pair.cycles
+        vertices = self.pair.quiver.vertices
+        layout = self._layout
+        cycles = self.pair.cycles
         position = {v: i for i, v in enumerate(vertices)}
         entries = [[0] * len(vertices) for _ in vertices]
         for v in [*vertices, *layout.socles]:
             entries[position[v]][position[v]] += 1
-        steps = map(mod, layout.length, map([len(c) for c in cycles].__getitem__, layout.cycle))
+        periods = [len(c) for c in cycles]
+        steps = map(mod, layout.length, map(periods.__getitem__, layout.cycle))
         for (c, k), count in Counter(zip(layout.cycle, steps)).items():
             entries[position[cycles[c].source]][position[cycles[c].vertices[k]]] += count
         return CartanMatrix(vertices, entries)

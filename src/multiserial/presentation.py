@@ -148,9 +148,12 @@ class SuccessorTables:
         sigma is a partial injection with inverse tau: an orbit stops or
         returns within the arrow count, stops forward exactly when it stops
         backward, and has one period under both maps."""
-        arrows = sorted(self.quiver.arrows)
-        walks = {a: (_orbit(self.sigma, a), _orbit(self.tau, a)[0]) for a in arrows}
-        return MappingProxyType({a: OrbitData(f, b, p) for a, ((f, p), b) in walks.items()})
+        out: dict[str, OrbitData] = {}
+        for name in sorted(self.quiver.arrows):
+            forward_stop, period = _orbit(self.sigma, name)
+            backward_stop = _orbit(self.tau, name)[0]
+            out[name] = OrbitData(forward_stop, backward_stop, period)
+        return MappingProxyType(out)
 
     @cached_property
     def maximal_paths(self) -> tuple[Path, ...]:
@@ -241,9 +244,11 @@ def derive_successors(presentation: Presentation) -> SuccessorTables:
 
 def _orbit(table: Mapping[str, Optional[str]], start: str) -> tuple[Optional[int], Optional[int]]:
     """Follow a table from ``start``: (steps to stop, None) or (None, period)."""
-    current, step = table[start], 1
+    current = table[start]
+    step = 1
     while current is not None and current != start:
-        current, step = table[current], step + 1
+        current = table[current]
+        step += 1
     return (step, None) if current is None else (None, step)
 
 

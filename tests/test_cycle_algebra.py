@@ -661,16 +661,21 @@ class TestTraceSymmetry:
     def test_kronecker_star(self):
         assert CycleAlgebra(kronecker_pair()).check_trace_symmetry().passed
 
-    # each listed pair is a true factorization, so only a row left out of
-    # the listing breaks symmetry.  dual [2, 1, None]: the first asymmetric
-    # entry, (0, 2), lies in a row that is hit; dual [None, 1, 0]: in a row
-    # that hits nothing
+    # every product is taken for socle(v), so each listed vertex pair passes.
+    # dual [2, 1, 1]: socle(v) also pairs with the arrow, and the first of
+    # two asymmetric entries, (0, 2), lies in a row that is hit; dual
+    # [None, 1, 0]: it lies in a row that hits nothing
     @pytest.mark.parametrize(
-        "pairs", [[(0, SOCLE_V)], [(SOCLE_V, 0)]], ids=["row-hit", "row-missed"]
+        "pairs, dual",
+        [([(0, SOCLE_V), (SOCLE_V, 1)], [2, 1, 1]), ([(SOCLE_V, 0)], [None, 1, 0])],
+        ids=["row-hit", "row-missed"],
     )
-    def test_witness_is_the_first_asymmetric_entry(self, loop_mu2_pair, pairs):
+    def test_witness_is_the_first_asymmetric_entry(self, loop_mu2_pair, pairs, dual):
         alg = CycleAlgebra(loop_mu2_pair)
-        with with_listing(alg, pairs=pairs):
+        with with_listing(alg, pairs=pairs), mock.patch.object(
+            CycleAlgebra, "_product", lambda self, i, j: SOCLE_V
+        ):
+            assert alg.gram_matrix().dual == dual
             report = alg.check_trace_symmetry()
             entries = alg.gram_matrix().entries
         assert not report.passed
