@@ -43,7 +43,7 @@ from .cycle_algebra import (
 )
 from .defining_pair import (
     DefiningPair,
-    _add_rotations,
+    _add_class,
     generate_relations,
     nilpotency_bound,
 )
@@ -114,7 +114,7 @@ def _columns(line_text: str, start: int = 0) -> list[int]:
 
 
 def parse_document(text: str) -> InputDocument:
-    """Parse a document; definingpair sections are rotation-closed on load.
+    """Parse a document; a definingpair section's cycles are rotation classes.
 
     Each line is read once, by :data:`LINE_FORMS`, and judged as it is read,
     so a line's own fault is reported, with its number, before any later
@@ -128,8 +128,7 @@ def parse_document(text: str) -> InputDocument:
     arrow_lines: dict[str, int] = {}
     zeros: list[Path] = []
     equals: list[tuple[Path, Path]] = []
-    cycles: dict[tuple[str, ...], Path] = {}
-    mults: dict[tuple[str, ...], int] = {}
+    classes: dict[tuple[str, ...], tuple[Path, int]] = {}
 
     try:
         for number, raw in enumerate(text.splitlines(), start=1):
@@ -240,7 +239,7 @@ def parse_document(text: str) -> InputDocument:
                 cycle = q.path(names)
                 if mult < 1:
                     raise ParseError(f"multiplicity must be positive, got {mult}", number)
-                _add_rotations(cycles, mults, q, cycle, mult)
+                _add_class(classes, q, cycle, mult)
     except ParseError:
         raise
     except ValueError as exc:
@@ -256,7 +255,7 @@ def parse_document(text: str) -> InputDocument:
     if section == "presentation":
         presentation = Presentation._trusted(q, tuple(zeros), tuple(equals), nilpotency)
         return InputDocument(q, presentation=presentation)
-    return InputDocument(q, pair=DefiningPair._trusted(q, cycles.values(), mults))
+    return InputDocument(q, pair=DefiningPair._trusted(q, classes.values()))
 
 
 def render_pair_document(pair: DefiningPair) -> str:
@@ -431,9 +430,8 @@ def _cmd_verify_quotient(document: InputDocument, max_paths: int) -> CommandResu
     }
     try:
         dim, dim_star = certificate.dimensions(max_paths)
-        report.add(
-            "dimension-dominates", dim <= dim_star, f"{dim} <= {dim_star}"
-        )
+        dominates = dim <= dim_star
+        report.add("dimension-dominates", dominates, f"{dim} {'<=' if dominates else '>'} {dim_star}")
         data["dimension"] = dim
         data["dimension_star"] = dim_star
     except OracleBudgetError as exc:

@@ -32,7 +32,7 @@ from operator import add, mod, sub
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
-from .quiver import MonomialAutomaton, Path, Quiver, _path, _power
+from .quiver import MonomialAutomaton, Path, Quiver, _path
 from .report import Report
 
 if TYPE_CHECKING:
@@ -131,16 +131,15 @@ def closed_form_dimension(pair: DefiningPair) -> int:
     """Dimension of the algebra of a valid cycle system, from its rotation
     classes alone: |V| + |V on a cycle| + the sum over classes of
     l(mu l - 1), for a class of length l and multiplicity mu."""
-    # in a valid system the rotations of a cycle, and only they, share its arrows
-    classes = {frozenset(c.arrows): c for c in pair.cycles}.values()
-    carrying = {v for cycle in classes for v in cycle.vertices}
-    on_cycles = sum(len(c) * (pair.mu(c) * len(c) - 1) for c in classes)
+    classes = pair.rotation_class_representatives()
+    carrying = {v for cycle, _ in classes for v in cycle.vertices}
+    on_cycles = sum(len(c) * (mu * len(c) - 1) for c, mu in classes)
     return len(pair.quiver.vertices) + len(carrying) + on_cycles
 
 
-# The basis by index past the |V| idempotents: each proper path as its cycle's
-# position in pair.cycles and its length, then from first_socle on the socles, in
-# vertex order; by a cycle's first arrow, its full power's length and 1-arrow prefix.
+# The basis by index past the |V| idempotents: each proper path as its rotation's
+# first arrow and its length, then from first_socle on the socles, in vertex
+# order; by a rotation's first arrow, its full power's length and 1-arrow prefix.
 _Layout = namedtuple("_Layout", "cycle length full_length start socles socle_at first_socle")
 
 
@@ -169,33 +168,34 @@ class CycleAlgebra:
         pair = self.pair
         full_length: dict[str, int] = {}
         start: dict[str, int] = {}
-        cycles, lengths = [], []
+        heads, lengths = [], []
         size = len(pair.quiver.vertices)
-        for c, cycle in enumerate(pair.cycles):
-            length = pair.mu(cycle) * len(cycle)
-            full_length[cycle.arrows[0]] = length
-            start[cycle.arrows[0]] = size
-            cycles.extend([c] * (length - 1))
+        for head in pair._place:
+            cycle, _, mu = pair._start(head)
+            length = mu * len(cycle)
+            full_length[head] = length
+            start[head] = size
+            heads.extend([head] * (length - 1))
             lengths.extend(range(1, length))
             size += length - 1
-        carrying = {c.source for c in pair.cycles}
-        socles = [v for v in pair.quiver.vertices if v in carrying]
+        # every arrow lies on a cycle, so a vertex carries one when an arrow leaves it
+        socles = [v for v in pair.quiver.vertices if pair.quiver._out[v]]
         if size + len(socles) != self.dimension:
             raise RuntimeError(
                 f"the basis has {size + len(socles)} elements but the closed form "
                 f"counts {self.dimension}; this is an engine bug"
             )
         socle_at = {v: s for s, v in enumerate(socles, size)}
-        return _Layout(cycles, lengths, full_length, start, socles, socle_at, size)
+        return _Layout(heads, lengths, full_length, start, socles, socle_at, size)
 
     @cached_property
     def _basis(self) -> list[BasisElement]:
         layout = self._layout
         basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
-        fulls = [_power(c, self.pair.mu(c)) for c in self.pair.cycles]
+        fulls = {head: self.pair._full_power(head) for head in layout.start}
         basis.extend(
-            OnCyclePath(_path(fulls[c].arrows[:k], fulls[c].vertices[: k + 1]))
-            for c, k in zip(layout.cycle, layout.length)
+            OnCyclePath(_path(fulls[h].arrows[:k], fulls[h].vertices[: k + 1]))
+            for h, k in zip(layout.cycle, layout.length)
         )
         basis.extend(Socle(v) for v in layout.socles)
         assert len(basis) == self.dimension
@@ -209,8 +209,8 @@ class CycleAlgebra:
         """The source and target vertex of basis element i, from the layout."""
         n, layout = len(self.pair.quiver.vertices), self._layout
         if n <= i < layout.first_socle:
-            cycle = self.pair.cycles[layout.cycle[i - n]]
-            return cycle.source, cycle.vertices[layout.length[i - n] % len(cycle)]
+            cycle, p, _ = self.pair._start(layout.cycle[i - n])
+            return cycle.vertices[p], cycle.vertices[(p + layout.length[i - n]) % len(cycle)]
         v = self.pair.quiver.vertices[i] if i < n else layout.socles[i - layout.first_socle]
         return v, v
 
@@ -245,9 +245,9 @@ class CycleAlgebra:
 
     def _product(self, i: int, j: int) -> int | None:
         """The index of x_i x_j, or None when it vanishes.  A proper basis
-        element (c, k) walks k arrows along cycle c, so (c, k) (c', m)
-        survives only when c' starts with the arrow after the k-th arrow of
-        c, up to the full power of c."""
+        element (h, k) walks k arrows along the rotation that starts with h,
+        so (h, k) (h', m) survives only when h' is the arrow after its k-th
+        arrow, up to the full power of that rotation."""
         n = len(self.pair.quiver.vertices)
         cycle_of, length_of, full_length, start, _, socle_at, first_socle = self._layout
         if i < n or j < n:
@@ -255,15 +255,14 @@ class CycleAlgebra:
         if i >= first_socle or j >= first_socle:
             # full powers already have maximal surviving length
             return None
-        cycles = self.pair.cycles
-        cycle, k = cycles[cycle_of[i - n]], length_of[i - n]
-        following = self.pair.next_arrow[cycle.arrows[(k - 1) % len(cycle.arrows)]]
-        if cycles[cycle_of[j - n]].arrows[0] != following:
+        head, k = cycle_of[i - n], length_of[i - n]
+        cycle, p, _ = self.pair._start(head)
+        if cycle_of[j - n] != self.pair.next_arrow[cycle.arrows[(p + k - 1) % len(cycle)]]:
             return None
-        length, full = k + length_of[j - n], full_length[cycle.arrows[0]]
+        length, full = k + length_of[j - n], full_length[head]
         if length == full:
-            return socle_at[cycle.source]
-        return start[cycle.arrows[0]] + length - 1 if length < full else None
+            return socle_at[cycle.vertices[p]]
+        return start[head] + length - 1 if length < full else None
 
     def _listing(self) -> tuple[list[tuple[int, int]], list[int]]:
         """The index pairs (i, j) with x_i x_j a socle: e(v) with socle(v) both
@@ -273,10 +272,10 @@ class CycleAlgebra:
         layout = self._layout
         vertex_pairs = [(i, layout.socle_at.get(v, i)) for i, v in enumerate(self.pair.quiver.vertices)]
         columns: list[int] = []
-        for cycle in self.pair.cycles:
-            arrows = cycle.arrows
-            full = layout.full_length[arrows[0]]
-            rotations = map(layout.start.__getitem__, (arrows * (full // len(arrows)))[1:])
+        for head, full in layout.full_length.items():
+            cycle, p, _ = self.pair._start(head)
+            walk = cycle.arrows * (full // len(cycle) + 1)
+            rotations = map(layout.start.__getitem__, walk[p + 1 : p + full])
             columns += map(add, rotations, range(full - 2, -1, -1))
         return vertex_pairs + [(s, i) for i, s in vertex_pairs if s != i], columns
 
@@ -304,24 +303,22 @@ class CycleAlgebra:
             k = self._product(i, j)
             if k is None or k < first_socle and not i == j == k:
                 off.append((i, j))
-        # per cycle, the arrow after each of its arrows, None where its
-        # source has no socle index
-        cycles = self.pair.cycles
-        after: list[list[str | None]] = []
-        for c in cycles:
-            if layout.socle_at.get(c.source, -1) >= first_socle:
-                after.append(list(map(self.pair.next_arrow.__getitem__, c.arrows)))
+        # by the next-arrow map, the arrow after each row's last one, or None
+        # where the row's rotation starts at a vertex without a socle index
+        following = self.pair.next_arrow.__getitem__
+        want_heads: list[str | None] = []
+        for head, full in layout.full_length.items():
+            cycle, p, _ = self.pair._start(head)
+            if layout.socle_at.get(cycle.vertices[p], -1) >= first_socle:
+                want_heads += map(following, (cycle.arrows * (full // len(cycle) + 1))[p : p + full - 1])
             else:
-                after.append([None] * len(c))
-        want_heads = [after[c][(k - 1) % len(after[c])] for c, k in zip(layout.cycle, layout.length)]
-        heads = [c.arrows[0] for c in cycles]
-        row_heads = list(map(heads.__getitem__, layout.cycle))
-        fulls = map(layout.full_length.__getitem__, row_heads)
+                want_heads += [None] * (full - 1)
+        fulls = map(layout.full_length.__getitem__, layout.cycle)
         want_lengths = list(map(sub, fulls, layout.length))
         # each index's cycle head and length, None off the proper block
         pad = [None] * n
         tail = [None] * len(layout.socles)
-        head_at = pad + row_heads + tail
+        head_at = pad + layout.cycle + tail
         length_at = pad + layout.length + tail
         got_heads = list(map(head_at.__getitem__, columns))
         got_lengths = list(map(length_at.__getitem__, columns))
@@ -383,18 +380,20 @@ class CycleAlgebra:
 
     def cartan_matrix(self) -> CartanMatrix:
         """Counts of basis elements by (source, target) vertex pair, in one pass
-        over the layout: a proper element (c, k) runs k arrows along cycle c."""
+        over the layout: a proper element (h, k) runs k arrows along the
+        rotation that starts with h."""
         vertices = self.pair.quiver.vertices
         layout = self._layout
-        cycles = self.pair.cycles
         position = {v: i for i, v in enumerate(vertices)}
         entries = [[0] * len(vertices) for _ in vertices]
         for v in [*vertices, *layout.socles]:
             entries[position[v]][position[v]] += 1
-        periods = [len(c) for c in cycles]
+        periods = {head: len(self.pair._start(head)[0]) for head in layout.start}
         steps = map(mod, layout.length, map(periods.__getitem__, layout.cycle))
-        for (c, k), count in Counter(zip(layout.cycle, steps)).items():
-            entries[position[cycles[c].source]][position[cycles[c].vertices[k]]] += count
+        for (head, k), count in Counter(zip(layout.cycle, steps)).items():
+            cycle, p, _ = self.pair._start(head)
+            source, target = cycle.vertices[p], cycle.vertices[(p + k) % len(cycle)]
+            entries[position[source]][position[target]] += count
         return CartanMatrix(vertices, entries)
 
     def check_multiserial(self) -> Report:

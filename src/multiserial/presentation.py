@@ -142,18 +142,29 @@ class SuccessorTables:
 
     @cached_property
     def orbits(self) -> Mapping[str, OrbitData]:
-        """Both maps iterated at every arrow, each orbit classified.
+        """Every orbit walked once, each arrow classified by its place on it.
 
         The constructor refuses tables that are not mutually inverse, so
-        sigma is a partial injection with inverse tau: an orbit stops or
-        returns within the arrow count, stops forward exactly when it stops
-        backward, and has one period under both maps."""
+        sigma is a partial injection with inverse tau: from an arrow, tau
+        stops or returns within the arrow count.  A return closes a cycle,
+        whose length is the period of each of its arrows; a stop is the
+        first arrow of a chain, which sigma follows to its end, and the
+        arrow at index i of a chain of m arrows stops i + 1 steps backwards
+        and m - i forwards."""
         out: dict[str, OrbitData] = {}
-        for name in sorted(self.quiver.arrows):
-            forward_stop, period = _orbit(self.sigma, name)
-            backward_stop = _orbit(self.tau, name)[0]
-            out[name] = OrbitData(forward_stop, backward_stop, period)
-        return MappingProxyType(out)
+        for name in (a.name for a in self.quiver._by_name):
+            if name in out:
+                continue
+            first = name
+            while (before := self.tau[first]) is not None and before != name:
+                first = before
+            orbit = [first]
+            while (after := self.sigma[orbit[-1]]) is not None and after != first:
+                orbit.append(after)
+            period = len(orbit) if before is not None else None
+            for i, a in enumerate(orbit):
+                out[a] = OrbitData(period=period) if period else OrbitData(len(orbit) - i, i + 1)
+        return MappingProxyType({a.name: out[a.name] for a in self.quiver._by_name})
 
     @cached_property
     def maximal_paths(self) -> tuple[Path, ...]:
@@ -240,16 +251,6 @@ def derive_successors(presentation: Presentation) -> SuccessorTables:
     be single-valued.  Returns the cached :attr:`Presentation.tables`.
     """
     return presentation.tables
-
-
-def _orbit(table: Mapping[str, Optional[str]], start: str) -> tuple[Optional[int], Optional[int]]:
-    """Follow a table from ``start``: (steps to stop, None) or (None, period)."""
-    current = table[start]
-    step = 1
-    while current is not None and current != start:
-        current = table[current]
-        step += 1
-    return (step, None) if current is None else (None, step)
 
 
 def _walk(tables: SuccessorTables, start: str, end: Optional[str]) -> Path:

@@ -182,9 +182,9 @@ class QuotientCertificate:
         from the cover's rotation classes without building its basis, and
         confirmed by the oracle on the cover's relations; both relation sets
         skip the oracle's border, as they were checked where they entered or
-        built by the engine.  The cover always dominates; a disagreement
-        of the two routes, or a presented dimension above the cover's,
-        raises :class:`RuntimeError` as an engine bug.
+        built by the engine.  A disagreement of the two routes to the
+        cover's raises :class:`RuntimeError` as an engine bug; whether the
+        cover dominates is the caller's verdict.
         """
         dim = _presented_dimension(self.presentation, max_paths)
         dim_star = CycleAlgebra(self.pair, max_paths).dimension
@@ -193,11 +193,6 @@ class QuotientCertificate:
             raise RuntimeError(
                 f"closed-form dimension {dim_star} disagrees with the oracle "
                 f"{oracle_star}; this is an engine bug"
-            )
-        if dim > dim_star:
-            raise RuntimeError(
-                f"presented dimension {dim} exceeds the cover's {dim_star}; "
-                "the collapse map cannot be surjective, this is an engine bug"
             )
         return dim, dim_star
 
@@ -218,10 +213,14 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     Quadratic generators either contain a return arrow or map to a
     composition already declared dead; the other generators either contain
     a return arrow or map to paths at least as long as the nilpotency
-    bound.  Each is judged from the cover's generator index and cycles, and
-    no relation path is built: a full power once, from its cycle, a binomial
-    from its two powers' verdicts, an overrun as its cycle's arrows at
-    length mu*L + 1.  :attr:`QuotientCertificate.entries` builds the text
+    bound.  Each is judged from the cover's generator index and rotation
+    classes, and no relation path is built: a class of the cover closes at
+    most one maximal path, so it holds at most one return arrow, and the
+    verdicts on its full powers and overruns depend only on that arrow and
+    on whether mu*L and mu*L + 1 reach the bound.  So each is decided once
+    per class, and repeated for the class's rotations, in rotation order; a
+    binomial takes its two powers' verdicts.
+    :attr:`QuotientCertificate.entries` builds the text
     on first read.  The generator index is the one gate on the cover's
     axioms, which its construction makes hold.  An uncertifiable generator
     is reported, not raised, but would indicate an engine or input-contract bug.
@@ -235,9 +234,12 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
             return KILLED_BY_STAR_ARROW, next(a for a in arrows if a in returns)
         return (LONG_PATH if length >= presentation.nilpotency else UNCERTIFIED), None
 
-    power = [verdict(c.arrows, pair.mu(c) * len(c.arrows)) for c in pair.cycles]
-    type1 = [(power[i], power[j]) for i, j in index1]
-    type2 = [verdict(c.arrows, pair.mu(c) * len(c.arrows) + 1) for c in pair.cycles]
+    classes = pair.rotation_class_representatives()
+    power = [verdict(c.arrows, mu * len(c)) for c, mu in classes]
+    overrun = [verdict(c.arrows, mu * len(c) + 1) for c, mu in classes]
+    place = pair._place
+    type1 = [(power[place[a][0]], power[place[b][0]]) for a, b in index1]
+    type2 = [overrun[k] for k, _ in place.values()]
     # a dead quadratic is a path of the base, so it holds no return arrow
     dead = presentation._quadratic
     type3 = [

@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import time
-from collections import Counter
+from dataclasses import asdict
 from pathlib import Path as FilePath
 from unittest import mock
 
@@ -36,7 +36,8 @@ from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
 )
-from test_defining_pair import spy_on_derivation
+from test_defining_pair import rotations, spy_on_derivation
+from test_presentation import reference_orbits, spy_on_orbits
 
 # The package exports the function ``symmetrize`` under the module's name.
 symmetrize_module = importlib.import_module("multiserial.symmetrize")
@@ -202,7 +203,7 @@ class TestParse:
         """
         document = parse_document(text)
         assert document.kind == "definingpair"
-        assert {c.arrows for c in document.pair.cycles} == {("a", "b"), ("b", "a")}
+        assert [c.arrows for c, _ in rotations(document.pair)] == [("a", "b"), ("b", "a")]
 
     def test_undeclared_vertex_names_the_culprit(self):
         text = "[quiver]\nvertices = 1\narrow a = 1 -> 9\n"
@@ -618,15 +619,16 @@ class TestMainExitCodes:
         assert code == 2
         assert "needs a presentation document" in err
 
-    def test_presented_dimension_above_the_cover_exits_two(self, capsys):
-        # only an engine bug can make the presented algebra the larger one
+    def test_presented_dimension_above_the_cover_exits_one(self, capsys):
+        # a presented algebra larger than its cover is a failed verdict that
+        # names both dimensions, not a fault
         with mock.patch.object(symmetrize_module, "_presented_dimension", return_value=99):
             code, out, err = self.run(
                 capsys, "verify-quotient", str(FIXTURES / "a3_gentle.alg")
             )
-        assert code == 2
-        assert out == ""
-        assert "presented dimension 99 exceeds the cover's" in err
+        assert code == 1
+        assert err == ""
+        assert "[FAIL] dimension-dominates: 99 > 18" in out.splitlines()
 
     def test_validate_on_a_huge_bound_is_budgeted(self, capsys, tmp_path):
         doc = tmp_path / "huge_bound.alg"
@@ -728,19 +730,16 @@ class TestMainOutputs:
         assert payload["data"]["maximal_paths"] == [["a"], ["b"]]
 
     def test_sigma_tau_computes_orbit_data_once(self, capsys):
-        # one _orbit call per arrow for sigma and one for tau, though the run
-        # reads the orbits twice, once in its checks and once in its data
+        # one derivation of the orbits, though the run reads them twice, once
+        # in its checks and once in its data
         for fixture in ("a3_gentle.alg", "two_cycle.alg"):
-            with mock.patch.object(
-                presentation_module, "_orbit", wraps=presentation_module._orbit
-            ) as spy:
+            with spy_on_orbits() as spy:
                 code = main(["sigma-tau", str(FIXTURES / fixture), "--json"])
             data = json.loads(capsys.readouterr().out)["data"]
             assert code == 0 and data["orbits"]
-            # two tables, sigma and tau, each followed once from every arrow
-            calls = Counter((id(c.args[0]), c.args[1]) for c in spy.call_args_list)
-            assert len({table for table, _ in calls}) == 2 and set(calls.values()) == {1}
-            assert Counter(a for _, a in calls) == {a: 2 for a in data["sigma"]}
+            assert spy.call_count == 1
+            tables = parse_document((FIXTURES / fixture).read_text()).presentation.tables
+            assert data["orbits"] == {a: asdict(o) for a, o in reference_orbits(tables).items()}
 
     @pytest.mark.parametrize("name", ["a3_gentle.alg", "two_cycle.alg", "random"])
     def test_each_maximal_path_and_cycle_is_walked_once(self, name):

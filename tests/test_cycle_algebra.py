@@ -32,10 +32,11 @@ from multiserial import (
 from multiserial import cycle_algebra
 from multiserial import defining_pair as defining_pair_module
 from multiserial import quiver as quiver_module
+from multiserial.cli import render_pair_document
 from multiserial.quiver import MonomialAutomaton, _path
 from multiserial.report import Report
-from test_defining_pair import spy_on_derivation
-from test_quiver import compose, length_two_paths
+from test_defining_pair import rotations, spy_on_derivation
+from test_quiver import compose, cycle_power, length_two_paths
 from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_defining_pair,
@@ -164,7 +165,7 @@ def reference_dual(alg: CycleAlgebra) -> list:
     for i, v in enumerate(vertices):
         s = layout.socle_at.get(v, i)
         listed += [(i, s), (s, i)] if s != i else [(i, i)]
-    for cycle in alg.pair.cycles:
+    for cycle, _ in rotations(alg.pair):
         length = layout.full_length[cycle.arrows[0]]
         start = layout.start[cycle.arrows[0]]
         for k in range(1, length):
@@ -1256,7 +1257,8 @@ def test_a_built_pair_checks_no_cycle_for_simplicity_again(two_cycle_mu3_pair, d
     else:
         drawn = tractable_defining_pair(random.Random(draw))
         # a fresh pair, since the draw derived its axioms already
-        pair = DefiningPair(drawn.quiver, drawn.cycles, {c.arrows: drawn.mu(c) for c in drawn.cycles})
+        stored = rotations(drawn)
+        pair = DefiningPair(drawn.quiver, [c for c, _ in stored], {c.arrows: mu for c, mu in stored})
     spy = mock.Mock(wraps=quiver_module.is_simple_cycle)
     with mock.patch.object(quiver_module, "is_simple_cycle", spy), mock.patch.object(
         defining_pair_module, "is_simple_cycle", spy
@@ -1268,3 +1270,109 @@ def test_a_built_pair_checks_no_cycle_for_simplicity_again(two_cycle_mu3_pair, d
         with pytest.raises(ValueError, match="not a simple cycle"):
             canonical_rotation(pair.quiver.trivial_path(pair.quiver.vertices[0]))
     assert spy.call_count == 1
+
+
+class AllRotations:
+    """A cycle system as every rotation of every class, each a full path,
+    derived the way a system storing its rotations derives its facts: the
+    reference the class-keyed system is held against."""
+
+    def __init__(self, pair: DefiningPair) -> None:
+        self.quiver = pair.quiver
+        self.cycles = [c for c, _ in rotations(pair)]
+        self.mult = {c.arrows: mu for c, mu in rotations(pair)}
+        self.fulls = [cycle_power(c, self.mult[c.arrows]) for c in self.cycles]
+
+    def next_arrow(self) -> dict[str, str]:
+        return {c.arrows[0]: c.arrows[1 % len(c)] for c in self.cycles}
+
+    def relations(self) -> tuple:
+        at: dict[str, list[int]] = {v: [] for v in self.quiver.vertices}
+        for i, c in enumerate(self.cycles):
+            at[c.source].append(i)
+        pairs = [(i, j) for at_v in at.values() for i, j in product(at_v, at_v) if i < j]
+        on_cycle = {(c.arrows[k], c.arrows[(k + 1) % len(c)]) for c in self.cycles for k in range(len(c))}
+        return (
+            tuple((self.fulls[i], self.fulls[j]) for i, j in pairs),
+            tuple(compose(f, Path(f.arrows[:1], f.vertices[:2])) for f in self.fulls),
+            tuple(p for p in length_two_paths(self.quiver) if p.arrows not in on_cycle),
+        )
+
+    def dimension(self) -> int:
+        classes = {frozenset(c.arrows): c for c in self.cycles}.values()
+        carrying = {v for c in classes for v in c.vertices}
+        on_cycles = sum(len(c) * (self.mult[c.arrows] * len(c) - 1) for c in classes)
+        return len(self.quiver.vertices) + len(carrying) + on_cycles
+
+    def basis(self) -> list:
+        proper = [
+            OnCyclePath(Path(f.arrows[:k], f.vertices[: k + 1]))
+            for f in self.fulls for k in range(1, len(f))
+        ]
+        carrying = {c.source for c in self.cycles}
+        return [
+            *(Idempotent(v) for v in self.quiver.vertices),
+            *proper,
+            *(Socle(v) for v in self.quiver.vertices if v in carrying),
+        ]
+
+    def dual(self) -> list:
+        """F[:k] pairs with F[k:], e(v) with socle(v), and e(v) with itself
+        where v carries no arrow, by element, then read as indices."""
+        basis = self.basis()
+        index = {x: i for i, x in enumerate(basis)}
+        partner = {}
+        for f in self.fulls:
+            for k in range(1, len(f)):
+                rest = Path(f.arrows[k:], f.vertices[k:])
+                partner[OnCyclePath(Path(f.arrows[:k], f.vertices[: k + 1]))] = OnCyclePath(rest)
+        for v in self.quiver.vertices:
+            socle = Socle(v) if Socle(v) in index else Idempotent(v)
+            partner[Idempotent(v)], partner[socle] = socle, Idempotent(v)
+        return [index[partner[x]] for x in basis]
+
+    def cartan(self) -> list[list[int]]:
+        position = {v: i for i, v in enumerate(self.quiver.vertices)}
+        entries = [[0] * len(position) for _ in position]
+        for x in self.basis():
+            entries[position[x.source]][position[x.target]] += 1
+        return entries
+
+    def document(self) -> str:
+        classes = sorted({canonical_rotation(c).arrows: canonical_rotation(c) for c in self.cycles}.items())
+        lines = ["[quiver]", "vertices = " + " ".join(self.quiver.vertices)]
+        lines += [f"arrow {a.name} = {a.source} -> {a.target}" for a in self.quiver.arrows.values()]
+        lines += ["", "[definingpair]"]
+        lines += [f"cycle = {' '.join(k)} | mult = {self.mult[k]}" for k, _ in classes]
+        return "\n".join(lines) + "\n"
+
+
+@given(
+    st.sampled_from(["tractable", "presentation", "radical-square-zero", "sixteen-arrow"]),
+    st.integers(0, 10**9),
+)
+@example("presentation", 6)
+@example("radical-square-zero", 6)
+@example("sixteen-arrow", 0)
+@settings(max_examples=80, deadline=None)
+def test_class_keyed_system_matches_the_all_rotations_reference(kind, seed):
+    # seed 6 draws covers with a vertex without arrows; a cover of up to 16
+    # arrows declares a10 before a2, so its rotation order, by name, is not
+    # the order its quiver declares the arrows in
+    if kind == "sixteen-arrow":
+        pair = symmetrize(random_presentation(random.Random(seed), 4, 16, 3))
+        if seed == 0:
+            assert list(pair.quiver.arrows) != sorted(pair.quiver.arrows)
+    else:
+        pair = draw_cover(kind, seed)
+    reference = AllRotations(pair)
+    assert [pair._full_power(c.arrows[0]) for c in reference.cycles] == reference.fulls
+    assert pair.next_arrow == reference.next_arrow()
+    relations = pair.relations
+    assert (relations.type1, relations.type2, relations.type3) == reference.relations()
+    assert closed_form_dimension(pair) == reference.dimension()
+    alg = CycleAlgebra(pair)
+    assert alg.basis == reference.basis()
+    assert alg.gram_matrix().dual == reference.dual()
+    assert alg.cartan_matrix().entries == reference.cartan()
+    assert render_pair_document(pair) == reference.document()

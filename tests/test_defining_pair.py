@@ -23,7 +23,8 @@ from multiserial import (
 from multiserial import defining_pair as defining_pair_module
 from multiserial import quiver as quiver_module
 from multiserial.random_instances import random_defining_pair, random_presentation
-from test_quiver import length_two_paths, lies_in, rotations
+from test_quiver import length_two_paths, lies_in
+from test_quiver import rotations as cycle_rotations
 
 
 @contextlib.contextmanager
@@ -37,37 +38,53 @@ def spy_on_derivation(name: str):
         yield spy
 
 
+def rotations(pair: DefiningPair) -> list[tuple[Path, int]]:
+    """Every rotation of every class with its multiplicity, by arrows: the
+    cycles a system storing all its rotations would hold, and, for a valid
+    system, its rotation order, which the relations and the basis follow."""
+    return sorted(
+        ((r, mu) for c, mu in pair.rotation_class_representatives() for r in cycle_rotations(c)),
+        key=lambda rotation: rotation[0].arrows,
+    )
+
+
+def reference_refusal(cycles: dict, mult: dict) -> str | None:
+    """The constructor's refusal of a list of cycles, by enumerating every
+    rotation of every cycle: one missing from the list, or weighted unlike
+    its cycle, named with the cycle; None when the list is closed and evenly
+    weighted."""
+    stored = [cycles[k] for k in sorted(cycles)]
+    missing = [
+        f"{r} (rotation of {c})" for c in stored for r in cycle_rotations(c) if r.arrows not in cycles
+    ]
+    if missing:
+        return "cycles not closed under rotation: " + "; ".join(missing)
+    uneven = [
+        f"{c} has {mult[c.arrows]}, rotation {r} has {mult[r.arrows]}"
+        for c in stored
+        for r in cycle_rotations(c)
+        if mult[r.arrows] != mult[c.arrows]
+    ]
+    if uneven:
+        return "multiplicity not constant on a rotation class: " + "; ".join(uneven)
+    return None
+
+
 def reference_validate(pair: DefiningPair) -> Report:
     """The rotation-enumerating form of :func:`validate`, kept as the
     reference its class-keyed report must equal, witnesses and order
-    included; it costs O(L^4) on one rotation class of length L."""
+    included."""
     report = Report("cycle-system-axioms")
+    stored = rotations(pair)
 
-    bad_loops = [
-        str(c) for c in pair.cycles if len(c) == 1 and pair.mu(c) == 1
-    ]
+    bad_loops = [str(c) for c, mu in stored if len(c) == 1 and mu == 1]
     report.add(
         "loop-multiplicity",
         not bad_loops,
         "" if not bad_loops else "loops need multiplicity > 1: " + ", ".join(bad_loops),
     )
 
-    present = {c.arrows for c in pair.cycles}
-    missing_rotations = []
-    for c in pair.cycles:
-        for r in rotations(c):
-            if r.arrows not in present:
-                missing_rotations.append(f"{r} (rotation of {c})")
-    report.add("rotation-closure", not missing_rotations, "; ".join(missing_rotations))
-
-    uneven = []
-    for c in pair.cycles:
-        for r in rotations(c):
-            if r.arrows in present and pair.mu(r) != pair.mu(c):
-                uneven.append(f"{c} has {pair.mu(c)}, rotation {r} has {pair.mu(r)}")
-    report.add("class-multiplicity", not uneven, "; ".join(uneven))
-
-    covered = {a for c in pair.cycles for a in c.arrows}
+    covered = {a for c, _ in stored for a in c.arrows}
     uncovered = sorted(set(pair.quiver.arrows) - covered)
     report.add(
         "arrow-coverage",
@@ -77,8 +94,8 @@ def reference_validate(pair: DefiningPair) -> Report:
 
     conflicts = []
     class_of: dict[str, frozenset[tuple[str, ...]]] = {}
-    for c in pair.cycles:
-        rotation_set = frozenset(r.arrows for r in rotations(c))
+    for c, _ in stored:
+        rotation_set = frozenset(r.arrows for r in cycle_rotations(c))
         for a in c.arrows:
             seen = class_of.setdefault(a, rotation_set)
             if seen != rotation_set:
@@ -96,12 +113,13 @@ def reference_validate(pair: DefiningPair) -> Report:
 CORRUPTIONS = ("drop-rotation", "change-multiplicity", "second-class", "loop-multiplicity-one")
 
 
-def corrupt(pair: DefiningPair, rng: random.Random, kinds) -> DefiningPair:
-    """``pair`` with the named corruptions applied in ``CORRUPTIONS`` order."""
+def corrupt(pair: DefiningPair, rng: random.Random, kinds) -> tuple[Quiver, dict, dict]:
+    """The quiver, cycles and multiplicities of ``pair``, every rotation
+    listed, with the named corruptions applied in ``CORRUPTIONS`` order."""
     vertices = list(pair.quiver.vertices)
     arrows = [(a.name, a.source, a.target) for a in pair.quiver.arrows.values()]
-    cycles = {c.arrows: c for c in pair.cycles}
-    mult = {k: pair.mu(c) for k, c in cycles.items()}
+    cycles = {c.arrows: c for c, _ in rotations(pair)}
+    mult = {c.arrows: mu for c, mu in rotations(pair)}
     if "drop-rotation" in kinds:
         dropped = rng.choice(sorted(cycles))
         del cycles[dropped], mult[dropped]
@@ -117,7 +135,7 @@ def corrupt(pair: DefiningPair, rng: random.Random, kinds) -> DefiningPair:
             names += [name, f"z{i}"]
             stops += [source, target]
         cycle = Path(tuple(names), tuple(stops) + (stops[0],))
-        for c in rotations(cycle)[: rng.randint(1, len(names))]:
+        for c in cycle_rotations(cycle)[: rng.randint(1, len(names))]:
             cycles[c.arrows], mult[c.arrows] = c, 2
     if "loop-multiplicity-one" in kinds:
         loops = sorted(k for k in cycles if len(k) == 1)
@@ -127,7 +145,7 @@ def corrupt(pair: DefiningPair, rng: random.Random, kinds) -> DefiningPair:
             v = rng.choice(vertices)
             arrows.append(("y", v, v))
             cycles[("y",)], mult[("y",)] = Path(("y",), (v, v)), 1
-    return DefiningPair(Quiver(vertices, arrows), cycles.values(), mult)
+    return Quiver(vertices, arrows), cycles, mult
 
 
 def kronecker_pair():
@@ -151,9 +169,10 @@ class TestValidate:
 
     def test_missing_rotation_fails(self, two_cycle_quiver):
         q = two_cycle_quiver
-        pair = DefiningPair(q, [q.path(["a", "b"])], {("a", "b"): 2})
-        report = validate(pair)
-        assert not report.check("rotation-closure").passed
+        with pytest.raises(
+            ValueError, match=r"^cycles not closed under rotation: b a \(rotation of a b\)$"
+        ):
+            DefiningPair(q, [q.path(["a", "b"])], {("a", "b"): 2})
 
     def test_shared_arrow_between_classes_fails(self):
         q = Quiver(
@@ -176,12 +195,16 @@ class TestValidate:
 
     def test_uneven_multiplicity_fails(self, two_cycle_quiver):
         q = two_cycle_quiver
-        pair = DefiningPair(
-            q,
-            [q.path(["a", "b"]), q.path(["b", "a"])],
-            {("a", "b"): 2, ("b", "a"): 3},
-        )
-        assert not validate(pair).check("class-multiplicity").passed
+        with pytest.raises(
+            ValueError,
+            match=r"^multiplicity not constant on a rotation class: "
+            r"a b has 2, rotation b a has 3; b a has 3, rotation a b has 2$",
+        ):
+            DefiningPair(
+                q,
+                [q.path(["a", "b"]), q.path(["b", "a"])],
+                {("a", "b"): 2, ("b", "a"): 3},
+            )
 
     def test_valid_pair_passes(self, loop_mu2_pair):
         assert validate(loop_mu2_pair).passed
@@ -206,8 +229,6 @@ class TestValidate:
         assert again.passed and not again.warnings
         assert [c.name for c in again.checks] == [
             "loop-multiplicity",
-            "rotation-closure",
-            "class-multiplicity",
             "arrow-coverage",
             "unique-class-per-arrow",
         ]
@@ -223,13 +244,11 @@ class TestCloseUnderRotation:
     def test_generates_all_rotations(self, two_cycle_quiver):
         q = two_cycle_quiver
         pair = close_under_rotation(q, [(q.path(["a", "b"]), 2)])
-        assert {c.arrows for c in pair.cycles} == {("a", "b"), ("b", "a")}
-        assert all(pair.mu(c) == 2 for c in pair.cycles)
+        assert [(c.arrows, mu) for c, mu in rotations(pair)] == [(("a", "b"), 2), (("b", "a"), 2)]
 
     def test_loop(self, loop_quiver):
         pair = close_under_rotation(loop_quiver, [(loop_quiver.path(["a"]), 3)])
-        assert [c.arrows for c in pair.cycles] == [("a",)]
-        assert pair.mu(pair.cycles[0]) == 3
+        assert [(c.arrows, mu) for c, mu in rotations(pair)] == [(("a",), 3)]
 
     def test_conflicting_multiplicities_fault(self, two_cycle_quiver):
         q = two_cycle_quiver
@@ -264,7 +283,8 @@ class TestCloseUnderRotation:
         ) as spy:
             pair = close_under_rotation(quiver, [(c, 2) for c in cycles])
         assert spy.call_count == 3
-        assert len(pair.cycles) == 12
+        assert len(pair.rotation_class_representatives()) == 3
+        assert len(rotations(pair)) == 12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_checks_each_representative_for_simplicity_once(self, seed):
@@ -272,7 +292,7 @@ class TestCloseUnderRotation:
         # rotations built from them are trusted
         presentation = random_presentation(random.Random(seed), 4, 40, 4)
         cover = symmetrize(presentation)
-        representatives = [(c, cover.mu(c)) for c in reversed(cover.cycles)]
+        representatives = list(reversed(rotations(cover)))
         spy = mock.Mock(wraps=quiver_module.is_simple_cycle)
         with mock.patch.object(quiver_module, "is_simple_cycle", spy), mock.patch.object(
             defining_pair_module, "is_simple_cycle", spy
@@ -402,7 +422,7 @@ def test_quadratics_split_into_on_cycle_and_type3(seed):
         on_cycle = {
             p.arrows
             for p in length_two_paths(pair.quiver)
-            if any(lies_in(p, c) for c in pair.cycles)
+            if any(lies_in(p, c) for c, _ in rotations(pair))
         }
         everything = {p.arrows for p in length_two_paths(pair.quiver)}
         assert type3 | on_cycle == everything
@@ -415,8 +435,19 @@ def test_quadratics_split_into_on_cycle_and_type3(seed):
 @given(st.integers(0, 10**9), st.sets(st.sampled_from(CORRUPTIONS)))
 @settings(max_examples=300, deadline=None)
 def test_validate_matches_the_rotation_enumerating_reference(seed, kinds):
+    # a list missing a rotation, or weighting a class unevenly, is refused
+    # where it enters, with the reference's witnesses; any other is a system
     rng = random.Random(seed)
-    pair = corrupt(random_defining_pair(rng), rng, kinds)
+    quiver, cycles, mult = corrupt(random_defining_pair(rng), rng, kinds)
+    refusal = reference_refusal(cycles, mult)
+    if refusal is not None:
+        with pytest.raises(ValueError) as refused:
+            DefiningPair(quiver, cycles.values(), mult)
+        assert str(refused.value) == refusal
+        assert {"drop-rotation", "change-multiplicity", "second-class"} & kinds
+        return
+    pair = DefiningPair(quiver, cycles.values(), mult)
+    assert rotations(pair) == [(cycles[k], mult[k]) for k in sorted(cycles)]
     report = validate(pair)
     assert report == reference_validate(pair)
     if "second-class" in kinds and "drop-rotation" not in kinds:
@@ -426,19 +457,22 @@ def test_validate_matches_the_rotation_enumerating_reference(seed, kinds):
 
 
 def test_validate_enumerates_rotations_of_failing_classes_only():
+    # the constructor enumerates the rotations of a refused class only, for
+    # its witness; validating a built system enumerates none
     valid = kronecker_pair()
     q = valid.quiver
-    pair = DefiningPair(
-        q,
-        [q.path(["a", "abar"]), q.path(["abar", "a"]), q.path(["b", "bbar"])],
-        {("a", "abar"): 2, ("abar", "a"): 2, ("b", "bbar"): 2},
-    )
     rotation = defining_pair_module._rotation
     with mock.patch.object(defining_pair_module, "_rotation", wraps=rotation) as spy:
         assert validate(valid).passed
         assert spy.call_count == 0
-        report = validate(pair)
-    assert report.check("rotation-closure").witness == "bbar b (rotation of b bbar)"
+        with pytest.raises(
+            ValueError, match=r"^cycles not closed under rotation: bbar b \(rotation of b bbar\)$"
+        ):
+            DefiningPair(
+                q,
+                [q.path(["a", "abar"]), q.path(["abar", "a"]), q.path(["b", "bbar"])],
+                {("a", "abar"): 2, ("abar", "a"): 2, ("b", "bbar"): 2},
+            )
     assert [(c.arrows, i) for c, i in (call.args for call in spy.call_args_list)] == [
         (("b", "bbar"), 0),
         (("b", "bbar"), 1),
@@ -450,7 +484,7 @@ def test_validate_enumerates_rotations_of_failing_classes_only():
 def test_generated_systems_validate(seed):
     pair = random_defining_pair(random.Random(seed))
     report = validate(pair)
-    loops_ok = all(len(c) > 1 or pair.mu(c) > 1 for c in pair.cycles)
+    loops_ok = all(len(c) > 1 or mu > 1 for c, mu in pair.rotation_class_representatives())
     assert report.passed == loops_ok
 
 
@@ -460,7 +494,7 @@ def test_rotation_closure_is_rotation_invariant(seed):
     pair = random_defining_pair(random.Random(seed))
     rng = random.Random(seed + 1)
     representatives = [
-        (rng.choice(rotations(c)), mult)
+        (rng.choice(cycle_rotations(c)), mult)
         for c, mult in pair.rotation_class_representatives()
     ]
     assert close_under_rotation(pair.quiver, representatives) == pair
