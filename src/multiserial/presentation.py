@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .cycle_algebra import DEFAULT_MAX_PATHS
-from .quiver import Arrow, MonomialAutomaton, Path, Quiver, canonical_rotation
+from .quiver import Arrow, MonomialAutomaton, Path, Quiver
 from .report import Report
 
 
@@ -178,13 +178,16 @@ class SuccessorTables:
 
     @cached_property
     def simple_cycles(self) -> tuple[Path, ...]:
-        """The cycles traced by the successor map, one per arrow that
-        :attr:`orbits` gives a period.
-
-        The family is closed under rotation: the cycle based at an arrow's
-        successor is the rotation of the cycle based at the arrow itself.
-        """
-        return tuple(_walk(self, a, a) for a in sorted(self.quiver.arrows) if self.orbits[a].period)
+        """One cycle per sigma-cycle, the arrows that :attr:`orbits` gives a
+        period: its canonical rotation, walked by sigma from its least
+        arrow, and sorted by arrow sequence."""
+        seen: set[str] = set()
+        cycles: list[Path] = []
+        for a in sorted(self.quiver.arrows):
+            if a not in seen and self.orbits[a].period:
+                cycles.append(_walk(self, a, a))
+                seen.update(cycles[-1].arrows)
+        return tuple(cycles)
 
 
 @dataclass(frozen=True)
@@ -265,51 +268,25 @@ def _walk(tables: SuccessorTables, start: str, end: Optional[str]) -> Path:
 def check_orbit_structure(tables: SuccessorTables) -> Report:
     """Verify the structural facts tying orbits, maximal paths and cycles.
 
-    All seven checks hold for any well-formed tables; a failure indicates
+    All three checks hold for any well-formed tables; a failure indicates
     an engine bug rather than bad input.
     """
-    q = tables.quiver
     data = tables.orbits
     maxima = tables.maximal_paths
     cycles = tables.simple_cycles
     report = Report("orbit-structure")
 
-    on_maximal = Counter(a for m in maxima for a in m.arrows)
-    on_cycle = Counter(a for c in cycles for a in c.arrows)
-    # each cycle's rotation class, numbered once from its canonical rotation
-    class_ids: dict[tuple[str, ...], int] = {}
-    class_at = {
-        c.arrows[0]: class_ids.setdefault(canonical_rotation(c).arrows, len(class_ids))
-        for c in cycles
-    }
-
-    bad = [
-        a
-        for a in sorted(q.arrows)
-        if (on_maximal[a] > 0) == (on_cycle[a] > 0)
-    ]
-    report.expect_none("arrow-partition", bad, "arrows on both or neither side")
-
-    multi = [a for a in sorted(q.arrows) if on_maximal[a] > 1]
-    report.expect_none("unique-maximal-path", multi, "arrows on several maximal paths")
-
-    incoherent = [
-        f"{a} on {c}"
-        for c in cycles
-        for a in c.arrows
-        if class_at.get(a) != class_at[c.arrows[0]]
-    ]
-    report.expect_none("cycle-rotation-coherence", incoherent)
+    on = Counter(a for p in chain(maxima, cycles) for a in p.arrows)
+    bad = [a for a in sorted(tables.quiver.arrows) if on[a] != 1]
+    report.expect_none("arrow-partition", bad, "arrows not on exactly one maximal path or cycle")
 
     bad_len = [
-        f"{c}: length {len(c)} != period {data[c.arrows[0]].period}"
+        f"{c} at {a}: length {len(c)} != period {data[a].period}"
         for c in cycles
-        if len(c) != data[c.arrows[0]].period
+        for a in c.arrows
+        if len(c) != data[a].period
     ]
     report.expect_none("cycle-length-is-period", bad_len)
-
-    repeated = [str(m) for m in maxima if len(set(m.arrows)) != len(m.arrows)]
-    report.expect_none("maximal-path-no-repeated-arrows", repeated)
 
     # The arrow at index i of m lies i + 1 steps from the stop backwards and
     # len(m) - i forwards, so its two orbit halves rebuild exactly m.
@@ -320,14 +297,6 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
         if (data[a].backward_stop, data[a].forward_stop) != (i + 1, len(m) - i)
     ]
     report.expect_none("maximal-path-determined-by-arrow", mismatched)
-
-    bad_formula = []
-    for m in maxima:
-        for a in m.arrows:
-            d = data[a]
-            if d.forward_stop is None or len(m) != d.forward_stop + d.backward_stop - 1:
-                bad_formula.append(f"{m} at {a}")
-    report.expect_none("maximal-path-length-formula", bad_formula)
 
     return report
 

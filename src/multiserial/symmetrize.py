@@ -50,10 +50,10 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     name is the reserved prefix followed by the path's concatenated arrow
     names; a clash with an existing arrow (or between two generated names)
     is a fault, since output files must be reproducible.  The cycles are
-    those traced by the successor tables plus, for each maximal path, the
-    closure of the path by its return arrow; every class carries the
-    presentation's nilpotency bound as multiplicity.  Closed once per
-    presentation and kept on it.
+    the successor tables' cycles, one per rotation class, plus, for each
+    maximal path, the closure of the path by its return arrow; every class
+    carries the presentation's nilpotency bound as multiplicity.  Closed
+    once per presentation and kept on it.
     """
     if hasattr(presentation, "_cover"):
         return presentation._cover
@@ -76,7 +76,6 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     arrow_triples = [(a.name, a.source, a.target) for a in base.arrows.values()]
     arrow_triples.extend((r, m.target, m.source) for r, m in closes.items())
     enlarged = Quiver(base.vertices, arrow_triples)
-    # the tables trace every rotation of a cycle; the closure merges them
     cycles = list(tables.simple_cycles)
     cycles.extend(_path(m.arrows + (r,), m.vertices + (m.source,)) for r, m in closes.items())
     cover = close_under_rotation(enlarged, [(c, presentation.nilpotency) for c in cycles])

@@ -37,7 +37,7 @@ from multiserial.random_instances import (
     random_presentation,
 )
 from test_defining_pair import rotations, spy_on_derivation
-from test_presentation import reference_orbits, spy_on_orbits
+from test_presentation import reference_orbits, reference_walks, spy_on_orbits
 
 # The package exports the function ``symmetrize`` under the module's name.
 symmetrize_module = importlib.import_module("multiserial.symmetrize")
@@ -757,10 +757,9 @@ class TestMainOutputs:
             assert check_orbit_structure(tables).passed
             symmetrize(presentation)
             assert run_command("sigma-tau", document).report.passed
-        # a maximal path starts where tau stops, a cycle at each periodic arrow
-        arrows = sorted(presentation.quiver.arrows)
-        starts = [(a, None) for a in arrows if tables.tau[a] is None]
-        starts += [(a, a) for a in arrows if tables.orbits[a].period]
+        # a maximal path starts where tau stops, a cycle at its least arrow
+        chains, cycles = reference_walks(tables)
+        starts = [(m.arrows[0], None) for m in chains] + [(c.arrows[0],) * 2 for c in cycles]
         assert [c.args[1:] for c in spy.call_args_list] == starts
         assert len(starts) == len(tables.maximal_paths) + len(tables.simple_cycles) > 0
 

@@ -18,6 +18,7 @@ from multiserial import (
     Path,
     Presentation,
     Quiver,
+    check_orbit_structure,
     close_under_rotation,
     closed_form_dimension,
     derive_successors,
@@ -415,26 +416,50 @@ def test_long_linear_presentation_scales():
     assert time.perf_counter() - started < 10.0
 
 
-def traced_cover_peak(n: int) -> int:
-    """Peak traced bytes of building the n-arrow line's cover and running its
-    verdict stages: the axioms, the certificate's verdicts (not its text)
-    and the closed-form dimension."""
-    presentation = line_presentation(n)
+def cycle_presentation(n: int) -> Presentation:
+    """The n-cycle quiver, nilpotency 3, no zero paths: sigma closes one
+    cycle through all n arrows, and the cover is that one rotation class
+    with multiplicity 3, on the same quiver."""
+    quiver = Quiver(
+        [str(i) for i in range(n)],
+        [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)],
+    )
+    return Presentation(quiver, (), (), 3)
+
+
+# each shape with the closed-form dimension of its n-arrow cover
+COVER_SHAPES = {
+    "line": (line_presentation, lambda n: 2 * (n + 1) + (n + 1) * (3 * n + 2)),
+    "cycle": (cycle_presentation, lambda n: n + n + n * (3 * n - 1)),
+}
+
+
+def traced_cover_peak(shape: str, n: int) -> int:
+    """Peak traced bytes of deriving an n-arrow presentation's successor
+    tables, checking their orbits, building its cover and running the
+    cover's verdict stages: the axioms, the certificate's verdicts (not its
+    text) and the closed-form dimension."""
+    make, dimension = COVER_SHAPES[shape]
+    presentation = make(n)
     tracemalloc.start()
     try:
+        assert check_orbit_structure(derive_successors(presentation)).passed
         cover = symmetrize(presentation)
         assert cover.axioms.passed
         assert verify_quotient(presentation).complete
-        assert closed_form_dimension(cover) == 2 * (n + 1) + (n + 1) * (3 * n + 2)
+        assert closed_form_dimension(cover) == dimension(n)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_line_cover_takes_linear_memory():
-    # a cover keeps one representative per rotation class, never a rotation:
-    # storing the 2,561 rotations of this one class took 109 MB
-    small, large = traced_cover_peak(1280), traced_cover_peak(2560)
+@pytest.mark.parametrize("shape", COVER_SHAPES)
+def test_line_cover_takes_linear_memory(shape):
+    # a cover keeps one representative per rotation class, never a rotation,
+    # and the tables trace one cycle per class: storing the 2,561 rotations
+    # of the line's cover took 109 MB, and tracing the 2,560 rotations of
+    # the cycle's sigma-cycle 107 MB
+    small, large = traced_cover_peak(shape, 1280), traced_cover_peak(shape, 2560)
     assert large <= 10 * 10**6
     assert large <= 2.3 * small
 
@@ -630,7 +655,7 @@ def test_cycle_complete_presentations_stay_put(seed):
     pair = symmetrize(presentation)
     assert pair.quiver == presentation.quiver
     tables = derive_successors(presentation)
-    assert [c for c, _ in rotations(pair)] == list(tables.simple_cycles)
+    assert [c for c, _ in pair.rotation_class_representatives()] == list(tables.simple_cycles)
 
 
 @given(st.integers(0, 10**9))
