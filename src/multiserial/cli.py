@@ -120,7 +120,10 @@ def parse_document(text: str) -> InputDocument:
     so a line's own fault is reported, with its number, before any later
     line's.  The quiver is built at the body section's header; each path is
     checked as :meth:`Quiver.path` builds it, each generator, bound and cycle
-    by the library's own check on it."""
+    by the library's own check on it.  A presentation's zero lines, most of
+    its lines, are matched ahead of the key dispatch, and the presentation
+    is handed over by :meth:`Presentation._judged`, so no generator or
+    bound is checked a second time."""
     section = q = nilpotency = None
     vertices: list[str] = []
     vertex_set: set[str] = set()
@@ -132,7 +135,7 @@ def parse_document(text: str) -> InputDocument:
 
     try:
         for number, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = (raw.partition("#")[0] if "#" in raw else raw).strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
@@ -160,6 +163,15 @@ def parse_document(text: str) -> InputDocument:
                 raise ParseError("content before any section header", number)
 
             head, eq, value = line.partition("=")
+            # zero lines are most of a presentation, so they are matched
+            # ahead of the key dispatch, which refuses every other zero line
+            if eq and section == "presentation" and head.rstrip() == "zero":
+                names = value.split()
+                if not names:
+                    raise ParseError("empty zero path", number)
+                zeros.append(q.path(names))
+                _check_length(zeros[-1])
+                continue
             words = head.split()
             key = words[0] if words else None
             form = forms.get(key)
@@ -168,14 +180,7 @@ def parse_document(text: str) -> InputDocument:
             if not eq or len(words) != (2 if key == "arrow" else 1):
                 raise ParseError(f"expected '{form}'", number)
 
-            # zero lines are most of a presentation, so they are matched first
-            if key == "zero":
-                names = value.split()
-                if not names:
-                    raise ParseError("empty zero path", number)
-                zeros.append(q.path(names))
-                _check_length(zeros[-1])
-            elif key == "vertices":
+            if key == "vertices":
                 names = value.split()
                 if not names:
                     raise ParseError("empty vertex list", number)
@@ -253,7 +258,7 @@ def parse_document(text: str) -> InputDocument:
     if section == "presentation" and nilpotency is None:
         raise ParseError(f"presentation section needs '{LINE_FORMS[section]['nilpotency']}'")
     if section == "presentation":
-        presentation = Presentation._trusted(q, tuple(zeros), tuple(equals), nilpotency)
+        presentation = Presentation._judged(q, tuple(zeros), tuple(equals), nilpotency)
         return InputDocument(q, presentation=presentation)
     return InputDocument(q, pair=DefiningPair._trusted(q, classes.values()))
 

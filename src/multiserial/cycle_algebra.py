@@ -593,7 +593,7 @@ def oracle_dimension(
     """
     pairs = list(relations)
     for r in pairs:
-        p = type(r) is tuple and r[1:] == (None,) and r[0]
+        p = type(r) is tuple and len(r) == 2 and r[1] is None and r[0]
         if type(p) is not Path or not 0 < len(p.arrows) < bound:
             _checked_relation(r, quiver)
     return _oracle_dimension(quiver, pairs, bound, max_paths)

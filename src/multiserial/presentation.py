@@ -54,7 +54,9 @@ class Presentation:
     generators p - q (same endpoints), and ``nilpotency`` the declared
     bound N >= 2 with every path of length >= N in the ideal.  A caller's
     presentation is a border, where each generator is checked once to be a
-    path of the quiver; the engine builds its own by :meth:`_trusted`.
+    path of the quiver; the engine builds its own by :meth:`_trusted`, and
+    the parser, which judges the bound and each generator as its line is
+    read, hands its fields over by :meth:`_judged`.
     """
 
     quiver: Quiver
@@ -67,10 +69,18 @@ class Presentation:
 
     @classmethod
     def _trusted(cls, *fields) -> Presentation:
-        """``Presentation(*fields)``, trusting its generators to be paths of its quiver."""
+        """``Presentation(*fields)``, trusting its generators to be paths of
+        its quiver; the bound, length and uniformity checks still run."""
+        presentation = cls._judged(*fields)
+        presentation._check(on_quiver=True)
+        return presentation
+
+    @classmethod
+    def _judged(cls, *fields) -> Presentation:
+        """``Presentation(*fields)`` with no check: each field has had every
+        check of :meth:`_check` where it was made."""
         presentation = cls.__new__(cls)
         vars(presentation).update(zip(cls.__dataclass_fields__, fields))
-        presentation._check(on_quiver=True)
         return presentation
 
     def _check(self, on_quiver: bool) -> None:
@@ -150,7 +160,7 @@ class SuccessorTables:
         whose length is the period of each of its arrows; a stop is the
         first arrow of a chain, which sigma follows to its end, and the
         arrow at index i of a chain of m arrows stops i + 1 steps backwards
-        and m - i forwards."""
+        and m - i forwards.  A cycle's arrows share one value."""
         out: dict[str, OrbitData] = {}
         for name in (a.name for a in self.quiver._by_name):
             if name in out:
@@ -161,9 +171,12 @@ class SuccessorTables:
             orbit = [first]
             while (after := self.sigma[orbit[-1]]) is not None and after != first:
                 orbit.append(after)
-            period = len(orbit) if before is not None else None
-            for i, a in enumerate(orbit):
-                out[a] = OrbitData(period=period) if period else OrbitData(len(orbit) - i, i + 1)
+            m = len(orbit)
+            if before is not None:
+                out.update(dict.fromkeys(orbit, _orbit_data(None, None, m)))
+            else:
+                for i, a in enumerate(orbit):
+                    out[a] = _orbit_data(m - i, i + 1, None)
         return MappingProxyType({a.name: out[a.name] for a in self.quiver._by_name})
 
     @cached_property
@@ -190,9 +203,10 @@ class SuccessorTables:
         return tuple(cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitData:
-    """Iteration statistics of the successor maps at one arrow.
+    """Iteration statistics of the successor maps at one arrow, slotted;
+    :attr:`SuccessorTables.orbits` builds its own by ``_orbit_data``.
 
     Exactly one of two shapes occurs: the forward orbit hits the stop
     marker after ``forward_stop`` steps (and the backward orbit after
@@ -202,6 +216,22 @@ class OrbitData:
     forward_stop: Optional[int] = None
     backward_stop: Optional[int] = None
     period: Optional[int] = None
+
+
+_set_forward_stop = OrbitData.forward_stop.__set__
+_set_backward_stop = OrbitData.backward_stop.__set__
+_set_period = OrbitData.period.__set__
+
+
+def _orbit_data(
+    forward_stop: Optional[int], backward_stop: Optional[int], period: Optional[int]
+) -> OrbitData:
+    """``OrbitData(forward_stop, backward_stop, period)`` through its slots."""
+    data = object.__new__(OrbitData)
+    _set_forward_stop(data, forward_stop)
+    _set_backward_stop(data, backward_stop)
+    _set_period(data, period)
+    return data
 
 
 def _surviving_compositions(
@@ -268,7 +298,7 @@ def _walk(tables: SuccessorTables, start: str, end: Optional[str]) -> Path:
 def check_orbit_structure(tables: SuccessorTables) -> Report:
     """Verify the structural facts tying orbits, maximal paths and cycles.
 
-    All three checks hold for any well-formed tables; a failure indicates
+    All four checks hold for any well-formed tables; a failure indicates
     an engine bug rather than bad input.
     """
     data = tables.orbits
@@ -279,6 +309,19 @@ def check_orbit_structure(tables: SuccessorTables) -> Report:
     on = Counter(a for p in chain(maxima, cycles) for a in p.arrows)
     bad = [a for a in sorted(tables.quiver.arrows) if on[a] != 1]
     report.expect_none("arrow-partition", bad, "arrows not on exactly one maximal path or cycle")
+
+    # each listed cycle is sigma's own, walked from its least arrow
+    sigma, off_sigma = tables.sigma, []
+    for c in cycles:
+        names = c.arrows
+        if names[0] != min(names):
+            off_sigma.append(f"{c} starts at {names[0]}, not at its least arrow {min(names)}")
+        off_sigma.extend(
+            f"{c} at {a}: sigma gives {sigma[a]}, not {b}"
+            for a, b in zip(names, names[1:] + names[:1])
+            if sigma[a] != b
+        )
+    report.expect_none("cycle-follows-sigma", off_sigma)
 
     bad_len = [
         f"{c} at {a}: length {len(c)} != period {data[a].period}"

@@ -3,7 +3,10 @@
 Arrows are identified by name, so parallel arrows and loops are allowed.
 Paths record their full vertex itinerary alongside the arrow names, which
 makes them self-contained immutable values: rotations and powers never
-have to consult the quiver again.
+have to consult the quiver again.  Arrows and paths are slotted frozen
+values that the engine builds through their slots' member descriptors
+(``_arrow``, ``_path``), past the dataclass ``__init__``; a caller's
+``Path(...)`` still checks its itinerary's length.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
+    """An arrow, slotted; a quiver builds its own by ``_arrow``."""
+
     name: str
     source: str
     target: str
@@ -59,7 +64,18 @@ class Path:
         return " ".join(self.arrows)
 
 
+_set_name = Arrow.name.__set__
+_set_source, _set_target = Arrow.source.__set__, Arrow.target.__set__
 _set_arrows, _set_vertices = Path.arrows.__set__, Path.vertices.__set__
+
+
+def _arrow(name: str, source: str, target: str) -> Arrow:
+    """``Arrow(name, source, target)`` through its slots, for a quiver's own arrows."""
+    arrow = object.__new__(Arrow)
+    _set_name(arrow, name)
+    _set_source(arrow, source)
+    _set_target(arrow, target)
+    return arrow
 
 
 def _path(arrows: tuple[str, ...], vertices: tuple[str, ...]) -> Path:
@@ -99,7 +115,7 @@ class Quiver:
                 raise ValueError(f"arrow {name!r} starts at undeclared vertex {source!r}")
             if target not in self._vertex_set:
                 raise ValueError(f"arrow {name!r} ends at undeclared vertex {target!r}")
-            self._arrows[name] = Arrow(name, source, target)
+            self._arrows[name] = _arrow(name, source, target)
         self.arrows: Mapping[str, Arrow] = MappingProxyType(self._arrows)
         self._by_name = sorted(self._arrows.values(), key=lambda a: a.name)
         self._out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
@@ -134,16 +150,20 @@ class Quiver:
         names = tuple(names)
         if not names:
             raise ValueError("a path needs at least one arrow; use trivial_path for e(v)")
-        arrow = self.arrow(names[0])
-        itinerary = [arrow.source, arrow.target]
-        for name in names[1:]:
-            arrow = self.arrow(name)
-            if arrow.source != itinerary[-1]:
-                raise ValueError(
-                    f"arrows do not compose: {name!r} starts at {arrow.source!r}, "
-                    f"previous arrow ends at {itinerary[-1]!r}"
-                )
-            itinerary.append(arrow.target)
+        # one lookup per arrow, in order; the first arrow composes trivially
+        arrows = self._arrows
+        try:
+            itinerary = [arrows[names[0]].source]
+            for name in names:
+                arrow = arrows[name]
+                if arrow.source != itinerary[-1]:
+                    raise ValueError(
+                        f"arrows do not compose: {name!r} starts at {arrow.source!r}, "
+                        f"previous arrow ends at {itinerary[-1]!r}"
+                    )
+                itinerary.append(arrow.target)
+        except KeyError as unknown:
+            raise ValueError(f"unknown arrow {unknown.args[0]!r}") from None
         return _path(names, tuple(itinerary))
 
     def contains_path(self, p: Path) -> bool:
@@ -247,9 +267,10 @@ class MonomialAutomaton:
     the longest suffix of the extended path that is a state, or is -1 when
     that path ends with a monomial; the paths that never reach -1 are the
     normal words of the monomial algebra (Ufnarovski 1982).  Insertion
-    checks each monomial against ``outgoing`` arrow by arrow, the rest of
-    one whose prefix is already dead included, and the first that is not a
-    path of the quiver raises :class:`ValueError`.
+    makes one pass over each monomial's arrows, checking each against
+    ``outgoing`` before it steps the trie, the rest of one whose prefix is
+    already dead included; the first monomial that is not a path of the
+    quiver raises :class:`ValueError`.
     """
 
     def __init__(self, quiver: Quiver, monomials: Iterable[Path]) -> None:
@@ -261,19 +282,22 @@ class MonomialAutomaton:
         for path in monomials:
             vertices = path.vertices
             s = at = vertex.get(vertices[0], -1)
-            # the walk follows each arrow one behind its check; the last is an edge to -1
-            edge = None
-            for name, v in zip(path.arrows, vertices[1:]):
+            last = len(vertices) - 1
+            # each arrow is checked, then stepped: the last is an edge to -1,
+            # and past a dead prefix (s < 0) the rest is only checked
+            for i, name in enumerate(path.arrows, 1):
+                v = vertices[i]
                 if at < 0 or outgoing[at].get(name, outgoing) != v:  # default: no vertex
                     raise ValueError(f"{path} is not a path of the quiver")
-                if edge is not None and s >= 0:
-                    s = children[s].setdefault(edge, len(end))
-                    if s == len(end):
-                        children.append({})
-                        end.append(at)
-                at, edge = vertex[v], name
-            if edge is not None and s >= 0:
-                children[s][edge] = -1
+                at = vertex[v]
+                if s >= 0:
+                    if i == last:
+                        children[s][name] = -1
+                    else:
+                        s = children[s].setdefault(name, len(end))
+                        if s == len(end):
+                            children.append({})
+                            end.append(at)
         # Breadth first, so the suffix link of a state (its longest proper
         # suffix that is a state, at the same end vertex) has its steps.
         self.step = step = [[] for _ in end]

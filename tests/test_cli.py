@@ -131,6 +131,15 @@ PARSE_ERRORS = {
         "line 8: unrecognized presentation line: nilpotent = 2",
     ),
     "empty-zero": (PRESENTATION + "zero =\n", "line 8: empty zero path"),
+    # a zero line is matched ahead of the key dispatch only in a presentation,
+    # and only as 'zero = ...'; the dispatch refuses every other one
+    "zero-in-quiver": (QUIVER + "zero = a b\n", "line 5: unrecognized quiver line: zero = a b"),
+    "zero-in-definingpair": (
+        PAIR + "zero = a b\n",
+        "line 7: unrecognized definingpair line: zero = a b",
+    ),
+    "zero-with-name": (PRESENTATION + "zero x = a b\n", "line 8: expected 'zero = a1 a2 ...'"),
+    "zero-no-equals": (PRESENTATION + "zero a b\n", "line 8: expected 'zero = a1 a2 ...'"),
     "equal-form": (
         PRESENTATION + "equal = a b\n",
         "line 8: expected 'equal = p1 p2 ... , q1 q2 ...'",
@@ -248,6 +257,26 @@ class TestParse:
             with pytest.raises(ParseError, match="generator b has length < 2"):
                 parse_document(text)
         assert spy.call_count == 0
+
+    def test_each_generator_and_the_bound_are_checked_once(self):
+        # the parser judges each on its line and hands the presentation over
+        # with no second pass: two zero paths and one equal pair
+        text = (
+            "[quiver]\nvertices = 1 2 3\narrow a = 1 -> 2\narrow b = 2 -> 3\n"
+            "arrow c = 1 -> 2\narrow d = 2 -> 3\n\n"
+            "[presentation]\nnilpotency = 3\nzero = a d\nzero = c b\nequal = a b , c d\n"
+        )
+        spies = {}
+        with contextlib.ExitStack() as stack:
+            for name in ("_check_bound", "_check_length", "_check_uniform"):
+                spies[name] = spy = mock.Mock(wraps=getattr(presentation_module, name))
+                for module in (cli, presentation_module):
+                    stack.enter_context(mock.patch.object(module, name, spy))
+            presentation = parse_document(text).presentation
+        assert len(presentation.zero_paths) == 2 and len(presentation.equal_pairs) == 1
+        assert spies["_check_length"].call_count == 2 + 2
+        assert spies["_check_bound"].call_count == 1
+        assert spies["_check_uniform"].call_count == 1
 
     def test_non_composable_zero_path(self):
         text = (

@@ -95,6 +95,7 @@ def spy_on_orbits():
 
 ORBIT_CHECKS = [
     "arrow-partition",
+    "cycle-follows-sigma",
     "cycle-length-is-period",
     "maximal-path-determined-by-arrow",
 ]
@@ -442,6 +443,15 @@ class TestMaximalPathsAndCycles:
         ]
 
 
+@pytest.fixture
+def two_two_cycles_presentation() -> Presentation:
+    """Two 2-cycles a b and c d between vertices 1 and 2: the two-arrow
+    paths that cross from one to the other vanish."""
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "2"), ("d", "2", "1")])
+    zeros = tuple(q.path(p) for p in (["a", "d"], ["d", "a"], ["b", "c"], ["c", "b"]))
+    return Presentation(q, zeros, (), 3)
+
+
 class TestOrbitStructure:
     def test_maximal_length_formula(self, linear_quiver):
         p = Presentation(linear_quiver, (), (), 3)
@@ -497,7 +507,7 @@ class TestOrbitStructure:
         assert check_orbit_structure(shared).passed
 
     @pytest.mark.parametrize(
-        "quiver, attribute, corrupt, name, witness",
+        "given, attribute, corrupt, name, witness",
         [
             (
                 "linear_quiver", "maximal_paths", lambda q: (),
@@ -512,6 +522,19 @@ class TestOrbitStructure:
                 "two_cycle_quiver", "simple_cycles",
                 lambda q: (q.path(["a", "b"]), q.path(["b", "a"])),
                 "arrow-partition", f"{PARTITION}: a, b",
+            ),
+            (
+                # the class's other rotation: it does not start at its least arrow
+                "two_cycle_quiver", "simple_cycles", lambda q: (q.path(["b", "a"]),),
+                "cycle-follows-sigma", "b a starts at b, not at its least arrow a",
+            ),
+            (
+                # two cycles sigma never traces, over the arrows of a b and c d
+                "two_two_cycles_presentation", "simple_cycles",
+                lambda q: (q.path(["a", "d"]), q.path(["b", "c"])),
+                "cycle-follows-sigma",
+                "a d at a: sigma gives b, not d; a d at d: sigma gives c, not a; "
+                "b c at b: sigma gives a, not c; b c at c: sigma gives d, not b",
             ),
             (
                 "two_cycle_quiver", "orbits",
@@ -537,10 +560,14 @@ class TestOrbitStructure:
         ],
     )
     def test_failing_check_names_its_offenders(
-        self, request, quiver, attribute, corrupt, name, witness
+        self, request, given, attribute, corrupt, name, witness
     ):
+        # a quiver stands for its presentation with no generators
+        presentation = request.getfixturevalue(given)
+        if isinstance(presentation, Quiver):
+            presentation = Presentation(presentation, (), (), 3)
         # a private copy of the tables, corrupted past its read-only caches
-        shared = derive_successors(Presentation(request.getfixturevalue(quiver), (), (), 3))
+        shared = derive_successors(presentation)
         tables = SuccessorTables(shared.quiver, shared.sigma, shared.tau)
         object.__setattr__(tables, attribute, corrupt(tables.quiver))
         assert check_orbit_structure(tables).check(name) == Check(name, False, witness)

@@ -1,6 +1,6 @@
 import random
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, asdict, fields
 from pathlib import Path as FilePath
 from unittest import mock
 
@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiserial import (
+    Arrow,
     CycleAlgebra,
+    OrbitData,
     Path,
     Presentation,
     Quiver,
     canonical_rotation,
+    derive_successors,
     enumerate_paths,
     is_simple_cycle,
     verify_quotient,
@@ -188,32 +191,64 @@ class TestQuiverConstruction:
         assert not split.is_connected()
 
 
+def _orbit_of(arrow: str, arrows: list[tuple[str, str, str]]) -> OrbitData:
+    """The orbit data that a quiver's tables, at bound 3 with no generators, give ``arrow``."""
+    quiver = Quiver(sorted({v for _, s, t in arrows for v in (s, t)}), arrows)
+    return derive_successors(Presentation(quiver, (), (), 3)).orbits[arrow]
+
+
+# Each slotted value by its public constructor, and as the engine builds it
+# through the slots' member descriptors: a path by _path, an arrow by its
+# quiver, orbit data by the tables' orbits (a on the line a b, and a on the
+# two-cycle a b).
+SLOTTED = {
+    "path-trivial": (lambda: Path((), ("1",)), lambda: _path((), ("1",))),
+    "path-one-arrow": (lambda: Path(("a",), ("1", "2")), lambda: _path(("a",), ("1", "2"))),
+    "path-two-arrows": (
+        lambda: Path(("a", "b"), ("1", "2", "1")),
+        lambda: _path(("a", "b"), ("1", "2", "1")),
+    ),
+    "arrow": (
+        lambda: Arrow("a", "1", "2"),
+        lambda: Quiver(["1", "2"], [("a", "1", "2")]).arrow("a"),
+    ),
+    "orbit-on-a-chain": (
+        lambda: OrbitData(2, 1),
+        lambda: _orbit_of("a", [("a", "1", "2"), ("b", "2", "3")]),
+    ),
+    "orbit-on-a-cycle": (
+        lambda: OrbitData(period=2),
+        lambda: _orbit_of("a", [("a", "1", "2"), ("b", "2", "1")]),
+    ),
+}
+
+
 class TestPathConstructors:
     """A caller's ``Path(...)`` checks the itinerary's length; the engine's
-    ``_path`` builds the same slotted value without that check."""
+    ``_path`` builds the same slotted value without that check, as a quiver
+    builds its arrows and the tables their orbit data."""
 
     @pytest.mark.parametrize("vertices", [("1",), ("1", "2", "3")])
     def test_caller_paths_check_their_length(self, vertices):
         with pytest.raises(ValueError, match=r"visits exactly len\(arrows\) \+ 1 vertices"):
             Path(("a",), vertices)
 
-    @pytest.mark.parametrize(
-        "arrows, vertices", [((), ("1",)), (("a",), ("1", "2")), (("a", "b"), ("1", "2", "1"))]
-    )
-    def test_both_constructors_build_one_value(self, arrows, vertices):
-        checked, built = Path(arrows, vertices), _path(arrows, vertices)
-        assert type(built) is Path
-        assert built == checked and hash(built) == hash(checked)
-        assert (built.arrows, built.vertices) == (arrows, vertices)
+    @pytest.mark.parametrize("public, built", SLOTTED.values(), ids=SLOTTED.keys())
+    def test_both_constructors_build_one_value(self, public, built):
+        checked, made = public(), built()
+        assert type(made) is type(checked)
+        assert made == checked and hash(made) == hash(checked)
+        # sigma-tau prints orbit data by asdict
+        assert asdict(made) == asdict(checked)
 
-    def test_paths_are_slotted_and_frozen(self):
-        for p in (Path(("a",), ("1", "2")), _path(("a",), ("1", "2"))):
-            assert not hasattr(p, "__dict__")
-            with pytest.raises(FrozenInstanceError):
-                p.arrows = ("b",)
-            with pytest.raises(FrozenInstanceError):
-                p.vertices = ("2", "1")
-            assert p == Path(("a",), ("1", "2"))
+    @pytest.mark.parametrize("public, built", SLOTTED.values(), ids=SLOTTED.keys())
+    def test_paths_are_slotted_and_frozen(self, public, built):
+        for value in (public(), built()):
+            assert not hasattr(value, "__dict__")
+            for field in fields(value):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(value, field.name, None)
+            assert value == public()
 
     def test_only_a_callers_path_runs_the_length_check(self):
         # the parser, the generators, the cover's cycles and relations, both
