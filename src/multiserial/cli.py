@@ -184,8 +184,9 @@ def parse_document(text: str) -> InputDocument:
                 names = value.split()
                 if not names:
                     raise ParseError("empty vertex list", number)
-                for v, column in zip(names, _columns(raw, raw.index("=") + 1)):
+                for k, v in enumerate(names):
                     if v in vertex_set:
+                        column = _columns(raw, raw.index("=") + 1)[k]
                         raise ParseError(f"duplicate vertex {v}", number, column)
                     vertex_set.add(v)
                     vertices.append(v)
@@ -199,15 +200,14 @@ def parse_document(text: str) -> InputDocument:
                     raise ParseError(f"expected '{form}'", number)
                 if name in arrow_lines:
                     raise ParseError(f"duplicate arrow name {name}", number, _columns(raw)[1])
-                # each end begins with the first token after its '=' or '->'
-                after_eq = raw.index("=") + 1
-                for v, start in ((ends[0], after_eq), (ends[1], raw.index("->", after_eq) + 2)):
+                for k, v in enumerate(ends):
                     if v not in vertex_set:
-                        raise ParseError(
-                            f"arrow {name} references undeclared vertex {v}",
-                            number,
-                            _columns(raw, start)[0],
-                        )
+                        # the end begins with the first token after its '=' or '->'
+                        start = raw.index("=") + 1
+                        if k:
+                            start = raw.index("->", start) + 2
+                        column = _columns(raw, start)[0]
+                        raise ParseError(f"arrow {name} references undeclared vertex {v}", number, column)
                 arrow_lines[name] = number
                 arrow_triples.append((name, *ends))
             elif key == "nilpotency":

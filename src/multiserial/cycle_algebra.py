@@ -352,7 +352,8 @@ class CycleAlgebra:
         permutation exactly when the form is nondegenerate.
         """
         dual = self._dual
-        rank = len(set(dual)) - (None in dual)
+        hit = set(dual)
+        rank = len(hit) - (None in hit)
         full = rank == self.dimension
         return GramMatrix(
             dual=list(dual),

@@ -319,7 +319,10 @@ class MonomialAutomaton:
         """How many paths of length 0..max_length avoid every monomial, and
         the longest length among them, by dynamic programming over states.
         Past ``stop_above`` it stops with a partial total above that cap,
-        so a huge ``max_length`` costs at most ``stop_above`` rounds."""
+        so a huge ``max_length`` costs at most ``stop_above`` rounds.  Once a
+        length repeats the previous length's per-state counts, every later
+        length adds the same, so the rounds the loop would still run are
+        added in one step."""
         edges = [(s, t) for s, row in enumerate(self.step) for t in row if t >= 0]
         ending = [1] * len(self.outgoing) + [0] * (len(self.step) - len(self.outgoing))
         total, longest = len(self.outgoing), 0
@@ -332,5 +335,10 @@ class MonomialAutomaton:
                 break
             total += added
             longest += 1
+            if grown == ending:
+                rounds = max_length - longest
+                if stop_above is not None:
+                    rounds = min(rounds, (stop_above - total) // added + 1)
+                return total + rounds * added, longest + rounds
             ending = grown
         return total, longest

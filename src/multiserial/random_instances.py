@@ -6,7 +6,9 @@ filter on the validation verdict.  Presentations are built from a random
 partial successor matching, so they satisfy the multiserial condition, and
 may carry extra long monomial and binomial generators that exercise the
 oracle without touching the quadratic structure.  Generators are built on
-the drawn quiver by ``_path``; no presentation or length check runs on them.
+the drawn quiver by ``_path``, so :meth:`Presentation._trusted` skips only
+their membership check; the bound, length and uniformity checks run on
+every draw.
 """
 
 from __future__ import annotations

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from multiserial import (
     Arrow,
     CycleAlgebra,
+    OracleBudgetError,
     OrbitData,
     Path,
     Presentation,
     Quiver,
     canonical_rotation,
+    close_under_rotation,
+    closed_form_dimension,
     derive_successors,
     enumerate_paths,
     is_simple_cycle,
+    pair_oracle_dimension,
     verify_quotient,
 )
 from multiserial.cli import parse_document
@@ -567,6 +571,79 @@ def test_automaton_count_matches_brute_force(drawn, data):
     expected = brute_force_count(q, [prefix, *monomials], max_length)
     for inserted in ([prefix, *monomials], [*monomials, prefix]):
         assert MonomialAutomaton(q, inserted).count(max_length) == expected
+
+
+def dense_count(automaton: MonomialAutomaton, max_length: int, stop_above=None) -> tuple[int, int]:
+    """The count one round per length to the end, never skipping a round
+    whose per-state counts repeat the last: the reference for the count."""
+    edges = [(s, t) for s, row in enumerate(automaton.step) for t in row if t >= 0]
+    roots = len(automaton.outgoing)
+    ending = [1] * roots + [0] * (len(automaton.step) - roots)
+    total, longest = roots, 0
+    while longest < max_length and (stop_above is None or total <= stop_above):
+        grown = [0] * len(ending)
+        for s, t in edges:
+            grown[t] += ending[s]
+        added = sum(grown)
+        if not added:
+            break
+        total += added
+        longest += 1
+        ending = grown
+    return total, longest
+
+
+@st.composite
+def disjoint_cycles(draw):
+    """One to three vertex-disjoint oriented cycles of 1 to 4 arrows, whose
+    per-state counts repeat from the first length on, and up to three
+    monomials along them, after which they repeat later or die out; shaped
+    as :func:`automaton_inputs`, with a length the count test replaces."""
+    vertices, arrows = [], []
+    for c, length in enumerate(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))):
+        names = [f"{c}.{i}" for i in range(length)]
+        vertices += names
+        arrows += [(f"x{c}{i}", names[i], names[(i + 1) % length]) for i in range(length)]
+    q = Quiver(vertices, arrows)
+    candidates = [p for p in all_paths(q, 5) if p.arrows]
+    return q, 0, draw(st.lists(st.sampled_from(candidates), max_size=3))
+
+
+@given(st.one_of(automaton_inputs(), disjoint_cycles()), st.integers(0, 40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_count_matches_the_dense_count(drawn, max_length, data):
+    q, _, monomials = drawn
+    automaton = MonomialAutomaton(q, monomials)
+    expected = dense_count(automaton, max_length)
+    assert automaton.count(max_length) == expected
+    # a cap below, at and above the total, and one drawn anywhere up to it
+    total = expected[0]
+    drawn_cap = data.draw(st.integers(0, total + 1))
+    for stop_above in (total - 1, total, total + 1, drawn_cap):
+        assert automaton.count(max_length, stop_above) == dense_count(automaton, max_length, stop_above)
+
+
+def test_count_of_a_cycle_reaches_a_length_no_round_could():
+    # every length adds one path per vertex, from the first on
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
+    automaton = MonomialAutomaton(q, ())
+    assert automaton.count(10**9) == (3 + 3 * 10**9, 10**9)
+    # past the cap it stops where the rounds would: the first total above it
+    assert automaton.count(10**9, 100) == dense_count(automaton, 10**9, 100) == (102, 33)
+
+
+def test_oracle_of_a_four_cycle_near_the_default_budget():
+    # 16·mu + 4 paths survive below the bound 16·mu + 1, so the default
+    # budget of 200,000 admits mu up to 12,499
+    q = Quiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "1")],
+    )
+    cycle = q.path(["a", "b", "c", "d"])
+    pair = close_under_rotation(q, [(cycle, 12_000)])
+    assert pair_oracle_dimension(pair) == closed_form_dimension(pair) == 192_004
+    with pytest.raises(OracleBudgetError, match="avoid every monomial relation"):
+        pair_oracle_dimension(close_under_rotation(q, [(cycle, 12_500)]))
 
 
 def test_automaton_states_are_proper_prefixes():
