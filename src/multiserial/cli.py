@@ -264,10 +264,20 @@ def parse_document(text: str) -> InputDocument:
 
 
 def render_pair_document(pair: DefiningPair) -> str:
-    """A parseable document for a cycle system; inverse of parsing."""
+    """A parseable document for a cycle system; inverse of parsing.
+
+    A name holding what the grammar splits on is refused with
+    :class:`ValueError` before any text is built: a vertex name that is
+    empty or holds whitespace, ``#`` or ``->``, and an arrow name that is
+    empty or holds whitespace, ``#``, ``|``, ``,`` or ``=``."""
+    q = pair.quiver
+    for kind, names, marks in (("vertex", q.vertices, ("#", "->")), ("arrow", q.arrows, "#|,=")):
+        for name in names:
+            if name.split() != [name] or any(mark in name for mark in marks):
+                raise ValueError(f"{kind} name {name!r} cannot be written in a document")
     lines = ["[quiver]"]
-    lines.append("vertices = " + " ".join(pair.quiver.vertices))
-    for arrow in pair.quiver.arrows.values():
+    lines.append("vertices = " + " ".join(q.vertices))
+    for arrow in q.arrows.values():
         lines.append(f"arrow {arrow.name} = {arrow.source} -> {arrow.target}")
     lines.append("")
     lines.append("[definingpair]")

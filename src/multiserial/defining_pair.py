@@ -23,7 +23,6 @@ from typing import Iterable, Mapping
 from .quiver import (
     Path,
     Quiver,
-    _canonical,
     _path,
     _power,
     _rotation,
@@ -68,7 +67,7 @@ class DefiningPair:
             raise ValueError(f"cycle {' '.join(missing[0])} has no multiplicity")
         members: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for key in sorted(unique):
-            members.setdefault(_canonical(unique[key]).arrows, []).append(key)
+            members.setdefault(canonical_rotation(unique[key]).arrows, []).append(key)
         # only a refused class enumerates its rotations, for the witnesses
         unclosed, uneven = [], []
         refused = (g for g in members.values() if len(g) != len(g[0]) or len({mult[k] for k in g}) > 1)

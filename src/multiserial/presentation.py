@@ -173,10 +173,10 @@ class SuccessorTables:
                 orbit.append(after)
             m = len(orbit)
             if before is not None:
-                out.update(dict.fromkeys(orbit, _orbit_data(None, None, m)))
+                out.update(dict.fromkeys(orbit, OrbitData(period=m)))
             else:
                 for i, a in enumerate(orbit):
-                    out[a] = _orbit_data(m - i, i + 1, None)
+                    out[a] = OrbitData(m - i, i + 1)
         return MappingProxyType({a.name: out[a.name] for a in self.quiver._by_name})
 
     @cached_property
@@ -206,7 +206,7 @@ class SuccessorTables:
 @dataclass(frozen=True, slots=True)
 class OrbitData:
     """Iteration statistics of the successor maps at one arrow, slotted;
-    :attr:`SuccessorTables.orbits` builds its own by ``_orbit_data``.
+    unlike a :class:`Path`, always built by ``OrbitData(...)``.
 
     Exactly one of two shapes occurs: the forward orbit hits the stop
     marker after ``forward_stop`` steps (and the backward orbit after
@@ -216,22 +216,6 @@ class OrbitData:
     forward_stop: Optional[int] = None
     backward_stop: Optional[int] = None
     period: Optional[int] = None
-
-
-_set_forward_stop = OrbitData.forward_stop.__set__
-_set_backward_stop = OrbitData.backward_stop.__set__
-_set_period = OrbitData.period.__set__
-
-
-def _orbit_data(
-    forward_stop: Optional[int], backward_stop: Optional[int], period: Optional[int]
-) -> OrbitData:
-    """``OrbitData(forward_stop, backward_stop, period)`` through its slots."""
-    data = object.__new__(OrbitData)
-    _set_forward_stop(data, forward_stop)
-    _set_backward_stop(data, backward_stop)
-    _set_period(data, period)
-    return data
 
 
 def _surviving_compositions(

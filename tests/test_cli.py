@@ -31,7 +31,13 @@ from multiserial.cli import (
     render_pair_document,
     run_command,
 )
-from multiserial import Quiver, check_orbit_structure, derive_successors, symmetrize
+from multiserial import (
+    Quiver,
+    check_orbit_structure,
+    close_under_rotation,
+    derive_successors,
+    symmetrize,
+)
 from multiserial.random_instances import (
     radical_square_zero_presentation,
     random_presentation,
@@ -384,6 +390,63 @@ class TestRoundTrip:
         document = parse_document(LOOP_TEXT)
         rendered = render_pair_document(document.pair)
         assert parse_document(rendered).pair == document.pair
+
+    # a loop's vertex and arrow names, and the kind of the name refused
+    UNWRITABLE = {
+        "vertex-space": ("v w", "a", "vertex"),
+        "vertex-tab": ("v\tw", "a", "vertex"),
+        "vertex-arrow-mark": ("a->b", "a", "vertex"),
+        "vertex-comment": ("v#w", "a", "vertex"),
+        "vertex-empty": ("", "a", "vertex"),
+        "arrow-space": ("v", "a b", "arrow"),
+        "arrow-comment": ("v", "a#b", "arrow"),
+        "arrow-equals": ("v", "a=b", "arrow"),
+        "arrow-bar": ("v", "a|b", "arrow"),
+        "arrow-comma": ("v", "a,b", "arrow"),
+        "arrow-empty": ("v", "", "arrow"),
+        "vertex-first": ("v w", "a=b", "vertex"),
+    }
+
+    @pytest.mark.parametrize("vertex, arrow, kind", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+    def test_names_the_grammar_splits_on_are_refused(self, vertex, arrow, kind):
+        q = Quiver([vertex], [(arrow, vertex, vertex)])
+        pair = close_under_rotation(q, [(q.path([arrow]), 2)])
+        named = f"{kind} name {(vertex if kind == 'vertex' else arrow)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} cannot be written in a document$"):
+            render_pair_document(pair)
+
+    def test_names_the_parser_accepts_round_trip(self):
+        # each name holds a character the grammar splits on elsewhere
+        q = Quiver(
+            ["a=b", "x|y,z", "[v]", "-", ">"],
+            [
+                ("a->b", "a=b", "x|y,z"),
+                ("[a]", "x|y,z", "[v]"),
+                ("-", "[v]", "a=b"),
+                (">", "-", ">"),
+                ("<-", ">", "-"),
+            ],
+        )
+        pair = close_under_rotation(q, [(q.path(["a->b", "[a]", "-"]), 2), (q.path([">", "<-"]), 3)])
+        rendered = render_pair_document(pair)
+        reparsed = parse_document(rendered).pair
+        assert reparsed == pair
+        assert render_pair_document(reparsed) == rendered
+
+    @pytest.mark.parametrize("mark", ["=", "|", ",", "->", "-", ">", "[", "]", "#", " ", "\t", ":", '"'])
+    def test_a_rendered_document_parses_back_or_is_refused(self, mark):
+        # the mark alone, leading, inside and trailing, in a vertex name, on
+        # both ends of a two-cycle's arrows, and in an arrow name
+        for name in (mark, f"{mark}x", f"x{mark}y", f"y{mark}"):
+            for vertices, arrows in (([name, "v"], ["a", "b"]), (["v", "w"], [name, "b"])):
+                q = Quiver(vertices, [(arrows[0], *vertices), (arrows[1], *vertices[::-1])])
+                pair = close_under_rotation(q, [(q.path(arrows), 2)])
+                try:
+                    rendered = render_pair_document(pair)
+                except ValueError as refused:
+                    assert str(refused).endswith("cannot be written in a document")
+                    continue
+                assert parse_document(rendered).pair == pair
 
 
 class TestExportDot:

@@ -1,5 +1,8 @@
+import ast
 import re
 import types
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +65,82 @@ LIBRARY_BORDERS = {
 def test_each_library_border_names_its_fault(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "multiserial"
+
+
+def _uses(node: ast.AST) -> Counter:
+    """How often each name is read below ``node``, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_private_module_level_name_is_used_in_src():
+    # a private helper that only the tests call is dead code in the package
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = sum(map(_uses, trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            # a use inside the definition itself, such as recursion, does not count
+            inside = _uses(node)
+            unused += [
+                f"{module}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and used[name] <= inside[name]
+            ]
+    assert not unused
+
+
+def _library_block() -> str:
+    """The README's "Library" code block."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    return readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _leading_literal(comment: str) -> tuple | None:
+    """The Python literal that a comment starts with, ending at a ',', ';' or
+    ':' or at the comment's end, in a 1-tuple; ``None`` when there is none."""
+    ends = [len(comment), *(m.start() for m in re.finditer(r"[,;:]", comment))]
+    for end in sorted(ends, reverse=True):
+        try:
+            return (ast.literal_eval(comment[:end]),)
+        except (ValueError, SyntaxError):
+            continue
+    return None
+
+
+def test_the_readme_library_block_gives_the_values_its_comments_give():
+    block = _library_block()
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for statement in ast.parse(block).body:
+        if not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        comment = lines[statement.lineno - 1].partition("#")[2].strip()
+        literal = _leading_literal(comment)
+        if literal is not None:
+            assert (value, type(value)) == (literal[0], type(literal[0])), comment
+        elif comment.startswith("the OnCyclePath "):
+            assert type(value).__name__ == "OnCyclePath", comment
+            assert str(value) == comment[len("the OnCyclePath "):], comment
+        else:
+            continue
+        checked.append(comment)
+    # 5, 18 three times, True three times, the two normal forms, the counts,
+    # the first relation, the pair of dimensions and the return arrows
+    assert len(checked) == 13, checked

@@ -201,10 +201,10 @@ def _orbit_of(arrow: str, arrows: list[tuple[str, str, str]]) -> OrbitData:
     return derive_successors(Presentation(quiver, (), (), 3)).orbits[arrow]
 
 
-# Each slotted value by its public constructor, and as the engine builds it
-# through the slots' member descriptors: a path by _path, an arrow by its
-# quiver, orbit data by the tables' orbits (a on the line a b, and a on the
-# two-cycle a b).
+# Each slotted value by its public constructor, and as the engine builds it:
+# a path by _path, through the slots' member descriptors; an arrow by its
+# quiver and orbit data by the tables' orbits (a on the line a b, and a on
+# the two-cycle a b), each through its public constructor.
 SLOTTED = {
     "path-trivial": (lambda: Path((), ("1",)), lambda: _path((), ("1",))),
     "path-one-arrow": (lambda: Path(("a",), ("1", "2")), lambda: _path(("a",), ("1", "2"))),
@@ -229,8 +229,10 @@ SLOTTED = {
 
 class TestPathConstructors:
     """A caller's ``Path(...)`` checks the itinerary's length; the engine's
-    ``_path`` builds the same slotted value without that check, as a quiver
-    builds its arrows and the tables their orbit data."""
+    ``_path`` builds the same slotted value without that check.  ``Path`` is
+    the one value built through its slots; a quiver's arrows and the tables'
+    orbit data, built by their public constructors, are held to the same
+    value here too."""
 
     @pytest.mark.parametrize("vertices", [("1",), ("1", "2", "3")])
     def test_caller_paths_check_their_length(self, vertices):
