@@ -554,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.input, encoding="utf-8") as handle:
+        # a leading byte-order mark is dropped; other UTF-8 reads the same
+        with open(args.input, encoding="utf-8-sig") as handle:
             text = handle.read()
         document = parse_document(text)
         result = run_command(args.command, document, args.max_paths)

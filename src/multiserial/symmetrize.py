@@ -7,11 +7,13 @@ the uniform multiplicity, these form a valid cycle system: the cover.  Its
 quiver is the enlarged one, so the return arrows are exactly the cover's
 arrows that the base lacks.  Collapsing the enlarged quiver onto the base
 sends return arrows to zero and fixes everything else;
-:func:`verify_quotient` justifies, generator by generator, that each
-generated relation collapses into the original ideal, which exhibits the
-presented algebra as a quotient of the symmetric one, and
-:meth:`QuotientCertificate.dimensions` compares the two dimensions on the
-cover it built, the cover's closed form confirmed by the oracle.  The
+:func:`verify_quotient` justifies that each generated relation collapses
+into the original ideal, which exhibits the presented algebra as a
+quotient of the symmetric one.  It judges each rotation class once, a
+vertex of the Brauer configuration, counts each vertex's quadratics
+against the declared ones, and lists the generators only when they are
+read.  :meth:`QuotientCertificate.dimensions` compares the two dimensions
+on the cover it built, the cover's closed form confirmed by the oracle.  The
 successor tables and the cover are each derived once per presentation and
 kept on it.
 """
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .cycle_algebra import (
     DEFAULT_MAX_PATHS,
@@ -114,30 +115,77 @@ class CertifiedGenerator:
 
 @dataclass
 class QuotientCertificate:
-    """Per-generator evidence that the collapse of the generated ideal
-    lands in the presentation's ideal.
+    """Evidence that the collapse of the generated ideal lands in the
+    presentation's ideal, kept by rotation class and by arrow.
 
-    ``verdicts`` holds, family by family (type 1, 2, 3), one verdict per
-    generator, a pair of them for a binomial: a kind, and the return arrow
-    that kills the term or None.  :attr:`complete`, :meth:`counts` and a
-    complete certificate's :meth:`failures` read only these; :attr:`entries`
-    and their witness text are built on first read, with the relations, and kept.
+    ``power`` and ``overrun`` hold each class's verdict on its full powers
+    and on its overruns, in class order: a kind, and the return arrow that
+    kills the term or None.  :attr:`complete` and :meth:`counts` build no
+    generator; :attr:`verdicts`, one per generator, and :attr:`entries`
+    with their witness text are built on first read and kept.
     """
 
     presentation: Presentation
     pair: DefiningPair
-    verdicts: tuple[list, list, list]
+    power: list[tuple]
+    overrun: list[tuple]
+    returns: frozenset[str]
 
     @cached_property
     def complete(self) -> bool:
-        type1, type2, type3 = self.verdicts
-        return UNCERTIFIED not in {kind for kind, _ in chain(*type1, type2, type3)}
+        """Whether every generator is certified: every overrun verdict, the
+        full-power verdict of each class with a rotation at a vertex with two
+        or more arrows out, and every composable pair of base arrows off the
+        cycles dead.  A dead quadratic is such a pair or one that a cycle
+        travels, so the last is decided by counting."""
+        if any(kind == UNCERTIFIED for kind, _ in self.overrun):
+            return False
+        quiver, place, returns = self.pair.quiver, self.pair._place, self.returns
+        weak = {k for k, (kind, _) in enumerate(self.power) if kind == UNCERTIFIED}
+        if weak and any(
+            place[a.name][0] in weak
+            for arrows in quiver._out.values() if len(arrows) > 1 for a in arrows
+        ):
+            return False
+        base, dead = self.presentation.quiver, self.presentation._quadratic
+        steps = {s for c, _ in self.pair._classes for s in zip(c.arrows, c.arrows[1:] + c.arrows[:1])}
+        composable = sum(len(base._in[v]) * len(out) for v, out in base._out.items())
+        on_base = sum(a not in returns and b not in returns for a, b in steps)
+        return len(dead) - len(dead & steps) == composable - on_base
 
     def failures(self) -> list[CertifiedGenerator]:
         return [] if self.complete else [e for e in self.entries if not e.certified]
 
     def counts(self) -> dict[str, int]:
-        return dict(zip(("type1", "type2", "type3"), map(len, self.verdicts)))
+        """The generators by family, in closed form over the cover's quiver:
+        a pair of arrows out of each vertex, one overrun per arrow, and each
+        arrow followed by an arrow other than its successor on its cycle."""
+        quiver = self.pair.quiver
+        arrows = len(quiver.arrows)
+        return {
+            "type1": sum(len(out) * (len(out) - 1) // 2 for out in quiver._out.values()),
+            "type2": arrows,
+            "type3": sum(len(quiver._in[v]) * len(out) for v, out in quiver._out.items()) - arrows,
+        }
+
+    @cached_property
+    def verdicts(self) -> tuple[list, list, list]:
+        """Family by family (type 1, 2, 3), one verdict per generator of the
+        cover's generator index, a pair of them for a binomial: each power
+        and overrun takes its class's verdict."""
+        index1, index3 = self.pair._generators
+        place, power, returns = self.pair._place, self.power, self.returns
+        type1 = [(power[place[a][0]], power[place[b][0]]) for a, b in index1]
+        type2 = [self.overrun[k] for k, _ in place.values()]
+        # a dead quadratic is a path of the base, so it holds no return arrow
+        dead = self.presentation._quadratic
+        type3 = [
+            (FORBIDDEN_QUADRATIC, None) if (a, b) in dead
+            else (KILLED_BY_STAR_ARROW, a if a in returns else b) if a in returns or b in returns
+            else (UNCERTIFIED, None)
+            for x, y in index3 for a, b in ((x.name, y.name),)
+        ]
+        return type1, type2, type3
 
     @cached_property
     def entries(self) -> list[CertifiedGenerator]:
@@ -207,26 +255,27 @@ class QuotientCertificate:
 
 
 def verify_quotient(presentation: Presentation) -> QuotientCertificate:
-    """Certify, generator by generator, that the collapse map descends.
+    """Certify, by rotation class and by arrow, that the collapse map descends.
 
     Quadratic generators either contain a return arrow or map to a
     composition already declared dead; the other generators either contain
     a return arrow or map to paths at least as long as the nilpotency
-    bound.  Each is judged from the cover's generator index and rotation
-    classes, and no relation path is built: a class of the cover closes at
-    most one maximal path, so it holds at most one return arrow, and the
-    verdicts on its full powers and overruns depend only on that arrow and
-    on whether mu*L and mu*L + 1 reach the bound.  So each is decided once
-    per class, and repeated for the class's rotations, in rotation order; a
-    binomial takes its two powers' verdicts.
-    :attr:`QuotientCertificate.entries` builds the text
-    on first read.  The generator index is the one gate on the cover's
+    bound.  A class of the cover closes at most one maximal path, so it
+    holds at most one return arrow, and the verdicts on its full powers and
+    overruns depend only on that arrow and on whether mu*L and mu*L + 1
+    reach the bound: each is decided once per class, and no generator or
+    relation path is built.  The quadratics are judged by counting, per
+    vertex, the composable pairs of base arrows off the cycles against the
+    dead quadratics.  :attr:`QuotientCertificate.verdicts` repeats each
+    class verdict for the class's rotations, from the cover's generator index, and
+    :attr:`QuotientCertificate.entries` builds the text, each on first
+    read.  :meth:`DefiningPair.require_valid` is the gate on the cover's
     axioms, which its construction makes hold.  An uncertifiable generator
     is reported, not raised, but would indicate an engine or input-contract bug.
     """
     pair = symmetrize(presentation)
-    index1, index3 = pair._generators
-    returns = pair.quiver.arrows.keys() - presentation.quiver.arrows.keys()
+    pair.require_valid()
+    returns = frozenset(pair.quiver.arrows.keys() - presentation.quiver.arrows.keys())
 
     def verdict(arrows: tuple[str, ...], length: int) -> tuple:
         if not returns.isdisjoint(arrows):
@@ -236,15 +285,4 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     classes = pair.rotation_class_representatives()
     power = [verdict(c.arrows, mu * len(c)) for c, mu in classes]
     overrun = [verdict(c.arrows, mu * len(c) + 1) for c, mu in classes]
-    place = pair._place
-    type1 = [(power[place[a][0]], power[place[b][0]]) for a, b in index1]
-    type2 = [overrun[k] for k, _ in place.values()]
-    # a dead quadratic is a path of the base, so it holds no return arrow
-    dead = presentation._quadratic
-    type3 = [
-        (FORBIDDEN_QUADRATIC, None) if (a, b) in dead
-        else (KILLED_BY_STAR_ARROW, a if a in returns else b) if a in returns or b in returns
-        else (UNCERTIFIED, None)
-        for x, y in index3 for a, b in ((x.name, y.name),)
-    ]
-    return QuotientCertificate(presentation, pair, (type1, type2, type3))
+    return QuotientCertificate(presentation, pair, power, overrun, returns)

@@ -914,6 +914,20 @@ class TestMainOutputs:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("command", ["validate", "verify-quotient"])
+    def test_byte_order_mark_is_dropped(self, command, capsys, tmp_path):
+        # an editor may save the document with a leading UTF-8 byte-order mark
+        marked = tmp_path / "a3_gentle.alg"
+        marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "a3_gentle.alg").read_bytes())
+        runs = []
+        for document in (FIXTURES / "a3_gentle.alg", marked):
+            code = main([command, str(document), "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            del payload["input"]
+            runs.append((code, payload))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
 
 def test_radical_square_zero_fixture_end_to_end(capsys):
     code = main(["verify-quotient", str(FIXTURES / "radical_square_zero.alg")])

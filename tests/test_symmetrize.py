@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib
 import random
 from dataclasses import FrozenInstanceError
@@ -102,6 +103,18 @@ def undersized_loop_cover():
     q = Quiver(["v"], [("a", "v", "v")])
     p = Presentation(q, (), (), 5)
     object.__setattr__(p, "_cover", close_under_rotation(q, [(q.path(["a"]), 2)]))
+    return p
+
+
+def two_loop_cover(mu: int) -> Presentation:
+    """Loops a and b at one vertex, whose compositions a b and b a are dead,
+    under nilpotency bound 5, given in its cover slot the hand-built cover
+    of the two loops at multiplicity ``mu``: below 5, the binomial
+    a^mu - b^mu is short on both sides and survives the collapse."""
+    q = Quiver(["v"], [("a", "v", "v"), ("b", "v", "v")])
+    p = Presentation(q, (q.path(["a", "b"]), q.path(["b", "a"])), (), 5)
+    cover = close_under_rotation(q, [(q.path(["a"]), mu), (q.path(["b"]), mu)])
+    object.__setattr__(p, "_cover", cover)
     return p
 
 
@@ -288,6 +301,28 @@ class TestVerifyQuotient:
         assert (derived.call_count, paths.call_count) == (0, 0)
         assert counts == dict(zip(("type1", "type2", "type3"), pair.relations.counts()))
         assert min(counts.values()) > 0
+
+    def test_summary_builds_nothing_per_generator(self):
+        # complete, counts() and the report read the class verdicts and the
+        # cover's quiver; the generator index and the verdict lists wait
+        # for the entries
+        presentation = random_presentation(random.Random(3), 4, 40, 4)
+        pair = symmetrize(presentation)
+        assert pair.axioms.passed
+        paths = mock.Mock(wraps=quiver_module._path)
+        with contextlib.ExitStack() as stack:
+            for module in (quiver_module, defining_pair_module, symmetrize_module):
+                stack.enter_context(mock.patch.object(module, "_path", paths))
+            certificate = verify_quotient(presentation)
+            assert certificate.complete
+            assert min(certificate.counts().values()) > 0
+            assert certificate.to_report().passed
+            assert certificate.failures() == []
+            assert "_generators" not in vars(pair)
+            assert "verdicts" not in vars(certificate)
+            assert paths.call_count == 0
+            assert certificate.entries
+        assert "_generators" in vars(pair) and "verdicts" in vars(certificate)
 
     @pytest.mark.parametrize("reader", ["entries", "failures", "dimensions"])
     def test_relations_are_derived_by_the_first_reader_of_paths(
@@ -628,6 +663,64 @@ def test_verdicts_zip_with_the_rendered_relations():
         for path, (kind, arrow) in terms:
             assert (kind == KILLED_BY_STAR_ARROW) == (arrow is not None), seed
             assert arrow is None or arrow in path.arrows, (seed, path, arrow)
+
+
+def assert_summary_agrees_with_the_listing(certificate):
+    """The class-level summary against the per-generator listing."""
+    assert tuple(certificate.counts().values()) == certificate.pair.relations.counts()
+    assert certificate.complete == all(e.certified for e in certificate.entries)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_class_verdict_agrees_with_the_generator_listing(seed):
+    rng = random.Random(seed)
+    draw = radical_square_zero_presentation if seed % 3 == 0 else random_presentation
+    presentation = draw(rng)
+    assert_summary_agrees_with_the_listing(verify_quotient(presentation))
+    # the cover is built from every declared quadratic, then one is forgotten
+    dead = sorted(presentation._quadratic)
+    if not dead:
+        return
+    forgotten = dead[seed % len(dead)]
+    object.__setattr__(presentation, "_quadratic", frozenset(dead) - {forgotten})
+    certificate = verify_quotient(presentation)
+    assert_summary_agrees_with_the_listing(certificate)
+    assert not certificate.complete
+    assert [(e.relation_kind, e.relation) for e in certificate.failures()] == [
+        ("type3", " ".join(forgotten))
+    ]
+
+
+@pytest.mark.parametrize(
+    "corrupted, broken",
+    [
+        (undersized_loop_cover, [("type2", "a a a")]),
+        (
+            functools.partial(two_loop_cover, 2),
+            [("type1", "a a - b b"), ("type2", "a a a"), ("type2", "b b b")],
+        ),
+        # at multiplicity 4 the overruns reach the bound: the binomial alone fails
+        (functools.partial(two_loop_cover, 4), [("type1", "a a a a - b b b b")]),
+    ],
+    ids=["undersized-loop", "two-loops-mu2", "two-loops-mu4"],
+)
+def test_corrupted_cover_fails_exactly_its_broken_generators(corrupted, broken):
+    certificate = verify_quotient(corrupted())
+    assert_summary_agrees_with_the_listing(certificate)
+    assert not certificate.complete
+    assert [(e.relation_kind, e.relation) for e in certificate.failures()] == broken
+
+
+def test_cycle_through_a_dead_quadratic_judges_no_generator():
+    # a hand-built cover whose loop travels the dead quadratic a a: that
+    # composition lies on a cycle, so it is no generator and is not counted
+    q = Quiver(["v"], [("a", "v", "v")])
+    presentation = Presentation(q, (q.path(["a", "a"]),), (), 5)
+    object.__setattr__(presentation, "_cover", close_under_rotation(q, [(q.path(["a"]), 5)]))
+    certificate = verify_quotient(presentation)
+    assert_summary_agrees_with_the_listing(certificate)
+    assert certificate.complete
+    assert certificate.counts() == {"type1": 0, "type2": 1, "type3": 0}
 
 
 def test_undersized_certificate_matches_the_eager_walk():
