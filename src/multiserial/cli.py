@@ -532,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="input document")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--out", metavar="FILE", help="write the primary output to FILE")
     common.add_argument(
         "--max-paths",
         type=_budget,
@@ -547,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, text) in COMMAND_TABLE.items():
-        subparsers.add_parser(name, parents=[common], help=text)
+        command = subparsers.add_parser(name, parents=[common], help=text)
+        if name in ("symmetrize", "dot"):  # the commands that make an artifact
+            command.add_argument("--out", metavar="FILE", help="write the primary output to FILE")
     return parser
 
 
@@ -565,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; the instance is too large", file=sys.stderr)
         return 2
-    written = bool(args.out) and result.artifact is not None
+    written = bool(getattr(args, "out", None)) and result.artifact is not None
     if written:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -122,8 +122,7 @@ class DefiningPair:
         reader of a cover shares it; complete and single-valued for a
         system passing :func:`validate`."""
         return MappingProxyType({
-            a: cycle.arrows[(p + 1) % len(cycle)]
-            for cycle, _ in self._classes for p, a in enumerate(cycle.arrows)
+            a: b for c, _ in self._classes for a, b in zip(c.arrows, c.arrows[1:] + c.arrows[:1])
         })
 
     @cached_property
@@ -147,39 +146,32 @@ class DefiningPair:
         return report
 
     @cached_property
-    def _generators(self) -> tuple[list, list]:
-        """The generator index, made on first use: type 1 as the pairs of
-        first arrows of rotations whose full powers share a source, type 3 as
-        the ``Arrow`` pairs off the cycles, both in name order; type 2 is one
-        per rotation."""
-        self.require_valid()
-        out = self.quiver._out
-        # every arrow starts one rotation, so a vertex's rotations start with its arrows
-        type1 = [
-            both for v in self.quiver.vertices for both in combinations([a.name for a in out[v]], 2)
-        ]
-        # Every arrow lies on exactly one rotation class, so ab travels a cycle
-        # exactly when b follows a there.
-        following = self.next_arrow
-        type3 = [
-            (a, b) for a in self.quiver._by_name for b in out[a.target]
-            if following[a.name] != b.name
-        ]
-        return type1, type3
-
-    @cached_property
     def relations(self) -> RelationSet:
         """The full (possibly redundant) generating set of the ideal, rendered
-        as paths from :attr:`_generators` on first use and shared; requires a
-        system passing :func:`validate`.  Two-arrow paths count as on-cycle
-        when they travel a cycle cyclically, so the square of a loop with
-        multiplicity above one is not a relation."""
-        type1, type3 = self._generators
+        as paths on first use and shared; requires a system passing
+        :func:`validate`.  Type 1 pairs the full powers of every two arrows
+        out of a vertex, vertex by vertex; type 2 is one overrun per rotation;
+        type 3 is each arrow followed by an arrow other than its successor,
+        all in name order.  Two-arrow paths count as on-cycle when they
+        travel a cycle cyclically, so the square of a loop with multiplicity
+        above one is not a relation."""
+        self.require_valid()
+        out, following = self.quiver._out, self.next_arrow
+        # every arrow starts one rotation, so a vertex's rotations start with its arrows
         full = {head: self._full_power(head) for head in self._place}
         return RelationSet(
-            tuple((full[a], full[b]) for a, b in type1),
+            tuple(
+                (full[a.name], full[b.name])
+                for v in self.quiver.vertices for a, b in combinations(out[v], 2)
+            ),
             tuple(_path(p.arrows + p.arrows[:1], p.vertices + p.vertices[1:2]) for p in full.values()),
-            tuple(_path((a.name, b.name), (a.source, a.target, b.target)) for a, b in type3),
+            # Every arrow lies on exactly one rotation class, so ab travels a
+            # cycle exactly when b follows a there.
+            tuple(
+                _path((a.name, b.name), (a.source, a.target, b.target))
+                for a in self.quiver._by_name for b in out[a.target]
+                if following[a.name] != b.name
+            ),
         )
 
     def require_valid(self) -> None:

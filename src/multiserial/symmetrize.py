@@ -11,11 +11,11 @@ sends return arrows to zero and fixes everything else;
 into the original ideal, which exhibits the presented algebra as a
 quotient of the symmetric one.  It judges each rotation class once, a
 vertex of the Brauer configuration, counts each vertex's quadratics
-against the declared ones, and lists the generators only when they are
-read.  :meth:`QuotientCertificate.dimensions` compares the two dimensions
-on the cover it built, the cover's closed form confirmed by the oracle.  The
-successor tables and the cover are each derived once per presentation and
-kept on it.
+against the declared ones, and judges the cover's relations one by one
+only when its entries are read.  :meth:`QuotientCertificate.dimensions`
+compares the two dimensions on the cover it built, the cover's closed
+form confirmed by the oracle.  The successor tables and the cover are
+each derived once per presentation and kept on it.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ class QuotientCertificate:
     ``power`` and ``overrun`` hold each class's verdict on its full powers
     and on its overruns, in class order: a kind, and the return arrow that
     kills the term or None.  :attr:`complete` and :meth:`counts` build no
-    generator; :attr:`verdicts`, one per generator, and :attr:`entries`
-    with their witness text are built on first read and kept.
+    generator; :attr:`entries`, each of the cover's relations judged with
+    its witness text, are built on first read and kept.
     """
 
     presentation: Presentation
@@ -169,40 +169,32 @@ class QuotientCertificate:
         }
 
     @cached_property
-    def verdicts(self) -> tuple[list, list, list]:
-        """Family by family (type 1, 2, 3), one verdict per generator of the
-        cover's generator index, a pair of them for a binomial: each power
-        and overrun takes its class's verdict."""
-        index1, index3 = self.pair._generators
-        place, power, returns = self.pair._place, self.power, self.returns
-        type1 = [(power[place[a][0]], power[place[b][0]]) for a, b in index1]
-        type2 = [self.overrun[k] for k, _ in place.values()]
-        # a dead quadratic is a path of the base, so it holds no return arrow
-        dead = self.presentation._quadratic
-        type3 = [
-            (FORBIDDEN_QUADRATIC, None) if (a, b) in dead
-            else (KILLED_BY_STAR_ARROW, a if a in returns else b) if a in returns or b in returns
-            else (UNCERTIFIED, None)
-            for x, y in index3 for a, b in ((x.name, y.name),)
-        ]
-        return type1, type2, type3
-
-    @cached_property
     def entries(self) -> list[CertifiedGenerator]:
-        """The verdicts as text, one generator each, in the order of the
-        cover's relations."""
-        rel = self.pair.relations
-        type1, type2, type3 = self.verdicts
+        """The cover's relations judged in one walk, in their order, with
+        their witness text: a full power or an overrun takes the verdict of
+        its first arrow's class, and a quadratic is a dead one, killed by its
+        return arrow, or uncertified."""
+        rel, place, power, returns = self.pair.relations, self.pair._place, self.power, self.returns
         out: list[CertifiedGenerator] = []
-        for (u, w), (left, right) in zip(rel.type1, type1):
+        for u, w in rel.type1:
+            left, right = power[place[u.arrows[0]][0]], power[place[w.arrows[0]][0]]
             parts = self._justify("type1", u, left), self._justify("type1", w, right)
             both = Justification(BINOMIAL_BOTH_TERMS, "", parts)
             certified = UNCERTIFIED not in (left[0], right[0])
             out.append(CertifiedGenerator("type1", f"{u} - {w}", both, certified))
-        for kind, family, verdicts in (("type2", rel.type2, type2), ("type3", rel.type3, type3)):
-            for p, verdict in zip(family, verdicts):
-                why = self._justify(kind, p, verdict)
-                out.append(CertifiedGenerator(kind, str(p), why, verdict[0] != UNCERTIFIED))
+        judged = [("type2", p, self.overrun[place[p.arrows[0]][0]]) for p in rel.type2]
+        # a dead quadratic is a path of the base, so it holds no return arrow
+        dead = self.presentation._quadratic
+        for p in rel.type3:
+            arrow = next((a for a in p.arrows if a in returns), None)
+            kind = (
+                FORBIDDEN_QUADRATIC if p.arrows in dead
+                else KILLED_BY_STAR_ARROW if arrow else UNCERTIFIED
+            )
+            judged.append(("type3", p, (kind, arrow)))
+        for kind, p, verdict in judged:
+            why = self._justify(kind, p, verdict)
+            out.append(CertifiedGenerator(kind, str(p), why, verdict[0] != UNCERTIFIED))
         return out
 
     def _justify(self, relation_kind: str, path: Path, verdict: tuple) -> Justification:
@@ -266,10 +258,9 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     reach the bound: each is decided once per class, and no generator or
     relation path is built.  The quadratics are judged by counting, per
     vertex, the composable pairs of base arrows off the cycles against the
-    dead quadratics.  :attr:`QuotientCertificate.verdicts` repeats each
-    class verdict for the class's rotations, from the cover's generator index, and
-    :attr:`QuotientCertificate.entries` builds the text, each on first
-    read.  :meth:`DefiningPair.require_valid` is the gate on the cover's
+    dead quadratics.  :attr:`QuotientCertificate.entries` judges the
+    cover's relations, each by its class verdict or as a quadratic, on
+    first read.  :meth:`DefiningPair.require_valid` is the gate on the cover's
     axioms, which its construction makes hold.  An uncertifiable generator
     is reported, not raised, but would indicate an engine or input-contract bug.
     """

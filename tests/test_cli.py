@@ -681,6 +681,19 @@ class TestMainExitCodes:
         assert err.startswith("error: cannot write the report")
         assert "Traceback" not in err and "Exception ignored" not in err
 
+    @pytest.mark.parametrize(
+        "command", [c for c in COMMAND_TABLE if c not in ("symmetrize", "dot")]
+    )
+    def test_out_is_refused_where_nothing_is_written(self, capsys, tmp_path, command):
+        # only symmetrize and dot make a file; the others once took --out,
+        # exited 0 and wrote nothing
+        target = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as refused:
+            main([command, str(FIXTURES / "a3_gentle.alg"), "--out", str(target)])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not target.exists()
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_unwritable_out_file_exits_two(self, capsys, tmp_path, as_json):
         target = tmp_path / "missing-dir" / "cover.alg"

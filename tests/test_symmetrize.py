@@ -304,8 +304,8 @@ class TestVerifyQuotient:
 
     def test_summary_builds_nothing_per_generator(self):
         # complete, counts() and the report read the class verdicts and the
-        # cover's quiver; the generator index and the verdict lists wait
-        # for the entries
+        # cover's quiver; the relations and their judged entries wait for
+        # the first read of the entries
         presentation = random_presentation(random.Random(3), 4, 40, 4)
         pair = symmetrize(presentation)
         assert pair.axioms.passed
@@ -318,11 +318,11 @@ class TestVerifyQuotient:
             assert min(certificate.counts().values()) > 0
             assert certificate.to_report().passed
             assert certificate.failures() == []
-            assert "_generators" not in vars(pair)
-            assert "verdicts" not in vars(certificate)
+            assert "relations" not in vars(pair)
+            assert "entries" not in vars(certificate)
             assert paths.call_count == 0
             assert certificate.entries
-        assert "_generators" in vars(pair) and "verdicts" in vars(certificate)
+        assert "relations" in vars(pair) and "entries" in vars(certificate)
 
     @pytest.mark.parametrize("reader", ["entries", "failures", "dimensions"])
     def test_relations_are_derived_by_the_first_reader_of_paths(
@@ -648,21 +648,24 @@ def test_certificate_matches_the_eager_walk(seed):
     assert certificate.complete
 
 
-def test_verdicts_zip_with_the_rendered_relations():
-    # the certificate judges the generator index; the relations render it
+def test_entries_zip_with_the_rendered_relations():
+    # the certificate judges the relations the cover renders, one entry each
     for seed in range(300):
         rng = random.Random(seed)
         draw = radical_square_zero_presentation if seed % 3 == 0 else random_presentation
         certificate = verify_quotient(draw(rng))
-        relations = certificate.pair.relations
-        type1, type2, type3 = certificate.verdicts
-        terms = [(u, left) for (u, _), (left, _) in zip(relations.type1, type1)]
-        terms += [(w, right) for (_, w), (_, right) in zip(relations.type1, type1)]
-        terms += zip(relations.type2 + relations.type3, type2 + type3)
-        assert (len(type1), len(type2), len(type3)) == relations.counts(), seed
-        for path, (kind, arrow) in terms:
-            assert (kind == KILLED_BY_STAR_ARROW) == (arrow is not None), seed
-            assert arrow is None or arrow in path.arrows, (seed, path, arrow)
+        relations, entries = certificate.pair.relations, certificate.entries
+        kinds = [e.relation_kind for e in entries]
+        assert tuple(map(kinds.count, ("type1", "type2", "type3"))) == relations.counts(), seed
+        rendered = [f"{u} - {w}" for u, w in relations.type1]
+        rendered += map(str, relations.type2 + relations.type3)
+        assert [e.relation for e in entries] == rendered, seed
+        for entry in entries:
+            terms = entry.justification.parts or (entry.justification,)
+            for word, term in zip(entry.relation.split(" - "), terms):
+                if term.kind == KILLED_BY_STAR_ARROW:
+                    arrow = term.detail.removeprefix("contains return arrow ")
+                    assert arrow in word.split(), (seed, entry)
 
 
 def assert_summary_agrees_with_the_listing(certificate):
