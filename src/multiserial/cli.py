@@ -18,7 +18,7 @@ one of ``[presentation]`` or ``[definingpair]``.  Comments start with
 
 Exit status: 0 when every verdict passes, 1 when some verdict fails, 2 on
 faults (bad input, unsatisfied preconditions, exceeded budgets, running out
-of memory).
+of memory, a size too large for an index).
 """
 
 from __future__ import annotations
@@ -563,8 +563,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        print("error: out of memory; the instance is too large", file=sys.stderr)
+    except (MemoryError, OverflowError) as exc:
+        why = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {why}; the instance is too large", file=sys.stderr)
         return 2
     written = bool(getattr(args, "out", None)) and result.artifact is not None
     if written:

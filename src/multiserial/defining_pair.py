@@ -65,9 +65,11 @@ class DefiningPair:
         missing = [k for k in unique if k not in mult]
         if missing:
             raise ValueError(f"cycle {' '.join(missing[0])} has no multiplicity")
+        # a simple cycle's class is keyed by its rotation to its least arrow
         members: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for key in sorted(unique):
-            members.setdefault(canonical_rotation(unique[key]).arrows, []).append(key)
+            i = key.index(min(key))
+            members.setdefault(key[i:] + key[:i], []).append(key)
         # only a refused class enumerates its rotations, for the witnesses
         unclosed, uneven = [], []
         refused = (g for g in members.values() if len(g) != len(g[0]) or len({mult[k] for k in g}) > 1)

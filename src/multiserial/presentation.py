@@ -53,10 +53,9 @@ class Presentation:
     ``zero_paths`` are monomial generators, ``equal_pairs`` binomial
     generators p - q (same endpoints), and ``nilpotency`` the declared
     bound N >= 2 with every path of length >= N in the ideal.  A caller's
-    presentation is a border, where each generator is checked once to be a
-    path of the quiver; the engine builds its own by :meth:`_trusted`, and
-    the parser, which judges the bound and each generator as its line is
-    read, hands its fields over by :meth:`_judged`.
+    presentation is a border, where each generator is checked once.  The
+    parser, which judges each line as it is read, and the drawers, whose
+    draws hold every check by construction, build by the door :meth:`_judged`.
     """
 
     quiver: Quiver
@@ -65,32 +64,21 @@ class Presentation:
     nilpotency: int
 
     def __post_init__(self) -> None:
-        self._check(on_quiver=False)
-
-    @classmethod
-    def _trusted(cls, *fields) -> Presentation:
-        """``Presentation(*fields)``, trusting its generators to be paths of
-        its quiver; the bound, length and uniformity checks still run."""
-        presentation = cls._judged(*fields)
-        presentation._check(on_quiver=True)
-        return presentation
-
-    @classmethod
-    def _judged(cls, *fields) -> Presentation:
-        """``Presentation(*fields)`` with no check: each field has had every
-        check of :meth:`_check` where it was made."""
-        presentation = cls.__new__(cls)
-        vars(presentation).update(zip(cls.__dataclass_fields__, fields))
-        return presentation
-
-    def _check(self, on_quiver: bool) -> None:
         _check_bound(self.nilpotency)
         for p in chain(self.zero_paths, *self.equal_pairs):
-            if not (on_quiver or self.quiver.contains_path(p)):
+            if not self.quiver.contains_path(p):
                 raise ValueError(f"generator {p} is not a path of the quiver")
             _check_length(p)
         for p, q in self.equal_pairs:
             _check_uniform(p, q)
+
+    @classmethod
+    def _judged(cls, *fields) -> Presentation:
+        """``Presentation(*fields)`` with no check, for the parser and the
+        drawers: each field had every check where it was made."""
+        presentation = cls.__new__(cls)
+        vars(presentation).update(zip(cls.__dataclass_fields__, fields))
+        return presentation
 
     @cached_property
     def _quadratic(self) -> frozenset[tuple[str, ...]]:

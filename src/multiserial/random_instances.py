@@ -5,10 +5,9 @@ loops drawing multiplicity one they validate by construction; callers
 filter on the validation verdict.  Presentations are built from a random
 partial successor matching, so they satisfy the multiserial condition, and
 may carry extra long monomial and binomial generators that exercise the
-oracle without touching the quadratic structure.  Generators are built on
-the drawn quiver by ``_path``, so :meth:`Presentation._trusted` skips only
-their membership check; the bound, length and uniformity checks run on
-every draw.
+oracle without touching the quadratic structure.  Every draw holds its
+checks by construction, so it is built by the engine's doors:
+:meth:`DefiningPair._trusted` and :meth:`Presentation._judged`.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from __future__ import annotations
 import random
 
 from .cycle_algebra import count_paths
-from .defining_pair import DefiningPair, close_under_rotation, nilpotency_bound
+from .defining_pair import DefiningPair, nilpotency_bound
 from .presentation import Presentation
-from .quiver import Path, Quiver, _path
+from .quiver import Path, Quiver, _path, canonical_rotation
 
 
 def random_defining_pair(
@@ -49,9 +48,8 @@ def random_defining_pair(
             if v not in used:
                 used.append(v)
     quiver = Quiver(used, arrow_triples)
-    return close_under_rotation(
-        quiver, [(quiver.path(names), mult) for names, mult in raw_cycles]
-    )
+    classes = [(canonical_rotation(quiver.path(names)), mult) for names, mult in raw_cycles]
+    return DefiningPair._trusted(quiver, classes)
 
 
 def tractable_defining_pair(
@@ -128,7 +126,7 @@ def random_presentation(
                 pairs.append((first, second))
                 break
 
-    return Presentation._trusted(
+    return Presentation._judged(
         quiver, tuple(zero_paths) + tuple(extras), tuple(pairs), nilpotency
     )
 
@@ -138,7 +136,7 @@ def radical_square_zero_presentation(
 ) -> Presentation:
     """Every composition of two arrows vanishes, declared explicitly."""
     quiver = _random_quiver(rng, max_vertices, max_arrows)
-    return Presentation._trusted(quiver, tuple(_two_arrow_paths(quiver, {})), (), 2)
+    return Presentation._judged(quiver, tuple(_two_arrow_paths(quiver, {})), (), 2)
 
 
 def _two_arrow_paths(quiver: Quiver, matched: dict[str, str]) -> list[Path]:

@@ -14,8 +14,8 @@ vertex of the Brauer configuration, counts each vertex's quadratics
 against the declared ones, and judges the cover's relations one by one
 only when its entries are read.  :meth:`QuotientCertificate.dimensions`
 compares the two dimensions on the cover it built, the cover's closed
-form confirmed by the oracle.  The successor tables and the cover are
-each derived once per presentation and kept on it.
+form confirmed by the oracle.  The tables and the cover, whose cycles are
+not checked again, are each derived once per presentation and kept on it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .cycle_algebra import (
     _presented_dimension,
     pair_oracle_dimension,
 )
-from .defining_pair import DefiningPair, close_under_rotation
+from .defining_pair import DefiningPair
 from .presentation import Presentation, derive_successors
-from .quiver import Path, Quiver, _path
+from .quiver import Path, Quiver, _path, canonical_rotation
 from .report import Report
 
 STAR_PREFIX = "star_"
@@ -53,8 +53,9 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     is a fault, since output files must be reproducible.  The cycles are
     the successor tables' cycles, one per rotation class, plus, for each
     maximal path, the closure of the path by its return arrow; every class
-    carries the presentation's nilpotency bound as multiplicity.  Closed
-    once per presentation and kept on it.
+    carries the presentation's nilpotency bound as multiplicity.  Its cycles
+    are built from paths already checked, so :meth:`DefiningPair._trusted`
+    builds the cover, once per presentation, and it is kept there.
     """
     if hasattr(presentation, "_cover"):
         return presentation._cover
@@ -79,7 +80,8 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     enlarged = Quiver(base.vertices, arrow_triples)
     cycles = list(tables.simple_cycles)
     cycles.extend(_path(m.arrows + (r,), m.vertices + (m.source,)) for r, m in closes.items())
-    cover = close_under_rotation(enlarged, [(c, presentation.nilpotency) for c in cycles])
+    classes = [(canonical_rotation(c), presentation.nilpotency) for c in cycles]
+    cover = DefiningPair._trusted(enlarged, classes)
     object.__setattr__(presentation, "_cover", cover)
     return cover
 

@@ -663,6 +663,21 @@ class TestMainExitCodes:
         assert proc.stderr.startswith("error: out of memory")
         assert "Traceback" not in proc.stderr
 
+    def test_size_past_an_index_exits_two(self, capsys, tmp_path):
+        # the loop's full power at bound 10**20 has more arrows than an index
+        # holds; a verdict did not fail, so exit 1 would misreport it
+        doc = tmp_path / "huge_index.alg"
+        doc.write_text(
+            "[quiver]\nvertices = v\narrow a = v -> v\n\n"
+            "[presentation]\nnilpotency = 100000000000000000000\n"
+        )
+        code, out, err = self.run(capsys, "verify-quotient", str(doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "too large" in err
+        assert "Traceback" not in err and "out of memory" not in err
+        expected = {"validate": 0, "sigma-tau": 0, "symmetrize": 0, "oracle": 2}
+        assert {c: self.run(capsys, c, str(doc))[0] for c in expected} == expected
+
     def test_closed_stdout_exits_two(self):
         # every verdict passes, so exit 1 would misreport a failed verdict
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -763,11 +778,12 @@ class TestRunCommand:
 
     def test_verify_quotient_derives_each_stage_once(self):
         # a name read in two modules gets one spy, patched into both; the
-        # closure counts cover builds, as symmetrize is a cached read, and
-        # the cover's axioms and relations are counted where they are derived
+        # cycle system's door counts cover builds, as symmetrize is a cached
+        # read, and the cover's axioms and relations are counted where they
+        # are derived
         places = [
             (symmetrize_module, "derive_successors"),
-            (symmetrize_module, "close_under_rotation"),
+            (symmetrize_module.DefiningPair, "_trusted"),
             (symmetrize_module, "symmetrize"),
             (symmetrize_module, "_presented_dimension"),
             (cycle_algebra_module, "_oracle_dimension"),

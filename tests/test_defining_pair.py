@@ -240,6 +240,18 @@ class TestValidate:
         assert two_cycle_mu3_pair.next_arrow == {"a": "b", "b": "a"}
 
 
+def three_classes_of_four_rotations() -> tuple[Quiver, list[Path]]:
+    """3 classes of 4 arrows between two vertices, each given by its 4 rotations."""
+    quiver = Quiver(
+        ["1", "2"],
+        [(f"{x}{i}", "12"[i % 2], "12"[(i + 1) % 2]) for x in "abc" for i in range(4)],
+    )
+    cycles = [
+        quiver.path([f"{x}{(i + k) % 4}" for k in range(4)]) for x in "abc" for i in range(4)
+    ]
+    return quiver, cycles
+
+
 class TestCloseUnderRotation:
     def test_generates_all_rotations(self, two_cycle_quiver):
         q = two_cycle_quiver
@@ -268,16 +280,7 @@ class TestCloseUnderRotation:
             close_under_rotation(q, [(q.path(["a", "b"]), 2), (moved, 2)])
 
     def test_checks_each_rotation_class_once(self):
-        # 3 classes of 4 arrows between two vertices, each given by its 4 rotations
-        quiver = Quiver(
-            ["1", "2"],
-            [(f"{x}{i}", "12"[i % 2], "12"[(i + 1) % 2]) for x in "abc" for i in range(4)],
-        )
-        cycles = [
-            quiver.path([f"{x}{(i + k) % 4}" for k in range(4)])
-            for x in "abc"
-            for i in range(4)
-        ]
+        quiver, cycles = three_classes_of_four_rotations()
         with mock.patch.object(
             Quiver, "contains_path", autospec=True, side_effect=Quiver.contains_path
         ) as spy:
@@ -285,6 +288,18 @@ class TestCloseUnderRotation:
         assert spy.call_count == 3
         assert len(pair.rotation_class_representatives()) == 3
         assert len(rotations(pair)) == 12
+
+    def test_a_callers_rotation_list_is_checked_for_simplicity_once(self):
+        # each of the 12 rotations is checked at the border, then keyed by
+        # its arrows without a second check
+        quiver, cycles = three_classes_of_four_rotations()
+        spy = mock.Mock(wraps=quiver_module.is_simple_cycle)
+        with mock.patch.object(quiver_module, "is_simple_cycle", spy), mock.patch.object(
+            defining_pair_module, "is_simple_cycle", spy
+        ):
+            pair = DefiningPair(quiver, cycles, dict.fromkeys((c.arrows for c in cycles), 2))
+        assert spy.call_count == 12
+        assert pair == close_under_rotation(quiver, [(c, 2) for c in cycles])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_checks_each_representative_for_simplicity_once(self, seed):

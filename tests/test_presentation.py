@@ -187,22 +187,17 @@ class TestPresentationConstruction:
         with pytest.raises(ValueError, match="not a path of the quiver"):
             Presentation(linear_quiver, (loop_quiver.path(["a", "a"]),), (), 2)
 
-    def test_trusted_route_keeps_every_check_but_membership(self):
-        q = Quiver(
-            ["1", "2", "3"],
-            [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2"), ("d", "2", "2")],
-        )
-        ab, cd = q.path(["a", "b"]), q.path(["c", "d"])
-        for args, message in [
-            ((q, (), (), 1), "at least 2"),
-            ((q, (q.path(["a"]),), (), 2), "length < 2"),
-            ((q, (), ((ab, cd),), 3), "not uniform"),
-        ]:
-            with pytest.raises(ValueError, match=message):
-                Presentation._trusted(*args)
-        with mock.patch.object(Quiver, "contains_path", side_effect=AssertionError):
-            p = Presentation._trusted(q, (ab,), ((cd, q.path(["c", "d", "d"])),), 3)
-        assert ("a", "b") in p._quadratic and ("c", "d") not in p._quadratic
+    @given(
+        st.integers(0, 10**9),
+        st.sampled_from(["random", "random-4-40-4", "radical-square-zero"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_draw_is_accepted_unchanged_by_the_public_constructor(self, seed, name):
+        # the drawers build by the door Presentation._judged, past every
+        # check; each draw must hold them all, as a caller's would
+        drawn = GENERATORS[name](random.Random(seed))
+        fields = [getattr(drawn, f) for f in Presentation.__dataclass_fields__]
+        assert vars(Presentation(*fields)) == vars(drawn)
 
     def test_quadratic_membership(self, linear_presentation):
         assert ("a", "b") in linear_presentation._quadratic

@@ -213,6 +213,18 @@ class TestSymmetrize:
         assert [(c.arrows, mu) for c, mu in rotations(pair)] == [(("a",), 3)]
         assert validate(pair).passed
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_checks_no_cycle_of_its_own(self, seed):
+        # the cover's cycles were traced by the successor tables or close
+        # their maximal paths, so none is checked against the enlarged quiver
+        presentation = random_presentation(random.Random(seed), 4, 40, 4)
+        with mock.patch.object(
+            Quiver, "contains_path", autospec=True, side_effect=Quiver.contains_path
+        ) as spy:
+            cover = symmetrize(presentation)
+        assert spy.call_count == 0
+        assert validate(cover).passed
+
     def test_base_arrows_occur_on_exactly_one_class(self, linear_presentation):
         pair = symmetrize(linear_presentation)
         base = linear_presentation.quiver
@@ -550,17 +562,15 @@ class TestDimensionComparison:
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
     def test_paths_are_checked_once_per_rotation_class(self, seed):
-        # the cover's cycles are checked once per class, where they enter
-        # close_under_rotation; its relations and the presentation's
-        # generators reach the oracle unchecked
+        # the cover's cycles, traced by the successor tables, are not checked
+        # again; its relations and the presentation's generators reach the
+        # oracle unchecked
         presentation = random_presentation(random.Random(seed))
         with mock.patch.object(
             Quiver, "contains_path", autospec=True, side_effect=Quiver.contains_path
         ) as spy:
             certificate = verify_quotient(presentation)
-            classes = len(certificate.pair.rotation_class_representatives())
-            assert spy.call_count <= classes
-            spy.reset_mock()
+            assert spy.call_count == 0
             dim, dim_star = certificate.dimensions()
         assert spy.call_count == 0
         assert dim <= dim_star
@@ -590,7 +600,7 @@ class TestDimensionComparison:
         p = linear_presentation
         spies = {
             (presentation_module, "_surviving_compositions"): 1,
-            (symmetrize_module, "close_under_rotation"): 1,
+            (symmetrize_module.DefiningPair, "_trusted"): 1,
         }
         with contextlib.ExitStack() as stack:
             mocks = {
@@ -612,11 +622,11 @@ class TestDimensionComparison:
         assert certificate.presentation.tables is tables
 
     def test_cover_is_built_and_validated_once(self, linear_presentation):
-        # one cover serves the certificate and both dimensions; the closure
-        # counts builds, past symmetrize's cached reads
-        build = mock.Mock(wraps=close_under_rotation)
+        # one cover serves the certificate and both dimensions; the cycle
+        # system's door counts builds, past symmetrize's cached reads
+        build = mock.Mock(wraps=symmetrize_module.DefiningPair._trusted)
         with mock.patch.object(
-            symmetrize_module, "close_under_rotation", build
+            symmetrize_module.DefiningPair, "_trusted", build
         ), spy_on_derivation("axioms") as check:
             assert verify_quotient(linear_presentation).dimensions() == (5, 18)
         assert build.call_count == 1
@@ -628,6 +638,17 @@ class TestDimensionComparison:
 def test_symmetrized_systems_validate(seed):
     presentation = random_presentation(random.Random(seed))
     assert validate(symmetrize(presentation)).passed
+
+
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from([random_presentation, radical_square_zero_presentation]),
+)
+@settings(max_examples=60, deadline=None)
+def test_cover_is_the_public_closure_of_its_classes(seed, draw):
+    # the cover is built past the public border, which stays its reference
+    cover = symmetrize(draw(random.Random(seed)))
+    assert close_under_rotation(cover.quiver, cover.rotation_class_representatives()) == cover
 
 
 @given(st.integers(0, 10**9))
