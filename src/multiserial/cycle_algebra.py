@@ -15,12 +15,17 @@ The oracle (:func:`oracle_dimension`) knows nothing of that structure: it
 closes the relations, each a pair ``(p, None)`` for a path or ``(p, q)``
 for a difference of two paths, under multiplication by arrows in a
 truncated path algebra, and counts the path classes that do not vanish.
-An automaton of the path relations counts the paths that avoid them; they
-get ids only once a binomial or trivial-path relation needs them, and
-their extensions in front only when the closure first reaches them.
-:func:`pair_oracle_dimension` runs it on a cycle system's generated
-relations, and ``_presented_dimension`` on a presentation's.  Tests and
-the acceptance suite hold the two routes against each other.
+It keeps only the steps that survive.  The two-arrow path relations enter
+as each arrow's dead successors, never as trie edges, and an automaton
+with the longer path relations in its trie keeps each state's live steps
+and counts the paths that avoid them all.  Those paths get ids only once a
+binomial or trivial-path relation needs them, each with its surviving
+extensions behind, and its surviving extensions in front once the closure
+first reaches it.  :func:`pair_oracle_dimension` runs it on a cycle
+system's relations, type 3 given as each arrow's one allowed successor,
+and ``_presented_dimension`` on a presentation's, its dead quadratics
+given as each arrow's dead successors.  Tests and the acceptance suite
+hold the two routes against each other.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mod, sub
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
 from .quiver import MonomialAutomaton, Path, Quiver, _path
@@ -462,92 +467,97 @@ def enumerate_paths(
 
 class _PathTable:
     """The paths below a bound that avoid every monomial of an automaton,
-    as integer ids, with one-arrow extension tables.
+    as integer ids, with their surviving one-arrow extensions.
 
     The id ``zero``, 0, stands for every product that vanishes or ends
     with a monomial; it has no extensions.  The trivial paths follow in
     vertex order, then the others, shortest first, by ``parent`` (the path
-    without its last arrow) and then the ``last`` arrow's slot.
-    ``right[first[p] + i]`` is the path with the ``i``-th arrow out of its
-    target (name order) put behind, and ``lefts[left_at[p] + i]`` the one
-    with the ``i``-th arrow into its source put in front; both offsets are
-    -1 for paths of length ``bound - 1``, whose extensions all reach the
-    bound.  ``left_at[p]`` is None until ``left(p)`` first makes the block.
+    without its ``last`` arrow) and then by that arrow's place in the
+    parent's automaton row.  A one-arrow extension that does not survive
+    is zero, so only the surviving ones are kept.  Behind, they are the
+    entries of the row of the path's automaton ``state``, numbered from
+    ``first[p]`` in row order: ``slots[state[p]]`` gives each arrow's place,
+    and ``right(p, a)`` the id of p followed by a, or zero.  ``first[p]``
+    is -1 for a path without one, among them every path of length
+    ``bound - 1``, whose extensions all reach the bound.  In front,
+    ``lefts[p]`` maps each arrow a whose product a p survives to its id;
+    it is None until ``left(p)`` first makes it.
     """
 
     def __init__(self, quiver: Quiver, automaton: MonomialAutomaton, bound: int) -> None:
-        self.vertex = automaton.vertex
-        incoming = [quiver.arrows_into(v) for v in quiver.vertices]
-        self.out_degree = [len(heads) for heads in automaton.outgoing]
-        self.in_degree = in_degree = [len(arrows) for arrows in incoming]
-        self.slot = {name: i for heads in automaton.outgoing for i, name in enumerate(heads)}
+        self.vertex = vertex = automaton.vertex
+        rows = automaton.rows
+        # a row of at most one arrow, as most are on a cover, numbers it 0
+        self.slots = slots = [
+            dict.fromkeys(row, 0) if len(row) < 2 else {name: i for i, name in enumerate(row)}
+            for row in rows
+        ]
 
-        # zero's entries, and the trivial paths' parent and last, are placeholders
-        step = automaton.step
-        state = [0, *range(len(incoming))]
-        source = list(state)
-        parent, last = [0] * len(state), [0] * len(state)
-        first = [-1]
-        right: list[int] = []
+        # zero's state, and the trivial paths' parent and last, are placeholders
+        state = [0, *range(len(vertex))]
+        parent, last = [0] * len(state), [""] * len(state)
+        first = [-1] * len(state)
         level_start, level_end = 1, len(state)
         for _ in range(bound - 1):
             for p in range(level_start, level_end):
-                first.append(len(right))
-                s = source[p]
-                for j, t in enumerate(step[state[p]]):
-                    if t < 0:
-                        right.append(0)
-                    else:
-                        right.append(len(state))
-                        state.append(t)
-                        source.append(s)
-                        parent.append(p)
-                        last.append(j)
+                row = rows[state[p]]
+                if row:
+                    first[p] = len(state)
+                    state += row.values()
+                    last += row
+                    parent += [p] * len(row)
             if level_end == len(state):
                 break
             level_start, level_end = level_end, len(state)
-        first.extend([-1] * (len(state) - len(first)))
+            first += [-1] * (level_end - level_start)
         self.count, self.zero = len(state) - 1, 0
-        self.source, self.target = source, [automaton.end[s] for s in state]
-        self.first, self.right, self.parent, self.last = first, right, parent, last
+        self.state, self.first, self.parent, self.last = state, first, parent, last
 
-        # a trivial path's left extensions are the arrows into its vertex
-        self.lefts = lefts = []
-        self.left_at = left_at = [-1 if f < 0 else None for f in first]
-        for v, arrows in enumerate(incoming, 1):
-            left_at[v] = len(lefts)
-            lefts.extend(right[first[self.vertex[a.source] + 1] + self.slot[a.name]] for a in arrows)
+        def right(x: int, name: str) -> int:
+            i = slots[state[x]].get(name) if first[x] >= 0 else None
+            return 0 if i is None else first[x] + i
 
-        # left(p) makes the block of an unmade p, and first those of its unmade
-        # ancestors (one source, one block length), oldest first: a(qb) =
-        # (aq)b, where aq is one shorter than a(qb), so its right extensions
-        # exist, and a(qb) is zero when aq is (``x and ...`` keeps the id 0).
-        # A closure, not a method, and the chain reversed only when it is
-        # longer than p: the oracle calls it for nearly every path it reaches.
-        def left(p: int) -> int:
-            chain, up = [p], parent[p]
-            if left_at[up] is None:
-                while left_at[up] is None:
-                    chain.append(up)
-                    up = parent[up]
-                chain.reverse()
-            block, degree = left_at[up], in_degree[source[p]]
-            for q in chain:
-                j, left_at[q] = last[q], len(lefts)
-                lefts.extend([x and right[first[x] + j] for x in lefts[block : block + degree]])
-                block = left_at[q]
-            return block
+        # a trivial path's extensions in front are the arrows into its vertex;
+        # the longest paths have none, as their extensions are never numbered
+        self.lefts = lefts = [None] * len(state)
+        lefts[0] = none = {}
+        for v, arrows in enumerate(quiver._in.values(), 1):
+            extended = ((a.name, right(vertex[a.source] + 1, a.name)) for a in arrows)
+            lefts[v] = {name: x for name, x in extended if x}
+        lefts[level_start:level_end] = [none] * (level_end - level_start)
 
-        self.left = left
+        # left(p) makes the map of an unmade p, and first those of its unmade
+        # ancestors, oldest first: a(qb) = (aq)b, where aq is one shorter
+        # than a(qb), so it is numbered with its extensions behind, and a(qb)
+        # survives only where aq does.  A closure, not a method, with
+        # ``right`` written out: the oracle calls it for nearly every path
+        # it reaches.
+        def left(p: int) -> dict[str, int]:
+            chain = []
+            while lefts[p] is None:
+                chain.append(p)
+                p = parent[p]
+            made = lefts[p]
+            for q in reversed(chain):
+                name, extended = last[q], {}
+                for a, x in made.items():
+                    if first[x] >= 0 and (i := slots[state[x]].get(name)) is not None:
+                        extended[a] = first[x] + i
+                lefts[q] = made = extended
+            return made
+
+        self.right, self.left = right, left
 
     def id_of(self, path: Path) -> int:
         """The id of a path of the quiver, or ``zero`` when it has a
         monomial subword or reaches the bound."""
+        first, slots, state = self.first, self.slots, self.state
         p = self.vertex[path.source] + 1
         for name in path.arrows:
-            if self.first[p] < 0:
+            i = slots[state[p]].get(name) if first[p] >= 0 else None
+            if i is None:
                 return self.zero
-            p = self.right[self.first[p] + self.slot[name]]
+            p = first[p] + i
         return p
 
 
@@ -587,38 +597,68 @@ def oracle_dimension(
     with no binomial or trivial-path relation the count is the dimension.
     Else they get ids, and the classes are found by congruence closure: a
     union-find over path ids in which every merge of two classes queues
-    its pair once, and a queued pair merges its one-arrow extensions on
-    both sides, those in front made on first use.  Each relation is checked
-    here, once, but a monomial below the bound only as the automaton inserts
-    it, as it does the engine's own, from :func:`pair_oracle_dimension`.
+    its pair once, and a queued pair merges its surviving one-arrow
+    extensions on both sides, those in front made on first use.
+
+    This is the oracle's border, and it reads each relation once.  A
+    two-arrow monomial below the bound is checked by two arrow lookups and
+    joins its first arrow's dead successors, from which the automaton keeps
+    only the live ones; a longer one, or a one-arrow one, is checked only
+    as the automaton inserts it, as the engine's own are.  Every other
+    relation is checked in full.
     """
-    pairs = list(relations)
-    for r in pairs:
-        p = type(r) is tuple and len(r) == 2 and r[1] is None and r[0]
-        if type(p) is not Path or not 0 < len(p.arrows) < bound:
-            _checked_relation(r, quiver)
-    return _oracle_dimension(quiver, pairs, bound, max_paths)
+    arrows = quiver._arrows
+    dead: list[tuple[str, ...]] = []
+    monomials: list[Path] = []
+    seeds: list[tuple[Path, Path | None]] = []
+    quadratic = bound > 2
+    for r in relations:
+        if type(r) is tuple and len(r) == 2 and r[1] is None and type(p := r[0]) is Path:
+            names = p.arrows
+            if quadratic and len(names) == 2:
+                a, b = arrows.get(names[0]), arrows.get(names[1])
+                if a is None or b is None or a.target != b.source or p.vertices != (
+                    a.source, b.source, b.target
+                ):
+                    raise ValueError(f"{p} is not a path of the quiver")
+                dead.append(names)
+                continue
+            if 0 < len(names) < bound:
+                monomials.append(p)
+                continue
+        _checked_relation(r, quiver)
+        # a monomial at or past the bound is zero anyway
+        if r[1] is not None or not r[0].arrows:
+            seeds.append(r)
+    return _oracle_dimension(quiver, {}, dead, monomials, seeds, bound, max_paths)
 
 
-def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -> int:
-    """:func:`oracle_dimension` past its border: only the automaton checks the monomials."""
+def _oracle_dimension(
+    quiver: Quiver,
+    after: Mapping[str, Collection[str]],
+    dead: Iterable[tuple[str, str]],
+    monomials: Iterable[Path],
+    seeds: Collection[tuple[Path, Path | None]],
+    bound: int,
+    max_paths: int,
+) -> int:
+    """The oracle past its border, on the relations in compact form: the
+    two-arrow monomials as some arrows' allowed successors (``after``) or
+    as dead pairs of arrow names, the other monomials, and the ``seeds``:
+    the binomials and the trivial-path relations.  Only the automaton
+    checks the monomials."""
     if bound < 2:
         raise ValueError("truncation bound must be at least 2")
     # longer path relations are zero anyway, and would only add states
-    monomials = [p for p, q in pairs if q is None and 0 < len(p.arrows) < bound]
-    automaton = MonomialAutomaton(quiver, monomials)
+    below = [p for p in monomials if len(p.arrows) < bound]
+    automaton = MonomialAutomaton(quiver, below, after, dead)
     count = automaton.count(bound - 1, max_paths)[0]
     _check_budget(count, max_paths, _SURVIVING)
-    # A nontrivial path relation's id is zero: below the bound it ends with
-    # itself, at or past it the product vanishes; it merges nothing.
-    seeds = [(p, q) for p, q in pairs if q is not None or not p.arrows]
     if not seeds:
         return count
     table = _PathTable(quiver, automaton, bound)
-    zero, left = table.zero, table.left
-    first, right, left_at, lefts = table.first, table.right, table.left_at, table.lefts
-    source, target = table.source, table.target
-    out_degree, in_degree = table.out_degree, table.in_degree
+    zero, left, id_of = table.zero, table.left, table.id_of
+    first, slots, state, lefts = table.first, table.slots, table.state, table.lefts
     leader = list(range(table.count + 1))
     pending: list[tuple[int, int]] = []
 
@@ -634,51 +674,75 @@ def _oracle_dimension(quiver: Quiver, pairs: list, bound: int, max_paths: int) -
             leader[ry] = rx
             pending.append((x, y))
 
+    # Only the binomials and trivial-path relations seed the closure: a
+    # nontrivial path relation's id is zero (below the bound it ends with
+    # itself, at or past it the product vanishes), so it merges nothing.  A
+    # cycle system's binomials share one full power per arrow, so each
+    # path's id is found once.
+    ids: dict[int, int] = {}
+
+    def number(p: Path) -> int:
+        x = ids.get(id(p))
+        if x is None:
+            x = ids[id(p)] = id_of(p)
+        return x
+
     for p, q in seeds:
         if q is not None and (p.source, p.target) != (q.source, q.target):
             # p - q with other end points: multiplying by the idempotents
             # at p's ends leaves p alone, so both are relations.
-            union(table.id_of(q), zero)
+            union(number(q), zero)
             q = None
-        union(table.id_of(p), zero if q is None else table.id_of(q))
+        union(number(p), zero if q is None else number(q))
 
-    merges = 0
+    # each side's extensions are united over the union of the two paths'
+    # arrows: one that survives on one side alone meets zero on the other
+    merges, none = 0, {}
     while pending:
         x, y = pending.pop()
         merges += 1
-        live = y if x == zero else x
-        fx, fy = first[x], first[y]
-        if fx >= 0 or fy >= 0:
-            for i in range(out_degree[target[live]]):
-                union(
-                    right[fx + i] if fx >= 0 else zero,
-                    right[fy + i] if fy >= 0 else zero,
-                )
-        lx, ly = left_at[x], left_at[y]
+        bx = slots[state[x]] if first[x] >= 0 else none
+        by = slots[state[y]] if first[y] >= 0 else none
+        for name, i in bx.items():
+            j = by.get(name)
+            union(first[x] + i, zero if j is None else first[y] + j)
+        for name, j in by.items():
+            if name not in bx:
+                union(zero, first[y] + j)
+        lx = lefts[x]
         if lx is None:
             lx = left(x)
+        ly = lefts[y]
         if ly is None:
             ly = left(y)
-        if lx >= 0 or ly >= 0:
-            for i in range(in_degree[source[live]]):
-                union(
-                    lefts[lx + i] if lx >= 0 else zero,
-                    lefts[ly + i] if ly >= 0 else zero,
-                )
+        for name, u in lx.items():
+            union(u, ly.get(name, zero))
+        for name, w in ly.items():
+            if name not in lx:
+                union(zero, w)
     return count - merges
 
 
 def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> int:
     """The oracle's dimension of a cycle system's algebra: its generated
     relations closed below :func:`nilpotency_bound`, blind to the closed
-    form it is held against.  Its relations, the engine's own, skip the border
-    and are all rendered before the budget count, so bound the basis first."""
+    form it is held against.  Type 3, every two-arrow path off the cycles,
+    is passed as each arrow's one allowed successor, and no type-3 path is
+    built; the type-1 binomials and type-2 overruns, the engine's own, skip
+    the border and are rendered before the budget count, so bound the basis
+    first."""
+    type1, type2 = pair._powers
+    after = {a: (b,) for a, b in pair.next_arrow.items()}
     bound = nilpotency_bound(pair)
-    return _oracle_dimension(pair.quiver, pair.relations.linear_relations(), bound, max_paths)
+    return _oracle_dimension(pair.quiver, after, (), type2, type1, bound, max_paths)
 
 
 def _presented_dimension(presentation: Presentation, max_paths: int) -> int:
     """The oracle's dimension of a presentation's algebra: its generators,
-    checked where they entered, closed below its nilpotency bound."""
-    relations = presentation.linear_relations()
-    return _oracle_dimension(presentation.quiver, relations, presentation.nilpotency, max_paths)
+    checked where they entered, closed below its nilpotency bound.  Its
+    dead quadratics are passed as each arrow's dead successors, whether or
+    not the presentation is multiserial."""
+    p = presentation
+    longer = [z for z in p.zero_paths if len(z.arrows) != 2]
+    dead, bound = p._quadratic, p.nilpotency
+    return _oracle_dimension(p.quiver, {}, dead, longer, p.equal_pairs, bound, max_paths)

@@ -157,16 +157,9 @@ class DefiningPair:
         all in name order.  Two-arrow paths count as on-cycle when they
         travel a cycle cyclically, so the square of a loop with multiplicity
         above one is not a relation."""
-        self.require_valid()
         out, following = self.quiver._out, self.next_arrow
-        # every arrow starts one rotation, so a vertex's rotations start with its arrows
-        full = {head: self._full_power(head) for head in self._place}
         return RelationSet(
-            tuple(
-                (full[a.name], full[b.name])
-                for v in self.quiver.vertices for a, b in combinations(out[v], 2)
-            ),
-            tuple(_path(p.arrows + p.arrows[:1], p.vertices + p.vertices[1:2]) for p in full.values()),
+            *self._powers,
             # Every arrow lies on exactly one rotation class, so ab travels a
             # cycle exactly when b follows a there.
             tuple(
@@ -174,6 +167,22 @@ class DefiningPair:
                 for a in self.quiver._by_name for b in out[a.target]
                 if following[a.name] != b.name
             ),
+        )
+
+    @cached_property
+    def _powers(self) -> tuple[tuple[tuple[Path, Path], ...], tuple[Path, ...]]:
+        """Types 1 and 2 of :attr:`relations`, rendered on first use and
+        shared with it, so the oracle reads them without type 3."""
+        self.require_valid()
+        out = self.quiver._out
+        # every arrow starts one rotation, so a vertex's rotations start with its arrows
+        full = {head: self._full_power(head) for head in self._place}
+        return (
+            tuple(
+                (full[a.name], full[b.name])
+                for v in self.quiver.vertices for a, b in combinations(out[v], 2)
+            ),
+            tuple(_path(p.arrows + p.arrows[:1], p.vertices + p.vertices[1:2]) for p in full.values()),
         )
 
     def require_valid(self) -> None:

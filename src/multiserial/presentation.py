@@ -328,6 +328,7 @@ def minimal_monomial_bound(
     """
     if presentation.equal_pairs:
         return None
-    automaton = MonomialAutomaton(presentation.quiver, presentation.zero_paths)
+    longer = [p for p in presentation.zero_paths if len(p.arrows) != 2]
+    automaton = MonomialAutomaton(presentation.quiver, longer, dead=presentation._quadratic)
     alive, longest = automaton.count(presentation.nilpotency - 1, budget)
     return None if alive > budget else max(longest + 1, 2)

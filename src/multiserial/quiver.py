@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,28 +243,59 @@ def _power(cycle: Path, exponent: int) -> Path:
 
 class MonomialAutomaton:
     """The Aho–Corasick automaton (CACM 1975) of nontrivial monomials, paths
-    of one quiver, over its arrow names.
+    of one quiver, over its arrow names, kept on its live steps alone.
 
-    State i < len(quiver.vertices) is the i-th vertex's trivial path, the
-    others are proper prefixes of monomials, ending at vertex ``end[s]``; a
-    monomial's last arrow is a trie edge to -1, not a state of its own.
-    ``outgoing[i]`` maps the arrows out of vertex i, in name order, to their
-    targets, and ``step[s][i]`` follows the i-th arrow out of ``end[s]`` to
-    the longest suffix of the extended path that is a state, or is -1 when
-    that path ends with a monomial; the paths that never reach -1 are the
-    normal words of the monomial algebra (Ufnarovski 1982).  Insertion
-    makes one pass over each monomial's arrows, checking each against
-    ``outgoing`` before it steps the trie, the rest of one whose prefix is
-    already dead included; the first monomial that is not a path of the
-    quiver raises :class:`ValueError`.
+    Two-arrow monomials may come as sets per arrow, never as trie edges:
+    ``after`` gives some arrows the names of the arrows that may follow
+    them, and ``dead`` gives two-arrow monomials by their arrow names, each
+    arrow's set of names those that may not follow it.  State i <
+    len(quiver.vertices) is the i-th vertex's trivial path; the others are
+    the arrows with such a set and the proper prefixes of the monomials,
+    each ending at vertex ``end[s]``; a monomial's last arrow is a trie edge
+    to no state.  ``rows[s]`` maps each arrow whose step from s survives to
+    the longest suffix of the extended path that is a state, and has no
+    entry for a step that ends with a monomial.  A root's row holds the
+    arrows out of its vertex.  Any other state's row is its suffix link's
+    (its longest proper suffix that is a state), cut down by an arrow's set,
+    with its own trie children applied.  The paths that stay on the rows are
+    the normal words of the monomial algebra (Ufnarovski 1982); where every
+    arrow allows at most one successor, a row off the roots has at most one
+    entry.  Insertion makes one pass over each monomial's arrows, checking
+    each against the quiver before it steps the trie, the rest of one whose
+    prefix is already dead included; the first monomial that is not a path
+    of the quiver raises :class:`ValueError`.  The sets are trusted: each
+    names arrows of the quiver that compose, and no arrow is in both.
     """
 
-    def __init__(self, quiver: Quiver, monomials: Iterable[Path]) -> None:
+    def __init__(
+        self,
+        quiver: Quiver,
+        monomials: Iterable[Path],
+        after: Mapping[str, Collection[str]] | None = None,
+        dead: Iterable[tuple[str, str]] = (),
+    ) -> None:
         self.vertex = vertex = {v: i for i, v in enumerate(quiver.vertices)}
-        self.outgoing = outgoing = [{a.name: a.target for a in out} for out in quiver._out.values()]
+        outgoing = [{a.name: a.target for a in out} for out in quiver._out.values()]
         roots = len(outgoing)
         children: list[dict[str, int]] = [{} for _ in range(roots)]
         self.end = end = list(range(roots))
+        killed: dict[str, set[str]] = {}
+        for a, b in dead:
+            names = killed.get(a)
+            if names is None:
+                killed[a] = {b}
+            else:
+                names.add(b)
+        # an arrow with a set is its source's child, whatever the monomials,
+        # and keeps the steps its set allows (True) or does not kill (False)
+        cut: dict[int, tuple[Collection[str], bool]] = {}
+        for sets, allows in ((after or {}, True), (killed, False)):
+            for name, names in sets.items():
+                arrow = quiver._arrows[name]
+                children[vertex[arrow.source]][name] = len(end)
+                cut[len(end)] = names, allows
+                children.append({})
+                end.append(vertex[arrow.target])
         for path in monomials:
             vertices = path.vertices
             s = at = vertex.get(vertices[0], -1)
@@ -285,33 +316,45 @@ class MonomialAutomaton:
                             children.append({})
                             end.append(at)
         # Breadth first, so the suffix link of a state (its longest proper
-        # suffix that is a state, at the same end vertex) has its steps.
-        self.step = step = [[] for _ in end]
+        # suffix that is a state, at the same end vertex) has its row.  Each
+        # state reached gets a row of its own; one no row reaches, under a
+        # killed prefix, keeps the shared empty row.
+        self.rows = rows = [{}] * len(end)
         link = [0] * len(end)
         queue = list(range(roots))
         for s in queue:
-            for i, (name, head) in enumerate(outgoing[end[s]].items()):
-                down = step[link[s]][i] if s >= roots else vertex[head]
-                child = children[s].get(name)
-                if child is not None:
-                    if child < 0 or down < 0:
-                        down = -1
+            if s < roots:
+                row = {name: vertex[head] for name, head in outgoing[s].items()}
+            elif s in cut:
+                # the link is the root at the arrow's target
+                base, (names, allows) = rows[link[s]], cut[s]
+                if allows:
+                    row = {b: base[b] for b in names if b in base}
+                else:
+                    row = {b: t for b, t in base.items() if b not in names}
+            else:
+                row = dict(rows[link[s]])
+            for name, child in children[s].items():
+                if name in row:
+                    if child < 0:
+                        del row[name]
                     else:
-                        link[child], down = down, child
+                        link[child], row[name] = row[name], child
                         queue.append(child)
-                step[s].append(down)
+            rows[s] = row
 
     def count(self, max_length: int, stop_above: int | None = None) -> tuple[int, int]:
         """How many paths of length 0..max_length avoid every monomial, and
-        the longest length among them, by dynamic programming over states.
-        Past ``stop_above`` it stops with a partial total above that cap,
-        so a huge ``max_length`` costs at most ``stop_above`` rounds.  Once a
-        length repeats the previous length's per-state counts, every later
-        length adds the same, so the rounds the loop would still run are
-        added in one step."""
-        edges = [(s, t) for s, row in enumerate(self.step) for t in row if t >= 0]
-        ending = [1] * len(self.outgoing) + [0] * (len(self.step) - len(self.outgoing))
-        total, longest = len(self.outgoing), 0
+        the longest length among them, by dynamic programming over states
+        along the rows' entries.  Past ``stop_above`` it stops with a
+        partial total above that cap, so a huge ``max_length`` costs at most
+        ``stop_above`` rounds.  Once a length repeats the previous length's
+        per-state counts, every later length adds the same, so the rounds
+        the loop would still run are added in one step."""
+        edges = [(s, t) for s, row in enumerate(self.rows) for t in row.values()]
+        roots = len(self.vertex)
+        ending = [1] * roots + [0] * (len(self.rows) - roots)
+        total, longest = roots, 0
         while longest < max_length and (stop_above is None or total <= stop_above):
             grown = [0] * len(ending)
             for s, t in edges:

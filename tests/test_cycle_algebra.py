@@ -13,12 +13,15 @@ from multiserial import (
     CycleAlgebra,
     DefiningPair,
     Idempotent,
+    MultiserialConditionError,
     OnCyclePath,
     OracleBudgetError,
     Path,
+    Presentation,
     Quiver,
     Socle,
     canonical_rotation,
+    check_multiserial_condition,
     close_under_rotation,
     closed_form_dimension,
     count_paths,
@@ -26,6 +29,7 @@ from multiserial import (
     generate_relations,
     nilpotency_bound,
     oracle_dimension,
+    pair_oracle_dimension,
     symmetrize,
     validate,
 )
@@ -35,6 +39,7 @@ from multiserial import quiver as quiver_module
 from multiserial.cli import render_pair_document
 from multiserial.quiver import MonomialAutomaton, _path
 from multiserial.report import Report
+from reference_oracle import dense_oracle_dimension
 from test_defining_pair import rotations, spy_on_derivation
 from test_quiver import compose, cycle_power, length_two_paths
 from multiserial.random_instances import (
@@ -987,6 +992,50 @@ class TestOracle:
         assert (checked.call_count, contains.call_count) == (1, 1)
         assert contains.call_args.args[1] == q.path(["a", "b"])
 
+    # One bad relation on the quiver 1 -a-> 2 -b-> 3 -c-> 4 at the bound,
+    # and the text it is refused with, wherever it is checked: a two-arrow
+    # monomial below the bound by two arrow lookups, a longer one by the
+    # automaton, the rest in full.
+    BAD = {
+        "two-arrow-foreign-arrow": (4, (Path(("a", "z"), ("1", "2", "3")), None), "a z"),
+        "two-arrow-foreign-first": (4, (Path(("z", "b"), ("1", "2", "3")), None), "z b"),
+        "two-arrow-wrong-middle": (4, (Path(("a", "b"), ("1", "3", "3")), None), "a b"),
+        "two-arrow-wrong-end": (4, (Path(("a", "b"), ("1", "2", "4")), None), "a b"),
+        "two-arrow-wrong-start": (4, (Path(("a", "b"), ("2", "2", "3")), None), "a b"),
+        "two-arrow-not-composable": (4, (Path(("a", "c"), ("1", "2", "4")), None), "a c"),
+        "longer-monomial": (4, (Path(("a", "b", "b"), ("1", "2", "3", "3")), None), "a b b"),
+        "binomial-term": (
+            4, (Path(("a", "b"), ("1", "2", "3")), Path(("a", "z"), ("1", "2", "3"))), "a z"
+        ),
+        "two-arrow-at-the-bound": (2, (Path(("a", "z"), ("1", "2", "3")), None), "a z"),
+        "longer-at-the-bound": (3, (Path(("a", "b", "b"), ("1", "2", "3", "3")), None), "a b b"),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_each_bad_relation_is_named_with_the_same_text(self, case):
+        q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+        bound, bad, name = self.BAD[case]
+        good = [(q.path(["b", "c"]), None), (q.path(["a", "b", "c"]), None)]
+        for relations in ([bad], [*good, bad], [bad, *good]):
+            with pytest.raises(ValueError, match=f"^{name} is not a path of the quiver$"):
+                oracle_dimension(q, relations, bound)
+
+    def test_two_bad_relations_name_the_first_one_read(self, linear_quiver):
+        # the border reads the relations in one pass, so a bad two-arrow
+        # monomial is named before a bad binomial after it; a longer
+        # monomial is checked only by the automaton, after the pass
+        monomial = (Path(("a", "z"), ("1", "2", "3")), None)
+        longer = (Path(("a", "b", "z"), ("1", "2", "3", "3")), None)
+        binomial = (linear_quiver.path(["a", "b"]), Path(("b", "y"), ("2", "3", "3")))
+        for relations, name in (
+            ([monomial, binomial], "a z"),
+            ([binomial, monomial], "b y"),
+            ([longer, binomial], "b y"),
+            ([longer, monomial], "a z"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} is not a path of the quiver$"):
+                oracle_dimension(linear_quiver, relations, 4)
+
     @given(st.integers(0, 10**9), st.data())
     @settings(max_examples=60, deadline=None)
     def test_border_matches_the_unchecked_oracle_and_rejects_any_foreign_term(
@@ -995,8 +1044,8 @@ class TestOracle:
         presentation = random_presentation(random.Random(seed))
         q, bound = presentation.quiver, presentation.nilpotency
         relations = presentation.linear_relations()
-        assert oracle_dimension(q, relations, bound) == cycle_algebra._oracle_dimension(
-            q, relations, bound, cycle_algebra.DEFAULT_MAX_PATHS
+        assert oracle_dimension(q, relations, bound) == cycle_algebra._presented_dimension(
+            presentation, cycle_algebra.DEFAULT_MAX_PATHS
         )
         if not relations:
             return
@@ -1094,6 +1143,13 @@ def spy_on_tables():
         yield tables
 
 
+def right_extensions(table) -> list[int]:
+    """Each id's number of surviving extensions behind, as the table offers
+    them: the entries of its automaton state's row below the bound."""
+    rows = table.slots
+    return [len(rows[s]) if f >= 0 else 0 for s, f in zip(table.state[1:], table.first[1:])]
+
+
 class TestSurvivingPaths:
     @given(quivers_with_monomials())
     @settings(max_examples=150, deadline=None)
@@ -1116,8 +1172,10 @@ class TestSurvivingPaths:
         relations = [(q.path(["a", "b", "a"]), None), (q.path(["b", "a", "b"]), q.path(["b"]))]
         with spy_on_tables() as tables:
             assert oracle_dimension(q, relations, 10) == 3
-        # e(1), e(2), a, b, ab, ba and bab, of the 20 paths below the bound
+        # e(1), e(2), a, b, ab, ba and bab, of the 20 paths below the bound,
+        # each a surviving extension of one shorter path and no more
         assert [t.count for t in tables] == [7]
+        assert right_extensions(tables[0]) == [1, 1, 1, 1, 0, 1, 0]
 
     @given(quivers_with_monomials())
     @settings(max_examples=60, deadline=None)
@@ -1133,27 +1191,46 @@ class TestSurvivingPaths:
     @given(quivers_with_monomials())
     @settings(max_examples=60, deadline=None)
     def test_left_extensions_made_on_first_use(self, drawn):
-        # longest paths first, so most blocks are made with their ancestors'
+        # longest paths first, so most maps are made with their ancestors';
+        # a map holds the surviving extensions alone, every other one is zero
         q, bound, monomials = drawn
         automaton = MonomialAutomaton(q, monomials)
         table = cycle_algebra._PathTable(q, automaton, bound)
-        paths = [p for p in enumerate_paths(q, bound - 2) if avoids(p, monomials)]
+        paths = [p for p in enumerate_paths(q, bound - 1) if avoids(p, monomials)]
         for path in sorted(paths, key=len, reverse=True):
             p = table.id_of(path)
-            block = table.left(p) if table.left_at[p] is None else table.left_at[p]
-            for i, arrow in enumerate(q.arrows_into(path.source)):
+            made = table.left(p) if table.lefts[p] is None else table.lefts[p]
+            assert table.zero not in made.values()
+            for arrow in q.arrows_into(path.source):
                 extended = compose(q.path([arrow.name]), path)
-                assert table.lefts[block + i] == table.id_of(extended)
-        assert None not in table.left_at
+                assert made.get(arrow.name, table.zero) == table.id_of(extended)
+        assert all(table.lefts[table.id_of(path)] is not None for path in paths)
 
-    def test_criterion_4_family_makes_fewer_left_blocks_than_ids(self):
+    @given(quivers_with_monomials())
+    @settings(max_examples=60, deadline=None)
+    def test_right_extensions_are_the_surviving_ones(self, drawn):
+        # the ids number the surviving paths below the bound one to one, and
+        # an extension behind is its path's id, or zero when it has none
+        q, bound, monomials = drawn
+        table = cycle_algebra._PathTable(q, MonomialAutomaton(q, monomials), bound)
+        below = enumerate_paths(q, bound - 1)
+        ids = {path: table.id_of(path) for path in below if avoids(path, monomials)}
+        assert sorted(ids.values()) == list(range(1, table.count + 1))
+        assert all(table.id_of(path) == table.zero for path in below if path not in ids)
+        for path, p in ids.items():
+            for arrow in q.arrows_from(path.target):
+                extended = compose(path, q.path([arrow.name]))
+                assert table.right(p, arrow.name) == ids.get(extended, table.zero)
+
+    def test_criterion_4_family_makes_fewer_left_maps_than_ids(self):
         rng = random.Random(20260809)
         with spy_on_tables() as tables:
             for _ in range(200):
                 pair = tractable_defining_pair(rng)
                 relations = generate_relations(pair).linear_relations()
                 oracle_dimension(pair.quiver, relations, nilpotency_bound(pair))
-        made = sum(at is not None and at >= 0 for t in tables for at in t.left_at)
+        # zero's map, shared by the longest paths, is made with the table
+        made = sum(m is not None and m is not t.lefts[0] for t in tables for m in t.lefts)
         assert tables
         assert made < sum(t.count for t in tables)
 
@@ -1376,3 +1453,107 @@ def test_class_keyed_system_matches_the_all_rotations_reference(kind, seed):
     assert alg.gram_matrix().dual == reference.dual()
     assert alg.cartan_matrix().entries == reference.cartan()
     assert render_pair_document(pair) == reference.document()
+
+
+def loosened_presentation(rng):
+    """A drawn presentation that keeps each of its zero paths with
+    probability 0.7, so an arrow may keep two surviving successors: the
+    successor tables refuse it, and the oracle still answers."""
+    p = random_presentation(rng)
+    kept = tuple(z for z in p.zero_paths if rng.random() < 0.7)
+    return Presentation._judged(p.quiver, kept, p.equal_pairs, p.nilpotency)
+
+
+PRESENTATION_DRAWS = {
+    "presentation": random_presentation,
+    "radical-square-zero": radical_square_zero_presentation,
+    "loosened": loosened_presentation,
+}
+
+
+class TestOracleOnLiveEdges:
+    """The oracle on live edges held against the dense oracle it replaced
+    (``reference_oracle``), and, on small instances, against elimination."""
+
+    @given(st.sampled_from(sorted(PRESENTATION_DRAWS)), st.integers(0, 10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_presented_oracle_matches_the_dense_reference(self, kind, seed):
+        presentation = PRESENTATION_DRAWS[kind](random.Random(seed))
+        q, bound = presentation.quiver, presentation.nilpotency
+        relations = presentation.linear_relations()
+        dim = dense_oracle_dimension(q, relations, bound)
+        assert oracle_dimension(q, relations, bound) == dim
+        presented = cycle_algebra._presented_dimension(presentation, cycle_algebra.DEFAULT_MAX_PATHS)
+        assert presented == dim
+        if count_paths(q, bound - 1) <= 300:
+            for field in ELIMINATION_FIELDS:
+                assert elimination_dimension(q, relations, bound, field) == dim
+
+    @given(st.sampled_from(["tractable", *sorted(PRESENTATION_DRAWS)]), st.integers(0, 10**9))
+    @settings(max_examples=120, deadline=None)
+    def test_cover_oracle_matches_the_dense_reference(self, kind, seed):
+        rng = random.Random(seed)
+        if kind == "tractable":
+            pair = tractable_defining_pair(rng, max_paths=2_000)
+        else:
+            presentation = PRESENTATION_DRAWS[kind](rng)
+            if not check_multiserial_condition(presentation).passed:
+                return
+            pair = symmetrize(presentation)
+        q, bound = pair.quiver, nilpotency_bound(pair)
+        relations = pair.relations.linear_relations()
+        dim = dense_oracle_dimension(q, relations, bound)
+        assert pair_oracle_dimension(pair) == oracle_dimension(q, relations, bound) == dim
+        assert dim == closed_form_dimension(pair)
+        if count_paths(q, bound - 1) <= 300:
+            for field in ELIMINATION_FIELDS:
+                assert elimination_dimension(q, relations, bound, field) == dim
+
+    def test_tables_refuse_what_the_oracle_answers(self):
+        # both arrows after a survive, so the presentation is not multiserial;
+        # below the bound 3, e(1), e(2), a, b, c, ab, ac, cb and cc avoid ba
+        q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "2")])
+        presentation = Presentation(q, (q.path(["b", "a"]),), (), 3)
+        with pytest.raises(MultiserialConditionError):
+            presentation.tables
+        relations = presentation.linear_relations()
+        dim = dense_oracle_dimension(q, relations, 3)
+        assert cycle_algebra._presented_dimension(presentation, 100) == dim == 9
+
+    def test_cover_oracle_holds_linear_tables(self):
+        # covers of two seeded 160-arrow draws: the automaton's rows and the
+        # path table hold only live steps, and the quadratics off the cycles
+        # are never built as paths
+        rng, covers = random.Random(1), []
+        while len(covers) < 2:
+            presentation = random_presentation(rng, 16, 160, 4)
+            if len(presentation.quiver.arrows) >= 144:
+                covers.append(symmetrize(presentation))
+        automata, original = [], cycle_algebra.MonomialAutomaton
+
+        def build(*args):
+            automata.append(original(*args))
+            return automata[-1]
+
+        for pair in covers:
+            paths = mock.Mock(wraps=quiver_module._path)
+            with contextlib.ExitStack() as stack:
+                tables = stack.enter_context(spy_on_tables())
+                stack.enter_context(
+                    mock.patch.object(cycle_algebra, "MonomialAutomaton", side_effect=build)
+                )
+                for module in (quiver_module, defining_pair_module, cycle_algebra):
+                    stack.enter_context(mock.patch.object(module, "_path", paths))
+                assert pair_oracle_dimension(pair) == closed_form_dimension(pair)
+            automaton, (table,) = automata[-1], tables
+            arrows = len(pair.quiver.arrows)
+            assert sum(map(len, automaton.rows)) <= len(automaton.rows) + arrows
+            extensions = right_extensions(table)
+            assert sum(extensions) <= table.count
+            assert max(extensions[len(pair.quiver.vertices):]) <= 1
+            # a full power and an overrun per arrow, by two builds and one,
+            # and no two-arrow path off the cycles
+            built = [call.args[0] for call in paths.call_args_list]
+            assert not [p for p in built if len(p) == 2 and pair.next_arrow[p[0]] != p[1]]
+            assert len(built) == 3 * arrows
+        assert len(automata) == 2

@@ -575,12 +575,41 @@ def test_automaton_count_matches_brute_force(drawn, data):
         assert MonomialAutomaton(q, inserted).count(max_length) == expected
 
 
+@given(automaton_inputs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_allowed_successors_match_brute_force(drawn, data):
+    # an arrow listed with its allowed successors makes every other
+    # two-arrow path through it a monomial, with the trie's monomials or not
+    q, max_length, monomials = drawn
+    after = {}
+    for a in q._by_name:
+        if data.draw(st.booleans()):
+            after[a.name] = [b.name for b in q._out[a.target] if data.draw(st.booleans())]
+    dead = [
+        Path((a, b.name), (q.arrow(a).source, q.arrow(a).target, b.target))
+        for a, allowed in after.items() for b in q._out[q.arrow(a).target] if b.name not in allowed
+    ]
+    expected = brute_force_count(q, monomials + dead, max_length)
+    automaton = MonomialAutomaton(q, monomials, after)
+    assert automaton.count(max_length) == expected
+    assert MonomialAutomaton(q, monomials + dead).count(max_length) == expected
+    # the same monomials given as dead pairs of arrow names
+    as_pairs = MonomialAutomaton(q, monomials, dead=[p.arrows for p in dead])
+    assert as_pairs.count(max_length) == expected
+    # rows hold live steps alone: a listed arrow's state steps only to its
+    # allowed successors
+    for name, allowed in after.items():
+        s = automaton.rows[automaton.vertex[q.arrow(name).source]].get(name)
+        if s is not None:
+            assert set(automaton.rows[s]) <= set(allowed)
+
+
 def dense_count(automaton: MonomialAutomaton, max_length: int, stop_above=None) -> tuple[int, int]:
     """The count one round per length to the end, never skipping a round
     whose per-state counts repeat the last: the reference for the count."""
-    edges = [(s, t) for s, row in enumerate(automaton.step) for t in row if t >= 0]
-    roots = len(automaton.outgoing)
-    ending = [1] * roots + [0] * (len(automaton.step) - roots)
+    edges = [(s, t) for s, row in enumerate(automaton.rows) for t in row.values()]
+    roots = len(automaton.vertex)
+    ending = [1] * roots + [0] * (len(automaton.rows) - roots)
     total, longest = roots, 0
     while longest < max_length and (stop_above is None or total <= stop_above):
         grown = [0] * len(ending)
@@ -650,11 +679,18 @@ def test_oracle_of_a_four_cycle_near_the_default_budget():
 
 def test_automaton_states_are_proper_prefixes():
     # every two-arrow path is a monomial: one state per vertex and per arrow
-    # that starts one, and none for a whole monomial
+    # that starts one, and none for a whole monomial; given as trie edges, as
+    # arrows with no allowed successor or as dead pairs, the rows hold no
+    # step past an arrow
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "1")])
-    automaton = MonomialAutomaton(q, length_two_paths(q))
-    assert len(automaton.end) == 2 + 3
-    assert automaton.count(5) == (5, 1)
+    for automaton in (
+        MonomialAutomaton(q, length_two_paths(q)),
+        MonomialAutomaton(q, (), dict.fromkeys(q.arrows, ())),
+        MonomialAutomaton(q, (), dead=[p.arrows for p in length_two_paths(q)]),
+    ):
+        assert len(automaton.end) == 2 + 3
+        assert automaton.count(5) == (5, 1)
+        assert [len(row) for row in automaton.rows] == [2, 1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("order", [1, -1])

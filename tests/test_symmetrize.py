@@ -290,11 +290,14 @@ class TestVerifyQuotient:
         assert spy.call_count == 1
 
     def test_cover_relations_are_generated_once(self, linear_presentation):
-        # the certificate and the cover's oracle read one cached set
-        with spy_on_derivation("relations") as spy:
+        # the cover's oracle reads the full powers and overruns, without the
+        # quadratics; the certificate's entries then share them
+        with spy_on_derivation("relations") as spy, spy_on_derivation("_powers") as powers:
             certificate = verify_quotient(linear_presentation)
             assert certificate.dimensions() == (5, 18)
-        assert spy.call_count == 1
+            assert (spy.call_count, powers.call_count) == (0, 1)
+            assert certificate.entries
+        assert (spy.call_count, powers.call_count) == (1, 1)
 
     def test_verdicts_build_no_relation_path(self):
         # with the cover and its axioms built, every generator is judged from
@@ -341,22 +344,24 @@ class TestVerifyQuotient:
         self, reader, linear_presentation
     ):
         # failures() reads the entries only on an incomplete certificate
+        # dimensions() reads only the full powers and overruns, which the
+        # relations then share
         presentation = undersized_loop_cover() if reader == "failures" else linear_presentation
-        with spy_on_derivation("relations") as spy:
+        with spy_on_derivation("relations") as spy, spy_on_derivation("_powers") as powers:
             certificate = verify_quotient(presentation)
             certificate.counts()
             if certificate.complete:
                 assert certificate.failures() == []
                 assert certificate.to_report().passed
-            assert spy.call_count == 0
+            assert (spy.call_count, powers.call_count) == (0, 0)
             for _ in range(2):
                 read = getattr(certificate, reader)
                 if callable(read):
                     read()
-            assert spy.call_count == 1
+            assert (spy.call_count, powers.call_count) == (reader != "dimensions", 1)
             if certificate.complete:
                 assert certificate.entries and certificate.dimensions() == (5, 18)
-        assert spy.call_count == 1
+        assert (spy.call_count, powers.call_count) == (1, 1)
 
     def test_cycle_system_is_validated_once(self, linear_presentation):
         # as the CLI's verify-quotient and oracle commands use the cover
