@@ -58,7 +58,7 @@ from .presentation import (
     derive_successors,
     minimal_monomial_bound,
 )
-from .quiver import Path, Quiver
+from .quiver import Path, Quiver, _path
 from .report import Report
 from .symmetrize import (
     STAR_PREFIX,
@@ -121,9 +121,12 @@ def parse_document(text: str) -> InputDocument:
     line's.  The quiver is built at the body section's header; each path is
     checked as :meth:`Quiver.path` builds it, each generator, bound and cycle
     by the library's own check on it.  A presentation's zero lines, most of
-    its lines, are matched ahead of the key dispatch, and the presentation
-    is handed over by :meth:`Presentation._judged`, so no generator or
-    bound is checked a second time."""
+    its lines, are matched at the head of the loop, on the raw line split
+    once at '=': two composable arrow names are judged by two lookups and
+    one comparison of ends, and any other value, a comment included, goes
+    through :meth:`Quiver.path` and the length check, with the same error
+    text.  The presentation is handed over by :meth:`Presentation._judged`,
+    so no generator or bound is checked a second time."""
     section = q = nilpotency = None
     vertices: list[str] = []
     vertex_set: set[str] = set()
@@ -135,6 +138,25 @@ def parse_document(text: str) -> InputDocument:
 
     try:
         for number, raw in enumerate(text.splitlines(), start=1):
+            if section == "presentation":
+                head, eq, value = raw.partition("=")
+                if eq and head.strip() == "zero":
+                    # No arrow name holds '#', so a comment never passes for
+                    # one: a line of two composable names is judged by two
+                    # lookups, and every other one as Quiver.path builds it.
+                    names = value.split()
+                    if len(names) == 2:
+                        x, y = names
+                        a, b = arrows.get(x), arrows.get(y)
+                        if a is not None and b is not None and a.target == b.source:
+                            zeros.append(_path((x, y), (a.source, a.target, b.target)))
+                            continue
+                    names = value.partition("#")[0].split()
+                    if not names:
+                        raise ParseError("empty zero path", number)
+                    zeros.append(q.path(names))
+                    _check_length(zeros[-1])
+                    continue
             line = (raw.partition("#")[0] if "#" in raw else raw).strip()
             if not line:
                 continue
@@ -152,6 +174,7 @@ def parse_document(text: str) -> InputDocument:
                 if name == "quiver":
                     continue
                 q = Quiver(vertices, arrow_triples)
+                arrows = q._arrows
                 reserved = name == "presentation" and [
                     a for a in arrow_lines if a.startswith(STAR_PREFIX)
                 ]
@@ -162,16 +185,9 @@ def parse_document(text: str) -> InputDocument:
             if section is None:
                 raise ParseError("content before any section header", number)
 
+            # a well-formed zero line was read at the head of the loop; the
+            # dispatch refuses every other one
             head, eq, value = line.partition("=")
-            # zero lines are most of a presentation, so they are matched
-            # ahead of the key dispatch, which refuses every other zero line
-            if eq and section == "presentation" and head.rstrip() == "zero":
-                names = value.split()
-                if not names:
-                    raise ParseError("empty zero path", number)
-                zeros.append(q.path(names))
-                _check_length(zeros[-1])
-                continue
             words = head.split()
             key = words[0] if words else None
             form = forms.get(key)
@@ -417,6 +433,8 @@ def _cmd_gram(document: InputDocument, max_paths: int) -> CommandResult:
         gram.nondegenerate,
         f"rank {gram.rank} of dimension {gram.dimension}",
     )
+    symmetry = algebra.check_trace_symmetry().check("trace-symmetry")
+    report.add("trace-symmetric", symmetry.passed, symmetry.witness)
     data = {
         "dimension": gram.dimension,
         "rank": gram.rank,
@@ -486,7 +504,7 @@ COMMAND_TABLE = {
     "symmetrize": (_cmd_symmetrize, "presentation", "build the symmetric cycle system on the enlarged quiver"),
     "relations": (_cmd_relations, "definingpair", "emit the generated relation families of a cycle system"),
     "basis": (_cmd_basis, "definingpair", "closed-form basis and dimension of a cycle system's algebra"),
-    "gram": (_cmd_gram, "definingpair", "trace-form Gram matrix, rank and nondegeneracy"),
+    "gram": (_cmd_gram, "definingpair", "trace-form Gram matrix, rank, nondegeneracy and symmetry"),
     "cartan": (_cmd_cartan, "definingpair", "basis counts by vertex pair"),
     "verify-quotient": (_cmd_verify_quotient, "presentation", "certify that the collapse of the cover's ideal descends"),
     "oracle": (_cmd_oracle, None, "dimension by brute force in a truncated path algebra"),

@@ -21,6 +21,7 @@ from multiserial import cli
 from multiserial import cycle_algebra as cycle_algebra_module
 from multiserial import defining_pair as defining_pair_module
 from multiserial import presentation as presentation_module
+from multiserial import quiver as quiver_module
 from multiserial.cli import (
     COMMAND_TABLE,
     InputDocument,
@@ -266,7 +267,9 @@ class TestParse:
 
     def test_each_generator_and_the_bound_are_checked_once(self):
         # the parser judges each on its line and hands the presentation over
-        # with no second pass: two zero paths and one equal pair
+        # with no second pass: two zero paths and one equal pair; a two-arrow
+        # zero is judged by its arrows' ends, so only the pair's terms have
+        # their length checked
         text = (
             "[quiver]\nvertices = 1 2 3\narrow a = 1 -> 2\narrow b = 2 -> 3\n"
             "arrow c = 1 -> 2\narrow d = 2 -> 3\n\n"
@@ -278,11 +281,17 @@ class TestParse:
                 spies[name] = spy = mock.Mock(wraps=getattr(presentation_module, name))
                 for module in (cli, presentation_module):
                     stack.enter_context(mock.patch.object(module, name, spy))
+            spies["_path"] = spy = mock.Mock(wraps=quiver_module._path)
+            for module in (cli, quiver_module):
+                stack.enter_context(mock.patch.object(module, "_path", spy))
             presentation = parse_document(text).presentation
         assert len(presentation.zero_paths) == 2 and len(presentation.equal_pairs) == 1
-        assert spies["_check_length"].call_count == 2 + 2
+        built = [c.args[0] for c in spies["_path"].call_args_list]
+        assert built == [("a", "d"), ("c", "b"), ("a", "b"), ("c", "d")]
+        (left, right), = presentation.equal_pairs
+        assert spies["_check_length"].call_args_list == [mock.call(left), mock.call(right)]
         assert spies["_check_bound"].call_count == 1
-        assert spies["_check_uniform"].call_count == 1
+        assert spies["_check_uniform"].call_args_list == [mock.call(left, right)]
 
     def test_non_composable_zero_path(self):
         text = (
@@ -376,6 +385,99 @@ class TestParse:
         # the generator's own check runs on line 8, before line 9 is read
         with pytest.raises(ParseError, match=r"^line 8: generator a has length < 2"):
             parse_document(PRESENTATION + "zero = a\nbogus = 2\n")
+
+
+# a 3-cycle a: 1 -> 2, b: 2 -> 3, c: 3 -> 1 on lines 1-5; a body line after
+# ZERO_HEAD is line 9, after ZERO_PAIR_HEAD line 8
+ZERO_QUIVER = "[quiver]\nvertices = 1 2 3\narrow a = 1 -> 2\narrow b = 2 -> 3\narrow c = 3 -> 1\n"
+ZERO_HEAD = ZERO_QUIVER + "\n[presentation]\nnilpotency = 2\n"
+ZERO_PAIR_HEAD = ZERO_QUIVER + "\n[definingpair]\n"
+ZERO_FORM = "line 9: expected 'zero = a1 a2 ...'"
+AB = (("a", "b"), ("1", "2", "3"))
+# each shape of a zero line: the document, then the zero paths it declares,
+# as (arrows, vertices), or the exact text of the error it is refused with
+ZERO_LINES = {
+    "spaced": (ZERO_HEAD + "zero = a b\n", [AB]),
+    "no-spaces": (ZERO_HEAD + "zero=a b\n", [AB]),
+    "tabs": (ZERO_HEAD + "zero\t=\ta\tb\n", [AB]),
+    "leading-and-trailing-spaces": (ZERO_HEAD + "   zero = a b   \n", [AB]),
+    "crlf": (
+        (ZERO_HEAD + "zero = a b\nzero = b c\n").replace("\n", "\r\n"),
+        [AB, (("b", "c"), ("2", "3", "1"))],
+    ),
+    "trailing-comment": (ZERO_HEAD + "zero = a b  # a note\n", [AB]),
+    "comment-holds-equals": (ZERO_HEAD + "zero = a b # c = a\n", [AB]),
+    "comment-on-a-name": (ZERO_HEAD + "zero = a b#c\n", [AB]),
+    "commented-out": (ZERO_HEAD + "# zero = a b\n", []),
+    "comment-before-equals": (ZERO_HEAD + "zero # = a b\n", ZERO_FORM),
+    "one-name": (
+        ZERO_HEAD + "zero = a\n",
+        "line 9: generator a has length < 2; the ideal must be admissible",
+    ),
+    "three-names": (ZERO_HEAD + "zero = a b c\n", [(("a", "b", "c"), ("1", "2", "3", "1"))]),
+    "unknown-arrow": (ZERO_HEAD + "zero = a x\n", "line 9: unknown arrow 'x'"),
+    "unknown-first-arrow": (ZERO_HEAD + "zero = x a\n", "line 9: unknown arrow 'x'"),
+    "second-equals": (ZERO_HEAD + "zero = a = b\n", "line 9: unknown arrow '='"),
+    "not-composing": (
+        ZERO_HEAD + "zero = b a\n",
+        "line 9: arrows do not compose: 'a' starts at '1', previous arrow ends at '3'",
+    ),
+    "empty": (ZERO_HEAD + "zero =\n", "line 9: empty zero path"),
+    "empty-but-a-comment": (ZERO_HEAD + "zero = # none\n", "line 9: empty zero path"),
+    "no-equals": (ZERO_HEAD + "zero\n", ZERO_FORM),
+    "named": (ZERO_HEAD + "zero x = a b\n", ZERO_FORM),
+    "upper-case": (ZERO_HEAD + "ZERO = a b\n", "line 9: unrecognized presentation line: ZERO = a b"),
+    "duplicated": (ZERO_HEAD + "zero = a b\nzero = a b\n", [AB, AB]),
+    "bad-after-good": (ZERO_HEAD + "zero = a b\nzero = c x\n", "line 10: unknown arrow 'x'"),
+    "in-definingpair": (
+        ZERO_PAIR_HEAD + "zero = a b\n",
+        "line 8: unrecognized definingpair line: zero = a b",
+    ),
+}
+
+
+class TestZeroLines:
+    @pytest.mark.parametrize("text, expected", ZERO_LINES.values(), ids=ZERO_LINES.keys())
+    def test_each_zero_line_shape_parses_or_is_refused_exactly(self, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+                parse_document(text)
+        else:
+            zeros = parse_document(text).presentation.zero_paths
+            assert [(p.arrows, p.vertices) for p in zeros] == expected
+
+    @given(st.integers(0, 10**9), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_respaced_and_commented_draw_parses_back(self, seed, square_zero, data):
+        # every line of a drawn presentation, rendered with runs of spaces and
+        # tabs, trailing comments and either line ending, reads back the same
+        draw = radical_square_zero_presentation if square_zero else random_presentation
+        presentation = draw(random.Random(seed))
+        q = presentation.quiver
+        lines = [["[quiver]"], ["vertices", "=", *q.vertices]]
+        lines += [["arrow", a.name, "=", a.source, "->", a.target] for a in q.arrows.values()]
+        lines += [["[presentation]"], ["nilpotency", "=", str(presentation.nilpotency)]]
+        lines += [["zero", "=", *p.arrows] for p in presentation.zero_paths]
+        lines += [["equal", "=", *p.arrows, ",", *r.arrows] for p, r in presentation.equal_pairs]
+        gaps = st.sampled_from([" ", "\t", "   ", " \t "])
+        rendered = []
+        for tokens in lines:
+            text = data.draw(st.sampled_from(["", " ", "\t"]))
+            for before, token in zip([None, *tokens], tokens):
+                if before is not None:
+                    around_equals = "=" in (before, token)
+                    text += data.draw(st.sampled_from(["", " "]) if around_equals else gaps)
+                text += token
+            text += data.draw(st.sampled_from(["", "  # a note", "\t# x = y", "#"]))
+            rendered.append(text)
+            if data.draw(st.booleans()):
+                rendered.append(data.draw(st.sampled_from(["", "# zero = a0 a0", "  \t"])))
+        ending = data.draw(st.sampled_from(["\n", "\r\n"]))
+        parsed = parse_document(ending.join(rendered) + ending).presentation
+        assert parsed.quiver == q
+        assert parsed.zero_paths == presentation.zero_paths
+        assert parsed.equal_pairs == presentation.equal_pairs
+        assert parsed.nilpotency == presentation.nilpotency
 
 
 class TestRoundTrip:
@@ -528,6 +630,23 @@ class TestMainExitCodes:
         assert code == 0
         assert "rank 4 of dimension 4" in out
         assert "warning" not in out
+
+    def test_gram_fails_an_asymmetric_form_and_names_the_pair(self, capsys):
+        # a 3-cycle of duals is a permutation of full rank, but x_0 pairs with
+        # x_1 while x_1 pairs with x_2: only the symmetry verdict fails
+        fixture = str(FIXTURES / "loop_mu2.alg")
+        with mock.patch.object(cycle_algebra_module.CycleAlgebra, "_dual", [1, 2, 0]):
+            code, out, _ = self.run(capsys, "gram", fixture)
+            assert code == 1
+            assert main(["gram", fixture, "--json"]) == 1
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert [(v["name"], v["passed"]) for v in verdicts] == [
+            ("gram-permutation", True),
+            ("gram-nondegenerate", True),
+            ("trace-symmetric", False),
+        ]
+        assert verdicts[2]["witness"] == "form(e(v) * a) = 1 but reversed gives 0"
+        assert "[FAIL] trace-symmetric: form(e(v) * a) = 1 but reversed gives 0" in out
 
     def test_validate_failure_exits_one(self, capsys, tmp_path):
         doc = tmp_path / "branching.alg"
