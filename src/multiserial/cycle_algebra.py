@@ -583,9 +583,10 @@ def oracle_dimension(
     """Dimension of the quotient by closing relations in a truncated path
     algebra.
 
-    ``bound`` must satisfy: every path of length >= bound lies in the
-    ideal.  Each relation is ``(p, None)`` for a path p or ``(p, q)`` for
-    the difference p - q; :class:`ValueError` is raised for anything else.
+    ``bound``, an integer of at least 2, must satisfy: every path of
+    length >= bound lies in the ideal.  Each relation is ``(p, None)`` for
+    a path p or ``(p, q)`` for the difference p - q; :class:`ValueError`
+    is raised for anything else.
     The quotient is then spanned by classes of paths shorter than the bound:
     two paths are equal in it when a chain of relations, multiplied by
     arrows on both sides, joins them, and zero when the chain reaches a
@@ -607,6 +608,8 @@ def oracle_dimension(
     as the automaton inserts it, as the engine's own are.  Every other
     relation is checked in full.
     """
+    if type(bound) is not int:
+        raise ValueError(f"truncation bound must be an integer, got {bound!r}")
     arrows = quiver._arrows
     dead: list[tuple[str, ...]] = []
     monomials: list[Path] = []

@@ -3,13 +3,13 @@ the relation sets they generate.
 
 A cycle system is a set of simple cycles, closed under cyclic rotation,
 with a multiplicity that is constant on each rotation class.  A class is
-one defining cycle up to its start, so the system keeps one representative
-per class with its multiplicity, and never a rotation.  Subject to the
-axioms checked by :func:`validate`, such a system presents a
-finite-dimensional algebra through three families of relations: full cycle
-powers based at a common vertex are identified, a full power followed by
-its first arrow vanishes, and every two-arrow path off the cycles
-vanishes.
+one defining cycle up to its start, so a system is given, and kept, as
+one representative per class with its multiplicity, and never as its
+rotations.  Subject to the axioms checked by :func:`validate`, such a
+system presents a finite-dimensional algebra through three families of
+relations: full cycle powers based at a common vertex are identified, a
+full power followed by its first arrow vanishes, and every two-arrow path
+off the cycles vanishes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .quiver import (
     _power,
     _rotation,
     canonical_rotation,
-    is_simple_cycle,
 )
 from .report import Report
 
@@ -37,54 +36,21 @@ class DefiningPair:
     kept as its rotation classes: each class's canonical rotation with its
     multiplicity, and each arrow's class and position on it, in space linear
     in the arrows.  A rotation is a class and a start, ordered by its first
-    arrow's name.  A caller's list of every rotation is a border: each cycle
-    is checked once to be a simple cycle of the quiver, and a list missing
-    a rotation, or weighting one class unevenly, is refused with
-    :class:`ValueError`.  :attr:`axioms` reports on the axioms left, so that
-    invalid systems can be represented and reported on.
+    arrow's name.  A caller gives one or more rotations of each class, each
+    with the class's multiplicity, and gets their closure under rotation.
+    The representatives are a border: each is checked once to be a simple
+    cycle, once per class to be a path of ``quiver``, and a later one of a
+    class to walk the same vertices; a multiplicity that is not a positive
+    integer, or differs within a class, is refused with :class:`ValueError`.
+    :attr:`axioms` reports on the axioms left, so that invalid systems can
+    be represented and reported on.
     """
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        cycles: Iterable[Path],
-        mult: Mapping[tuple[str, ...], int],
-    ) -> None:
-        unique: dict[tuple[str, ...], Path] = {}
-        for c in cycles:
-            if not is_simple_cycle(c):
-                raise ValueError(f"not a simple cycle: {c}")
-            if not quiver.contains_path(c):
-                raise ValueError(f"cycle {c} is not a path of the quiver")
-            unique[c.arrows] = c
-        for key, value in mult.items():
-            if key not in unique:
-                raise ValueError(f"multiplicity given for unknown cycle {' '.join(key)}")
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"multiplicity of {' '.join(key)} must be a positive integer")
-        missing = [k for k in unique if k not in mult]
-        if missing:
-            raise ValueError(f"cycle {' '.join(missing[0])} has no multiplicity")
-        # a simple cycle's class is keyed by its rotation to its least arrow
-        members: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for key in sorted(unique):
-            i = key.index(min(key))
-            members.setdefault(key[i:] + key[:i], []).append(key)
-        # only a refused class enumerates its rotations, for the witnesses
-        unclosed, uneven = [], []
-        refused = (g for g in members.values() if len(g) != len(g[0]) or len({mult[k] for k in g}) > 1)
-        for key in sorted(k for group in refused for k in group):
-            for r in (_rotation(unique[key], i) for i in range(len(key))):
-                if r.arrows not in unique:
-                    unclosed.append(f"{r} (rotation of {unique[key]})")
-                elif mult[r.arrows] != mult[key]:
-                    uneven.append(f"{unique[key]} has {mult[key]}, rotation {r} has {mult[r.arrows]}")
-        if unclosed:
-            raise ValueError("cycles not closed under rotation: " + "; ".join(unclosed))
-        if uneven:
-            raise ValueError("multiplicity not constant on a rotation class: " + "; ".join(uneven))
-        # a closed class's least rotation is its canonical one
-        self._build(quiver, [(unique[group[0]], mult[group[0]]) for group in members.values()])
+    def __init__(self, quiver: Quiver, representatives: Iterable[tuple[Path, int]]) -> None:
+        classes: dict[tuple[str, ...], tuple[Path, int]] = {}
+        for cycle, mult in representatives:
+            _add_class(classes, quiver, cycle, mult)
+        self._build(quiver, classes.values())
 
     @classmethod
     def _trusted(cls, quiver: Quiver, classes: Iterable[tuple[Path, int]]) -> DefiningPair:
@@ -211,31 +177,21 @@ class DefiningPair:
 def close_under_rotation(
     quiver: Quiver, representatives: Iterable[tuple[Path, int]]
 ) -> DefiningPair:
-    """Build a cycle system from one representative per rotation class.
-
-    Rotation closure and constancy of the multiplicity on each class hold
-    by construction.  The representatives are a border: each is checked
-    once to be a simple cycle, once per rotation class to be a path of
-    ``quiver``, and a later one of a class to walk the same vertices.
-    Two representatives of one class with different multiplicities are a
-    fault.
-    """
-    classes: dict[tuple[str, ...], tuple[Path, int]] = {}
-    for cycle, mult in representatives:
-        _add_class(classes, quiver, cycle, mult)
-    return DefiningPair._trusted(quiver, classes.values())
+    """The cycle system of ``representatives``: :class:`DefiningPair` under
+    its former name."""
+    return DefiningPair(quiver, representatives)
 
 
 def _add_class(classes: dict, quiver: Quiver, cycle: Path, mult: int) -> None:
-    """:func:`close_under_rotation`'s step, which the parser takes line by
-    line: check one representative and add its class, keyed by the arrows
-    of its canonical rotation, with its multiplicity."""
+    """:class:`DefiningPair`'s step, which the parser takes line by line:
+    check one representative and add its class, keyed by the arrows of its
+    canonical rotation, with its multiplicity."""
     canon = canonical_rotation(cycle)
     known = classes.get(canon.arrows)
     if not (known[0] == canon if known is not None else quiver.contains_path(canon)):
         raise ValueError(f"cycle {cycle} is not a path of the quiver")
     if known is None:
-        if not isinstance(mult, int) or mult < 1:
+        if type(mult) is not int or mult < 1:
             raise ValueError(f"multiplicity of {canon} must be a positive integer")
         classes[canon.arrows] = canon, mult
     elif known[1] != mult:

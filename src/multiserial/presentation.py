@@ -29,6 +29,8 @@ class MultiserialConditionError(ValueError):
 
 
 def _check_bound(nilpotency: int) -> None:
+    if type(nilpotency) is not int:
+        raise ValueError(f"nilpotency bound must be an integer, got {nilpotency!r}")
     if nilpotency < 2:
         raise ValueError("nilpotency bound must be at least 2")
 
@@ -52,10 +54,11 @@ class Presentation:
 
     ``zero_paths`` are monomial generators, ``equal_pairs`` binomial
     generators p - q (same endpoints), and ``nilpotency`` the declared
-    bound N >= 2 with every path of length >= N in the ideal.  A caller's
-    presentation is a border, where each generator is checked once.  The
-    parser, which judges each line as it is read, and the drawers, whose
-    draws hold every check by construction, build by the door :meth:`_judged`.
+    integer bound N >= 2 with every path of length >= N in the ideal.  A
+    caller's presentation is a border, where each generator and the bound
+    are checked once.  The parser, which judges each line as it is read,
+    and the drawers, whose draws hold every check by construction, build by
+    the door :meth:`_judged`.
     """
 
     quiver: Quiver

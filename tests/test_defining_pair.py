@@ -48,26 +48,20 @@ def rotations(pair: DefiningPair) -> list[tuple[Path, int]]:
     )
 
 
-def reference_refusal(cycles: dict, mult: dict) -> str | None:
-    """The constructor's refusal of a list of cycles, by enumerating every
-    rotation of every cycle: one missing from the list, or weighted unlike
-    its cycle, named with the cycle; None when the list is closed and evenly
-    weighted."""
-    stored = [cycles[k] for k in sorted(cycles)]
-    missing = [
-        f"{r} (rotation of {c})" for c in stored for r in cycle_rotations(c) if r.arrows not in cycles
-    ]
-    if missing:
-        return "cycles not closed under rotation: " + "; ".join(missing)
-    uneven = [
-        f"{c} has {mult[c.arrows]}, rotation {r} has {mult[r.arrows]}"
-        for c in stored
-        for r in cycle_rotations(c)
-        if mult[r.arrows] != mult[c.arrows]
-    ]
-    if uneven:
-        return "multiplicity not constant on a rotation class: " + "; ".join(uneven)
-    return None
+def reference_closure(listed: list[tuple[Path, int]]) -> list[tuple[Path, int]] | str:
+    """What a list of cycles with multiplicities closes to, by enumerating
+    rotations: every rotation of every listed cycle with its multiplicity,
+    by arrows; or the refusal of the first cycle, in list order, weighted
+    unlike an earlier rotation of its class."""
+    closure: dict[tuple[str, ...], tuple[Path, int]] = {}
+    for c, mu in listed:
+        turns = cycle_rotations(c)
+        known = closure.get(c.arrows)
+        if known is not None and known[1] != mu:
+            least = min(turns, key=lambda r: r.arrows)
+            return f"conflicting multiplicities {known[1]} and {mu} for rotations of {least}"
+        closure.update((r.arrows, (r, mu)) for r in turns)
+    return [closure[k] for k in sorted(closure)]
 
 
 def reference_validate(pair: DefiningPair) -> Report:
@@ -113,16 +107,20 @@ def reference_validate(pair: DefiningPair) -> Report:
 CORRUPTIONS = ("drop-rotation", "change-multiplicity", "second-class", "loop-multiplicity-one")
 
 
-def corrupt(pair: DefiningPair, rng: random.Random, kinds) -> tuple[Quiver, dict, dict]:
-    """The quiver, cycles and multiplicities of ``pair``, every rotation
-    listed, with the named corruptions applied in ``CORRUPTIONS`` order."""
+def corrupt(
+    pair: DefiningPair, rng: random.Random, kinds
+) -> tuple[Quiver, list[tuple[Path, int]], tuple[Path, int] | None]:
+    """The quiver of ``pair`` and every rotation of it with its
+    multiplicity, by arrows, with the named corruptions applied in
+    ``CORRUPTIONS`` order; and the rotation dropped, if any."""
     vertices = list(pair.quiver.vertices)
     arrows = [(a.name, a.source, a.target) for a in pair.quiver.arrows.values()]
     cycles = {c.arrows: c for c, _ in rotations(pair)}
     mult = {c.arrows: mu for c, mu in rotations(pair)}
+    dropped = None
     if "drop-rotation" in kinds:
-        dropped = rng.choice(sorted(cycles))
-        del cycles[dropped], mult[dropped]
+        key = rng.choice(sorted(cycles))
+        dropped = cycles.pop(key), mult.pop(key)
     if "change-multiplicity" in kinds and cycles:
         mult[rng.choice(sorted(cycles))] += rng.randint(1, 2)
     if "second-class" in kinds:
@@ -145,7 +143,7 @@ def corrupt(pair: DefiningPair, rng: random.Random, kinds) -> tuple[Quiver, dict
             v = rng.choice(vertices)
             arrows.append(("y", v, v))
             cycles[("y",)], mult[("y",)] = Path(("y",), (v, v)), 1
-    return Quiver(vertices, arrows), cycles, mult
+    return Quiver(vertices, arrows), [(cycles[k], mult[k]) for k in sorted(cycles)], dropped
 
 
 def kronecker_pair():
@@ -161,18 +159,9 @@ def kronecker_pair():
 
 class TestValidate:
     def test_loop_with_multiplicity_one_fails(self, loop_quiver):
-        pair = DefiningPair(
-            loop_quiver, [loop_quiver.path(["a"])], {("a",): 1}
-        )
+        pair = DefiningPair(loop_quiver, [(loop_quiver.path(["a"]), 1)])
         report = validate(pair)
         assert not report.check("loop-multiplicity").passed
-
-    def test_missing_rotation_fails(self, two_cycle_quiver):
-        q = two_cycle_quiver
-        with pytest.raises(
-            ValueError, match=r"^cycles not closed under rotation: b a \(rotation of a b\)$"
-        ):
-            DefiningPair(q, [q.path(["a", "b"])], {("a", "b"): 2})
 
     def test_shared_arrow_between_classes_fails(self):
         q = Quiver(
@@ -196,21 +185,20 @@ class TestValidate:
     def test_uneven_multiplicity_fails(self, two_cycle_quiver):
         q = two_cycle_quiver
         with pytest.raises(
-            ValueError,
-            match=r"^multiplicity not constant on a rotation class: "
-            r"a b has 2, rotation b a has 3; b a has 3, rotation a b has 2$",
+            ValueError, match=r"^conflicting multiplicities 2 and 3 for rotations of a b$"
         ):
-            DefiningPair(
-                q,
-                [q.path(["a", "b"]), q.path(["b", "a"])],
-                {("a", "b"): 2, ("b", "a"): 3},
-            )
+            DefiningPair(q, [(q.path(["a", "b"]), 2), (q.path(["b", "a"]), 3)])
 
     def test_valid_pair_passes(self, loop_mu2_pair):
-        assert validate(loop_mu2_pair).passed
+        # validating a built system reads its classes and enumerates no rotation
+        rotation = defining_pair_module._rotation
+        with mock.patch.object(defining_pair_module, "_rotation", wraps=rotation) as spy:
+            assert validate(loop_mu2_pair).passed
+            assert validate(kronecker_pair()).passed
+        assert spy.call_count == 0
 
     def test_empty_system_on_arrowless_quiver_passes(self):
-        pair = DefiningPair(Quiver(["v"]), [], {})
+        pair = DefiningPair(Quiver(["v"]), [])
         assert validate(pair).passed
 
     def test_axioms_are_derived_once_per_system(self, loop_mu2_pair):
@@ -291,13 +279,11 @@ class TestCloseUnderRotation:
 
     def test_a_callers_rotation_list_is_checked_for_simplicity_once(self):
         # each of the 12 rotations is checked at the border, then keyed by
-        # its arrows without a second check
+        # its canonical rotation without a second check
         quiver, cycles = three_classes_of_four_rotations()
         spy = mock.Mock(wraps=quiver_module.is_simple_cycle)
-        with mock.patch.object(quiver_module, "is_simple_cycle", spy), mock.patch.object(
-            defining_pair_module, "is_simple_cycle", spy
-        ):
-            pair = DefiningPair(quiver, cycles, dict.fromkeys((c.arrows for c in cycles), 2))
+        with mock.patch.object(quiver_module, "is_simple_cycle", spy):
+            pair = DefiningPair(quiver, [(c, 2) for c in cycles])
         assert spy.call_count == 12
         assert pair == close_under_rotation(quiver, [(c, 2) for c in cycles])
 
@@ -309,9 +295,7 @@ class TestCloseUnderRotation:
         cover = symmetrize(presentation)
         representatives = list(reversed(rotations(cover)))
         spy = mock.Mock(wraps=quiver_module.is_simple_cycle)
-        with mock.patch.object(quiver_module, "is_simple_cycle", spy), mock.patch.object(
-            defining_pair_module, "is_simple_cycle", spy
-        ):
+        with mock.patch.object(quiver_module, "is_simple_cycle", spy):
             assert close_under_rotation(cover.quiver, representatives) == cover
         assert spy.call_count == len(representatives)
 
@@ -319,7 +303,7 @@ class TestCloseUnderRotation:
         q = two_cycle_quiver
         twice = q.path(["a", "b", "a", "b"])
         with pytest.raises(ValueError, match=r"^not a simple cycle: a b a b$"):
-            DefiningPair(q, [twice], {twice.arrows: 2})
+            DefiningPair(q, [(twice, 2)])
         with pytest.raises(ValueError, match=r"^not a simple cycle: a b a b$"):
             close_under_rotation(q, [(twice, 2)])
         with pytest.raises(ValueError, match=r"^not a simple cycle: a b a b$"):
@@ -370,7 +354,7 @@ class TestGenerateRelations:
         ]
 
     def test_invalid_system_is_rejected(self, loop_quiver):
-        pair = DefiningPair(loop_quiver, [loop_quiver.path(["a"])], {("a",): 1})
+        pair = DefiningPair(loop_quiver, [(loop_quiver.path(["a"]), 1)])
         with pytest.raises(ValueError, match="fails validation"):
             generate_relations(pair)
 
@@ -381,7 +365,7 @@ class TestGenerateRelations:
         assert spy.call_count == 1
 
     def test_invalid_system_is_rejected_on_every_call(self, loop_quiver):
-        pair = DefiningPair(loop_quiver, [loop_quiver.path(["a"])], {("a",): 1})
+        pair = DefiningPair(loop_quiver, [(loop_quiver.path(["a"]), 1)])
         with spy_on_derivation("relations") as spy:
             for _ in range(2):
                 with pytest.raises(ValueError, match="fails validation"):
@@ -409,7 +393,7 @@ class TestNilpotencyBound:
         assert nilpotency_bound(pair) == 7
 
     def test_empty_system(self):
-        pair = DefiningPair(Quiver(["v"]), [], {})
+        pair = DefiningPair(Quiver(["v"]), [])
         assert nilpotency_bound(pair) == 2
 
 
@@ -450,19 +434,24 @@ def test_quadratics_split_into_on_cycle_and_type3(seed):
 @given(st.integers(0, 10**9), st.sets(st.sampled_from(CORRUPTIONS)))
 @settings(max_examples=300, deadline=None)
 def test_validate_matches_the_rotation_enumerating_reference(seed, kinds):
-    # a list missing a rotation, or weighting a class unevenly, is refused
-    # where it enters, with the reference's witnesses; any other is a system
+    # a list closes to every rotation of each class it names; one weighting
+    # a class unevenly is refused where it enters, with the reference's text
     rng = random.Random(seed)
-    quiver, cycles, mult = corrupt(random_defining_pair(rng), rng, kinds)
-    refusal = reference_refusal(cycles, mult)
-    if refusal is not None:
+    quiver, listed, dropped = corrupt(random_defining_pair(rng), rng, kinds)
+    expected = reference_closure(listed)
+    if isinstance(expected, str):
         with pytest.raises(ValueError) as refused:
-            DefiningPair(quiver, cycles.values(), mult)
-        assert str(refused.value) == refusal
-        assert {"drop-rotation", "change-multiplicity", "second-class"} & kinds
+            DefiningPair(quiver, listed)
+        assert str(refused.value) == expected
+        assert "change-multiplicity" in kinds
         return
-    pair = DefiningPair(quiver, cycles.values(), mult)
-    assert rotations(pair) == [(cycles[k], mult[k]) for k in sorted(cycles)]
+    pair = DefiningPair(quiver, listed)
+    assert rotations(pair) == expected
+    assert close_under_rotation(quiver, listed) == pair
+    if dropped is not None and "change-multiplicity" not in kinds:
+        # a dropped rotation is restored by the closure while its class is listed
+        kept = dropped[0].arrows in {c.arrows for c, _ in expected}
+        assert (DefiningPair(quiver, [*listed, dropped]) == pair) == kept
     report = validate(pair)
     assert report == reference_validate(pair)
     if "second-class" in kinds and "drop-rotation" not in kinds:
@@ -471,27 +460,22 @@ def test_validate_matches_the_rotation_enumerating_reference(seed, kinds):
         assert not report.check("loop-multiplicity").passed
 
 
-def test_validate_enumerates_rotations_of_failing_classes_only():
-    # the constructor enumerates the rotations of a refused class only, for
-    # its witness; validating a built system enumerates none
-    valid = kronecker_pair()
-    q = valid.quiver
-    rotation = defining_pair_module._rotation
-    with mock.patch.object(defining_pair_module, "_rotation", wraps=rotation) as spy:
-        assert validate(valid).passed
-        assert spy.call_count == 0
-        with pytest.raises(
-            ValueError, match=r"^cycles not closed under rotation: bbar b \(rotation of b bbar\)$"
-        ):
-            DefiningPair(
-                q,
-                [q.path(["a", "abar"]), q.path(["abar", "a"]), q.path(["b", "bbar"])],
-                {("a", "abar"): 2, ("abar", "a"): 2, ("b", "bbar"): 2},
-            )
-    assert [(c.arrows, i) for c, i in (call.args for call in spy.call_args_list)] == [
-        (("b", "bbar"), 0),
-        (("b", "bbar"), 1),
-    ]
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_any_listing_of_the_classes_closes_to_the_same_system(seed):
+    # shuffled, repeated or re-rotated, the representatives of a drawn
+    # system or a cover close to that system, by either name
+    rng = random.Random(seed)
+    for pair in (random_defining_pair(rng), symmetrize(random_presentation(rng))):
+        listed = [
+            (rng.choice(cycle_rotations(c)), mu)
+            for c, mu in pair.rotation_class_representatives()
+            for _ in range(rng.randint(1, 3))
+        ]
+        rng.shuffle(listed)
+        built = DefiningPair(pair.quiver, listed)
+        assert built == pair
+        assert close_under_rotation(pair.quiver, listed) == built
 
 
 @given(st.integers(0, 10**9))

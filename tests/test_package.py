@@ -25,22 +25,36 @@ A_B = TWO_CYCLE.path(["a", "b"])
 # each border of the library that refuses a caller's value, with its exact message
 LIBRARY_BORDERS = {
     "cycle-off-the-quiver": (
-        lambda: multiserial.DefiningPair(
-            TWO_CYCLE, [multiserial.Path(("c",), ("1", "1"))], {("c",): 2}
-        ),
+        lambda: multiserial.DefiningPair(TWO_CYCLE, [(multiserial.Path(("c",), ("1", "1")), 2)]),
         "cycle c is not a path of the quiver",
     ),
-    "multiplicity-of-an-unknown-cycle": (
-        lambda: multiserial.DefiningPair(TWO_CYCLE, [A_B], {("a", "b"): 2, ("b", "a"): 2}),
-        "multiplicity given for unknown cycle b a",
-    ),
     "non-positive-multiplicity": (
-        lambda: multiserial.DefiningPair(TWO_CYCLE, [A_B], {("a", "b"): 0}),
+        lambda: multiserial.DefiningPair(TWO_CYCLE, [(A_B, 0)]),
         "multiplicity of a b must be a positive integer",
     ),
-    "cycle-without-multiplicity": (
-        lambda: multiserial.DefiningPair(TWO_CYCLE, [A_B], {}),
-        "cycle a b has no multiplicity",
+    "boolean-multiplicity": (
+        lambda: multiserial.close_under_rotation(TWO_CYCLE, [(A_B, True)]),
+        "multiplicity of a b must be a positive integer",
+    ),
+    "float-nilpotency-bound": (
+        lambda: multiserial.Presentation(TWO_CYCLE, (), (), 3.0),
+        "nilpotency bound must be an integer, got 3.0",
+    ),
+    "string-nilpotency-bound": (
+        lambda: multiserial.Presentation(TWO_CYCLE, (), (), "3"),
+        "nilpotency bound must be an integer, got '3'",
+    ),
+    "boolean-nilpotency-bound": (
+        lambda: multiserial.Presentation(TWO_CYCLE, (), (), True),
+        "nilpotency bound must be an integer, got True",
+    ),
+    "string-truncation-bound": (
+        lambda: multiserial.oracle_dimension(TWO_CYCLE, [], "3"),
+        "truncation bound must be an integer, got '3'",
+    ),
+    "float-truncation-bound-with-a-binomial": (
+        lambda: multiserial.oracle_dimension(TWO_CYCLE, [(A_B, A_B)], 3.0),
+        "truncation bound must be an integer, got 3.0",
     ),
     "undeclared-source": (
         lambda: multiserial.Quiver(["1"], [("a", "2", "1")]),
