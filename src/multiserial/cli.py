@@ -122,11 +122,12 @@ def parse_document(text: str) -> InputDocument:
     checked as :meth:`Quiver.path` builds it, each generator, bound and cycle
     by the library's own check on it.  A presentation's zero lines, most of
     its lines, are matched at the head of the loop, on the raw line split
-    once at '=': two composable arrow names are judged by two lookups and
-    one comparison of ends, and any other value, a comment included, goes
-    through :meth:`Quiver.path` and the length check, with the same error
-    text.  The presentation is handed over by :meth:`Presentation._judged`,
-    so no generator or bound is checked a second time."""
+    once at whitespace: 'zero', '=' and two composable arrow names are
+    judged by two lookups and one comparison of ends, and any other zero
+    line, a comment included, is split at '=' and goes through
+    :meth:`Quiver.path` and the length check, with the same error text.
+    The presentation is handed over by :meth:`Presentation._judged`, so no
+    generator or bound is checked a second time."""
     section = q = nilpotency = None
     vertices: list[str] = []
     vertex_set: set[str] = set()
@@ -139,18 +140,17 @@ def parse_document(text: str) -> InputDocument:
     try:
         for number, raw in enumerate(text.splitlines(), start=1):
             if section == "presentation":
+                # No arrow name holds '=' or '#': 'zero = x y' of composable x, y
+                # is judged by two lookups, any other zero line by Quiver.path.
+                words = raw.split()
+                if len(words) == 4 and words[0] == "zero" and words[1] == "=":
+                    x, y = words[2], words[3]
+                    a, b = arrows.get(x), arrows.get(y)
+                    if a is not None and b is not None and a.target == b.source:
+                        zeros.append(_path((x, y), (a.source, a.target, b.target)))
+                        continue
                 head, eq, value = raw.partition("=")
                 if eq and head.strip() == "zero":
-                    # No arrow name holds '#', so a comment never passes for
-                    # one: a line of two composable names is judged by two
-                    # lookups, and every other one as Quiver.path builds it.
-                    names = value.split()
-                    if len(names) == 2:
-                        x, y = names
-                        a, b = arrows.get(x), arrows.get(y)
-                        if a is not None and b is not None and a.target == b.source:
-                            zeros.append(_path((x, y), (a.source, a.target, b.target)))
-                            continue
                     names = value.partition("#")[0].split()
                     if not names:
                         raise ParseError("empty zero path", number)

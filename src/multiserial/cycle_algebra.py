@@ -162,6 +162,7 @@ class CycleAlgebra:
     """
 
     def __init__(self, pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> None:
+        _check_budget_type(max_paths)
         pair.require_valid()
         dimension = closed_form_dimension(pair)
         _check_budget(dimension, max_paths, f"basis elements (dimension {dimension})")
@@ -435,7 +436,14 @@ class CycleAlgebra:
 def count_paths(quiver: Quiver, max_length: int, stop_above: int | None = None) -> int:
     """Number of paths of length 0..max_length, by
     :meth:`MonomialAutomaton.count` with no monomials."""
+    if stop_above is not None:
+        _check_budget_type(stop_above)
     return MonomialAutomaton(quiver, ()).count(max_length, stop_above)[0]
+
+
+def _check_budget_type(budget: int) -> None:
+    if type(budget) is not int:
+        raise ValueError(f"path budget must be an integer, got {budget!r}")
 
 
 def _check_budget(count: int, max_paths: int, counted: str) -> None:
@@ -450,6 +458,7 @@ def enumerate_paths(
 ) -> list[Path]:
     """All paths of length 0..max_length, shortest first, arrows in name
     order; faults when the count passes ``max_paths``."""
+    _check_budget_type(max_paths)
     _check_budget(count_paths(quiver, max_length, max_paths), max_paths, _BELOW_BOUND)
     paths: list[Path] = [quiver.trivial_path(v) for v in quiver.vertices]
     frontier = list(paths)
@@ -652,6 +661,7 @@ def _oracle_dimension(
     checks the monomials."""
     if bound < 2:
         raise ValueError("truncation bound must be at least 2")
+    _check_budget_type(max_paths)
     # longer path relations are zero anyway, and would only add states
     below = [p for p in monomials if len(p.arrows) < bound]
     automaton = MonomialAutomaton(quiver, below, after, dead)

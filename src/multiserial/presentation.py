@@ -12,15 +12,15 @@ expected to list all vanishing quadratics explicitly.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .cycle_algebra import DEFAULT_MAX_PATHS
-from .quiver import Arrow, MonomialAutomaton, Path, Quiver
+from .cycle_algebra import DEFAULT_MAX_PATHS, _check_budget_type
+from .quiver import Arrow, MonomialAutomaton, Path, Quiver, _path
 from .report import Report
 
 
@@ -118,8 +118,8 @@ class SuccessorTables:
     the quotient.  The two maps are mutually inverse wherever defined, and
     a successor is always composable with its arrow.  The tables are the
     one place their orbits, maximal paths and simple cycles are derived,
-    each on first read; the maps and these three are kept read-only, since
-    every reader of a presentation shares its tables.
+    by one walk on the first read of any; the maps and these three are
+    kept read-only, since every reader of a presentation shares its tables.
     """
 
     quiver: Quiver
@@ -129,12 +129,17 @@ class SuccessorTables:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", MappingProxyType(dict(self.sigma)))
         object.__setattr__(self, "tau", MappingProxyType(dict(self.tau)))
-        names = set(self.quiver.arrows)
-        if set(self.sigma) != names or set(self.tau) != names:
+        arrows = self.quiver._arrows
+        if self.sigma.keys() != arrows.keys() or self.tau.keys() != arrows.keys():
             raise ValueError("tables must be defined on exactly the quiver's arrows")
         forward = {(a, b) for a, b in self.sigma.items() if b is not None}
         backward = {(a, b) for b, a in self.tau.items() if a is not None}
-        for a, b in sorted(forward | backward):
+        pairs = forward | backward
+        try:  # the failing pairs, sorted to name the least; all if one is unknown
+            pairs = [(a, b) for a, b in pairs if arrows[a].target != arrows[b].source]
+        except KeyError:
+            pass
+        for a, b in sorted(pairs):
             if self.quiver.arrow(a).target != self.quiver.arrow(b).source:
                 raise ValueError(f"the tables pair {a} with {b}, which is not composable")
         if forward != backward:
@@ -142,56 +147,59 @@ class SuccessorTables:
             raise ValueError(f"tables are not mutually inverse at {a} {b}")
 
     @cached_property
-    def orbits(self) -> Mapping[str, OrbitData]:
-        """Every orbit walked once, each arrow classified by its place on it.
+    def _walked(self) -> tuple[Mapping[str, OrbitData], tuple[Path, ...], tuple[Path, ...]]:
+        """The orbits, maximal paths and cycles, from one walk of each orbit.
 
-        The constructor refuses tables that are not mutually inverse, so
-        sigma is a partial injection with inverse tau: from an arrow, tau
-        stops or returns within the arrow count.  A return closes a cycle,
-        whose length is the period of each of its arrows; a stop is the
-        first arrow of a chain, which sigma follows to its end, and the
-        arrow at index i of a chain of m arrows stops i + 1 steps backwards
-        and m - i forwards.  A cycle's arrows share one value."""
+        The tables are mutually inverse, so sigma is a partial injection
+        with inverse tau.  From the least arrow of an orbit, sigma returns to
+        it, closing a cycle whose length is each arrow's period, or stops,
+        and tau walks back to the chain's first arrow: its arrow at index i
+        of m stops i + 1 steps backwards and m - i forwards.  Every sigma
+        pair composes, so each path is built from its arrows' ends."""
+        sigma, tau, arrows = self.sigma, self.tau, self.quiver._arrows
+        names = [a.name for a in self.quiver._by_name]
         out: dict[str, OrbitData] = {}
-        for name in (a.name for a in self.quiver._by_name):
+        chains, cycles = [], []
+        for name in names:
             if name in out:
                 continue
-            first = name
-            while (before := self.tau[first]) is not None and before != name:
-                first = before
-            orbit = [first]
-            while (after := self.sigma[orbit[-1]]) is not None and after != first:
+            orbit = deque([name])
+            while (after := sigma[orbit[-1]]) is not None and after != name:
                 orbit.append(after)
+            if after is not None:
+                out.update(dict.fromkeys(orbit, OrbitData(period=len(orbit))))
+                cycles.append(orbit)
+                continue
+            while (before := tau[orbit[0]]) is not None:
+                orbit.appendleft(before)
             m = len(orbit)
-            if before is not None:
-                out.update(dict.fromkeys(orbit, OrbitData(period=m)))
-            else:
-                for i, a in enumerate(orbit):
-                    out[a] = OrbitData(m - i, i + 1)
-        return MappingProxyType({a.name: out[a.name] for a in self.quiver._by_name})
+            for i, a in enumerate(orbit):
+                out[a] = OrbitData(m - i, i + 1)
+            chains.append(orbit)
 
-    @cached_property
+        def along(orbit: deque[str]) -> Path:
+            return _path(tuple(orbit), (arrows[orbit[0]].source, *(arrows[a].target for a in orbit)))
+
+        # chains start with distinct arrows, so their first arrows sort them
+        maxima = tuple(map(along, sorted(chains)))
+        return MappingProxyType({a: out[a] for a in names}), maxima, tuple(map(along, cycles))
+
+    @property
+    def orbits(self) -> Mapping[str, OrbitData]:
+        """Each arrow by its place on its orbit; a cycle's arrows share one."""
+        return self._walked[0]
+
+    @property
     def maximal_paths(self) -> tuple[Path, ...]:
-        """All paths that cannot be extended in either direction.
+        """The paths that cannot be extended either way, one per chain of
+        sigma, sorted by arrow sequence."""
+        return self._walked[1]
 
-        Such a path starts at an arrow with no predecessor and follows the
-        successor map until it stops; every arrow with a stopping orbit
-        occurs in exactly one of them.  Sorted by arrow sequence.
-        """
-        return tuple(_walk(self, a, None) for a in sorted(self.quiver.arrows) if self.tau[a] is None)
-
-    @cached_property
+    @property
     def simple_cycles(self) -> tuple[Path, ...]:
-        """One cycle per sigma-cycle, the arrows that :attr:`orbits` gives a
-        period: its canonical rotation, walked by sigma from its least
-        arrow, and sorted by arrow sequence."""
-        seen: set[str] = set()
-        cycles: list[Path] = []
-        for a in sorted(self.quiver.arrows):
-            if a not in seen and self.orbits[a].period:
-                cycles.append(_walk(self, a, a))
-                seen.update(cycles[-1].arrows)
-        return tuple(cycles)
+        """One cycle per sigma-cycle, from its least arrow (its canonical
+        rotation), sorted by arrow sequence."""
+        return self._walked[2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,25 +221,29 @@ def _surviving_compositions(
     presentation: Presentation,
 ) -> tuple[Report, dict[str, list[Arrow]], dict[str, list[Arrow]]]:
     """The multiserial-condition report, with each arrow's surviving
-    successors and predecessors in name order, from one
-    :meth:`Quiver.compositions` walk that tests each two-arrow path once."""
-    q = presentation.quiver
+    successors and predecessors in name order, from one walk over the
+    composable pairs that tests each two-arrow path once."""
+    q, dead = presentation.quiver, presentation._quadratic
+    successors = {
+        a.name: [b for b in q._out[a.target] if (a.name, b.name) not in dead] for a in q._by_name
+    }
+    predecessors: dict[str, list[Arrow]] = {a.name: [] for a in q._by_name}
+    for a in q._by_name:
+        for b in successors[a.name]:
+            predecessors[b.name].append(a)
+    violations = [
+        (f"unique-{side}({name})", found)
+        for name, after in successors.items()
+        for side, found in (("successor", after), ("predecessor", predecessors[name]))
+        if len(found) > 1
+    ]
     report = Report("multiserial-condition")
-    dead = presentation._quadratic
-    successors, predecessors = q.compositions(lambda a, b: (a.name, b.name) not in dead)
-    for name in successors:
-        for side, found in (("successor", successors[name]), ("predecessor", predecessors[name])):
-            if len(found) > 1:
-                report.add(
-                    f"unique-{side}({name})",
-                    False,
-                    "surviving compositions with " + ", ".join(a.name for a in found),
-                )
-    violations = len(report.checks)
+    for check, found in violations:
+        report.add(check, False, "surviving compositions with " + ", ".join(a.name for a in found))
     report.add(
         "multiserial-condition",
-        violations == 0,
-        "" if violations == 0 else f"{violations} arrow(s) violate the condition",
+        not violations,
+        f"{len(violations)} arrow(s) violate the condition" if violations else "",
     )
     return report, successors, predecessors
 
@@ -259,15 +271,6 @@ def derive_successors(presentation: Presentation) -> SuccessorTables:
     be single-valued.  Returns the cached :attr:`Presentation.tables`.
     """
     return presentation.tables
-
-
-def _walk(tables: SuccessorTables, start: str, end: Optional[str]) -> Path:
-    """The path from ``start`` along the successor map up to ``end``, not
-    included; the paths start with distinct arrows, so name order sorts them."""
-    chain = [start]
-    while (current := tables.sigma[chain[-1]]) != end:
-        chain.append(current)
-    return tables.quiver.path(chain)
 
 
 def check_orbit_structure(tables: SuccessorTables) -> Report:
@@ -329,6 +332,7 @@ def minimal_monomial_bound(
     when the presentation has binomial generators (membership is no longer
     a subword test) or when more than ``budget`` paths avoid them.
     """
+    _check_budget_type(budget)
     if presentation.equal_pairs:
         return None
     longer = [p for p in presentation.zero_paths if len(p.arrows) != 2]

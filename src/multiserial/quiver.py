@@ -107,13 +107,28 @@ class Quiver:
             if target not in self._vertex_set:
                 raise ValueError(f"arrow {name!r} ends at undeclared vertex {target!r}")
             self._arrows[name] = Arrow(name, source, target)
+        self._index(self._arrows.values())
+
+    def _index(self, arrows: Iterable[Arrow]) -> None:
+        """Sort this quiver's ``arrows`` by name and index them by their ends."""
         self.arrows: Mapping[str, Arrow] = MappingProxyType(self._arrows)
-        self._by_name = sorted(self._arrows.values(), key=lambda a: a.name)
+        self._by_name = sorted(arrows, key=lambda a: a.name)
         self._out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         self._in: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for arrow in self._by_name:
             self._out[arrow.source].append(arrow)
             self._in[arrow.target].append(arrow)
+
+    def _extended(self, arrows: Iterable[tuple[str, str, str]]) -> Quiver:
+        """``Quiver(self.vertices, self's triples + arrows)`` for new names
+        between this quiver's vertices, unchecked, sharing the vertices and
+        :class:`Arrow` values; only the name order and the index are rebuilt."""
+        quiver = object.__new__(Quiver)
+        quiver.vertices, quiver._vertex_set = self.vertices, self._vertex_set
+        added = [Arrow(*triple) for triple in arrows]
+        quiver._arrows = {**self._arrows, **{a.name: a for a in added}}
+        quiver._index(self._by_name + added)
+        return quiver
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -31,7 +31,7 @@ from .cycle_algebra import (
 )
 from .defining_pair import DefiningPair
 from .presentation import Presentation, derive_successors
-from .quiver import Path, Quiver, _path, canonical_rotation
+from .quiver import Path, _path, canonical_rotation
 from .report import Report
 
 STAR_PREFIX = "star_"
@@ -53,9 +53,11 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
     is a fault, since output files must be reproducible.  The cycles are
     the successor tables' cycles, one per rotation class, plus, for each
     maximal path, the closure of the path by its return arrow; every class
-    carries the presentation's nilpotency bound as multiplicity.  Its cycles
-    are built from paths already checked, so :meth:`DefiningPair._trusted`
-    builds the cover, once per presentation, and it is kept there.
+    carries the presentation's nilpotency bound as multiplicity.  Every
+    return name is new and its ends are base vertices, so the base quiver
+    is extended by :meth:`Quiver._extended`; the cycles are built from paths
+    already checked, so :meth:`DefiningPair._trusted` builds the cover,
+    once per presentation, and it is kept there.
     """
     if hasattr(presentation, "_cover"):
         return presentation._cover
@@ -75,9 +77,7 @@ def symmetrize(presentation: Presentation) -> DefiningPair:
                 "maximal paths; rename the quiver's arrows"
             )
         closes[name] = m
-    arrow_triples = [(a.name, a.source, a.target) for a in base.arrows.values()]
-    arrow_triples.extend((r, m.target, m.source) for r, m in closes.items())
-    enlarged = Quiver(base.vertices, arrow_triples)
+    enlarged = base._extended((r, m.target, m.source) for r, m in closes.items())
     cycles = list(tables.simple_cycles)
     cycles.extend(_path(m.arrows + (r,), m.vertices + (m.source,)) for r, m in closes.items())
     classes = [(canonical_rotation(c), presentation.nilpotency) for c in cycles]
@@ -257,10 +257,10 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     bound.  A class of the cover closes at most one maximal path, so it
     holds at most one return arrow, and the verdicts on its full powers and
     overruns depend only on that arrow and on whether mu*L and mu*L + 1
-    reach the bound: each is decided once per class, and no generator or
-    relation path is built.  The quadratics are judged by counting, per
-    vertex, the composable pairs of base arrows off the cycles against the
-    dead quadratics.  :attr:`QuotientCertificate.entries` judges the
+    reach the bound: both are read from one lookup of the class's return
+    arrow, and no generator or relation path is built.  The quadratics are
+    judged by counting, per vertex, the composable pairs of base arrows off
+    the cycles against the dead quadratics.  :attr:`QuotientCertificate.entries` judges the
     cover's relations, each by its class verdict or as a quadratic, on
     first read.  :meth:`DefiningPair.require_valid` is the gate on the cover's
     axioms, which its construction makes hold.  An uncertifiable generator
@@ -270,12 +270,13 @@ def verify_quotient(presentation: Presentation) -> QuotientCertificate:
     pair.require_valid()
     returns = frozenset(pair.quiver.arrows.keys() - presentation.quiver.arrows.keys())
 
-    def verdict(arrows: tuple[str, ...], length: int) -> tuple:
-        if not returns.isdisjoint(arrows):
-            return KILLED_BY_STAR_ARROW, next(a for a in arrows if a in returns)
-        return (LONG_PATH if length >= presentation.nilpotency else UNCERTIFIED), None
-
-    classes = pair.rotation_class_representatives()
-    power = [verdict(c.arrows, mu * len(c)) for c, mu in classes]
-    overrun = [verdict(c.arrows, mu * len(c) + 1) for c, mu in classes]
+    bound, power, overrun = presentation.nilpotency, [], []
+    for c, mu in pair._classes:
+        if returns.isdisjoint(c.arrows):
+            power.append((LONG_PATH if mu * len(c) >= bound else UNCERTIFIED, None))
+            overrun.append((LONG_PATH if mu * len(c) + 1 >= bound else UNCERTIFIED, None))
+        else:
+            killed = KILLED_BY_STAR_ARROW, next(a for a in c.arrows if a in returns)
+            power.append(killed)
+            overrun.append(killed)
     return QuotientCertificate(presentation, pair, power, overrun, returns)

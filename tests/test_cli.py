@@ -44,7 +44,7 @@ from multiserial.random_instances import (
     random_presentation,
 )
 from test_defining_pair import rotations, spy_on_derivation
-from test_presentation import reference_orbits, reference_walks, spy_on_orbits
+from test_presentation import reference_orbits, reference_walks, spy_on_the_walk
 
 # The package exports the function ``symmetrize`` under the module's name.
 symmetrize_module = importlib.import_module("multiserial.symmetrize")
@@ -973,7 +973,7 @@ class TestMainOutputs:
         # one derivation of the orbits, though the run reads them twice, once
         # in its checks and once in its data
         for fixture in ("a3_gentle.alg", "two_cycle.alg"):
-            with spy_on_orbits() as spy:
+            with spy_on_the_walk() as spy:
                 code = main(["sigma-tau", str(FIXTURES / fixture), "--json"])
             data = json.loads(capsys.readouterr().out)["data"]
             assert code == 0 and data["orbits"]
@@ -990,18 +990,20 @@ class TestMainOutputs:
         else:
             presentation = parse_document((FIXTURES / name).read_text()).presentation
         document = InputDocument(presentation.quiver, presentation=presentation)
-        with mock.patch.object(
-            presentation_module, "_walk", wraps=presentation_module._walk
-        ) as spy:
+        with spy_on_the_walk() as walks, mock.patch.object(
+            presentation_module, "_path", wraps=presentation_module._path
+        ) as built:
             tables = derive_successors(presentation)
             assert check_orbit_structure(tables).passed
             symmetrize(presentation)
             assert run_command("sigma-tau", document).report.passed
-        # a maximal path starts where tau stops, a cycle at its least arrow
+        # one walk builds each maximal path, from where tau stops, and each
+        # cycle, from its least arrow, once, with its itinerary
         chains, cycles = reference_walks(tables)
-        starts = [(m.arrows[0], None) for m in chains] + [(c.arrows[0],) * 2 for c in cycles]
-        assert [c.args[1:] for c in spy.call_args_list] == starts
-        assert len(starts) == len(tables.maximal_paths) + len(tables.simple_cycles) > 0
+        walked = sorted((p.arrows, p.vertices) for p in chains + cycles)
+        assert walks.call_count == 1
+        assert sorted(c.args for c in built.call_args_list) == walked
+        assert len(walked) == len(tables.maximal_paths) + len(tables.simple_cycles) > 0
 
     def test_oracle_matches_closed_form_on_pair(self, capsys):
         code = main(["oracle", str(FIXTURES / "loop_mu2.alg"), "--json"])

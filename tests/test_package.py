@@ -22,6 +22,8 @@ def test_all_lists_exactly_the_public_names_the_package_binds():
 
 TWO_CYCLE = multiserial.Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
 A_B = TWO_CYCLE.path(["a", "b"])
+A_B_TWICE = multiserial.DefiningPair(TWO_CYCLE, [(A_B, 2)])
+NO_GENERATORS = multiserial.Presentation(TWO_CYCLE, (), (), 3)
 # each border of the library that refuses a caller's value, with its exact message
 LIBRARY_BORDERS = {
     "cycle-off-the-quiver": (
@@ -55,6 +57,34 @@ LIBRARY_BORDERS = {
     "float-truncation-bound-with-a-binomial": (
         lambda: multiserial.oracle_dimension(TWO_CYCLE, [(A_B, A_B)], 3.0),
         "truncation bound must be an integer, got 3.0",
+    ),
+    "string-path-budget-of-the-oracle": (
+        lambda: multiserial.oracle_dimension(TWO_CYCLE, [], 3, max_paths="10"),
+        "path budget must be an integer, got '10'",
+    ),
+    "float-path-budget-of-the-pair-oracle": (
+        lambda: multiserial.pair_oracle_dimension(A_B_TWICE, 2.5),
+        "path budget must be an integer, got 2.5",
+    ),
+    "boolean-basis-budget": (
+        lambda: multiserial.CycleAlgebra(A_B_TWICE, True),
+        "path budget must be an integer, got True",
+    ),
+    "missing-enumeration-budget": (
+        lambda: multiserial.enumerate_paths(TWO_CYCLE, 2, None),
+        "path budget must be an integer, got None",
+    ),
+    "float-path-count-cap": (
+        lambda: multiserial.count_paths(TWO_CYCLE, 2, stop_above=2.5),
+        "path budget must be an integer, got 2.5",
+    ),
+    "boolean-certificate-budget": (
+        lambda: multiserial.verify_quotient(NO_GENERATORS).dimensions(True),
+        "path budget must be an integer, got True",
+    ),
+    "float-monomial-bound-budget": (
+        lambda: multiserial.minimal_monomial_bound(NO_GENERATORS, 2.5),
+        "path budget must be an integer, got 2.5",
     ),
     "undeclared-source": (
         lambda: multiserial.Quiver(["1"], [("a", "2", "1")]),

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import random
+import re
 import time
 from dataclasses import FrozenInstanceError
 from functools import cached_property
@@ -8,7 +9,7 @@ from pathlib import Path as FilePath
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiserial import (
@@ -35,6 +36,7 @@ from multiserial.random_instances import (
     random_presentation,
 )
 from multiserial.report import Check, Report
+from reference_walk import reference_maximal_paths, reference_orbit_data, reference_simple_cycles
 from test_quiver import length_two_paths, quadratic_in_ideal
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
@@ -83,14 +85,26 @@ def reference_walks(tables: SuccessorTables) -> tuple[list[Path], list[Path]]:
 
 
 @contextlib.contextmanager
-def spy_on_orbits():
-    """Count the runs of the body of ``SuccessorTables.orbits``, a cached
-    property, over every set of tables; cached reads do not run it."""
-    spy = mock.Mock(wraps=SuccessorTables.__dict__["orbits"].func)
+def spy_on_the_walk():
+    """Count the runs of the body of ``SuccessorTables._walked``, the cached
+    walk that gives the orbits, maximal paths and cycles, over every set of
+    tables; cached reads do not run it."""
+    spy = mock.Mock(wraps=SuccessorTables.__dict__["_walked"].func)
     counted = cached_property(spy)
-    counted.__set_name__(SuccessorTables, "orbits")
-    with mock.patch.object(SuccessorTables, "orbits", counted):
+    counted.__set_name__(SuccessorTables, "_walked")
+    with mock.patch.object(SuccessorTables, "_walked", counted):
         yield spy
+
+
+# the values of the one walk, in its order
+WALKED = ("orbits", "maximal_paths", "simple_cycles")
+
+
+def corrupt_the_walk(tables: SuccessorTables, attribute: str, value) -> None:
+    """Make ``tables`` give ``value`` as ``attribute``, one of :data:`WALKED`,
+    by replacing its one walk past the read-only cache."""
+    walked = dict(zip(WALKED, tables._walked), **{attribute: value})
+    object.__setattr__(tables, "_walked", tuple(walked[name] for name in WALKED))
 
 
 ORBIT_CHECKS = [
@@ -240,17 +254,16 @@ class TestMultiserialCondition:
             [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "2"), ("d", "3", "2")],
         )
         p = Presentation(q, (), (), 3)
-        # spy on the predicate the walk hands to Quiver.compositions
-        predicates, compositions = [], Quiver.compositions
+        # record each membership test against the dead quadratics
+        asked = []
 
-        def spying(quiver, survives):
-            predicates.append(mock.Mock(wraps=survives))
-            return compositions(quiver, predicates[-1])
+        class Recording(frozenset):
+            def __contains__(self, pair):
+                asked.append(pair)
+                return super().__contains__(pair)
 
-        with mock.patch.object(Quiver, "compositions", spying):
-            report = check_multiserial_condition(p)
-        [spy] = predicates
-        asked = [(a.name, b.name) for a, b in (call.args for call in spy.call_args_list)]
+        vars(p)["_quadratic"] = Recording(p._quadratic)
+        report = check_multiserial_condition(p)
         assert asked == [path.arrows for path in length_two_paths(q)]
         assert report == reference_surviving_compositions(p)[0]
         assert report.check("unique-predecessor(c)").witness == (
@@ -354,6 +367,29 @@ class TestSuccessorTables:
         q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
         with pytest.raises(ValueError, match="not composable"):
             SuccessorTables(q, {"a": "b", "b": None}, {"a": None, "b": "a"})
+
+    # Three arrows 1 -> 2 and d: 2 -> 1, so only a d, b d, c d, d a, d b and
+    # d c compose.  Each table lists each arrow; the fault named is the least
+    # pair that fails, whether unknown or not composable, from either table.
+    NAMES = dict.fromkeys("abcd")
+
+    @pytest.mark.parametrize(
+        "sigma, tau, message",
+        [
+            ({"c": "x"}, {}, "unknown arrow 'x'"),
+            ({}, {"a": "y"}, "unknown arrow 'y'"),
+            ({"c": "a", "b": "x"}, {}, "unknown arrow 'x'"),
+            ({"c": "x"}, {"b": "a"}, "the tables pair a with b, which is not composable"),
+            ({"c": "a", "b": "c"}, {"a": "c"}, "the tables pair b with c, which is not composable"),
+            ({"c": "b"}, {"b": "c", "a": "b"}, "the tables pair b with a, which is not composable"),
+            ({"a": "d", "d": "b"}, {"d": "a"}, "tables are not mutually inverse at d b"),
+            ({"a": "d"}, {"d": "c"}, "tables are not mutually inverse at a d"),
+        ],
+    )
+    def test_border_names_the_least_fault(self, sigma, tau, message):
+        q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2"), ("d", "2", "1")])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SuccessorTables(q, {**self.NAMES, **sigma}, {**self.NAMES, **tau})
 
 
 class TestOrbitData:
@@ -465,9 +501,9 @@ class TestOrbitStructure:
         assert report.passed
 
     def test_orbit_data_is_computed_once(self, linear_quiver, two_cycle_quiver):
-        # one derivation of the orbits per set of tables, however often the
-        # orbits, maximal paths and cycles are read, equal to walking both
-        # maps from every arrow
+        # one walk per set of tables, however often the orbits, maximal
+        # paths and cycles are read, its orbits equal to walking both maps
+        # from every arrow
         presentations = [
             Presentation(linear_quiver, (), (), 3),
             Presentation(two_cycle_quiver, (), (), 3),
@@ -475,9 +511,10 @@ class TestOrbitStructure:
         ]
         for presentation in presentations:
             tables = derive_successors(presentation)
-            with spy_on_orbits() as spy:
+            with spy_on_the_walk() as spy:
                 assert check_orbit_structure(tables).passed
                 assert check_orbit_structure(tables).passed
+                assert len(tables.maximal_paths) + len(tables.simple_cycles) > 0
             assert spy.call_count == 1
             assert tables.orbits == reference_orbits(tables)
 
@@ -493,10 +530,10 @@ class TestOrbitStructure:
     def test_maximal_path_is_determined_by_the_orbits(self, linear_quiver):
         shared = derive_successors(Presentation(linear_quiver, (), (), 3))
         # a b is the one maximal path; a private copy of the tables claims b
-        # stops one step too late, past the read-only cached orbits
+        # stops one step too late, past the read-only cached walk
         tables = SuccessorTables(shared.quiver, shared.sigma, shared.tau)
         corrupt = {**tables.orbits, "b": OrbitData(forward_stop=2, backward_stop=2)}
-        object.__setattr__(tables, "orbits", corrupt)
+        corrupt_the_walk(tables, "orbits", corrupt)
         check = check_orbit_structure(tables).check("maximal-path-determined-by-arrow")
         assert not check.passed and check.witness == "b does not recover a b"
         assert check_orbit_structure(shared).passed
@@ -561,10 +598,10 @@ class TestOrbitStructure:
         presentation = request.getfixturevalue(given)
         if isinstance(presentation, Quiver):
             presentation = Presentation(presentation, (), (), 3)
-        # a private copy of the tables, corrupted past its read-only caches
+        # a private copy of the tables, corrupted past its read-only walk
         shared = derive_successors(presentation)
         tables = SuccessorTables(shared.quiver, shared.sigma, shared.tau)
-        object.__setattr__(tables, attribute, corrupt(tables.quiver))
+        corrupt_the_walk(tables, attribute, corrupt(tables.quiver))
         assert check_orbit_structure(tables).check(name) == Check(name, False, witness)
         assert check_orbit_structure(shared).passed
 
@@ -728,6 +765,46 @@ def test_arrows_partition_into_maximal_and_cyclic(seed):
     assert on_maximal | on_cycle == set(tables.quiver.arrows)
     assert not (on_maximal & on_cycle)
     assert (list(tables.maximal_paths), list(tables.simple_cycles)) == reference_walks(tables)
+
+
+# Draws of the one-walk reference test that hold, between them, sigma-cycles,
+# chains, loops and vertices without arrows.
+WALK_EXAMPLES = [
+    ("random", 58), ("random-4-40-4", 1), ("random-4-40-4", 15), ("radical-square-zero", 6)
+]
+WALK_DRAWERS = ["random", "random-4-40-4", "radical-square-zero"]
+
+
+def test_the_walk_examples_hold_cycles_chains_loops_and_arrowless_vertices():
+    shapes = set()
+    for name, seed in WALK_EXAMPLES:
+        tables = derive_successors(GENERATORS[name](random.Random(seed)))
+        q = tables.quiver
+        held = {
+            "cycle": bool(tables.simple_cycles),
+            "chain": bool(tables.maximal_paths),
+            "loop": any(a.source == a.target for a in q._by_name),
+            "arrowless": any(not q._out[v] and not q._in[v] for v in q.vertices),
+        }
+        shapes |= {shape for shape, found in held.items() if found}
+    assert shapes == {"cycle", "chain", "loop", "arrowless"}
+
+
+def with_walk_examples(test):
+    for name, seed in WALK_EXAMPLES:
+        test = example(name, seed)(test)
+    return test
+
+
+@given(st.sampled_from(WALK_DRAWERS), st.integers(0, 10**9))
+@with_walk_examples
+@settings(max_examples=150, deadline=None)
+def test_the_one_walk_matches_the_three_walks(name, seed):
+    tables = derive_successors(GENERATORS[name](random.Random(seed)))
+    orbits = reference_orbit_data(tables)
+    assert tables.orbits == orbits and list(tables.orbits) == list(orbits)
+    assert tables.maximal_paths == reference_maximal_paths(tables)
+    assert tables.simple_cycles == reference_simple_cycles(tables)
 
 
 class TestMinimalMonomialBound:

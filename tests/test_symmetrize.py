@@ -2,6 +2,7 @@ import contextlib
 import functools
 import importlib
 import random
+import re
 from dataclasses import FrozenInstanceError
 import time
 import tracemalloc
@@ -181,6 +182,31 @@ class TestBuildStarQuiver:
         with pytest.raises(ValueError, match="collides"):
             symmetrize(p)
 
+    def test_both_clashes_keep_their_texts(self):
+        collides = Quiver(["1", "2"], [("a", "1", "2"), ("star_a", "2", "1")])
+        # the maximal paths a bc and ab c both name their return arrow star_abc
+        ambiguous = Quiver(
+            ["1", "2", "3", "4", "5", "6"],
+            [("a", "1", "2"), ("bc", "2", "3"), ("ab", "4", "5"), ("c", "5", "6")],
+        )
+        cases = [
+            (
+                Presentation(
+                    collides, (collides.path(["a", "star_a"]), collides.path(["star_a", "a"])), (), 3
+                ),
+                "generated return arrow 'star_a' collides with an existing arrow; "
+                "rename the quiver's arrows",
+            ),
+            (
+                Presentation(ambiguous, (), (), 3),
+                "generated return arrow 'star_abc' is ambiguous between two maximal "
+                "paths; rename the quiver's arrows",
+            ),
+        ]
+        for presentation, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                symmetrize(presentation)
+
     def test_generated_name_ambiguity_faults(self):
         # the maximal paths a bc and ab c both name their return arrow star_abc
         q = Quiver(
@@ -191,6 +217,43 @@ class TestBuildStarQuiver:
         for _ in range(2):
             with pytest.raises(ValueError, match="'star_abc' is ambiguous"):
                 symmetrize(p)
+
+
+def public_enlarged_quiver(presentation: Presentation) -> Quiver:
+    """The enlarged quiver built by the public constructor: the base's
+    triples, then one return triple per maximal path in their order."""
+    base = presentation.quiver
+    triples = [(a.name, a.source, a.target) for a in base.arrows.values()]
+    triples += [
+        (STAR_PREFIX + "".join(m.arrows), m.target, m.source)
+        for m in derive_successors(presentation).maximal_paths
+    ]
+    return Quiver(base.vertices, triples)
+
+
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(
+        [
+            random_presentation,
+            lambda rng: random_presentation(rng, 4, 40, 4),
+            radical_square_zero_presentation,
+        ]
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_enlarged_quiver_extends_the_base(seed, draw):
+    presentation = draw(random.Random(seed))
+    base = presentation.quiver
+    indexed = base._by_name[:], {v: out[:] for v, out in base._out.items()}
+    enlarged, public = symmetrize(presentation).quiver, public_enlarged_quiver(presentation)
+    assert enlarged == public and list(enlarged.arrows) == list(public.arrows)
+    for index in ("_by_name", "_out", "_in"):
+        assert getattr(enlarged, index) == getattr(public, index), index
+    # the base's vertices and arrows are shared, and its own index is untouched
+    assert enlarged.vertices is base.vertices
+    assert all(enlarged.arrows[name] is arrow for name, arrow in base.arrows.items())
+    assert (base._by_name, base._out) == indexed
 
 
 class TestSymmetrize:
