@@ -37,7 +37,6 @@ from .cycle_algebra import (
     OnCyclePath,
     OracleBudgetError,
     Socle,
-    _check_budget,
     _presented_dimension,
     pair_oracle_dimension,
 )
@@ -424,7 +423,6 @@ def _cmd_basis(document: InputDocument, max_paths: int) -> CommandResult:
 def _cmd_gram(document: InputDocument, max_paths: int) -> CommandResult:
     pair = document.pair
     algebra = CycleAlgebra(pair, max_paths)
-    _check_budget(algebra.dimension**2, max_paths, "Gram matrix entries")
     gram = algebra.gram_matrix()
     report = Report("gram")
     report.add("gram-permutation", gram.is_permutation)
@@ -440,7 +438,7 @@ def _cmd_gram(document: InputDocument, max_paths: int) -> CommandResult:
         "rank": gram.rank,
         "nondegenerate": gram.nondegenerate,
         "permutation": gram.is_permutation,
-        "matrix": gram.entries,
+        "dual": gram.dual,
     }
     return CommandResult("gram", report, data)
 
@@ -555,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_budget,
         default=DEFAULT_MAX_PATHS,
         help="budget on paths: those below the oracle's truncation bound that "
-        "avoid every monomial relation, the closed-form basis, and gram's n*n entries",
+        "avoid every monomial relation, and the closed-form basis",
     )
     common.add_argument("--quiet", action="store_true", help="suppress the report")
     parser = argparse.ArgumentParser(
@@ -572,12 +570,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the report is rendered under the same handlers as the run, so running
+    # out of memory while it is built exits 2 too
     try:
         # a leading byte-order mark is dropped; other UTF-8 reads the same
         with open(args.input, encoding="utf-8-sig") as handle:
             text = handle.read()
         document = parse_document(text)
         result = run_command(args.command, document, args.max_paths)
+        written = bool(getattr(args, "out", None)) and result.artifact is not None
+        if written:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(result.artifact)
+        if args.json:
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                "command": result.command,
+                "input": args.input,
+                "passed": result.report.passed,
+                "verdicts": [
+                    {"name": c.name, "passed": c.passed, "witness": c.witness}
+                    for c in result.report.checks
+                ],
+                "warnings": list(result.report.warnings),
+                "data": dict(result.data),
+            }
+            if written:
+                payload["data"]["output_file"] = args.out
+            elif result.artifact is not None:
+                payload["data"][result.artifact_key] = result.artifact
+            text = json.dumps(payload)
+        else:
+            lines = [f"command: {result.command} ({args.input})"]
+            lines.extend(result.report.lines())
+            lines.extend(_render_data(result.data))
+            if written:
+                lines.append(f"wrote {args.out}")
+            elif result.artifact is not None:
+                lines.append(result.artifact.rstrip("\n"))
+            text = "\n".join(lines)
+        if not args.quiet:
+            try:
+                print(text, flush=True)
+            except OSError as exc:
+                # the interpreter flushes stdout again on exit; send that nowhere
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                print(f"error: cannot write the report: {exc}", file=sys.stderr)
+                return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -585,50 +624,6 @@ def main(argv: list[str] | None = None) -> int:
         why = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"error: {why}; the instance is too large", file=sys.stderr)
         return 2
-    written = bool(getattr(args, "out", None)) and result.artifact is not None
-    if written:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(result.artifact)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": result.command,
-            "input": args.input,
-            "passed": result.report.passed,
-            "verdicts": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in result.report.checks
-            ],
-            "warnings": list(result.report.warnings),
-            "data": dict(result.data),
-        }
-        if written:
-            payload["data"]["output_file"] = args.out
-        elif result.artifact is not None:
-            payload["data"][result.artifact_key] = result.artifact
-        text = json.dumps(payload)
-    else:
-        lines = [f"command: {result.command} ({args.input})"]
-        lines.extend(result.report.lines())
-        lines.extend(_render_data(result.data))
-        if written:
-            lines.append(f"wrote {args.out}")
-        elif result.artifact is not None:
-            lines.append(result.artifact.rstrip("\n"))
-        text = "\n".join(lines)
-    if not args.quiet:
-        try:
-            print(text, flush=True)
-        except OSError as exc:
-            # the interpreter flushes stdout again on exit; send that nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print(f"error: cannot write the report: {exc}", file=sys.stderr)
-            return 2
 
     return 0 if result.report.passed else 1
 

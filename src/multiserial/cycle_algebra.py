@@ -11,6 +11,9 @@ basis pairs, and it pairs x with y exactly when x y is a full cycle power.
 The pairing is therefore listed by index arithmetic from the factorizations
 of the full powers and checked against the layout, one pass each, as one
 dual index per basis element; a vertex without arrows spans k, its own socle.
+A rotation class is one ring, its rotations one cyclic sequence read from
+each start, so each rotation's columns, and the heads the check wants, are
+slices of one list per class, and no dense matrix is built.
 The oracle (:func:`oracle_dimension`) knows nothing of that structure: it
 closes the relations, each a pair ``(p, None)`` for a path or ``(p, q)``
 for a difference of two paths, under multiplication by arrows in a
@@ -198,9 +201,10 @@ class CycleAlgebra:
     def _basis(self) -> list[BasisElement]:
         layout = self._layout
         basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
-        fulls = {head: self.pair._full_power(head) for head in layout.start}
+        # each proper path is a prefix of its rotation's overrun, in rotation order
+        overruns = dict(zip(layout.start, self.pair._powers[1]))
         basis.extend(
-            OnCyclePath(_path(fulls[h].arrows[:k], fulls[h].vertices[: k + 1]))
+            OnCyclePath(_path(overruns[h].arrows[:k], overruns[h].vertices[: k + 1]))
             for h, k in zip(layout.cycle, layout.length)
         )
         basis.extend(Socle(v) for v in layout.socles)
@@ -274,15 +278,15 @@ class CycleAlgebra:
         """The index pairs (i, j) with x_i x_j a socle: e(v) with socle(v) both
         ways, or with itself where v has no arrows; and one column per proper
         row: F[:k], for a full power F, pairs with F[k:], the prefix of length
-        len(F) - k of the rotation at F's k-th arrow, len(F) - k - 1 past its start."""
+        len(F) - k of the rotation at F's k-th arrow, len(F) - k - 1 past its start.
+        Each class's rotation starts, repeated mu + 1 times, are one ring, and
+        the rotation at position p reads the starts it needs as its slice."""
         layout = self._layout
         vertex_pairs = [(i, layout.socle_at.get(v, i)) for i, v in enumerate(self.pair.quiver.vertices)]
+        rings = [[layout.start[a] for a in c.arrows] * (mu + 1) for c, mu in self.pair._classes]
         columns: list[int] = []
-        for head, full in layout.full_length.items():
-            cycle, p, _ = self.pair._start(head)
-            walk = cycle.arrows * (full // len(cycle) + 1)
-            rotations = map(layout.start.__getitem__, walk[p + 1 : p + full])
-            columns += map(add, rotations, range(full - 2, -1, -1))
+        for (k, p), full in zip(self.pair._place.values(), layout.full_length.values()):
+            columns += map(add, rings[k][p + 1 : p + full], range(full - 2, -1, -1))
         return vertex_pairs + [(s, i) for i, s in vertex_pairs if s != i], columns
 
     @cached_property
@@ -296,6 +300,8 @@ class CycleAlgebra:
         block from the layout's cycles and lengths and the next-arrow map,
         not the listing's arithmetic: y's cycle starts with the arrow after
         x's last, the lengths sum to F's, and x's cycle has a socle index.
+        The arrows after each row's last are slices of one ring of next-arrow
+        values per class, one lookup per arrow.
         A pair off the socle, or a row hit twice, is raised, naming both.
         """
         n = len(self.pair.quiver.vertices)
@@ -311,12 +317,12 @@ class CycleAlgebra:
                 off.append((i, j))
         # by the next-arrow map, the arrow after each row's last one, or None
         # where the row's rotation starts at a vertex without a socle index
-        following = self.pair.next_arrow.__getitem__
+        following, classes = self.pair.next_arrow, self.pair._classes
+        rings = [[following[a] for a in c.arrows] * (mu + 1) for c, mu in classes]
         want_heads: list[str | None] = []
-        for head, full in layout.full_length.items():
-            cycle, p, _ = self.pair._start(head)
-            if layout.socle_at.get(cycle.vertices[p], -1) >= first_socle:
-                want_heads += map(following, (cycle.arrows * (full // len(cycle) + 1))[p : p + full - 1])
+        for (k, p), full in zip(self.pair._place.values(), layout.full_length.values()):
+            if layout.socle_at.get(classes[k][0].vertices[p], -1) >= first_socle:
+                want_heads += rings[k][p : p + full - 1]
             else:
                 want_heads += [None] * (full - 1)
         fulls = map(layout.full_length.__getitem__, layout.cycle)

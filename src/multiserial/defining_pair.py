@@ -20,14 +20,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .quiver import (
-    Path,
-    Quiver,
-    _path,
-    _power,
-    _rotation,
-    canonical_rotation,
-)
+from .quiver import Path, Quiver, _path, canonical_rotation
 from .report import Report
 
 
@@ -78,11 +71,6 @@ class DefiningPair:
         k, p = self._place[head]
         cycle, mu = self._classes[k]
         return cycle, p, mu
-
-    def _full_power(self, head: str) -> Path:
-        """The full power of the rotation that starts with arrow ``head``."""
-        cycle, p, mu = self._start(head)
-        return _power(_rotation(cycle, p), mu)
 
     @cached_property
     def next_arrow(self) -> Mapping[str, str]:
@@ -138,17 +126,27 @@ class DefiningPair:
     @cached_property
     def _powers(self) -> tuple[tuple[tuple[Path, Path], ...], tuple[Path, ...]]:
         """Types 1 and 2 of :attr:`relations`, rendered on first use and
-        shared with it, so the oracle reads them without type 3."""
+        shared with it, so the oracle reads them without type 3.  A class of
+        length l and multiplicity mu is one ring, its arrows and stops walked
+        mu + 1 times, and the rotation at position p reads its full power
+        and its overrun as the slices of mu l and mu l + 1 arrows from p."""
         self.require_valid()
+        full, overrun = {}, {}
+        for cycle, mu in self._classes:
+            length = mu * len(cycle)
+            arrows = cycle.arrows * (mu + 1)
+            stops = cycle.vertices[:-1] * (mu + 1) + cycle.vertices[:1]
+            for p, head in enumerate(cycle.arrows):
+                full[head] = _path(arrows[p : p + length], stops[p : p + length + 1])
+                overrun[head] = _path(arrows[p : p + length + 1], stops[p : p + length + 2])
         out = self.quiver._out
         # every arrow starts one rotation, so a vertex's rotations start with its arrows
-        full = {head: self._full_power(head) for head in self._place}
         return (
             tuple(
                 (full[a.name], full[b.name])
                 for v in self.quiver.vertices for a, b in combinations(out[v], 2)
             ),
-            tuple(_path(p.arrows + p.arrows[:1], p.vertices + p.vertices[1:2]) for p in full.values()),
+            tuple(map(overrun.__getitem__, self._place)),
         )
 
     def require_valid(self) -> None:

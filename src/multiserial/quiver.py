@@ -251,11 +251,6 @@ def canonical_rotation(cycle: Path) -> Path:
     return _rotation(cycle, cycle.arrows.index(min(cycle.arrows)))
 
 
-def _power(cycle: Path, exponent: int) -> Path:
-    """The closed path walking a cycle known to be simple a positive number of times."""
-    return _path(cycle.arrows * exponent, cycle.vertices[:-1] * exponent + (cycle.source,))
-
-
 class MonomialAutomaton:
     """The Aho–Corasick automaton (CACM 1975) of nontrivial monomials, paths
     of one quiver, over its arrow names, kept on its live steps alone.

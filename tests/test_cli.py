@@ -730,32 +730,50 @@ class TestMainExitCodes:
             "[quiver]\nvertices = v\narrow a = v -> v\n\n"
             "[definingpair]\ncycle = a | mult = 300000\n"
         )
+        # each full power and overrun is one _path slice of its class's ring
         with mock.patch.object(
-            defining_pair_module, "_power", wraps=defining_pair_module._power
-        ) as power:
+            defining_pair_module, "_path", wraps=defining_pair_module._path
+        ) as rendered:
             code, out, err = self.run(capsys, command, str(doc))
-        assert (code, out, power.call_count) == (2, "", 0)
+        assert (code, out, rendered.call_count) == (2, "", 0)
         assert err.startswith("error: more than 200000 basis elements (dimension 300001)")
 
     def test_dense_gram_print_is_budgeted(self, capsys, tmp_path):
-        # dimension 4 + 4 + 4 * (200 * 4 - 1) = 3,204: 10,265,616 entries
+        # dimension 4 + 4 + 4 * (200 * 4 - 1) = 3,204: gram prints one partner
+        # per basis element, not the 10,265,616 entries of the dense matrix,
+        # so its budget is the basis
         doc = tmp_path / "c4.alg"
         doc.write_text(
             "[quiver]\nvertices = 1 2 3 4\narrow a = 1 -> 2\narrow b = 2 -> 3\n"
             "arrow c = 3 -> 4\narrow d = 4 -> 1\n\n"
             "[definingpair]\ncycle = a b c d | mult = 200\n"
         )
-        code, out, err = self.run(capsys, "gram", str(doc))
-        assert code == 2 and out == ""
-        assert err == (
-            "error: more than 200000 Gram matrix entries; "
-            "shrink the instance or raise the budget\n"
-        )
-        code, out, _ = self.run(capsys, "gram", str(doc), "--max-paths", "20000000")
+        code, out, err = self.run(capsys, "gram", str(doc), "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)["data"]
+        assert (data["rank"], data["permutation"]) == (3204, True)
+        assert sorted(data["dual"]) == list(range(3204))
+        code, out, _ = self.run(capsys, "gram", str(doc))
         assert code == 0
         assert "rank 3204 of dimension 3204" in out
-        rows = out.split("matrix:\n", 1)[1].splitlines()
-        assert len(rows) == 3204 and all(row.count("1") == 1 for row in rows)
+        assert json.loads(out.split("\ndual: ", 1)[1].splitlines()[0]) == data["dual"]
+        code, out, err = self.run(capsys, "gram", str(doc), "--max-paths", "3203")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: more than 3203 basis elements (dimension 3204); "
+            "shrink the instance or raise the budget\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["json", "text"])
+    def test_out_of_memory_while_rendering_exits_two(self, capsys, mode):
+        # the report is built after the run, by json.dumps or by the data
+        # lines; running out of memory there is a fault like any other
+        target, name = (cli.json, "dumps") if mode == "json" else (cli, "_render_data")
+        argv = ["gram", str(FIXTURES / "loop_mu2.alg")] + (["--json"] if mode == "json" else [])
+        with mock.patch.object(target, name, side_effect=MemoryError):
+            code, out, err = self.run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; the instance is too large\n"
 
     def test_out_of_memory_exits_two(self, tmp_path):
         resource = pytest.importorskip("resource")
@@ -958,7 +976,7 @@ class TestMainOutputs:
         assert payload["command"] == "gram"
         assert payload["passed"] is True
         assert payload["data"]["rank"] == 3
-        assert payload["data"]["matrix"][0] == [0, 0, 1]
+        assert payload["data"]["dual"] == [2, 1, 0]
         assert json.loads(json.dumps(payload)) == payload
 
     def test_json_sigma_tau_uses_null_for_stop(self, capsys):

@@ -185,9 +185,40 @@ def reference_dual(alg: CycleAlgebra) -> list:
     return dual
 
 
+def multi_class_pair(variant):
+    """One of three fixed systems of several classes, each class with a
+    multiplicity of its own and a loop among them, whose arrow names
+    interleave across classes, so that the rotation order, by name, jumps
+    between classes: 0, a 2-cycle (mu 3), a 3-cycle (mu 1) and a loop (mu 2)
+    on three vertices; 1, a loop (mu 5) and a 2-cycle (mu 1) beside a vertex
+    without arrows; 2, a 2-cycle (mu 2), a 3-cycle (mu 1) and a loop (mu 4)
+    all through one vertex."""
+    if variant == 0:
+        q = Quiver(
+            ["1", "2", "3"],
+            [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "1"), ("d", "3", "1"),
+             ("e", "1", "2"), ("l", "3", "3")],
+        )
+        classes = [(["a", "c"], 3), (["b", "d", "e"], 1), (["l"], 2)]
+    elif variant == 1:
+        q = Quiver(["u", "w", "x"], [("a", "u", "w"), ("m", "u", "u"), ("z", "w", "u")])
+        classes = [(["m"], 5), (["z", "a"], 1)]
+    else:
+        q = Quiver(
+            ["v", "w", "x", "y"],
+            [("a", "v", "w"), ("b", "v", "x"), ("c", "v", "v"), ("d", "w", "v"),
+             ("e", "x", "y"), ("g", "y", "v")],
+        )
+        classes = [(["a", "d"], 2), (["e", "g", "b"], 1), (["c"], 4)]
+    return close_under_rotation(q, [(q.path(names), mu) for names, mu in classes])
+
+
 def draw_cover(kind, seed):
-    """A valid cycle system of one of four kinds; the four-cycle's
-    multiplicity runs through 1..12 with the seed."""
+    """A valid cycle system of one of five kinds; the four-cycle's
+    multiplicity runs through 1..12 with the seed, and the seed picks one
+    of the three fixed multi-class systems."""
+    if kind == "multi-class":
+        return multi_class_pair(seed % 3)
     rng = random.Random(seed)
     if kind == "tractable":
         return tractable_defining_pair(rng, max_paths=2_000)
@@ -605,10 +636,14 @@ class TestGramMatrix:
     )
     @example("presentation", 6)
     @example("radical-square-zero", 6)
+    @example("multi-class", 0)
+    @example("multi-class", 1)
+    @example("multi-class", 2)
     @settings(max_examples=80, deadline=None)
     def test_dual_equals_the_per_pair_route(self, kind, seed):
         # seed 6 draws covers with a vertex without arrows; four_cycle_pair
-        # runs through mu = 1..12
+        # runs through mu = 1..12; the multi-class systems give each class a
+        # multiplicity and a ring of its own, one of them a loop's
         alg = CycleAlgebra(draw_cover(kind, seed))
         assert alg._dual == reference_dual(alg)
 
@@ -1422,17 +1457,27 @@ class AllRotations:
 
 
 @given(
-    st.sampled_from(["tractable", "presentation", "radical-square-zero", "sixteen-arrow"]),
+    st.sampled_from(
+        ["tractable", "presentation", "radical-square-zero", "four-cycle", "sixteen-arrow"]
+    ),
     st.integers(0, 10**9),
 )
 @example("presentation", 6)
 @example("radical-square-zero", 6)
 @example("sixteen-arrow", 0)
-@settings(max_examples=80, deadline=None)
+@example("multi-class", 0)
+@example("multi-class", 1)
+@example("multi-class", 2)
+@settings(max_examples=100, deadline=None)
 def test_class_keyed_system_matches_the_all_rotations_reference(kind, seed):
     # seed 6 draws covers with a vertex without arrows; a cover of up to 16
     # arrows declares a10 before a2, so its rotation order, by name, is not
-    # the order its quiver declares the arrows in
+    # the order its quiver declares the arrows in.  The system slices each
+    # full power, overrun and proper path from one ring per class; the
+    # reference builds each rotation, walks it mu times and joins the
+    # overrun's arrow on, one rotation at a time.  The four-cycle runs
+    # through mu = 1..12, and the multi-class systems give each class a
+    # multiplicity of its own.
     if kind == "sixteen-arrow":
         pair = symmetrize(random_presentation(random.Random(seed), 4, 16, 3))
         if seed == 0:
@@ -1440,10 +1485,11 @@ def test_class_keyed_system_matches_the_all_rotations_reference(kind, seed):
     else:
         pair = draw_cover(kind, seed)
     reference = AllRotations(pair)
-    assert [pair._full_power(c.arrows[0]) for c in reference.cycles] == reference.fulls
+    type1, type2, type3 = reference.relations()
+    assert pair._powers == (type1, type2)
     assert pair.next_arrow == reference.next_arrow()
     relations = pair.relations
-    assert (relations.type1, relations.type2, relations.type3) == reference.relations()
+    assert (relations.type1, relations.type2, relations.type3) == (type1, type2, type3)
     assert closed_form_dimension(pair) == reference.dimension()
     alg = CycleAlgebra(pair)
     assert alg.basis == reference.basis()
@@ -1548,9 +1594,9 @@ class TestOracleOnLiveEdges:
             extensions = right_extensions(table)
             assert sum(extensions) <= table.count
             assert max(extensions[len(pair.quiver.vertices):]) <= 1
-            # a full power and an overrun per arrow, by two builds and one,
-            # and no two-arrow path off the cycles
+            # a full power and an overrun per arrow, each one slice of its
+            # class's ring, and no two-arrow path off the cycles
             built = [call.args[0] for call in paths.call_args_list]
             assert not [p for p in built if len(p) == 2 and pair.next_arrow[p[0]] != p[1]]
-            assert len(built) == 3 * arrows
+            assert len(built) == 2 * arrows
         assert len(automata) == 2

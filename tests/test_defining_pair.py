@@ -190,12 +190,17 @@ class TestValidate:
             DefiningPair(q, [(q.path(["a", "b"]), 2), (q.path(["b", "a"]), 3)])
 
     def test_valid_pair_passes(self, loop_mu2_pair):
-        # validating a built system reads its classes and enumerates no rotation
-        rotation = defining_pair_module._rotation
-        with mock.patch.object(defining_pair_module, "_rotation", wraps=rotation) as spy:
+        # validating a built system reads its classes and enumerates no
+        # rotation: it rotates no cycle and slices no full power off a ring
+        kronecker = kronecker_pair()
+        with contextlib.ExitStack() as stack:
+            spies = [
+                stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+                for module, name in ((quiver_module, "_rotation"), (defining_pair_module, "_path"))
+            ]
             assert validate(loop_mu2_pair).passed
-            assert validate(kronecker_pair()).passed
-        assert spy.call_count == 0
+            assert validate(kronecker).passed
+        assert [spy.call_count for spy in spies] == [0, 0]
 
     def test_empty_system_on_arrowless_quiver_passes(self):
         pair = DefiningPair(Quiver(["v"]), [])

@@ -26,7 +26,7 @@ from multiserial import (
     verify_quotient,
 )
 from multiserial.cli import parse_document
-from multiserial.quiver import MonomialAutomaton, _path, _power, _rotation
+from multiserial.quiver import MonomialAutomaton, _path, _rotation
 from multiserial.random_instances import random_presentation
 
 FIXTURES = FilePath(__file__).resolve().parent.parent / "fixtures"
@@ -86,7 +86,7 @@ def rotations(cycle: Path) -> list[Path]:
 
 def cycle_power(cycle: Path, exponent: int) -> Path:
     """The closed path walking a simple cycle ``exponent`` >= 1 times, joined
-    one copy at a time: the reference for ``_power``."""
+    one copy at a time: the reference for a system's full powers."""
     if not is_simple_cycle(cycle):
         raise ValueError(f"not a simple cycle: {cycle}")
     if exponent < 1:
@@ -489,7 +489,7 @@ def test_canonical_rotation_is_least():
 
 
 def test_cycle_power_rejects_non_cycles_and_exponents_below_one():
-    # the reference's own contract; the engine's _power trusts its caller
+    # the reference's own contract; the engine's rings trust their system
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     for p in (q.path(["a"]), q.path(["a", "b", "a", "b"]), q.trivial_path("1")):
         with pytest.raises(ValueError, match="not a simple cycle"):
@@ -499,14 +499,19 @@ def test_cycle_power_rejects_non_cycles_and_exponents_below_one():
 
 
 def test_cycle_power_stitches_vertices():
+    # a system's overruns are sliced from one ring per class: each is its
+    # rotation's full power, stitched across the copies, and one arrow more
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     cycle = q.path(["a", "b"])
-    squared = _power(cycle, 2)
-    assert squared.arrows == ("a", "b", "a", "b")
-    assert squared.vertices == ("1", "2", "1", "2", "1")
-    assert q.contains_path(squared)
+    overrun_a, overrun_b = close_under_rotation(q, [(cycle, 2)])._powers[1]
+    assert overrun_a.arrows == ("a", "b", "a", "b", "a")
+    assert overrun_a.vertices == ("1", "2", "1", "2", "1", "2")
+    assert overrun_b.vertices == ("2", "1", "2", "1", "2", "1")
+    assert q.contains_path(overrun_a) and q.contains_path(overrun_b)
     for exponent in range(1, 5):
-        assert _power(cycle, exponent) == cycle_power(cycle, exponent)
+        overruns = close_under_rotation(q, [(cycle, exponent)])._powers[1]
+        expected = [cycle_power(r, exponent) for r in rotations(cycle)]
+        assert [Path(o.arrows[:-1], o.vertices[:-1]) for o in overruns] == expected
 
 
 def all_paths(q: Quiver, max_length: int) -> list[Path]:
