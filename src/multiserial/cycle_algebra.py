@@ -201,12 +201,14 @@ class CycleAlgebra:
     def _basis(self) -> list[BasisElement]:
         layout = self._layout
         basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
-        # each proper path is a prefix of its rotation's overrun, in rotation order
-        overruns = dict(zip(layout.start, self.pair._powers[1]))
-        basis.extend(
-            OnCyclePath(_path(overruns[h].arrows[:k], overruns[h].vertices[: k + 1]))
-            for h, k in zip(layout.cycle, layout.length)
-        )
+        # each proper path is a slice of its class's ring, in rotation order
+        rings = self.pair._rings()
+        for head, full in layout.full_length.items():
+            k, p = self.pair._place[head]
+            arrows, stops, _ = rings[k]
+            basis.extend(
+                OnCyclePath(_path(arrows[p : p + m], stops[p : p + m + 1])) for m in range(1, full)
+            )
         basis.extend(Socle(v) for v in layout.socles)
         assert len(basis) == self.dimension
         return basis
@@ -285,7 +287,8 @@ class CycleAlgebra:
         vertex_pairs = [(i, layout.socle_at.get(v, i)) for i, v in enumerate(self.pair.quiver.vertices)]
         rings = [[layout.start[a] for a in c.arrows] * (mu + 1) for c, mu in self.pair._classes]
         columns: list[int] = []
-        for (k, p), full in zip(self.pair._place.values(), layout.full_length.values()):
+        for head, full in layout.full_length.items():
+            k, p = self.pair._place[head]
             columns += map(add, rings[k][p + 1 : p + full], range(full - 2, -1, -1))
         return vertex_pairs + [(s, i) for i, s in vertex_pairs if s != i], columns
 
@@ -320,7 +323,8 @@ class CycleAlgebra:
         following, classes = self.pair.next_arrow, self.pair._classes
         rings = [[following[a] for a in c.arrows] * (mu + 1) for c, mu in classes]
         want_heads: list[str | None] = []
-        for (k, p), full in zip(self.pair._place.values(), layout.full_length.values()):
+        for head, full in layout.full_length.items():
+            k, p = self.pair._place[head]
             if layout.socle_at.get(classes[k][0].vertices[p], -1) >= first_socle:
                 want_heads += rings[k][p : p + full - 1]
             else:

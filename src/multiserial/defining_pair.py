@@ -123,22 +123,27 @@ class DefiningPair:
             ),
         )
 
+    def _rings(self) -> list[tuple[tuple[str, ...], tuple[str, ...], int]]:
+        """Each class as one ring, its arrows and stops walked mu + 1 times,
+        with its full length mu l: the rotation at position p reads its path
+        of m <= mu l + 1 arrows as the slices [p : p + m] and [p : p + m + 1]."""
+        return [
+            (c.arrows * (mu + 1), c.vertices[:-1] * (mu + 1) + c.vertices[:1], mu * len(c))
+            for c, mu in self._classes
+        ]
+
     @cached_property
     def _powers(self) -> tuple[tuple[tuple[Path, Path], ...], tuple[Path, ...]]:
         """Types 1 and 2 of :attr:`relations`, rendered on first use and
-        shared with it, so the oracle reads them without type 3.  A class of
-        length l and multiplicity mu is one ring, its arrows and stops walked
-        mu + 1 times, and the rotation at position p reads its full power
-        and its overrun as the slices of mu l and mu l + 1 arrows from p."""
+        shared with it, so the oracle reads them without type 3.  Each
+        rotation reads its full power and its overrun, mu l and mu l + 1
+        arrows, as slices of its class's ring (:meth:`_rings`)."""
         self.require_valid()
-        full, overrun = {}, {}
-        for cycle, mu in self._classes:
-            length = mu * len(cycle)
-            arrows = cycle.arrows * (mu + 1)
-            stops = cycle.vertices[:-1] * (mu + 1) + cycle.vertices[:1]
-            for p, head in enumerate(cycle.arrows):
-                full[head] = _path(arrows[p : p + length], stops[p : p + length + 1])
-                overrun[head] = _path(arrows[p : p + length + 1], stops[p : p + length + 2])
+        rings, full, overrun = self._rings(), {}, []
+        for head, (k, p) in self._place.items():
+            arrows, stops, length = rings[k]
+            full[head] = _path(arrows[p : p + length], stops[p : p + length + 1])
+            overrun.append(_path(arrows[p : p + length + 1], stops[p : p + length + 2]))
         out = self.quiver._out
         # every arrow starts one rotation, so a vertex's rotations start with its arrows
         return (
@@ -146,7 +151,7 @@ class DefiningPair:
                 (full[a.name], full[b.name])
                 for v in self.quiver.vertices for a, b in combinations(out[v], 2)
             ),
-            tuple(map(overrun.__getitem__, self._place)),
+            tuple(overrun),
         )
 
     def require_valid(self) -> None:

@@ -386,6 +386,22 @@ class TestBasis:
         socles = [e for e in alg.basis if isinstance(e, Socle)]
         assert [s.vertex for s in socles] == ["1", "2", "3"]
 
+    def test_many_loop_star_basis_renders_no_type_one_pair(self):
+        # d loops at one vertex pair d(d-1)/2 full powers in type 1; the
+        # basis slices one proper path per loop from the rings and renders
+        # neither the relations nor any full power
+        names = [f"a{i}" for i in range(300)]
+        q = Quiver(["v"], [(a, "v", "v") for a in names])
+        pair = close_under_rotation(q, [(q.path([a]), 2) for a in names])
+        paths = mock.Mock(wraps=_path)
+        with contextlib.ExitStack() as stack:
+            for module in (defining_pair_module, cycle_algebra):
+                stack.enter_context(mock.patch.object(module, "_path", paths))
+            basis = CycleAlgebra(pair).basis
+        assert len(basis) == 2 + len(names)
+        assert paths.call_count == len(names)
+        assert "_powers" not in vars(pair) and "relations" not in vars(pair)
+
 
 class TestMultiply:
     def test_on_cycle_concatenation(self):
@@ -1486,7 +1502,6 @@ def test_class_keyed_system_matches_the_all_rotations_reference(kind, seed):
         pair = draw_cover(kind, seed)
     reference = AllRotations(pair)
     type1, type2, type3 = reference.relations()
-    assert pair._powers == (type1, type2)
     assert pair.next_arrow == reference.next_arrow()
     relations = pair.relations
     assert (relations.type1, relations.type2, relations.type3) == (type1, type2, type3)
