@@ -136,8 +136,12 @@ def parse_document(text: str) -> InputDocument:
     equals: list[tuple[Path, Path]] = []
     classes: dict[tuple[str, ...], tuple[Path, int]] = {}
 
+    # a line ends only at '\n', '\r\n' or '\r', never at the other breaks
+    # str.splitlines() knows, which a comment may hold
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        for number, raw in enumerate(text.splitlines(), start=1):
+        for number, raw in enumerate(text.split("\n"), start=1):
             if section == "presentation":
                 # No arrow name holds '=' or '#': 'zero = x y' of composable x, y
                 # is judged by two lookups, any other zero line by Quiver.path.

@@ -25,10 +25,11 @@ and counts the paths that avoid them all.  Those paths get ids only once a
 binomial or trivial-path relation needs them, each with its surviving
 extensions behind, and its surviving extensions in front once the closure
 first reaches it.  :func:`pair_oracle_dimension` runs it on a cycle
-system's relations, type 3 given as each arrow's one allowed successor,
-and ``_presented_dimension`` on a presentation's, its dead quadratics
-given as each arrow's dead successors.  Tests and the acceptance suite
-hold the two routes against each other.
+system's relations, type 1 given as a chain of full powers per vertex and
+type 3 as each arrow's one allowed successor, and ``_presented_dimension``
+on a presentation's, its dead quadratics given as each arrow's dead
+successors.  Tests and the acceptance suite hold the two routes against
+each other.
 """
 
 from __future__ import annotations
@@ -117,16 +118,6 @@ class GramMatrix:
     @property
     def dimension(self) -> int:
         return len(self.dual)
-
-    @cached_property
-    def entries(self) -> list[list[int]]:
-        """The dense 0/1 matrix, built from ``dual`` when first read."""
-        n = len(self.dual)
-        rows = [[0] * n for _ in self.dual]
-        for row, j in zip(rows, self.dual):
-            if j is not None:
-                row[j] = 1
-        return rows
 
 
 @dataclass
@@ -300,11 +291,11 @@ class CycleAlgebra:
         leaves the other factor, a socle kills all but idempotents, and x y,
         for proper x, y, is a socle exactly when it is a full power F = x y.
         :meth:`_product` checks the vertex rows.  One pass checks the proper
-        block from the layout's cycles and lengths and the next-arrow map,
-        not the listing's arithmetic: y's cycle starts with the arrow after
-        x's last, the lengths sum to F's, and x's cycle has a socle index.
-        The arrows after each row's last are slices of one ring of next-arrow
-        values per class, one lookup per arrow.
+        block from the layout's cycles and lengths and the class rings, not
+        the listing's arithmetic: y's cycle starts with the arrow after x's
+        last, the lengths sum to F's, and x's cycle has a socle index.  The
+        arrows after a rotation's rows' last ones are the slice of its
+        class's ring (:meth:`DefiningPair._rings`) one past the row's start.
         A pair off the socle, or a row hit twice, is raised, naming both.
         """
         n = len(self.pair.quiver.vertices)
@@ -318,15 +309,14 @@ class CycleAlgebra:
             k = self._product(i, j)
             if k is None or k < first_socle and not i == j == k:
                 off.append((i, j))
-        # by the next-arrow map, the arrow after each row's last one, or None
-        # where the row's rotation starts at a vertex without a socle index
-        following, classes = self.pair.next_arrow, self.pair._classes
-        rings = [[following[a] for a in c.arrows] * (mu + 1) for c, mu in classes]
+        # the arrow after each row's last one, the next on its class's ring,
+        # or None where the row's rotation starts at a vertex without a socle index
+        rings = self.pair._rings()
         want_heads: list[str | None] = []
         for head, full in layout.full_length.items():
             k, p = self.pair._place[head]
-            if layout.socle_at.get(classes[k][0].vertices[p], -1) >= first_socle:
-                want_heads += rings[k][p : p + full - 1]
+            if layout.socle_at.get(rings[k][1][p], -1) >= first_socle:
+                want_heads += rings[k][0][p + 1 : p + full]
             else:
                 want_heads += [None] * (full - 1)
         fulls = map(layout.full_length.__getitem__, layout.cycle)
@@ -749,15 +739,17 @@ def _oracle_dimension(
 def pair_oracle_dimension(pair: DefiningPair, max_paths: int = DEFAULT_MAX_PATHS) -> int:
     """The oracle's dimension of a cycle system's algebra: its generated
     relations closed below :func:`nilpotency_bound`, blind to the closed
-    form it is held against.  Type 3, every two-arrow path off the cycles,
-    is passed as each arrow's one allowed successor, and no type-3 path is
-    built; the type-1 binomials and type-2 overruns, the engine's own, skip
-    the border and are rendered before the budget count, so bound the basis
-    first."""
-    type1, type2 = pair._powers
+    form it is held against.  Type 1 is passed as a chain per vertex, each
+    two neighbouring arrows' full powers, which span every pair's difference;
+    type 3 as each arrow's one allowed successor, so no type-3 path is built.
+    The full powers and overruns, the engine's own, skip the border and are
+    rendered before the budget count, so bound the basis first."""
+    full, overruns = pair._slices()
+    out = pair.quiver._out.values()
+    chain = [(full[a.name], full[b.name]) for arrows in out for a, b in zip(arrows, arrows[1:])]
     after = {a: (b,) for a, b in pair.next_arrow.items()}
     bound = nilpotency_bound(pair)
-    return _oracle_dimension(pair.quiver, after, (), type2, type1, bound, max_paths)
+    return _oracle_dimension(pair.quiver, after, (), overruns, chain, bound, max_paths)
 
 
 def _presented_dimension(presentation: Presentation, max_paths: int) -> int:

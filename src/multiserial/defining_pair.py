@@ -111,9 +111,15 @@ class DefiningPair:
         all in name order.  Two-arrow paths count as on-cycle when they
         travel a cycle cyclically, so the square of a loop with multiplicity
         above one is not a relation."""
+        full, overrun = self._slices()
         out, following = self.quiver._out, self.next_arrow
         return RelationSet(
-            *self._powers,
+            # every arrow starts one rotation, so a vertex's rotations start with its arrows
+            tuple(
+                (full[a.name], full[b.name])
+                for v in self.quiver.vertices for a, b in combinations(out[v], 2)
+            ),
+            tuple(overrun),
             # Every arrow lies on exactly one rotation class, so ab travels a
             # cycle exactly when b follows a there.
             tuple(
@@ -132,27 +138,18 @@ class DefiningPair:
             for c, mu in self._classes
         ]
 
-    @cached_property
-    def _powers(self) -> tuple[tuple[tuple[Path, Path], ...], tuple[Path, ...]]:
-        """Types 1 and 2 of :attr:`relations`, rendered on first use and
-        shared with it, so the oracle reads them without type 3.  Each
-        rotation reads its full power and its overrun, mu l and mu l + 1
-        arrows, as slices of its class's ring (:meth:`_rings`)."""
+    def _slices(self) -> tuple[dict[str, Path], list[Path]]:
+        """Each rotation's full power, by its first arrow, and its overrun, mu l
+        and mu l + 1 arrows, in rotation order, as slices of its class's ring
+        (:meth:`_rings`); rendered afresh on each call, as :attr:`relations`
+        and the cover oracle read them differently."""
         self.require_valid()
         rings, full, overrun = self._rings(), {}, []
         for head, (k, p) in self._place.items():
             arrows, stops, length = rings[k]
             full[head] = _path(arrows[p : p + length], stops[p : p + length + 1])
             overrun.append(_path(arrows[p : p + length + 1], stops[p : p + length + 2]))
-        out = self.quiver._out
-        # every arrow starts one rotation, so a vertex's rotations start with its arrows
-        return (
-            tuple(
-                (full[a.name], full[b.name])
-                for v in self.quiver.vertices for a, b in combinations(out[v], 2)
-            ),
-            tuple(overrun),
-        )
+        return full, overrun
 
     def require_valid(self) -> None:
         """Raise :class:`ValueError` naming the failed axioms, if any."""

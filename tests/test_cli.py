@@ -221,6 +221,25 @@ class TestParse:
         assert document.kind == "definingpair"
         assert [c.arrows for c, _ in rotations(document.pair)] == [("a", "b"), ("b", "a")]
 
+    @pytest.mark.parametrize(
+        "separator",
+        ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["FF", "VT", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_a_line_ends_only_at_a_newline_or_carriage_return(self, separator):
+        # str.splitlines() also breaks at these, which a comment may hold
+        text = (
+            "[quiver]\nvertices = v\n"
+            f"arrow a = v -> v  # loop{separator} at v\n"
+            "\n[definingpair]\ncycle = a | mult = 2\n"
+        )
+        document = parse_document(text)
+        assert [(c.arrows, mu) for c, mu in document.pair.rotation_class_representatives()] == [
+            (("a",), 2)
+        ]
+        with pytest.raises(ParseError, match=r"^line 7: unrecognized definingpair line: bogus"):
+            parse_document(text + "bogus = 1\n")
+
     def test_undeclared_vertex_names_the_culprit(self):
         text = "[quiver]\nvertices = 1\narrow a = 1 -> 9\n"
         with pytest.raises(ParseError, match=r"line 3.*undeclared vertex 9"):

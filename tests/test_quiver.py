@@ -503,13 +503,13 @@ def test_cycle_power_stitches_vertices():
     # rotation's full power, stitched across the copies, and one arrow more
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     cycle = q.path(["a", "b"])
-    overrun_a, overrun_b = close_under_rotation(q, [(cycle, 2)])._powers[1]
+    overrun_a, overrun_b = close_under_rotation(q, [(cycle, 2)]).relations.type2
     assert overrun_a.arrows == ("a", "b", "a", "b", "a")
     assert overrun_a.vertices == ("1", "2", "1", "2", "1", "2")
     assert overrun_b.vertices == ("2", "1", "2", "1", "2", "1")
     assert q.contains_path(overrun_a) and q.contains_path(overrun_b)
     for exponent in range(1, 5):
-        overruns = close_under_rotation(q, [(cycle, exponent)])._powers[1]
+        overruns = close_under_rotation(q, [(cycle, exponent)]).relations.type2
         expected = [cycle_power(r, exponent) for r in rotations(cycle)]
         assert [Path(o.arrows[:-1], o.vertices[:-1]) for o in overruns] == expected
 

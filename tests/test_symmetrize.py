@@ -353,14 +353,14 @@ class TestVerifyQuotient:
         assert spy.call_count == 1
 
     def test_cover_relations_are_generated_once(self, linear_presentation):
-        # the cover's oracle reads the full powers and overruns, without the
-        # quadratics; the certificate's entries then share them
-        with spy_on_derivation("relations") as spy, spy_on_derivation("_powers") as powers:
+        # the cover's oracle slices its own full powers and overruns, without
+        # the relations; the certificate's entries then build them once
+        with spy_on_derivation("relations") as spy:
             certificate = verify_quotient(linear_presentation)
             assert certificate.dimensions() == (5, 18)
-            assert (spy.call_count, powers.call_count) == (0, 1)
-            assert certificate.entries
-        assert (spy.call_count, powers.call_count) == (1, 1)
+            assert spy.call_count == 0
+            assert certificate.entries and certificate.entries
+        assert spy.call_count == 1
 
     def test_verdicts_build_no_relation_path(self):
         # with the cover and its axioms built, every generator is judged from
@@ -406,25 +406,25 @@ class TestVerifyQuotient:
     def test_relations_are_derived_by_the_first_reader_of_paths(
         self, reader, linear_presentation
     ):
-        # failures() reads the entries only on an incomplete certificate
-        # dimensions() reads only the full powers and overruns, which the
-        # relations then share
+        # failures() reads the entries only on an incomplete certificate;
+        # dimensions() slices the full powers and overruns the oracle reads
+        # and leaves the relations unbuilt
         presentation = undersized_loop_cover() if reader == "failures" else linear_presentation
-        with spy_on_derivation("relations") as spy, spy_on_derivation("_powers") as powers:
+        with spy_on_derivation("relations") as spy:
             certificate = verify_quotient(presentation)
             certificate.counts()
             if certificate.complete:
                 assert certificate.failures() == []
                 assert certificate.to_report().passed
-            assert (spy.call_count, powers.call_count) == (0, 0)
+            assert spy.call_count == 0
             for _ in range(2):
                 read = getattr(certificate, reader)
                 if callable(read):
                     read()
-            assert (spy.call_count, powers.call_count) == (reader != "dimensions", 1)
+            assert spy.call_count == (reader != "dimensions")
             if certificate.complete:
                 assert certificate.entries and certificate.dimensions() == (5, 18)
-        assert (spy.call_count, powers.call_count) == (1, 1)
+        assert spy.call_count == 1
 
     def test_cycle_system_is_validated_once(self, linear_presentation):
         # as the CLI's verify-quotient and oracle commands use the cover
