@@ -12,8 +12,9 @@ The pairing is therefore listed by index arithmetic from the factorizations
 of the full powers and checked against the layout, one pass each, as one
 dual index per basis element; a vertex without arrows spans k, its own socle.
 A rotation class is one ring, its rotations one cyclic sequence read from
-each start, so each rotation's columns, and the heads the check wants, are
-slices of one list per class, and no dense matrix is built.
+each start: the rings, cached on the system, are the closed form's only
+reading of a rotation, whose ends, products, normal forms, Cartan targets and
+columns are slices of one list per class, and no dense matrix is built.
 The oracle (:func:`oracle_dimension`) knows nothing of that structure: it
 closes the relations, each a pair ``(p, None)`` for a path or ``(p, q)``
 for a difference of two paths, under multiplication by arrows in a
@@ -34,10 +35,10 @@ each other.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mod, sub
+from operator import add, sub
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Union
 
 from .defining_pair import DefiningPair, nilpotency_bound
@@ -170,9 +171,8 @@ class CycleAlgebra:
         start: dict[str, int] = {}
         heads, lengths = [], []
         size = len(pair.quiver.vertices)
-        for head in pair._place:
-            cycle, _, mu = pair._start(head)
-            length = mu * len(cycle)
+        for head, (k, _) in pair._place.items():
+            length = pair._rings[k][2]
             full_length[head] = length
             start[head] = size
             heads.extend([head] * (length - 1))
@@ -193,10 +193,9 @@ class CycleAlgebra:
         layout = self._layout
         basis: list[BasisElement] = [Idempotent(v) for v in self.pair.quiver.vertices]
         # each proper path is a slice of its class's ring, in rotation order
-        rings = self.pair._rings()
-        for head, full in layout.full_length.items():
-            k, p = self.pair._place[head]
-            arrows, stops, _ = rings[k]
+        rings = self.pair._rings
+        for k, p in self.pair._place.values():
+            arrows, stops, full = rings[k]
             basis.extend(
                 OnCyclePath(_path(arrows[p : p + m], stops[p : p + m + 1])) for m in range(1, full)
             )
@@ -209,11 +208,13 @@ class CycleAlgebra:
         return list(self._basis)
 
     def _ends(self, i: int) -> tuple[str, str]:
-        """The source and target vertex of basis element i, from the layout."""
+        """The source and target vertex of basis element i, from the layout;
+        a proper one's are its ring's stops at p and p + its length."""
         n, layout = len(self.pair.quiver.vertices), self._layout
         if n <= i < layout.first_socle:
-            cycle, p, _ = self.pair._start(layout.cycle[i - n])
-            return cycle.vertices[p], cycle.vertices[(p + layout.length[i - n]) % len(cycle)]
+            k, p = self.pair._place[layout.cycle[i - n]]
+            stops = self.pair._rings[k][1]
+            return stops[p], stops[p + layout.length[i - n]]
         v = self.pair.quiver.vertices[i] if i < n else layout.socles[i - layout.first_socle]
         return v, v
 
@@ -226,45 +227,44 @@ class CycleAlgebra:
     def _class_of(self, path: Path) -> BasisElement | None:
         """The basis element a path of the quiver equals, or None.
 
-        A nontrivial path survives exactly when it travels some cycle of
-        the system for at most the full power length; at exactly that
-        length it is the socle class of its base vertex.
+        A nontrivial path survives exactly when its arrows are the slice
+        of its class's ring that its first arrow's rotation reads, at most
+        the full power long; at exactly that length it is the socle class
+        of its base vertex.
         """
         if path.is_trivial:
             return Idempotent(path.source)
         # a valid system puts every arrow on a cycle
-        first, full_length = path.arrows[0], self._layout.full_length
-        if len(path) > full_length[first]:
+        k, p = self.pair._place[path.arrows[0]]
+        arrows, _, full = self.pair._rings[k]
+        m = len(path)
+        if m > full or path.arrows != arrows[p : p + m]:
             return None
-        following = self.pair.next_arrow
-        expected = first
-        for name in path.arrows:
-            if name != expected:
-                return None
-            expected = following[name]
-        if len(path) == full_length[first]:
+        if m == full:
             return Socle(path.source)
         return OnCyclePath(path)
 
     def _product(self, i: int, j: int) -> int | None:
         """The index of x_i x_j, or None when it vanishes.  A proper basis
-        element (h, k) walks k arrows along the rotation that starts with h,
-        so (h, k) (h', m) survives only when h' is the arrow after its k-th
-        arrow, up to the full power of that rotation."""
+        element (h, m) walks m arrows along the rotation that starts with h,
+        at position p of its class's ring, so (h, m) (h', m') survives only
+        when h' is the ring's arrow at p + m, up to the ring's full length,
+        where it is the socle at the ring's stop at p."""
         n = len(self.pair.quiver.vertices)
-        cycle_of, length_of, full_length, start, _, socle_at, first_socle = self._layout
+        cycle_of, length_of, _, start, _, socle_at, first_socle = self._layout
         if i < n or j < n:
             return (j if i < n else i) if self._ends(i)[1] == self._ends(j)[0] else None
         if i >= first_socle or j >= first_socle:
             # full powers already have maximal surviving length
             return None
-        head, k = cycle_of[i - n], length_of[i - n]
-        cycle, p, _ = self.pair._start(head)
-        if cycle_of[j - n] != self.pair.next_arrow[cycle.arrows[(p + k - 1) % len(cycle)]]:
+        head, m = cycle_of[i - n], length_of[i - n]
+        k, p = self.pair._place[head]
+        arrows, stops, full = self.pair._rings[k]
+        if cycle_of[j - n] != arrows[p + m]:
             return None
-        length, full = k + length_of[j - n], full_length[head]
+        length = m + length_of[j - n]
         if length == full:
-            return socle_at[cycle.vertices[p]]
+            return socle_at[stops[p]]
         return start[head] + length - 1 if length < full else None
 
     def _listing(self) -> tuple[list[tuple[int, int]], list[int]]:
@@ -272,15 +272,14 @@ class CycleAlgebra:
         ways, or with itself where v has no arrows; and one column per proper
         row: F[:k], for a full power F, pairs with F[k:], the prefix of length
         len(F) - k of the rotation at F's k-th arrow, len(F) - k - 1 past its start.
-        Each class's rotation starts, repeated mu + 1 times, are one ring, and
-        the rotation at position p reads the starts it needs as its slice."""
+        The rotation at position p of a ring reads its columns' heads as the
+        slice of the ring's arrows one past p, mapped through the layout's starts."""
         layout = self._layout
         vertex_pairs = [(i, layout.socle_at.get(v, i)) for i, v in enumerate(self.pair.quiver.vertices)]
-        rings = [[layout.start[a] for a in c.arrows] * (mu + 1) for c, mu in self.pair._classes]
-        columns: list[int] = []
-        for head, full in layout.full_length.items():
-            k, p = self.pair._place[head]
-            columns += map(add, rings[k][p + 1 : p + full], range(full - 2, -1, -1))
+        start, rings, columns = layout.start.__getitem__, self.pair._rings, []
+        for k, p in self.pair._place.values():
+            arrows, _, full = rings[k]
+            columns += map(add, map(start, arrows[p + 1 : p + full]), range(full - 2, -1, -1))
         return vertex_pairs + [(s, i) for i, s in vertex_pairs if s != i], columns
 
     @cached_property
@@ -295,7 +294,7 @@ class CycleAlgebra:
         the listing's arithmetic: y's cycle starts with the arrow after x's
         last, the lengths sum to F's, and x's cycle has a socle index.  The
         arrows after a rotation's rows' last ones are the slice of its
-        class's ring (:meth:`DefiningPair._rings`) one past the row's start.
+        class's cached ring (:attr:`DefiningPair._rings`) one past its start.
         A pair off the socle, or a row hit twice, is raised, naming both.
         """
         n = len(self.pair.quiver.vertices)
@@ -311,12 +310,12 @@ class CycleAlgebra:
                 off.append((i, j))
         # the arrow after each row's last one, the next on its class's ring,
         # or None where the row's rotation starts at a vertex without a socle index
-        rings = self.pair._rings()
+        rings = self.pair._rings
         want_heads: list[str | None] = []
-        for head, full in layout.full_length.items():
-            k, p = self.pair._place[head]
-            if layout.socle_at.get(rings[k][1][p], -1) >= first_socle:
-                want_heads += rings[k][0][p + 1 : p + full]
+        for k, p in self.pair._place.values():
+            arrows, stops, full = rings[k]
+            if layout.socle_at.get(stops[p], -1) >= first_socle:
+                want_heads += arrows[p + 1 : p + full]
             else:
                 want_heads += [None] * (full - 1)
         fulls = map(layout.full_length.__getitem__, layout.cycle)
@@ -387,20 +386,20 @@ class CycleAlgebra:
 
     def cartan_matrix(self) -> CartanMatrix:
         """Counts of basis elements by (source, target) vertex pair, in one pass
-        over the layout: a proper element (h, k) runs k arrows along the
-        rotation that starts with h."""
+        over the rotations: the proper elements of the rotation at position p
+        of a class's ring run from its stop at p to each of its stops
+        [p + 1 : p + full], one per length below the full power."""
         vertices = self.pair.quiver.vertices
-        layout = self._layout
         position = {v: i for i, v in enumerate(vertices)}
         entries = [[0] * len(vertices) for _ in vertices]
-        for v in [*vertices, *layout.socles]:
+        for v in [*vertices, *self._layout.socles]:
             entries[position[v]][position[v]] += 1
-        periods = {head: len(self.pair._start(head)[0]) for head in layout.start}
-        steps = map(mod, layout.length, map(periods.__getitem__, layout.cycle))
-        for (head, k), count in Counter(zip(layout.cycle, steps)).items():
-            cycle, p, _ = self.pair._start(head)
-            source, target = cycle.vertices[p], cycle.vertices[(p + k) % len(cycle)]
-            entries[position[source]][position[target]] += count
+        rings = self.pair._rings
+        for k, p in self.pair._place.values():
+            _, stops, full = rings[k]
+            row = entries[position[stops[p]]]
+            for target in map(position.__getitem__, stops[p + 1 : p + full]):
+                row[target] += 1
         return CartanMatrix(vertices, entries)
 
     def check_multiserial(self) -> Report:
@@ -409,7 +408,9 @@ class CycleAlgebra:
         Every arrow must admit exactly one surviving composition on each
         side, and it must be the neighbouring arrow on the arrow's cycle.
         One :meth:`Quiver.compositions` walk classifies each two-arrow
-        path once.
+        path once.  Survival is read from the class rings (:meth:`_class_of`)
+        and the expected neighbour from :attr:`DefiningPair.next_arrow`, so
+        a successor map that disagrees with the rings fails, naming its arrows.
         """
         following = self.pair.next_arrow
         preceding = {b: a for a, b in following.items()}

@@ -65,13 +65,6 @@ class DefiningPair:
                 place.setdefault(a, (k, p))
         self._place = dict(sorted(place.items()))
 
-    def _start(self, head: str) -> tuple[Path, int, int]:
-        """The class of the rotation that starts with arrow ``head``: its
-        representative, the position of ``head`` on it, and its multiplicity."""
-        k, p = self._place[head]
-        cycle, mu = self._classes[k]
-        return cycle, p, mu
-
     @cached_property
     def next_arrow(self) -> Mapping[str, str]:
         """The arrow that follows each arrow on its cycle, read-only, as every
@@ -129,22 +122,24 @@ class DefiningPair:
             ),
         )
 
-    def _rings(self) -> list[tuple[tuple[str, ...], tuple[str, ...], int]]:
+    @cached_property
+    def _rings(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...], int], ...]:
         """Each class as one ring, its arrows and stops walked mu + 1 times,
-        with its full length mu l: the rotation at position p reads its path
-        of m <= mu l + 1 arrows as the slices [p : p + m] and [p : p + m + 1]."""
-        return [
+        with its full length mu l, built on first use and shared as the only
+        reading of a rotation: the one at :attr:`_place` (k, p) reads its path
+        of m <= mu l + 1 arrows as ring k's slices [p : p + m] and [p : p + m + 1]."""
+        return tuple(
             (c.arrows * (mu + 1), c.vertices[:-1] * (mu + 1) + c.vertices[:1], mu * len(c))
             for c, mu in self._classes
-        ]
+        )
 
     def _slices(self) -> tuple[dict[str, Path], list[Path]]:
         """Each rotation's full power, by its first arrow, and its overrun, mu l
         and mu l + 1 arrows, in rotation order, as slices of its class's ring
-        (:meth:`_rings`); rendered afresh on each call, as :attr:`relations`
+        (:attr:`_rings`); rendered afresh on each call, as :attr:`relations`
         and the cover oracle read them differently."""
         self.require_valid()
-        rings, full, overrun = self._rings(), {}, []
+        rings, full, overrun = self._rings, {}, []
         for head, (k, p) in self._place.items():
             arrows, stops, length = rings[k]
             full[head] = _path(arrows[p : p + length], stops[p : p + length + 1])

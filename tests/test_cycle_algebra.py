@@ -859,6 +859,24 @@ class TestCheckMultiserial:
             "b has surviving predecessors ['a', 'bbar'], expected [bbar]"
         )
 
+    def test_a_corrupted_successor_map_fails(self):
+        # survival is read from the class rings and the expectation from
+        # next_arrow: two loops at one vertex with their successors swapped
+        # disagree with the rings on both sides of both loops
+        q = Quiver(["v"], [("a", "v", "v"), ("b", "v", "v")])
+        pair = DefiningPair(q, [(q.path(["a"]), 2), (q.path(["b"]), 2)])
+        alg = CycleAlgebra(pair)
+        assert alg.check_multiserial().passed
+        vars(pair)["next_arrow"] = {"a": "b", "b": "a"}
+        report = alg.check_multiserial()
+        assert not report.passed
+        assert report.check("multiserial-quotient").witness == (
+            "a has surviving successors ['a'], expected [b]; "
+            "a has surviving predecessors ['a'], expected [b]; "
+            "b has surviving successors ['b'], expected [a]; "
+            "b has surviving predecessors ['b'], expected [a]"
+        )
+
 
 class TestOracle:
     def test_truncated_loop(self, loop_quiver):
@@ -1384,6 +1402,22 @@ def test_cycles_acceptance_sequence_derives_each_fact_once(two_cycle_mu3_pair):
     assert (axioms.call_count, relations.call_count) == (1, 1)
 
 
+def test_the_rings_are_built_once_per_system(two_cycle_mu3_pair):
+    # every reader of a rotation, in the algebra and in the system, reads
+    # the one cached ring per class
+    pair = two_cycle_mu3_pair
+    with spy_on_derivation("_rings") as rings:
+        alg = CycleAlgebra(pair)
+        assert len(alg.basis) == alg.dimension == 14
+        assert alg.gram_matrix().is_permutation
+        assert alg.cartan_matrix().entries == [[4, 3], [3, 4]]
+        assert alg.check_multiserial().passed
+        assert alg.normal_form(pair.quiver.path(["a", "b", "a"])) is not None
+        assert pair.relations.counts() == (0, 2, 0)
+        assert pair_oracle_dimension(pair) == 14
+    assert rings.call_count == 1
+
+
 @pytest.mark.parametrize("draw", [None, 3, 11])
 def test_a_built_pair_checks_no_cycle_for_simplicity_again(two_cycle_mu3_pair, draw):
     # construction checked every cycle; the axioms, the relations and the
@@ -1464,6 +1498,14 @@ class AllRotations:
             partner[Idempotent(v)], partner[socle] = socle, Idempotent(v)
         return [index[partner[x]] for x in basis]
 
+    def normal_form(self, path: Path):
+        """The basis element a nontrivial path equals, or None: the rotation
+        starting with its first arrow, walked mu times, must begin with it."""
+        full = next(f for f in self.fulls if f.arrows[0] == path.arrows[0])
+        if path.arrows != full.arrows[: len(path)]:
+            return None
+        return Socle(path.source) if len(path) == len(full) else OnCyclePath(path)
+
     def cartan(self) -> list[list[int]]:
         position = {v: i for i, v in enumerate(self.quiver.vertices)}
         entries = [[0] * len(position) for _ in position]
@@ -1519,6 +1561,12 @@ def test_class_keyed_system_matches_the_all_rotations_reference(kind, seed):
     assert alg.gram_matrix().dual == reference.dual()
     assert alg.cartan_matrix().entries == reference.cartan()
     assert render_pair_document(pair) == reference.document()
+    # every prefix of each rotation's overrun, up to the overrun itself, and
+    # every two-arrow path off the cycles
+    paths = [Path(o.arrows[:m], o.vertices[: m + 1]) for o in type2 for m in range(1, len(o) + 1)]
+    assert [alg.normal_form(p) for p in paths + list(type3)] == [
+        reference.normal_form(p) for p in paths + list(type3)
+    ]
 
 
 def loosened_presentation(rng):
