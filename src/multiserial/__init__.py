@@ -14,7 +14,6 @@ from .cycle_algebra import (
     OracleBudgetError,
     Socle,
     closed_form_dimension,
-    count_paths,
     enumerate_paths,
     oracle_dimension,
     pair_oracle_dimension,
@@ -85,7 +84,6 @@ __all__ = [
     "check_orbit_structure",
     "close_under_rotation",
     "closed_form_dimension",
-    "count_paths",
     "derive_successors",
     "enumerate_paths",
     "generate_relations",

@@ -122,9 +122,9 @@ def parse_document(text: str) -> InputDocument:
     by the library's own check on it.  A presentation's zero lines, most of
     its lines, are matched at the head of the loop, on the raw line split
     once at whitespace: 'zero', '=' and two composable arrow names are
-    judged by two lookups and one comparison of ends, and any other zero
-    line, a comment included, is split at '=' and goes through
-    :meth:`Quiver.path` and the length check, with the same error text.
+    judged by two lookups and one comparison of ends.  Any other zero
+    line, a comment included, takes the key dispatch like every other
+    line, through :meth:`Quiver.path` and the length check.
     The presentation is handed over by :meth:`Presentation._judged`, so no
     generator or bound is checked a second time."""
     section = q = nilpotency = None
@@ -144,7 +144,7 @@ def parse_document(text: str) -> InputDocument:
         for number, raw in enumerate(text.split("\n"), start=1):
             if section == "presentation":
                 # No arrow name holds '=' or '#': 'zero = x y' of composable x, y
-                # is judged by two lookups, any other zero line by Quiver.path.
+                # is judged by two lookups, any other zero line by the dispatch.
                 words = raw.split()
                 if len(words) == 4 and words[0] == "zero" and words[1] == "=":
                     x, y = words[2], words[3]
@@ -152,14 +152,6 @@ def parse_document(text: str) -> InputDocument:
                     if a is not None and b is not None and a.target == b.source:
                         zeros.append(_path((x, y), (a.source, a.target, b.target)))
                         continue
-                head, eq, value = raw.partition("=")
-                if eq and head.strip() == "zero":
-                    names = value.partition("#")[0].split()
-                    if not names:
-                        raise ParseError("empty zero path", number)
-                    zeros.append(q.path(names))
-                    _check_length(zeros[-1])
-                    continue
             line = (raw.partition("#")[0] if "#" in raw else raw).strip()
             if not line:
                 continue
@@ -188,8 +180,7 @@ def parse_document(text: str) -> InputDocument:
             if section is None:
                 raise ParseError("content before any section header", number)
 
-            # a well-formed zero line was read at the head of the loop; the
-            # dispatch refuses every other one
+            # a zero line of two composable arrows was read at the head of the loop
             head, eq, value = line.partition("=")
             words = head.split()
             key = words[0] if words else None
@@ -248,6 +239,12 @@ def parse_document(text: str) -> InputDocument:
                 for side in equals[-1]:
                     _check_length(side)
                 _check_uniform(*equals[-1])
+            elif key == "zero":
+                names = value.split()
+                if not names:
+                    raise ParseError("empty zero path", number)
+                zeros.append(q.path(names))
+                _check_length(zeros[-1])
             else:
                 pieces = value.split("|")
                 mult_key, mult_eq, mult_value = pieces[-1].partition("=")
@@ -559,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget on paths: those below the oracle's truncation bound that "
         "avoid every monomial relation, and the closed-form basis",
     )
-    common.add_argument("--quiet", action="store_true", help="suppress the report")
+    common.add_argument("--quiet", action="store_true", help="build and print no report")
     parser = argparse.ArgumentParser(
         prog="multiserial",
         description="construct and verify symmetric multiserial quotients of path algebras",
@@ -586,34 +583,34 @@ def main(argv: list[str] | None = None) -> int:
         if written:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(result.artifact)
-        if args.json:
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "command": result.command,
-                "input": args.input,
-                "passed": result.report.passed,
-                "verdicts": [
-                    {"name": c.name, "passed": c.passed, "witness": c.witness}
-                    for c in result.report.checks
-                ],
-                "warnings": list(result.report.warnings),
-                "data": dict(result.data),
-            }
-            if written:
-                payload["data"]["output_file"] = args.out
-            elif result.artifact is not None:
-                payload["data"][result.artifact_key] = result.artifact
-            text = json.dumps(payload)
-        else:
-            lines = [f"command: {result.command} ({args.input})"]
-            lines.extend(result.report.lines())
-            lines.extend(_render_data(result.data))
-            if written:
-                lines.append(f"wrote {args.out}")
-            elif result.artifact is not None:
-                lines.append(result.artifact.rstrip("\n"))
-            text = "\n".join(lines)
         if not args.quiet:
+            if args.json:
+                payload = {
+                    "schema_version": SCHEMA_VERSION,
+                    "command": result.command,
+                    "input": args.input,
+                    "passed": result.report.passed,
+                    "verdicts": [
+                        {"name": c.name, "passed": c.passed, "witness": c.witness}
+                        for c in result.report.checks
+                    ],
+                    "warnings": list(result.report.warnings),
+                    "data": dict(result.data),
+                }
+                if written:
+                    payload["data"]["output_file"] = args.out
+                elif result.artifact is not None:
+                    payload["data"][result.artifact_key] = result.artifact
+                text = json.dumps(payload)
+            else:
+                lines = [f"command: {result.command} ({args.input})"]
+                lines.extend(result.report.lines())
+                lines.extend(_render_data(result.data))
+                if written:
+                    lines.append(f"wrote {args.out}")
+                elif result.artifact is not None:
+                    lines.append(result.artifact.rstrip("\n"))
+                text = "\n".join(lines)
             try:
                 print(text, flush=True)
             except OSError as exc:

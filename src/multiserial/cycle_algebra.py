@@ -139,8 +139,8 @@ def closed_form_dimension(pair: DefiningPair) -> int:
 
 # The basis by index past the |V| idempotents: each proper path as its rotation's
 # first arrow and its length, then from first_socle on the socles, in vertex
-# order; by a rotation's first arrow, its full power's length and 1-arrow prefix.
-_Layout = namedtuple("_Layout", "cycle length full_length start socles socle_at first_socle")
+# order; by a rotation's first arrow, its 1-arrow prefix (its full length is on its ring).
+_Layout = namedtuple("_Layout", "cycle length start socles socle_at first_socle")
 
 
 class CycleAlgebra:
@@ -167,13 +167,11 @@ class CycleAlgebra:
     @cached_property
     def _layout(self) -> _Layout:
         pair = self.pair
-        full_length: dict[str, int] = {}
         start: dict[str, int] = {}
         heads, lengths = [], []
         size = len(pair.quiver.vertices)
         for head, (k, _) in pair._place.items():
             length = pair._rings[k][2]
-            full_length[head] = length
             start[head] = size
             heads.extend([head] * (length - 1))
             lengths.extend(range(1, length))
@@ -186,7 +184,7 @@ class CycleAlgebra:
                 f"counts {self.dimension}; this is an engine bug"
             )
         socle_at = {v: s for s, v in enumerate(socles, size)}
-        return _Layout(heads, lengths, full_length, start, socles, socle_at, size)
+        return _Layout(heads, lengths, start, socles, socle_at, size)
 
     @cached_property
     def _basis(self) -> list[BasisElement]:
@@ -251,7 +249,7 @@ class CycleAlgebra:
         when h' is the ring's arrow at p + m, up to the ring's full length,
         where it is the socle at the ring's stop at p."""
         n = len(self.pair.quiver.vertices)
-        cycle_of, length_of, _, start, _, socle_at, first_socle = self._layout
+        cycle_of, length_of, start, _, socle_at, first_socle = self._layout
         if i < n or j < n:
             return (j if i < n else i) if self._ends(i)[1] == self._ends(j)[0] else None
         if i >= first_socle or j >= first_socle:
@@ -294,7 +292,8 @@ class CycleAlgebra:
         the listing's arithmetic: y's cycle starts with the arrow after x's
         last, the lengths sum to F's, and x's cycle has a socle index.  The
         arrows after a rotation's rows' last ones are the slice of its
-        class's cached ring (:attr:`DefiningPair._rings`) one past its start.
+        class's cached ring (:attr:`DefiningPair._rings`) one past its start,
+        and F's length, one per row, is that ring's full length.
         A pair off the socle, or a row hit twice, is raised, naming both.
         """
         n = len(self.pair.quiver.vertices)
@@ -312,13 +311,14 @@ class CycleAlgebra:
         # or None where the row's rotation starts at a vertex without a socle index
         rings = self.pair._rings
         want_heads: list[str | None] = []
+        fulls: list[int] = []
         for k, p in self.pair._place.values():
             arrows, stops, full = rings[k]
             if layout.socle_at.get(stops[p], -1) >= first_socle:
                 want_heads += arrows[p + 1 : p + full]
             else:
                 want_heads += [None] * (full - 1)
-        fulls = map(layout.full_length.__getitem__, layout.cycle)
+            fulls += [full] * (full - 1)
         want_lengths = list(map(sub, fulls, layout.length))
         # each index's cycle head and length, None off the proper block
         pad = [None] * n
@@ -434,14 +434,6 @@ class CycleAlgebra:
         return report
 
 
-def count_paths(quiver: Quiver, max_length: int, stop_above: int | None = None) -> int:
-    """Number of paths of length 0..max_length, by
-    :meth:`MonomialAutomaton.count` with no monomials."""
-    if stop_above is not None:
-        _check_budget_type(stop_above)
-    return MonomialAutomaton(quiver, ()).count(max_length, stop_above)[0]
-
-
 def _check_budget_type(budget: int) -> None:
     if type(budget) is not int:
         raise ValueError(f"path budget must be an integer, got {budget!r}")
@@ -460,7 +452,8 @@ def enumerate_paths(
     """All paths of length 0..max_length, shortest first, arrows in name
     order; faults when the count passes ``max_paths``."""
     _check_budget_type(max_paths)
-    _check_budget(count_paths(quiver, max_length, max_paths), max_paths, _BELOW_BOUND)
+    total = MonomialAutomaton(quiver, ()).count(max_length, max_paths)[0]
+    _check_budget(total, max_paths, _BELOW_BOUND)
     paths: list[Path] = [quiver.trivial_path(v) for v in quiver.vertices]
     frontier = list(paths)
     for _ in range(max_length):

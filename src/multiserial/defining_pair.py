@@ -20,7 +20,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .quiver import Path, Quiver, _path, canonical_rotation
+from .quiver import Path, Quiver, _path, _two_arrow_paths, canonical_rotation
 from .report import Report
 
 
@@ -101,11 +101,12 @@ class DefiningPair:
         :func:`validate`.  Type 1 pairs the full powers of every two arrows
         out of a vertex, vertex by vertex; type 2 is one overrun per rotation;
         type 3 is each arrow followed by an arrow other than its successor,
-        all in name order.  Two-arrow paths count as on-cycle when they
-        travel a cycle cyclically, so the square of a loop with multiplicity
-        above one is not a relation."""
+        all in name order, listed off :attr:`next_arrow` by the one listing
+        the drawers also read their dead quadratics from.  Two-arrow paths
+        count as on-cycle when they travel a cycle cyclically, so the square
+        of a loop with multiplicity above one is not a relation."""
         full, overrun = self._slices()
-        out, following = self.quiver._out, self.next_arrow
+        out = self.quiver._out
         return RelationSet(
             # every arrow starts one rotation, so a vertex's rotations start with its arrows
             tuple(
@@ -113,13 +114,9 @@ class DefiningPair:
                 for v in self.quiver.vertices for a, b in combinations(out[v], 2)
             ),
             tuple(overrun),
-            # Every arrow lies on exactly one rotation class, so ab travels a
-            # cycle exactly when b follows a there.
-            tuple(
-                _path((a.name, b.name), (a.source, a.target, b.target))
-                for a in self.quiver._by_name for b in out[a.target]
-                if following[a.name] != b.name
-            ),
+            # every arrow lies on exactly one rotation class, so ab travels a
+            # cycle exactly when b follows a there
+            tuple(_two_arrow_paths(self.quiver, self.next_arrow)),
         )
 
     @cached_property

@@ -251,6 +251,17 @@ def canonical_rotation(cycle: Path) -> Path:
     return _rotation(cycle, cycle.arrows.index(min(cycle.arrows)))
 
 
+def _two_arrow_paths(quiver: Quiver, matched: Mapping[str, str]) -> list[Path]:
+    """The two-arrow paths ab with b not ``matched[a]``, by arrow names."""
+    paths: list[Path] = []
+    for a in quiver._by_name:
+        name, skip, source, middle = a.name, matched.get(a.name), a.source, a.target
+        for b in quiver._out[middle]:
+            if b.name != skip:
+                paths.append(_path((name, b.name), (source, middle, b.target)))
+    return paths
+
+
 class MonomialAutomaton:
     """The Aho–Corasick automaton (CACM 1975) of nontrivial monomials, paths
     of one quiver, over its arrow names, kept on its live steps alone.

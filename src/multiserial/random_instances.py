@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import random
 
-from .cycle_algebra import count_paths
 from .defining_pair import DefiningPair, nilpotency_bound
 from .presentation import Presentation
-from .quiver import Path, Quiver, _path, canonical_rotation
+from .quiver import MonomialAutomaton, Path, Quiver, _path, _two_arrow_paths, canonical_rotation
 
 
 def random_defining_pair(
@@ -65,7 +64,8 @@ def tractable_defining_pair(
         pair = random_defining_pair(rng, max_vertices, max_arrows, max_mult)
         if not pair.axioms.passed:
             continue
-        if count_paths(pair.quiver, nilpotency_bound(pair) - 1, max_paths) > max_paths:
+        total = MonomialAutomaton(pair.quiver, ()).count(nilpotency_bound(pair) - 1, max_paths)[0]
+        if total > max_paths:
             continue
         return pair
 
@@ -137,17 +137,6 @@ def radical_square_zero_presentation(
     """Every composition of two arrows vanishes, declared explicitly."""
     quiver = _random_quiver(rng, max_vertices, max_arrows)
     return Presentation._judged(quiver, tuple(_two_arrow_paths(quiver, {})), (), 2)
-
-
-def _two_arrow_paths(quiver: Quiver, matched: dict[str, str]) -> list[Path]:
-    """The two-arrow paths ab with b not ``matched[a]``, by arrow names."""
-    paths: list[Path] = []
-    for a in quiver._by_name:
-        name, skip, source, middle = a.name, matched.get(a.name), a.source, a.target
-        for b in quiver._out[middle]:
-            if b.name != skip:
-                paths.append(_path((name, b.name), (source, middle, b.target)))
-    return paths
 
 
 def _random_matching(rng: random.Random, quiver: Quiver) -> dict[str, str]:

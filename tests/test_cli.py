@@ -138,8 +138,9 @@ PARSE_ERRORS = {
         "line 8: unrecognized presentation line: nilpotent = 2",
     ),
     "empty-zero": (PRESENTATION + "zero =\n", "line 8: empty zero path"),
-    # a zero line is matched ahead of the key dispatch only in a presentation,
-    # and only as 'zero = ...'; the dispatch refuses every other one
+    # only 'zero = x y' of two composable arrows is read ahead of the key
+    # dispatch, and only in a presentation; the dispatch takes every other
+    # zero line, and knows the key 'zero' only in a presentation
     "zero-in-quiver": (QUIVER + "zero = a b\n", "line 5: unrecognized quiver line: zero = a b"),
     "zero-in-definingpair": (
         PAIR + "zero = a b\n",
@@ -1054,6 +1055,21 @@ class TestMainOutputs:
         out = capsys.readouterr().out
         assert code == 0
         assert out == ""
+
+    @pytest.mark.parametrize("command", list(COMMAND_TABLE))
+    def test_quiet_builds_no_report(self, capsys, tmp_path, command):
+        # neither the data lines nor the JSON payload is built, so a report
+        # too large to hold cannot fault a quiet run; an artifact is still written
+        kind = COMMAND_TABLE[command][1]
+        fixture = str(FIXTURES / ("loop_mu2.alg" if kind == "definingpair" else "a3_gentle.alg"))
+        out = ["--out", str(tmp_path / "out.txt")] if command in ("symmetrize", "dot") else []
+        with mock.patch.object(cli, "_render_data", side_effect=AssertionError("rendered")), \
+                mock.patch.object(cli.json, "dumps", side_effect=AssertionError("dumped")):
+            for mode in ([], ["--json"]):
+                assert main([command, fixture, "--quiet", *mode, *out]) == 0
+        assert capsys.readouterr() == ("", "")
+        if out:
+            assert (tmp_path / "out.txt").read_text()
 
     def test_dot_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "quiver.dot"

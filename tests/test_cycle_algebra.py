@@ -24,7 +24,6 @@ from multiserial import (
     check_multiserial_condition,
     close_under_rotation,
     closed_form_dimension,
-    count_paths,
     enumerate_paths,
     generate_relations,
     nilpotency_bound,
@@ -178,7 +177,8 @@ def reference_dual(alg: CycleAlgebra) -> list:
         s = layout.socle_at.get(v, i)
         listed += [(i, s), (s, i)] if s != i else [(i, i)]
     for cycle, _ in rotations(alg.pair):
-        length = layout.full_length[cycle.arrows[0]]
+        k, _ = alg.pair._place[cycle.arrows[0]]
+        length = alg.pair._rings[k][2]
         start = layout.start[cycle.arrows[0]]
         for k in range(1, length):
             rest = layout.start[cycle.arrows[k % len(cycle)]]
@@ -1310,6 +1310,13 @@ class TestSurvivingPaths:
         made = sum(m is not None and m is not t.lefts[0] for t in tables for m in t.lefts)
         assert tables
         assert made < sum(t.count for t in tables)
+
+
+def count_paths(quiver: Quiver, max_length: int, stop_above: int | None = None) -> int:
+    """How many paths of length 0..max_length there are: the automaton of no
+    monomials counts them, as :func:`enumerate_paths` and the drawers' budget
+    read them."""
+    return MonomialAutomaton(quiver, ()).count(max_length, stop_above)[0]
 
 
 class TestCountPaths:

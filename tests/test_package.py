@@ -74,10 +74,6 @@ LIBRARY_BORDERS = {
         lambda: multiserial.enumerate_paths(TWO_CYCLE, 2, None),
         "path budget must be an integer, got None",
     ),
-    "float-path-count-cap": (
-        lambda: multiserial.count_paths(TWO_CYCLE, 2, stop_above=2.5),
-        "path budget must be an integer, got 2.5",
-    ),
     "boolean-certificate-budget": (
         lambda: multiserial.verify_quotient(NO_GENERATORS).dimensions(True),
         "path budget must be an integer, got True",
